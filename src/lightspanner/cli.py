@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 import time
 from typing import Callable, Iterable, Sequence
 
@@ -43,13 +44,27 @@ SWEEP_HEADER = (
 )
 
 
+# mkstemp creates files readable by the owner only; artifacts get the mode a
+# plain open() would give them. Read once, since reading the umask sets it.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a uniquely named temp file in the same
+    directory, so concurrent writers never share a temp file and readers see
+    either the old or the new content."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _dump_json(path: str, payload: dict) -> None:

@@ -1,7 +1,9 @@
 """Weighted undirected graphs and deterministic shortest-path scans.
 
 Graphs are immutable once constructed and every routine here is a pure
-function, so shared graphs are safe to query concurrently.
+function: each scan allocates its own state and shares no buffers, so
+shared graphs are safe to query concurrently and a caller may keep one
+scan's result while running the next.
 
 Determinism contract: shortest-path ties are resolved lexicographically.
 Each vertex is labelled with a key (distance, origin, bottleneck) where
@@ -9,6 +11,12 @@ origin is the source it was reached from (relevant for multi-source
 scans) and bottleneck is the heaviest edge on the path. Among equal keys
 the smaller predecessor id wins. Repeated runs therefore return
 identical tables, paths, and parent forests.
+
+``scan`` is the one Dijkstra kernel. It dispatches on its arguments to a
+loop specialised for one source (origin is constant, so it stays out of
+the heap key), a loop for several sources, and a truncated loop for a
+given radius whose dict and set state grows with the ball it explores
+rather than with n. All three honour the contract above.
 """
 from __future__ import annotations
 
@@ -151,48 +159,160 @@ def adjacency_from_edges(n: int, edges: Iterable[tuple[int, int]], weight_of) ->
 
 
 def scan(n, adj, sources, radius=None):
-    """Core multi-source Dijkstra with lexicographic (dist, origin, bottleneck) keys.
+    """Dijkstra from ``sources`` over ``adj`` with the module's deterministic ties.
 
-    Returns (dist, parent, bottleneck, origin, settled, order) as plain
-    lists; ``order`` holds the settled vertices in settlement sequence, so
-    truncated scans can be post-processed in time proportional to the ball
-    size rather than n. When ``radius`` is given, every vertex with distance
-    <= radius is settled and the scan stops there; entries beyond the radius
-    are not trustworthy.
+    Returns ``(dist, parent, bottleneck, origin, settled, order)``; ``order``
+    holds the settled vertices in settlement sequence, and each source has
+    parent -1 and origin itself. One of three loops runs, chosen from the
+    arguments; each yields exactly what one general scan keyed on
+    (dist, origin, bottleneck) would, in the same settlement order:
+
+    - one source, no radius: the heap holds ``(dist, bottleneck, vertex)``
+      and ``origin`` is filled in afterwards (the source where reached, -1
+      elsewhere);
+    - several sources, no radius: the heap holds ``(dist, origin,
+      bottleneck, vertex)``;
+    - ``radius`` given: every vertex with distance <= radius is settled and
+      the scan stops there. Its state covers only the vertices it reached
+      (the settled ball plus the unsettled neighbours it touched), so time
+      and memory are O(ball), not O(n), and ``n`` is not used: ``dist``,
+      ``parent``, ``bottleneck`` and ``origin`` are dicts keyed by those
+      vertices, entries of unsettled ones are tentative, and ``settled``
+      is a set.
+
+    Full scans return lists of length n (``dist`` is INF, ``parent`` and
+    ``origin`` -1 where not reached) and ``settled`` as a bytearray of 0/1
+    flags. Test settlement with ``settled[v]`` after a full scan and with
+    ``v in settled`` after a truncated one (``in`` on a bytearray looks for
+    a byte value, not an index).
+
+    Each call allocates its own state, so concurrent calls and callers that
+    keep one result while running the next scan never interfere.
     """
+    srcs = sorted(set(sources))
+    if radius is not None:
+        return _scan_truncated(adj, srcs, radius)
+    if len(srcs) == 1:
+        return _scan_single(n, adj, srcs[0])
+    return _scan_multi(n, adj, srcs)
+
+
+def _scan_single(n, adj, source):
     dist = [INF] * n
     parent = [-1] * n
     bottleneck = [0.0] * n
-    origin = [-1] * n
-    settled = [False] * n
+    settled = bytearray(n)
     order: list[int] = []
-    heap: list[tuple[float, int, float, int]] = []
-    for s in sorted(set(sources)):
-        dist[s] = 0.0
-        origin[s] = s
-        heap.append((0.0, s, 0.0, s))
-    heapq.heapify(heap)
+    visit = order.append
     push, pop = heapq.heappush, heapq.heappop
+    dist[source] = 0.0
+    heap = [(0.0, 0.0, source)]
     while heap:
-        d, o, b, u = pop(heap)
-        if settled[u] or d != dist[u] or o != origin[u] or b != bottleneck[u]:
+        d, b, u = pop(heap)
+        # pushes only ever lower a vertex's (dist, bottleneck) key, so its
+        # first pop is its final one and later pops are stale
+        if settled[u]:
             continue
-        if radius is not None and d > radius:
-            break
-        settled[u] = True
-        order.append(u)
+        settled[u] = 1
+        visit(u)
         for v, w in adj[u]:
             if settled[v]:
                 continue
             nd = d + w
+            dv = dist[v]
+            if nd > dv:
+                continue
             nb = b if b >= w else w
-            if (nd, o, nb) < (dist[v], origin[v], bottleneck[v]):
+            if nd < dv or nb < bottleneck[v]:
+                dist[v] = nd
+                bottleneck[v] = nb
+                parent[v] = u
+                push(heap, (nd, nb, v))
+            elif nb == bottleneck[v] and u < parent[v]:
+                parent[v] = u
+    origin = [source if d < INF else -1 for d in dist]
+    return dist, parent, bottleneck, origin, settled, order
+
+
+def _scan_multi(n, adj, srcs):
+    dist = [INF] * n
+    parent = [-1] * n
+    bottleneck = [0.0] * n
+    origin = [-1] * n
+    settled = bytearray(n)
+    order: list[int] = []
+    visit = order.append
+    push, pop = heapq.heappush, heapq.heappop
+    heap = []  # built from sorted sources, so already in heap order
+    for s in srcs:
+        dist[s] = 0.0
+        origin[s] = s
+        heap.append((0.0, s, 0.0, s))
+    while heap:
+        d, o, b, u = pop(heap)
+        if settled[u]:
+            continue
+        settled[u] = 1
+        visit(u)
+        for v, w in adj[u]:
+            if settled[v]:
+                continue
+            nd = d + w
+            dv = dist[v]
+            if nd > dv:
+                continue
+            nb = b if b >= w else w
+            if nd < dv or o < origin[v] or (o == origin[v] and nb < bottleneck[v]):
                 dist[v] = nd
                 origin[v] = o
                 bottleneck[v] = nb
                 parent[v] = u
                 push(heap, (nd, o, nb, v))
-            elif (nd, o, nb) == (dist[v], origin[v], bottleneck[v]) and u < parent[v]:
+            elif o == origin[v] and nb == bottleneck[v] and u < parent[v]:
+                parent[v] = u
+    return dist, parent, bottleneck, origin, settled, order
+
+
+def _scan_truncated(adj, srcs, radius):
+    dist: dict[int, float] = {}
+    parent: dict[int, int] = {}
+    bottleneck: dict[int, float] = {}
+    origin: dict[int, int] = {}
+    settled: set[int] = set()
+    order: list[int] = []
+    settle, visit = settled.add, order.append
+    push, pop = heapq.heappush, heapq.heappop
+    heap = []  # built from sorted sources, so already in heap order
+    for s in srcs:
+        dist[s] = 0.0
+        parent[s] = -1
+        bottleneck[s] = 0.0
+        origin[s] = s
+        heap.append((0.0, s, 0.0, s))
+    get = dist.get
+    while heap:
+        d, o, b, u = pop(heap)
+        if u in settled:
+            continue
+        if d > radius:
+            break
+        settle(u)
+        visit(u)
+        for v, w in adj[u]:
+            if v in settled:
+                continue
+            nd = d + w
+            dv = get(v, INF)
+            if nd > dv:
+                continue
+            nb = b if b >= w else w
+            if nd < dv or o < origin[v] or (o == origin[v] and nb < bottleneck[v]):
+                dist[v] = nd
+                origin[v] = o
+                bottleneck[v] = nb
+                parent[v] = u
+                push(heap, (nd, o, nb, v))
+            elif o == origin[v] and nb == bottleneck[v] and u < parent[v]:
                 parent[v] = u
     return dist, parent, bottleneck, origin, settled, order
 

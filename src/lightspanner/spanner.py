@@ -249,25 +249,73 @@ class Spanner:
         }
 
 
-def spanner_from_json_dict(payload: dict, host: WeightedGraph) -> Spanner:
+_REQUIRED_KEYS = ("kind", "eps", "k", "seed", "scale", "n", "edges")
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true/false load as bool, a subclass of int
+
+
+def _is_real(x) -> bool:
+    return (type(x) is int or type(x) is float) and math.isfinite(x)
+
+
+def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
+    """Spanner from the dict ``Spanner.to_json_dict`` writes, checked against ``host``.
+
+    Every schema problem raises SpannerError: a missing key, a value of the
+    wrong type or out of range, a kind that disagrees with k and seed
+    (hierarchical needs integers, wmax nulls), and edges that are malformed,
+    duplicated, or not host edges of the recorded weight. A malformed file
+    is therefore an error, never a spanner that fails verification.
+    """
+    if not isinstance(payload, dict):
+        raise SpannerError(f"spanner payload must be a JSON object, got {type(payload).__name__}")
     if payload.get("schema") != "spanner/v1":
         raise SpannerError(f"unrecognized spanner schema {payload.get('schema')!r}")
-    if payload["n"] != host.n:
-        raise SpannerError(f"spanner built on n={payload['n']} but host graph has n={host.n}")
-    edges = set()
-    tags = {}
-    for u, v, w, tag in payload["edges"]:
+    missing = [key for key in _REQUIRED_KEYS if key not in payload]
+    if missing:
+        raise SpannerError(f"spanner is missing {', '.join(missing)}")
+    kind, eps, k, seed, scale, n, edges = (payload[key] for key in _REQUIRED_KEYS)
+    if kind not in ("hierarchical", "wmax"):
+        raise SpannerError(f"unknown spanner kind {kind!r}")
+    if not (_is_real(eps) and eps > 0):
+        raise SpannerError(f"eps must be a positive number, got {eps!r}")
+    if kind == "hierarchical":
+        if not eps < 1:
+            raise SpannerError(f"hierarchical spanner needs eps < 1, got {eps!r}")
+        if not (_is_int(k) and k >= 1):
+            raise SpannerError(f"hierarchical spanner needs an integer k >= 1, got {k!r}")
+        if not _is_int(seed):
+            raise SpannerError(f"hierarchical spanner needs an integer seed, got {seed!r}")
+    elif k is not None or seed is not None:
+        raise SpannerError(f"wmax spanner needs null k and seed, got k={k!r}, seed={seed!r}")
+    if not (_is_real(scale) and scale > 0):
+        raise SpannerError(f"scale must be a positive number, got {scale!r}")
+    if not _is_int(n) or n != host.n:
+        raise SpannerError(f"spanner built on n={n!r} but host graph has n={host.n}")
+    if not isinstance(edges, list):
+        raise SpannerError(f"spanner edges must be a list, got {type(edges).__name__}")
+    tags: dict[tuple[int, int], str] = {}
+    for entry in edges:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise SpannerError(f"spanner edge {entry!r} is not [u, v, weight, tag]")
+        u, v, w, tag = entry
+        if not (_is_int(u) and _is_int(v) and _is_real(w)):
+            raise SpannerError(f"spanner edge {entry!r} needs integer endpoints and a finite weight")
         if not host.has_edge(u, v):
             raise SpannerError(f"spanner edge ({u}, {v}) is not a host edge")
+        key = (u, v) if u < v else (v, u)
+        if key in tags:
+            raise SpannerError(f"duplicate spanner edge ({key[0]}, {key[1]})")
         hw = host.weight_of(u, v)
         if abs(hw - w) > 1e-9 * max(abs(hw), abs(w)):
             raise SpannerError(f"edge ({u}, {v}) weight {w} does not match host weight {hw}")
         if tag not in PHASES:
             raise SpannerError(f"unknown phase tag {tag!r} on edge ({u}, {v})")
-        edges.add((u, v))
-        tags[(u, v)] = tag
-    params = SpannerParams(eps=payload["eps"], k=payload["k"], seed=payload["seed"], kind=payload["kind"])
-    return Spanner(host=host, edges=frozenset(edges), phase_tag=tags, params=params, scale=payload["scale"])
+        tags[key] = tag
+    params = SpannerParams(eps=eps, k=k, seed=seed, kind=kind)
+    return Spanner(host=host, edges=frozenset(tags), phase_tag=tags, params=params, scale=scale)
 
 
 def _add_path(path: Sequence[int], tag: str, tags: dict[tuple[int, int], str]) -> None:
@@ -350,7 +398,7 @@ def phase2_paths(
                         f"scale index {j} above hierarchy top {hierarchy.i_max} for d={d_uv}"
                     )
                 target, tag = hierarchy.rep(v, j), PHASE_P2_REP
-            if not settled[target]:
+            if target not in settled:
                 raise SpannerError(
                     f"representative {target} of ({u}, {v}) escaped the scan radius"
                 )

@@ -299,7 +299,7 @@ def verify_net(g: WeightedGraph, net: DeltaNet, *, mst_weight: float | None = No
         for a in sorted(suspects):
             d_a, _, _, _, settled, _ = scan(n, g.adj, (a,), radius=delta * (1.0 + REL_TOL))
             for b in members:
-                if b == a or not settled[b] or d_a[b] > delta:
+                if b == a or b not in settled or d_a[b] > delta:
                     continue
                 key = (a, b) if a < b else (b, a)
                 if key not in seen:
@@ -498,7 +498,7 @@ def _check_distance_in_bunch(
         dist_h, _, _, _, settled_h, _ = scan(n, h_adj, (u,), radius=reach)
         for v in members:
             checked += 1
-            dh = dist_h[v] if settled_h[v] else INF
+            dh = dist_h[v] if v in settled_h else INF
             if not _within(dh, (1.0 + eps) * dist_g[v]):
                 witnesses.append((u, v, dist_g[v], dh))
     return LemmaResult("distance_in_bunch", checked, tuple(witnesses[:WITNESS_CAP]))

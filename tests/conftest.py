@@ -14,16 +14,19 @@ settings.load_profile("default")
 
 # weights are multiples of 1/64 so float sums along short paths are exact
 dyadic_weights = st.integers(min_value=1, max_value=128).map(lambda k: k / 64.0)
+# four weights only: distinct paths tie on length and bottleneck often, which
+# exercises every tie-break of the scan kernel
+coarse_weights = st.integers(min_value=1, max_value=4).map(lambda k: k / 4.0)
 
 
 @st.composite
-def connected_graphs(draw, min_n=2, max_n=12, max_extra=12):
+def connected_graphs(draw, min_n=2, max_n=12, max_extra=12, weights=dyadic_weights):
     """A random tree plus extra edges; always connected, dyadic weights."""
     n = draw(st.integers(min_n, max_n))
     edges: dict[tuple[int, int], float] = {}
     for v in range(1, n):
         u = draw(st.integers(0, v - 1))
-        edges[(u, v)] = draw(dyadic_weights)
+        edges[(u, v)] = draw(weights)
     for _ in range(draw(st.integers(0, max_extra))):
         a = draw(st.integers(0, n - 1))
         b = draw(st.integers(0, n - 1))
@@ -31,7 +34,7 @@ def connected_graphs(draw, min_n=2, max_n=12, max_extra=12):
             continue
         key = (min(a, b), max(a, b))
         if key not in edges:
-            edges[key] = draw(dyadic_weights)
+            edges[key] = draw(weights)
     return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
 
 

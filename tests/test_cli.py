@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from lightspanner import cli
 from lightspanner.cli import SWEEP_HEADER, main, run_sweep
 
 
@@ -137,6 +138,104 @@ def test_verify_flags_corrupted_spanner(workdir, capsys):
     )
     assert rc == 1
     assert "stretch: FAIL" in capsys.readouterr().out
+
+
+def _drop(key):
+    def edit(payload):
+        del payload[key]
+
+    return edit
+
+
+def _put(key, value):
+    def edit(payload):
+        payload[key] = value
+
+    return edit
+
+
+def _duplicate_first_edge(payload):
+    u, v, w, tag = payload["edges"][0]
+    payload["edges"].append([v, u, w, tag])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_drop("eps"), "missing eps", id="eps-missing"),
+        pytest.param(_put("k", None), "integer k", id="k-null"),
+        pytest.param(_put("eps", "0.05"), "eps must be a positive number", id="eps-string"),
+        pytest.param(_put("eps", 0.0), "eps must be a positive number", id="eps-zero"),
+        pytest.param(_put("eps", 1.5), "eps < 1", id="eps-above-one"),
+        pytest.param(_put("k", 0), "integer k", id="k-zero"),
+        pytest.param(_put("seed", 1.5), "integer seed", id="seed-float"),
+        pytest.param(_put("kind", "wmax"), "null k and seed", id="kind-k-mismatch"),
+        pytest.param(_put("kind", "other"), "unknown spanner kind", id="kind-unknown"),
+        pytest.param(_put("scale", -1.0), "scale", id="scale-negative"),
+        pytest.param(_put("n", "40"), "n='40'", id="n-string"),
+        pytest.param(_put("edges", {}), "edges must be a list", id="edges-object"),
+        pytest.param(_put("edges", [[0, 1, 1.0]]), "is not [u, v, weight, tag]", id="edge-short"),
+        pytest.param(_put("edges", [[0, "1", 1.0, "H0"]]), "integer endpoints", id="edge-string-endpoint"),
+        pytest.param(_duplicate_first_edge, "duplicate spanner edge", id="edge-duplicate"),
+    ],
+)
+def test_malformed_spanner_json_exits_two(workdir, capsys, edit, message):
+    graph_path = _gen(workdir, family="path", n=40)
+    build = ["build", "--input", graph_path, "--eps", "0.05", "--k", "1", "--output-dir", str(workdir)]
+    assert main(build) == 0
+    payload = json.loads((workdir / "spanner.json").read_text())
+    edit(payload)
+    (workdir / "spanner.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    verify = ["verify", "--input", graph_path, "--spanner", str(workdir / "spanner.json"), "--output-dir", str(workdir)]
+    assert main(verify) == 2
+    err = capsys.readouterr().err
+    assert "error in verify" in err and message in err
+
+
+def test_non_object_spanner_json_exits_two(workdir, capsys):
+    graph_path = _gen(workdir, family="path", n=10)
+    (workdir / "spanner.json").write_text("[]")
+    verify = ["verify", "--input", graph_path, "--spanner", str(workdir / "spanner.json"), "--output-dir", str(workdir)]
+    assert main(verify) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_interleaved_atomic_writes_both_land(tmp_path, monkeypatch):
+    # the second write runs to completion while the first still holds its
+    # temp file, as two processes writing one artifact could
+    target = tmp_path / "report.json"
+    real_replace = os.replace
+    landed = []
+
+    def replace_after_second_write(src, dst):
+        if not landed:
+            landed.append(None)
+            cli._atomic_write(str(target), "second\n")
+            landed[0] = target.read_text()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace_after_second_write)
+    cli._atomic_write(str(target), "first\n")
+    assert landed == ["second\n"]
+    assert target.read_text() == "first\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(str(tmp_path / "report.json"), "text\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_keeps_the_mode_of_a_plain_write(tmp_path):
+    (tmp_path / "plain.txt").write_text("x")
+    cli._atomic_write(str(tmp_path / "atomic.txt"), "x")
+    assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
 
 
 def test_bad_eps_exits_two(workdir, capsys):

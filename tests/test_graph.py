@@ -14,8 +14,12 @@ from lightspanner.graph import (
     shortest_path,
 )
 
-from .conftest import connected_graphs
+from .conftest import coarse_weights, connected_graphs
 from . import oracles
+
+# ties between paths, which the tie-break tests need, are rare with 128
+# distinct weights and common with four
+tie_heavy_graphs = st.one_of(connected_graphs(), connected_graphs(weights=coarse_weights))
 
 
 def test_constructor_rejects_self_loop():
@@ -118,7 +122,7 @@ def test_deterministic_across_runs():
     assert a == b
 
 
-@given(connected_graphs(), st.data())
+@given(tie_heavy_graphs, st.data())
 def test_multi_source_origin_is_nearest_source(g, data):
     k = data.draw(st.integers(1, g.n))
     sources = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=k, max_size=k)))
@@ -147,9 +151,73 @@ def test_shortest_path_same_vertex():
 def test_scan_radius_settles_exactly_the_ball():
     g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
     dist, _, _, _, settled, order = scan(g.n, g.adj, (0,), radius=2.0)
-    assert [v for v in range(5) if settled[v]] == [0, 1, 2]
+    assert [v for v in range(5) if v in settled] == [0, 1, 2]
     assert order == [0, 1, 2]
     assert dist[2] == 2.0
+
+
+def _draw_sources(g, data, max_size):
+    size = data.draw(st.integers(1, min(max_size, g.n)))
+    return sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=size, max_size=size)))
+
+
+@given(
+    st.one_of(connected_graphs(max_n=8, max_extra=6), connected_graphs(max_n=8, max_extra=6, weights=coarse_weights)),
+    st.integers(0, 10_000),
+)
+def test_single_source_scan_matches_oracles(g, pick):
+    s = pick % g.n
+    dist, _, bottleneck, origin, settled, order = scan(g.n, g.adj, (s,))
+    assert dist == oracles.bellman_ford(g, s)
+    assert origin == [s] * g.n
+    assert sorted(order) == list(range(g.n)) and all(settled)
+    for t in range(g.n):
+        if t != s:
+            assert (dist[t], bottleneck[t]) == oracles.min_bottleneck_of_shortest(g, s, t)
+
+
+@given(tie_heavy_graphs, st.data())
+def test_scan_parent_is_smallest_tie_optimal_predecessor(g, data):
+    # dyadic weights make every sum exact, so "tie-optimal" is an equality:
+    # q can be v's parent iff its edge reproduces v's whole key
+    sources = _draw_sources(g, data, 4)
+    dist, parent, bottleneck, origin, _, _ = scan(g.n, g.adj, sources)
+    for v in range(g.n):
+        if v in sources:
+            assert parent[v] == -1
+            continue
+        optimal = [
+            q
+            for q, w in g.adj[v]
+            if dist[q] + w == dist[v] and origin[q] == origin[v] and max(bottleneck[q], w) == bottleneck[v]
+        ]
+        assert parent[v] == min(optimal)
+
+
+@given(tie_heavy_graphs, st.data())
+def test_truncated_scan_is_the_ball_of_the_full_scan(g, data):
+    sources = _draw_sources(g, data, 3)
+    radius = data.draw(st.integers(0, 4 * 64).map(lambda k: k / 64.0))
+    full_dist, full_parent, full_btl, full_origin, _, _ = scan(g.n, g.adj, sources)
+    dist, parent, bottleneck, origin, settled, order = scan(g.n, g.adj, sources, radius=radius)
+    assert settled == {v for v in range(g.n) if full_dist[v] <= radius}
+    assert sorted(order) == sorted(settled)
+    assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
+    for v in settled:
+        assert (dist[v], parent[v], bottleneck[v], origin[v]) == (
+            full_dist[v],
+            full_parent[v],
+            full_btl[v],
+            full_origin[v],
+        )
+
+
+def test_truncated_scan_state_is_proportional_to_the_ball():
+    n = 100_000
+    adj = adjacency_from_edges(n, [(v, v + 1) for v in range(n - 1)], lambda u, v: 1.0)
+    result = scan(n, adj, (0,), radius=2.0)
+    assert all(len(container) <= 4 for container in result)
+    assert result[5] == [0, 1, 2]
 
 
 def test_adjacency_from_edges_allows_disconnected():

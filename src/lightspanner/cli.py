@@ -164,6 +164,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if args.spanner:
         with open(args.spanner, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise SpannerError(f"spanner payload must be a JSON object, got {type(raw).__name__}")
         payload["spanner"] = {
             key: raw.get(key)
             for key in ("kind", "n", "size", "weight", "eps", "k", "seed", "scale", "per_phase")

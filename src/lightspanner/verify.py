@@ -11,6 +11,16 @@ come in three tiers:
     distances, bunch distances, containment of rep-sharing centers, ball
     containment of intersecting connection paths) against retained internals.
 
+Each lemma names one ball around one vertex, and its check scans only that
+ball: the representative check runs one truncated H0 scan of radius
+(1+2eps)*2^i from each level-i representative, the bunch checks one
+truncated scan of the center's (shrunken or pivot) radius, and the
+half-bunch and paths-intersect checks share one cached pivot ball per
+center. A truncated scan settles every vertex within its radius with the
+full scan's distances, so every verdict is the one a full scan gives; full
+scans run only from top-level centers and to supply a violator's witness
+distance. Memory is O(sum of the balls scanned), not O(n^2).
+
 Distance comparisons allow 1e-9 relative slack on the bound side; the
 subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
 its float sum appears verbatim among the graph's candidate sums). Reports are
@@ -112,7 +122,9 @@ def verify_stretch(
     Hierarchical spanners use alpha = 1+2*eps and the explicit constant
     from additive_stretch_constant with per-pair bottleneck W(x, y); the
     heavy-edge variant uses alpha = 1+eps and W = max edge weight. Sampled
-    mode runs full single-source checks from a seeded vertex sample.
+    mode runs full single-source checks from a seeded vertex sample of
+    min(sample_size, n) sources; a sample_size below 1 is a ValueError,
+    since a certification that checks no pair would pass vacuously.
     """
     _check_host(g, sp)
     n = g.n
@@ -132,6 +144,8 @@ def verify_stretch(
     if mode == "all_pairs":
         sources: Sequence[int] = range(n)
     elif mode == "sampled":
+        if sample_size < 1:
+            raise ValueError(f"sampled mode needs sample_size >= 1, got {sample_size}")
         sources = sorted(random.Random(seed).sample(range(n), min(sample_size, n)))
     else:
         raise ValueError(f"mode must be 'all_pairs' or 'sampled', got {mode!r}")
@@ -433,48 +447,88 @@ class LemmaSuiteReport:
         }
 
 
-class _RowCache:
-    """Lazily computed full single-source distance rows over one adjacency."""
+class _PivotBalls:
+    """Pivot balls of the normalized graph, one per (level, center), kept for
+    one suite run.
 
-    def __init__(self, n: int, adj):
-        self.n = n
-        self.adj = adj
-        self._rows: dict[int, list[float]] = {}
+    ball(level, c) is the frozenset of vertices x with
+    d(c, x) < pivot_dist[level + 1][c] * (1 + REL_TOL), read off one
+    truncated scan of that radius from c. A truncated scan settles every
+    vertex within its radius with the full scan's distances, so membership
+    answers exactly what comparing a full row against the radius would.
+    Memory is the sum of the cached balls, not a row of n per center.
+    """
 
-    def row(self, u: int) -> list[float]:
-        cached = self._rows.get(u)
+    def __init__(self, gn: WeightedGraph, sampling):
+        self.gn = gn
+        self.sampling = sampling
+        self._balls: dict[tuple[int, int], frozenset[int]] = {}
+
+    def ball(self, level: int, center: int) -> frozenset[int]:
+        key = (level, center)
+        cached = self._balls.get(key)
         if cached is None:
-            cached, _, _, _, _, _ = scan(self.n, self.adj, (u,))
-            self._rows[u] = cached
+            radius = self.sampling.pivot_dist[level + 1][center] * (1.0 + REL_TOL)
+            dist, _, _, _, _, order = scan(self.gn.n, self.gn.adj, (center,), radius=radius)
+            cached = frozenset(x for x in order if dist[x] < radius)
+            self._balls[key] = cached
         return cached
 
 
 def _check_representative(gn: WeightedGraph, internals: BuildInternals) -> LemmaResult:
     """d_{H0}(v, rep(v, i)) <= (1 + 2*eps) * 2**i for every vertex and level,
-    measured inside the phase-1 subgraph only."""
+    measured inside the phase-1 subgraph only.
+
+    Per level i, the vertices are grouped by x = rep(v, i) and one truncated
+    H0 scan of radius bound * (1 + REL_TOL) runs from each x; H0 is
+    undirected, so v passes when that scan settles it within the bound.
+    Scans from v and from x sum a path's weights in opposite orders, so in
+    floating point they agree only to within about n * 2**-52 relative,
+    below REL_TOL for any n under 4 million. Hence only a vertex the scan leaves unsettled, or
+    settles inside the tolerance band, is a suspect, and a full H0 scan
+    from v decides it and supplies the witness, exactly as a full scan from
+    every vertex would (in (v, i) order, stopping at WITNESS_CAP). Time is
+    the sum of the H0 balls around the level-i representatives plus the
+    suspects' full scans; memory is one ball or row plus O(n) grouping.
+    """
     h = internals.hierarchy
     n = gn.n
     h0_adj = adjacency_from_edges(n, sorted(h.h0_edges), gn.weight_of)
     factor = 1.0 + 2.0 * h.eps
-    checked = 0
+    suspects = []
+    for i in range(h.i_max + 1):
+        bound = factor * 2.0**i
+        by_rep: dict[int, list[int]] = {}
+        for v in range(n):
+            by_rep.setdefault(h.rep(v, i), []).append(v)
+        for x, group in by_rep.items():
+            dist, _, _, _, settled, _ = scan(n, h0_adj, (x,), radius=bound * (1.0 + REL_TOL))
+            suspects.extend((v, i) for v in group if v not in settled or dist[v] > bound)
     witnesses = []
-    for v in range(n):
-        dist, _, _, _, _, _ = scan(n, h0_adj, (v,))
-        for i in range(h.i_max + 1):
-            x = h.rep(v, i)
-            checked += 1
-            if not _within(dist[x], factor * 2.0**i):
-                witnesses.append((v, i, x, dist[x], factor * 2.0**i))
-    return LemmaResult("representative", checked, tuple(witnesses[:WITNESS_CAP]))
+    row_of = -1
+    for v, i in sorted(suspects):
+        if len(witnesses) == WITNESS_CAP:
+            break
+        if row_of != v:
+            row, _, _, _, _, _ = scan(n, h0_adj, (v,))
+            row_of = v
+        x = h.rep(v, i)
+        if not _within(row[x], factor * 2.0**i):
+            witnesses.append((v, i, x, row[x], factor * 2.0**i))
+    return LemmaResult("representative", n * (h.i_max + 1), tuple(witnesses))
 
 
 def _check_distance_in_bunch(
     gn: WeightedGraph,
     sp: Spanner,
     internals: BuildInternals,
-    g_rows: _RowCache,
 ) -> LemmaResult:
-    """d_H(u, v) <= (1 + eps) * d(u, v) for every v in u's shrunken bunch."""
+    """d_H(u, v) <= (1 + eps) * d(u, v) for every v in u's shrunken bunch.
+
+    A top-level center runs one full scan of the graph (each is used once);
+    every other center runs a truncated scan of its shrunken bunch radius.
+    The spanner side is a truncated scan reaching the farthest member.
+    """
     sampling = internals.sampling
     eps = internals.hierarchy.eps
     n = gn.n
@@ -486,7 +540,7 @@ def _check_distance_in_bunch(
         i = sampling.level_of[u]
         if i == sampling.k:
             members = [v for v in sampling.members(sampling.k) if v != u]
-            dist_g = g_rows.row(u)
+            dist_g, _, _, _, _, _ = scan(n, gn.adj, (u,))
         else:
             radius = delta * sampling.pivot_dist[i + 1][u]
             dist_g, _, _, _, _, order = scan(n, gn.adj, (u,), radius=radius)
@@ -504,10 +558,17 @@ def _check_distance_in_bunch(
     return LemmaResult("distance_in_bunch", checked, tuple(witnesses[:WITNESS_CAP]))
 
 
-def _check_half_bunch_containment(internals: BuildInternals, g_rows: _RowCache) -> LemmaResult:
+def _check_half_bunch_containment(internals: BuildInternals, balls: _PivotBalls) -> LemmaResult:
     """Centers sharing a representative all sit inside the unshrunken bunch of
-    the member farthest from that representative."""
+    the member farthest from that representative.
+
+    The unshrunken bunch is read as the star's pivot ball (see _PivotBalls),
+    so each star costs one truncated scan of its pivot radius, shared with
+    _check_paths_intersect. A violator's witness distance comes from one
+    full scan from the star.
+    """
     sampling = internals.sampling
+    gn = internals.normalized
     k = sampling.k
     groups: dict[tuple[int, int, int], list] = {}
     for r in internals.records:
@@ -522,23 +583,27 @@ def _check_half_bunch_containment(internals: BuildInternals, g_rows: _RowCache) 
             continue
         star = max(centers, key=lambda cd: (cd[1], -cd[0]))[0]
         pd = sampling.pivot_dist[level + 1][star]
-        row = g_rows.row(star)
+        ball = balls.ball(level, star)
+        row = None
         for u, _ in centers:
             checked += 1
-            d = row[u]
-            if not (d < pd * (1.0 + REL_TOL)):
-                witnesses.append((level, scale, target, star, u, d, pd))
-    return LemmaResult("half_bunch_containment", checked, tuple(witnesses[:WITNESS_CAP]))
+            if u in ball or len(witnesses) == WITNESS_CAP:
+                continue
+            if row is None:
+                row, _, _, _, _, _ = scan(gn.n, gn.adj, (star,))
+            witnesses.append((level, scale, target, star, u, row[u], pd))
+    return LemmaResult("half_bunch_containment", checked, tuple(witnesses))
 
 
-def _check_paths_intersect(internals: BuildInternals, g_rows: _RowCache) -> LemmaResult:
+def _check_paths_intersect(internals: BuildInternals, balls: _PivotBalls) -> LemmaResult:
     """If two same-level connection paths share a vertex, one of the two
     centers has all four endpoints within its pivot radius.
 
     Representatives need not belong to the sampled level, so the check reads
     the bunch as a ball: every endpoint strictly closer to the center than
-    its next-level pivot. Top-level pairs are skipped (no next pivot, so the
-    radius is unbounded and the claim is vacuous).
+    its next-level pivot, i.e. inside the center's pivot ball (see
+    _PivotBalls). Top-level pairs are skipped (no next pivot, so the radius
+    is unbounded and the claim is vacuous).
     """
     sampling = internals.sampling
     k = sampling.k
@@ -559,10 +624,12 @@ def _check_paths_intersect(internals: BuildInternals, g_rows: _RowCache) -> Lemm
                         pairs.add((a, b) if a < b else (b, a))
 
         def contains_all(center_rec, other_rec) -> bool:
-            pd = sampling.pivot_dist[level + 1][center_rec.center]
-            row = g_rows.row(center_rec.center)
-            points = (center_rec.target, other_rec.center, other_rec.target)
-            return all(row[p] < pd * (1.0 + REL_TOL) for p in points)
+            ball = balls.ball(level, center_rec.center)
+            return (
+                center_rec.target in ball
+                and other_rec.center in ball
+                and other_rec.target in ball
+            )
 
         for a, b in sorted(pairs):
             ra, rb = recs[a], recs[b]
@@ -592,11 +659,11 @@ def verify_lemma_suite(
             "rebuild with keep_internals=True"
         )
     gn = internals.normalized
-    g_rows = _RowCache(gn.n, gn.adj)
+    balls = _PivotBalls(gn, internals.sampling)
     results = (
         _check_representative(gn, internals),
-        _check_distance_in_bunch(gn, sp, internals, g_rows),
-        _check_half_bunch_containment(internals, g_rows),
-        _check_paths_intersect(internals, g_rows),
+        _check_distance_in_bunch(gn, sp, internals),
+        _check_half_bunch_containment(internals, balls),
+        _check_paths_intersect(internals, balls),
     )
     return LemmaSuiteReport(results=results)

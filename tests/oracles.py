@@ -6,13 +6,18 @@ bottleneck weights, and brute-force spanning-tree enumeration for the MST.
 Weights in generated test graphs are dyadic (multiples of 1/64) so sums of
 a few hundred of them are exact in binary floating point and every oracle
 comparison can demand equality instead of tolerance.
+
+lemma_suite_reference replays verify_lemma_suite's four checks with a full
+scan wherever a distance is read, so the library's truncated scans can be
+compared against it witness for witness.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from lightspanner.graph import INF, WeightedGraph
+from lightspanner.graph import INF, WeightedGraph, adjacency_from_edges, scan
+from lightspanner.verify import REL_TOL, WITNESS_CAP, LemmaResult, LemmaSuiteReport, _within
 
 
 def bellman_ford(g: WeightedGraph, source: int) -> list[float]:
@@ -103,3 +108,137 @@ def min_spanning_weight(g: WeightedGraph) -> float:
 
 def all_pairs_via_bf(g: WeightedGraph) -> list[list[float]]:
     return [bellman_ford(g, s) for s in range(g.n)]
+
+
+# ---------------------------------------------------------------------------
+# lemma suite, full scans only
+
+
+class _FullRows:
+    """Full single-source distance rows of one graph, each computed once."""
+
+    def __init__(self, n: int, adj):
+        self.n = n
+        self.adj = adj
+        self._rows: dict[int, list[float]] = {}
+
+    def row(self, u: int) -> list[float]:
+        if u not in self._rows:
+            self._rows[u] = scan(self.n, self.adj, (u,))[0]
+        return self._rows[u]
+
+
+def _representative_reference(gn, internals) -> LemmaResult:
+    h = internals.hierarchy
+    n = gn.n
+    h0_adj = adjacency_from_edges(n, sorted(h.h0_edges), gn.weight_of)
+    factor = 1.0 + 2.0 * h.eps
+    checked = 0
+    witnesses = []
+    for v in range(n):
+        dist = scan(n, h0_adj, (v,))[0]
+        for i in range(h.i_max + 1):
+            x = h.rep(v, i)
+            checked += 1
+            if not _within(dist[x], factor * 2.0**i):
+                witnesses.append((v, i, x, dist[x], factor * 2.0**i))
+    return LemmaResult("representative", checked, tuple(witnesses[:WITNESS_CAP]))
+
+
+def _distance_in_bunch_reference(gn, sp, internals, g_rows) -> LemmaResult:
+    sampling = internals.sampling
+    eps = internals.hierarchy.eps
+    n = gn.n
+    h_adj = adjacency_from_edges(n, sorted(sp.edges), gn.weight_of)
+    delta = 0.5 * (1.0 - eps)
+    checked = 0
+    witnesses = []
+    for u in range(n):
+        i = sampling.level_of[u]
+        dist_g = g_rows.row(u)
+        if i == sampling.k:
+            members = [v for v in sampling.members(sampling.k) if v != u]
+        else:
+            radius = delta * sampling.pivot_dist[i + 1][u]
+            members = [v for v in sorted(sampling.levels[i]) if v != u and dist_g[v] < radius]
+        if not members:
+            continue
+        dist_h = scan(n, h_adj, (u,))[0]
+        # a member the spanner does not reach within (1 + eps) times the
+        # farthest member's distance is reported at distance INF
+        reach = (1.0 + eps) * max(dist_g[v] for v in members) * (1.0 + REL_TOL)
+        for v in members:
+            checked += 1
+            dh = dist_h[v] if dist_h[v] <= reach else INF
+            if not _within(dh, (1.0 + eps) * dist_g[v]):
+                witnesses.append((u, v, dist_g[v], dh))
+    return LemmaResult("distance_in_bunch", checked, tuple(witnesses[:WITNESS_CAP]))
+
+
+def _half_bunch_reference(internals, g_rows) -> LemmaResult:
+    sampling = internals.sampling
+    k = sampling.k
+    groups: dict[tuple[int, int, int], list] = {}
+    for r in internals.records:
+        groups.setdefault((r.center_level, r.scale, r.target), []).append(r)
+    checked = 0
+    witnesses = []
+    for (level, scale, target), recs in sorted(groups.items()):
+        centers = sorted({(r.center, r.dist_target) for r in recs})
+        if level == k:
+            checked += len(centers)
+            continue
+        star = max(centers, key=lambda cd: (cd[1], -cd[0]))[0]
+        pd = sampling.pivot_dist[level + 1][star]
+        row = g_rows.row(star)
+        for u, _ in centers:
+            checked += 1
+            if not (row[u] < pd * (1.0 + REL_TOL)):
+                witnesses.append((level, scale, target, star, u, row[u], pd))
+    return LemmaResult("half_bunch_containment", checked, tuple(witnesses[:WITNESS_CAP]))
+
+
+def _paths_intersect_reference(internals, g_rows) -> LemmaResult:
+    sampling = internals.sampling
+    checked = 0
+    witnesses = []
+    for level in range(sampling.k):
+        recs = [r for r in internals.records if r.center_level == level]
+        on_vertex: dict[int, list[int]] = {}
+        for idx, r in enumerate(recs):
+            for w in r.path:
+                on_vertex.setdefault(w, []).append(idx)
+        pairs = set()
+        for idxs in on_vertex.values():
+            for a, b in itertools.combinations(idxs, 2):
+                if (recs[a].center, recs[a].target) != (recs[b].center, recs[b].target):
+                    pairs.add((min(a, b), max(a, b)))
+
+        def contains_all(center_rec, other_rec) -> bool:
+            pd = sampling.pivot_dist[level + 1][center_rec.center]
+            row = g_rows.row(center_rec.center)
+            points = (center_rec.target, other_rec.center, other_rec.target)
+            return all(row[p] < pd * (1.0 + REL_TOL) for p in points)
+
+        for a, b in sorted(pairs):
+            ra, rb = recs[a], recs[b]
+            checked += 1
+            first, second = (ra, rb) if ra.dist_target >= rb.dist_target else (rb, ra)
+            if not (contains_all(first, second) or contains_all(second, first)):
+                witnesses.append((level, ra.center, ra.target, rb.center, rb.target))
+    return LemmaResult("paths_intersect", checked, tuple(witnesses[:WITNESS_CAP]))
+
+
+def lemma_suite_reference(sp, internals=None) -> LemmaSuiteReport:
+    """verify_lemma_suite's four checks, every distance from a full scan."""
+    internals = internals if internals is not None else sp.internals
+    gn = internals.normalized
+    g_rows = _FullRows(gn.n, gn.adj)
+    return LemmaSuiteReport(
+        results=(
+            _representative_reference(gn, internals),
+            _distance_in_bunch_reference(gn, sp, internals, g_rows),
+            _half_bunch_reference(internals, g_rows),
+            _paths_intersect_reference(internals, g_rows),
+        )
+    )

@@ -201,6 +201,23 @@ def test_non_object_spanner_json_exits_two(workdir, capsys):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_sampled_verify_without_sources_exits_two(workdir, capsys, size):
+    graph_path = _gen(workdir, family="path", n=20)
+    build = ["build", "--input", graph_path, "--eps", "0.05", "--k", "1", "--output-dir", str(workdir)]
+    assert main(build) == 0
+    capsys.readouterr()
+    verify = [
+        "verify", "--input", graph_path, "--spanner", str(workdir / "spanner.json"),
+        "--mode", "sampled", f"--sample-size={size}", "--output-dir", str(workdir),
+    ]
+    assert main(verify) == 2
+    captured = capsys.readouterr()
+    assert "sample_size >= 1" in captured.err
+    assert "PASS" not in captured.out
+    assert not (workdir / "stretch_report.json").exists()
+
+
 def test_interleaved_atomic_writes_both_land(tmp_path, monkeypatch):
     # the second write runs to completion while the first still holds its
     # temp file, as two processes writing one artifact could
@@ -418,6 +435,13 @@ def test_inspect_requires_something(capsys):
     assert "inspect needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["[]", '"x"', "3"])
+def test_inspect_non_object_spanner_json_exits_two(workdir, capsys, content):
+    (workdir / "bad.json").write_text(content)
+    assert main(["inspect", "--spanner", str(workdir / "bad.json")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_sweep_writes_csv(workdir, capsys):
     rc = main(
         [
@@ -475,6 +499,11 @@ def test_run_sweep_rows_carry_extras(workdir):
     assert rows[0]["h0_weight"] <= rows[0]["size"] * 2.0
     assert rows[0]["mst_weight"] > 0
     assert rows[0]["runtime_ms"] >= 0
+
+
+def test_run_sweep_rejects_an_empty_sample(workdir):
+    with pytest.raises(ValueError, match="sample_size >= 1"):
+        run_sweep(families=["path"], ns=[30], ks=[1], epss=[0.05], seeds=[0], mode="sampled", sample_size=0)
 
 
 def test_sweep_csv_deterministic(workdir):

@@ -1,0 +1,150 @@
+"""verify_lemma_suite against its full-scan reference, on real and tampered builds.
+
+The suite answers every claim with scans truncated to the radius the claim
+names; tests/oracles.py replays the same four checks with full scans. Both
+must agree to the byte, witnesses and fact counts included, whether the
+internals are genuine or tampered so that a check fails.
+"""
+import dataclasses
+
+import pytest
+
+from lightspanner import verify
+from lightspanner.generate import generate_graph
+from lightspanner.graph import adjacency_from_edges, scan
+from lightspanner.spanner import build_spanner
+from lightspanner.verify import WITNESS_CAP, verify_lemma_suite
+
+from .conftest import random_connected_graph
+from .oracles import lemma_suite_reference
+
+BUILDS = {
+    "path": lambda: build_spanner(generate_graph("path", 200, seed=3), eps=0.09, k=2, seed=3),
+    "grid": lambda: build_spanner(generate_graph("grid", 144, seed=1), eps=0.05, k=2, seed=1),
+    "gnp": lambda: build_spanner(generate_graph("erdos_renyi", 160, seed=2), eps=0.05, k=2, seed=2),
+    "geometric": lambda: build_spanner(
+        generate_graph("geometric_unit_square", 200, seed=5), eps=0.05, k=2, seed=5
+    ),
+    "dyadic": lambda: build_spanner(random_connected_graph(80, 120, seed=7), eps=0.08, k=2, seed=7),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BUILDS))
+def built(request):
+    return BUILDS[request.param]()
+
+
+def _suite_and_reference(sp, internals):
+    got = verify_lemma_suite(sp.host, sp, internals).to_json_dict()
+    want = lemma_suite_reference(sp, internals).to_json_dict()
+    return got, want
+
+
+def _result(report_dict, name):
+    return next(r for r in report_dict["results"] if r["name"] == name)
+
+
+def test_suite_matches_reference(built):
+    got, want = _suite_and_reference(built, built.internals)
+    assert got == want
+    assert got["passed"]
+
+
+def test_passing_suite_runs_full_scans_only_from_top_level_centers(built, monkeypatch):
+    full_scans = []
+
+    def counting_scan(n, adj, sources, radius=None):
+        if radius is None:
+            full_scans.append(tuple(sources))
+        return scan(n, adj, sources, radius)
+
+    monkeypatch.setattr(verify, "scan", counting_scan)
+    assert verify_lemma_suite(built.host, built).passed
+    top = built.internals.sampling.levels[built.internals.sampling.k]
+    assert sorted(full_scans) == sorted((u,) for u in top)
+
+
+def _far_vertex_in_h0(internals, v):
+    gn = internals.normalized
+    h0_adj = adjacency_from_edges(gn.n, sorted(internals.hierarchy.h0_edges), gn.weight_of)
+    dist = scan(gn.n, h0_adj, (v,))[0]
+    return max(range(gn.n), key=lambda x: (dist[x], -x))
+
+
+def _with_hierarchy(internals, **changes):
+    return dataclasses.replace(
+        internals, hierarchy=dataclasses.replace(internals.hierarchy, **changes)
+    )
+
+
+def _with_pivot_dist(internals, level, update):
+    sampling = internals.sampling
+    rows = list(sampling.pivot_dist)
+    row = list(rows[level])
+    update(row)
+    rows[level] = tuple(row)
+    return dataclasses.replace(
+        internals, sampling=dataclasses.replace(sampling, pivot_dist=tuple(rows))
+    )
+
+
+def test_rep_pointed_at_far_vertex_fails_representative(built):
+    internals = built.internals
+    v = built.host.n // 2
+    far = _far_vertex_in_h0(internals, v)
+    table = [list(row) for row in internals.hierarchy.rep_table]
+    table[0][v] = far
+    tampered = _with_hierarchy(internals, rep_table=tuple(tuple(row) for row in table))
+    got, want = _suite_and_reference(built, tampered)
+    assert got == want
+    witnesses = _result(got, "representative")["witnesses"]
+    assert [v, 0, far] in [w[:3] for w in witnesses]
+
+
+@pytest.mark.parametrize("keep", ["none", "every_other"])
+def test_removed_h0_edges_fail_representative(built, keep):
+    internals = built.internals
+    edges = sorted(internals.hierarchy.h0_edges)
+    kept = frozenset() if keep == "none" else frozenset(edges[::2])
+    tampered = _with_hierarchy(internals, h0_edges=kept)
+    got, want = _suite_and_reference(built, tampered)
+    assert got == want
+    rep = _result(got, "representative")
+    assert not rep["passed"]
+    assert rep["checked"] == built.host.n * (internals.hierarchy.i_max + 1)
+    if keep == "none":
+        assert len(rep["witnesses"]) == WITNESS_CAP
+
+
+def test_shrunken_star_pivot_fails_half_bunch_containment(built):
+    internals = built.internals
+    k = internals.sampling.k
+    groups = {}
+    for r in internals.records:
+        if r.center_level < k:
+            groups.setdefault((r.center_level, r.scale, r.target), set()).add(
+                (r.center, r.dist_target)
+            )
+    level, centers = next(
+        (key[0], cs) for key, cs in sorted(groups.items()) if len({c for c, _ in cs}) >= 2
+    )
+    star = max(centers, key=lambda cd: (cd[1], -cd[0]))[0]
+
+    def shrink(row):
+        row[star] *= 1e-3
+
+    tampered = _with_pivot_dist(internals, level + 1, shrink)
+    got, want = _suite_and_reference(built, tampered)
+    assert got == want
+    witnesses = _result(got, "half_bunch_containment")["witnesses"]
+    assert witnesses and all(w[3] == star for w in witnesses)
+
+
+def test_shrunken_level_zero_pivots_fail_paths_intersect(built):
+    def shrink(row):
+        row[:] = [d * 0.25 for d in row]
+
+    tampered = _with_pivot_dist(built.internals, 1, shrink)
+    got, want = _suite_and_reference(built, tampered)
+    assert got == want
+    assert not _result(got, "paths_intersect")["passed"]

@@ -119,6 +119,22 @@ def test_stretch_mode_validation(medium_geometric):
         verify_stretch(medium_geometric, sp, mode="exhaustive")
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_sampled_mode_needs_a_positive_sample_size(size):
+    # a sample of no sources would check no pair and pass vacuously
+    g = generate_graph("path", 20, seed=0)
+    sp = build_spanner(g, eps=0.05, k=1, seed=0)
+    with pytest.raises(ValueError, match="sample_size >= 1"):
+        verify_stretch(g, sp, mode="sampled", sample_size=size)
+
+
+def test_all_pairs_on_one_vertex_passes_vacuously():
+    g = WeightedGraph(1, [])
+    report = verify_stretch(g, _identity_spanner(g))
+    assert report.pairs_checked == 0
+    assert report.passed
+
+
 def test_host_mismatch_rejected(medium_geometric):
     sp = build_spanner(medium_geometric, eps=0.05, k=2, seed=1)
     other = generate_graph("path", medium_geometric.n, seed=0)

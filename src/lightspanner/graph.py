@@ -1,9 +1,15 @@
 """Weighted undirected graphs and deterministic shortest-path scans.
 
-Graphs are immutable once constructed and every routine here is a pure
-function: each scan allocates its own state and shares no buffers, so
-shared graphs are safe to query concurrently and a caller may keep one
-scan's result while running the next.
+Graphs are immutable once constructed: n, edges, adjacency, labels and
+weights never change. The one slot written later is a memo, ``_mst``,
+which ``trees.mst`` fills on first use with the tree the edges determine,
+so no caller can observe the write except as a faster second call.
+Every routine here is a pure function: each scan allocates its own state
+and shares no buffers, so shared graphs are safe to query concurrently
+and a caller may keep one scan's result while running the next.
+``WeightedGraph.scaled`` builds its result without revalidating, since
+scaling keeps ids, uniqueness, connectivity and edge order; only the new
+weights are checked.
 
 Determinism contract: shortest-path ties are resolved lexicographically.
 Each vertex is labelled with a key (distance, origin, bottleneck) where
@@ -74,7 +80,7 @@ class WeightedGraph:
     remembers original external ids for formats that are not 0-based.
     """
 
-    __slots__ = ("n", "edges", "adj", "labels", "_pair_weight")
+    __slots__ = ("n", "edges", "adj", "labels", "_pair_weight", "_mst")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None):
         if n < 1:
@@ -94,19 +100,27 @@ class WeightedGraph:
             seen.add(key)
             canon.append((key[0], key[1], float(w)))
         canon.sort()
-        self.n = n
-        self.edges: tuple[Edge, ...] = tuple(canon)
         if n > 1 and not edges_connect(n, canon):
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
+        self._assemble(n, tuple(canon), tuple(labels) if labels is not None else None)
+
+    def _assemble(self, n: int, edges: tuple[Edge, ...], labels: tuple[int, ...] | None) -> None:
+        """Fill every slot from edges already checked and sorted by (u, v).
+
+        adj and the pair dict hold the very float objects of ``edges``. No
+        row needs sorting: edges (x, v) come in ascending v, and every edge
+        (u, x) with u < x comes before them, in ascending u.
+        """
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in canon:
+        for u, v, w in edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        for row in adj:
-            row.sort()
+        self.n = n
+        self.edges = edges
         self.adj = adj
-        self.labels = tuple(labels) if labels is not None else None
-        self._pair_weight = {(u, v): w for u, v, w in canon}
+        self.labels = labels
+        self._pair_weight = {(u, v): w for u, v, w in edges}
+        self._mst = None
 
     @property
     def m(self) -> int:
@@ -126,9 +140,23 @@ class WeightedGraph:
             raise ValueError(f"no edge ({u}, {v})") from None
 
     def scaled(self, factor: float) -> "WeightedGraph":
+        """The same graph with every weight multiplied by ``factor``.
+
+        Scaling keeps ids, uniqueness, connectivity and the (u, v) order of
+        the edges, so only the new weights are checked: an underflow to 0 or
+        an overflow to inf raises ValueError as the constructor would.
+        """
         if not (factor > 0):
             raise ValueError(f"scale factor must be positive, got {factor}")
-        return WeightedGraph(self.n, [(u, v, w * factor) for u, v, w in self.edges], self.labels)
+        edges = []
+        for u, v, w in self.edges:
+            w *= factor
+            if not (w > 0 and math.isfinite(w)):
+                raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
+            edges.append((u, v, w))
+        g = WeightedGraph.__new__(WeightedGraph)
+        g._assemble(self.n, tuple(edges), self.labels)
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):

@@ -16,6 +16,13 @@ path of length at most (1 + 2*eps) * 2^i that lies entirely inside H_0.
 That bound is what makes eps < 1/10 worth enforcing; the geometric tail
 needs 2^-t <= eps and a bit of slack.
 
+The build walks the levels top-down and scans each distinct net once: the
+multi-source scan of level i+1 gives its nearest-member table and parent
+forest, and a copy of its distances seeds the greedy extension that makes
+level i. A level that adds no member is the same net as the level above
+and shares that level's scan and rows; the top levels of a normalized
+graph often repeat the single top vertex.
+
 Structures are frozen after construction and safe to share across
 threads; building is single-threaded and deterministic.
 """
@@ -25,7 +32,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import INF, WeightedGraph, scan
 from .trees import mst
@@ -107,15 +114,21 @@ def greedy_delta_net(
         dist, _, _, _, _, _ = scan(g.n, g.adj, seeds)
     else:
         dist = [INF] * g.n
-    members = list(seeds)
+    members = sorted(seeds + _greedy_extension(g.adj, dist, delta))
+    return DeltaNet(float(delta), tuple(members))
+
+
+def _greedy_extension(adj, dist, delta: float) -> list[int]:
+    """Vertices the greedy pass adds, ascending; ``dist`` (distance to the
+    net so far) is updated in place to the distance to the extended net."""
+    added = []
     # one ascending pass suffices: adding a member only shrinks distances,
     # so vertices behind the scan pointer stay covered
-    for v in range(g.n):
+    for v in range(len(dist)):
         if dist[v] > delta:
-            members.append(v)
-            _incremental_add(g.adj, dist, v)
-    members.sort()
-    return DeltaNet(float(delta), tuple(members))
+            added.append(v)
+            _incremental_add(adj, dist, v)
+    return added
 
 
 def max_level(n: int) -> int:
@@ -171,10 +184,6 @@ class NetHierarchy:
         }
 
 
-def h0_weight(h: NetHierarchy) -> float:
-    return h.h0_weight()
-
-
 def _require_normalized(g: WeightedGraph) -> float:
     w = mst(g).total_weight
     if abs(w - g.n) > 1e-6 * g.n:
@@ -192,12 +201,28 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
     i_max = max_level(n)
     t = math.ceil(math.log2(1.0 / eps))
 
-    levels: dict[int, DeltaNet] = {}
+    # Top-down: level i extends the net of level i+1 greedily, starting
+    # from the distances of level i+1's scan. Each distinct net is scanned
+    # once; a level that adds no member shares the scan of the level above.
+    # rows[j] = (dist, parent, origin) of the multi-source scan from level j.
+    def scan_rows(members):
+        dist, parent, _, origin, _, _ = scan(n, g.adj, members)
+        return tuple(dist), parent, tuple(origin)
+
     # the top net is a single vertex: 2^i_max is at least the diameter,
     # so any one vertex covers everything
-    levels[i_max] = DeltaNet(float(2**i_max), (0,))
+    members: tuple[int, ...] = (0,)
+    levels: dict[int, DeltaNet] = {i_max: DeltaNet(float(2**i_max), members)}
+    rows = {i_max: scan_rows(members)}
     for i in range(i_max - 1, -1, -1):
-        levels[i] = greedy_delta_net(g, float(2**i), levels[i + 1].members, verify_seed=False)
+        dist = list(rows[i + 1][0])
+        added = _greedy_extension(g.adj, dist, float(2**i))
+        if added:
+            members = tuple(sorted(members + tuple(added)))
+            rows[i] = scan_rows(members)
+        else:
+            rows[i] = rows[i + 1]
+        levels[i] = DeltaNet(float(2**i), members)
     levels[-1] = DeltaNet(0.0, tuple(range(n)))
 
     net_level = [-1] * n
@@ -205,21 +230,12 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
         for v in levels[i].members:
             net_level[v] = max(net_level[v], i)
 
-    nearest: list[Sequence[int]] = []
-    nearest_dist: list[Sequence[float]] = []
-    forests: list[Sequence[int]] = []
-    for j in range(i_max + 1):
-        dist, parent, _, origin, _, _ = scan(n, g.adj, levels[j].members)
-        nearest.append(origin)
-        nearest_dist.append(dist)
-        forests.append(parent)
-
     # H_0: each vertex at net level i connects to its nearest member of
     # levels i+1 .. i+t. Walks share suffixes, so we stop as soon as we
     # reach a vertex whose connection at this level is already recorded.
     h0: set[tuple[int, int]] = set()
     for j in range(i_max + 1):
-        parent = forests[j]
+        parent = rows[j][1]
         done = bytearray(n)
         for r in levels[j].members:
             done[r] = 1
@@ -233,6 +249,7 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
                 h0.add((x, p) if x < p else (p, x))
                 x = p
 
+    nearest = tuple(rows[j][2] for j in range(i_max + 1))
     rep_rows: list[tuple[int, ...]] = []
     for i in range(i_max + 1):
         a, b = i % t, i // t
@@ -251,8 +268,8 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
         i_max=i_max,
         levels=levels,
         net_level=tuple(net_level),
-        nearest=tuple(tuple(row) for row in nearest),
-        nearest_dist=tuple(tuple(row) for row in nearest_dist),
+        nearest=nearest,
+        nearest_dist=tuple(rows[j][0] for j in range(i_max + 1)),
         rep_table=tuple(rep_rows),
         h0_edges=frozenset(h0),
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SamplingError, SpannerError
@@ -49,6 +49,8 @@ SAMPLING_RETRIES = 32
 
 def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     """Scale weights so the MST weighs exactly n; returns (graph, scale)."""
+    if not g.edges:
+        raise ValueError("graph has no edges")
     w = mst(g).total_weight
     scale = g.n / w
     return g.scaled(scale), scale
@@ -193,7 +195,6 @@ class BuildInternals:
     hierarchy: NetHierarchy
     sampling: LevelSampling
     records: tuple[RepPathRecord, ...]
-    forest_pivots: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -461,11 +462,8 @@ def build_spanner(
     for key, tag in p2_tags.items():
         tags.setdefault(key, tag)
 
-    forest_pivots: dict[int, tuple[int, ...]] = {}
     for i in range(1, k + 1):
-        forest = slt_forest(gn, sampling.levels[i], eps)
-        forest_pivots[i] = forest.approx_pivot
-        for u, v, _ in forest.edges:
+        for u, v, _ in slt_forest(gn, sampling.levels[i], eps).edges:
             tags.setdefault((u, v), PHASE_SLT)
 
     _assert_spans(g.n, tags.keys())
@@ -477,7 +475,6 @@ def build_spanner(
             hierarchy=hierarchy,
             sampling=sampling,
             records=records,
-            forest_pivots=forest_pivots,
         )
     return Spanner(
         host=g,

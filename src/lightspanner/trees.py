@@ -13,6 +13,14 @@ distance accumulated between consecutive splices pays for the spliced
 path weights, which is where the 2/eps term comes from (the Euler tour
 costs twice the MST).
 
+The MST of a graph is computed once and memoised on the graph (see
+``mst``); ``slt`` and ``slt_forest`` take their tree edges from it. The
+forest needs the MST of the graph plus a virtual root joined to its roots
+by zero-weight edges, and finds it from the n-1 MST edges plus the root
+edges alone: by the cycle property, an edge outside the MST is the largest
+edge of a cycle of MST edges, which the augmented graph still contains, so
+its MST rejects that edge too (the full argument is in ``slt_forest``).
+
 Everything here is deterministic: MST ties break on (weight, min id,
 max id), tour children are visited in ascending id order, and the
 shortest-path tree comes from the deterministic scan in ``graph``.
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError
-from .graph import Edge, WeightedGraph, scan, walk_parents
+from .graph import Edge, WeightedGraph, adjacency_from_edges, scan, walk_parents
 
 INF = math.inf
 
@@ -56,19 +64,18 @@ class SpanningTree:
 
 
 def mst(g: WeightedGraph) -> SpanningTree:
-    """Minimum spanning tree, deterministic under weight ties."""
-    picked = _kruskal(g.n, g.edges)
-    return SpanningTree(g.n, None, tuple(picked), sum(w for _, _, w in picked))
+    """Minimum spanning tree, deterministic under weight ties.
 
-
-def _tree_adjacency(n: int, edges: Iterable[Edge]) -> list[list[tuple[int, float]]]:
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    for row in adj:
-        row.sort()
-    return adj
+    Computed once per graph and kept in the graph's ``_mst`` slot, which
+    nothing else writes; graphs are immutable, so the tree never goes stale.
+    Two threads racing here both compute the same tree and one copy wins.
+    """
+    tree = g._mst
+    if tree is None:
+        picked = _kruskal(g.n, g.edges)
+        tree = SpanningTree(g.n, None, tuple(picked), sum(w for _, _, w in picked))
+        g._mst = tree
+    return tree
 
 
 def _last_parents(
@@ -138,10 +145,8 @@ def slt(g: WeightedGraph, root: int, eps: float) -> SpanningTree:
     if not (eps > 0):
         raise ValueError(f"slt needs eps > 0, got {eps}")
     dist, parent_spt, _, _, _, _ = scan(g.n, g.adj, (root,))
-    tree_edges = _kruskal(g.n, g.edges)
-    parents = _last_parents(
-        g.n, _tree_adjacency(g.n, tree_edges), root, 1.0 + eps, dist, parent_spt, g.weight_of
-    )
+    tree_adj = adjacency_from_edges(g.n, [(u, v) for u, v, _ in mst(g).edges], g.weight_of)
+    parents = _last_parents(g.n, tree_adj, root, 1.0 + eps, dist, parent_spt, g.weight_of)
     edges = []
     for v in range(g.n):
         if v == root:
@@ -173,6 +178,15 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
 
     The virtual vertex and its zero-weight edges exist only inside this
     routine; the returned forest contains real edges of g alone.
+
+    The augmented MST comes from Kruskal over mst(g).edges plus the root
+    edges, not over all m edges, and is the same tree. Kruskal's order
+    (w, u, v) is strict, so every graph has exactly one MST under it. An
+    edge e of g outside mst(g) is the largest edge, in that order, of the
+    cycle it closes with the mst(g) path between its endpoints; the cycle
+    survives in the augmented graph, so its MST excludes e as well. That
+    MST therefore lies inside the edges given here, and Kruskal over them
+    finds it.
     """
     root_list = sorted(set(roots))
     if not root_list:
@@ -191,16 +205,15 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
         aug_adj[r].append((virtual, 0.0))  # virtual id is largest, order kept
         aug_adj[virtual].append((r, 0.0))
 
-    aug_edges = list(g.edges) + [(r, virtual, 0.0) for r in root_list]
+    aug_edges = list(mst(g).edges) + [(r, virtual, 0.0) for r in root_list]
     tree_edges = _kruskal(n_aug, aug_edges)
     dist, parent_spt, _, _, _, _ = scan(n_aug, aug_adj, (virtual,))
 
     def aug_weight(a: int, b: int) -> float:
         return 0.0 if virtual in (a, b) else g.weight_of(a, b)
 
-    parents = _last_parents(
-        n_aug, _tree_adjacency(n_aug, tree_edges), virtual, 1.0 + eps, dist, parent_spt, aug_weight
-    )
+    tree_adj = adjacency_from_edges(n_aug, [(u, v) for u, v, _ in tree_edges], aug_weight)
+    parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
 
     pivot = [-1] * g.n
     for u in range(g.n):

@@ -230,6 +230,8 @@ class LightnessReport:
 def verify_lightness(g: WeightedGraph, sp: Spanner) -> LightnessReport:
     """Exact per-phase weight accounting; lightness = w(H) / w(MST)."""
     _check_host(g, sp)
+    if not g.edges:
+        raise ValueError("graph has no edges")
     mst_weight = mst(g).total_weight
     wt = g.weight_of
     buckets: dict[str, list[float]] = {}

@@ -10,13 +10,20 @@ comparison can demand equality instead of tolerance.
 lemma_suite_reference replays verify_lemma_suite's four checks with a full
 scan wherever a distance is read, so the library's truncated scans can be
 compared against it witness for witness.
+
+net_hierarchy_reference and slt_forest_reference are the plain versions of
+two builder steps that the library does with less work: one greedy net and
+one full scan per level, and Kruskal over every augmented edge.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from lightspanner.graph import INF, WeightedGraph, adjacency_from_edges, scan
+from lightspanner.nets import DeltaNet, NetHierarchy, greedy_delta_net, max_level
+from lightspanner.trees import SltForest, _kruskal, _last_parents, mst
 from lightspanner.verify import REL_TOL, WITNESS_CAP, LemmaResult, LemmaSuiteReport, _within
 
 
@@ -108,6 +115,95 @@ def min_spanning_weight(g: WeightedGraph) -> float:
 
 def all_pairs_via_bf(g: WeightedGraph) -> list[list[float]]:
     return [bellman_ford(g, s) for s in range(g.n)]
+
+
+# ---------------------------------------------------------------------------
+# builder steps, one scan per level and Kruskal over every edge
+
+
+def net_hierarchy_reference(g: WeightedGraph, eps: float) -> NetHierarchy:
+    """build_net_hierarchy as greedy_delta_net per level, then one full
+    multi-source scan per level for the nearest-member tables."""
+    n = g.n
+    i_max = max_level(n)
+    t = math.ceil(math.log2(1.0 / eps))
+    levels = {i_max: DeltaNet(float(2**i_max), (0,))}
+    for i in range(i_max - 1, -1, -1):
+        levels[i] = greedy_delta_net(g, float(2**i), levels[i + 1].members, verify_seed=False)
+    levels[-1] = DeltaNet(0.0, tuple(range(n)))
+    net_level = [-1] * n
+    for i in range(i_max + 1):
+        for v in levels[i].members:
+            net_level[v] = max(net_level[v], i)
+    tables = [scan(n, g.adj, levels[j].members) for j in range(i_max + 1)]
+    nearest = [table[3] for table in tables]
+    h0: set[tuple[int, int]] = set()
+    for j in range(i_max + 1):
+        parent = tables[j][1]
+        for v in range(n):
+            if not (j - t <= net_level[v] <= j - 1):
+                continue
+            x = v
+            while parent[x] != -1:
+                p = parent[x]
+                h0.add((min(x, p), max(x, p)))
+                x = p
+    rep_rows = []
+    for i in range(i_max + 1):
+        a, b = i % t, i // t
+        row = []
+        for v in range(n):
+            x = nearest[a][v]
+            for step in range(1, b + 1):
+                x = nearest[a + step * t][x]
+            row.append(x)
+        rep_rows.append(tuple(row))
+    return NetHierarchy(
+        graph=g,
+        eps=eps,
+        n_w=mst(g).total_weight,
+        i_max=i_max,
+        levels=levels,
+        net_level=tuple(net_level),
+        nearest=tuple(tuple(row) for row in nearest),
+        nearest_dist=tuple(tuple(table[0]) for table in tables),
+        rep_table=tuple(rep_rows),
+        h0_edges=frozenset(h0),
+    )
+
+
+def slt_forest_reference(g: WeightedGraph, roots, eps: float) -> SltForest:
+    """slt_forest with the augmented MST taken by Kruskal over all m edges
+    of g plus the zero-weight root edges."""
+    root_list = sorted(set(roots))
+    virtual, n_aug = g.n, g.n + 1
+    aug_adj = [list(row) for row in g.adj] + [[]]
+    for r in root_list:
+        aug_adj[r].append((virtual, 0.0))
+        aug_adj[virtual].append((r, 0.0))
+    tree_edges = _kruskal(n_aug, list(g.edges) + [(r, virtual, 0.0) for r in root_list])
+    dist, parent_spt, _, _, _, _ = scan(n_aug, aug_adj, (virtual,))
+
+    def aug_weight(a, b):
+        return 0.0 if virtual in (a, b) else g.weight_of(a, b)
+
+    tree_adj = [[] for _ in range(n_aug)]
+    for u, v, w in tree_edges:
+        tree_adj[u].append((v, w))
+        tree_adj[v].append((u, w))
+    for row in tree_adj:
+        row.sort()
+    parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
+    pivot = []
+    for u in range(g.n):
+        x = u
+        while parents[x] != virtual:
+            x = parents[x]
+        pivot.append(x)
+    edges = sorted(
+        (min(v, p), max(v, p), g.weight_of(v, p)) for v, p in enumerate(parents[: g.n]) if p != virtual
+    )
+    return SltForest(g.n, frozenset(root_list), tuple(edges), tuple(pivot), sum(w for _, _, w in edges))
 
 
 # ---------------------------------------------------------------------------

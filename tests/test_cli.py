@@ -201,6 +201,30 @@ def test_non_object_spanner_json_exits_two(workdir, capsys):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+ONE_VERTEX_SPANNER = (
+    '{"schema": "spanner/v1", "kind": "hierarchical", "eps": 0.05, "k": 2, "seed": 0, '
+    '"scale": 1.0, "n": 1, "edges": []}'
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["build", "--eps", "0.05", "--k", "2"],
+        ["build-wmax", "--eps", "0.05"],
+        ["verify", "--spanner", "spanner.json"],
+    ],
+    ids=["build", "build-wmax", "verify"],
+)
+def test_one_vertex_graph_exits_two(workdir, capsys, command):
+    (workdir / "graph.edge_list").write_text("1\n")
+    (workdir / "spanner.json").write_text(ONE_VERTEX_SPANNER)
+    rc = main(command + ["--input", "graph.edge_list", "--output-dir", "out"])
+    assert rc == 2
+    assert "graph has no edges" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_sampled_verify_without_sources_exits_two(workdir, capsys, size):
     graph_path = _gen(workdir, family="path", n=20)

@@ -230,3 +230,36 @@ def test_adjacency_from_edges_allows_disconnected():
 @given(connected_graphs())
 def test_total_weight_is_edge_sum(g):
     assert g.total_weight() == math.fsum(w for _, _, w in g.edges)
+
+
+# ---------------------------------------------------------------- scaled
+
+
+def _same_graph_fields(a, b):
+    assert (a.n, a.edges, a.adj, a.labels, a._pair_weight) == (b.n, b.edges, b.adj, b.labels, b._pair_weight)
+
+
+@given(tie_heavy_graphs, st.sampled_from([1e-3, 0.3, 1.0, 7.0, 1e5]))
+def test_scaled_matches_a_fresh_graph(g, factor):
+    fresh = WeightedGraph(g.n, [(u, v, w * factor) for u, v, w in g.edges], g.labels)
+    _same_graph_fields(g.scaled(factor), fresh)
+
+
+def test_scaled_keeps_labels_and_shares_weight_objects():
+    g = WeightedGraph(4, [(2, 3, 1.5), (0, 1, 2.0), (1, 2, 0.5), (0, 3, 4.0)], labels=[10, 20, 30, 40])
+    h = g.scaled(3.0)
+    _same_graph_fields(h, WeightedGraph(4, [(u, v, w * 3.0) for u, v, w in g.edges], [10, 20, 30, 40]))
+    for u, v, w in h.edges:
+        assert h._pair_weight[(u, v)] is w
+        assert any(x == v and wx is w for x, wx in h.adj[u])
+        assert any(x == u and wx is w for x, wx in h.adj[v])
+
+
+def test_scaled_rejects_weights_that_leave_the_positive_finite_range():
+    g = WeightedGraph(3, [(0, 1, 1e-300), (1, 2, 1e300)])
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) needs a positive finite weight, got inf"):
+        g.scaled(1e10)
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) needs a positive finite weight, got 0.0"):
+        g.scaled(1e-100)
+    with pytest.raises(ValueError, match="scale factor"):
+        g.scaled(0.0)

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lightspanner import nets
 from lightspanner.generate import generate_graph
-from lightspanner.graph import WeightedGraph
+from lightspanner.graph import WeightedGraph, scan
 from lightspanner.nets import (
     DeltaNet,
     build_net_hierarchy,
@@ -16,7 +18,7 @@ from lightspanner.spanner import normalize
 from lightspanner.trees import mst
 from lightspanner.verify import verify_net
 
-from .conftest import connected_graphs
+from .conftest import coarse_weights, connected_graphs
 from . import oracles
 
 
@@ -210,3 +212,55 @@ def test_hierarchy_json_dict_shape():
     assert d["n"] == 16
     assert set(d["levels"]) == set(d["deltas"])
     assert d["h0_weight"] == pytest.approx(h.h0_weight())
+
+
+# ------------------------------------------- one scan per distinct net
+
+
+def _assert_same_hierarchy(h, ref):
+    for f in dataclasses.fields(h):
+        assert getattr(h, f.name) == getattr(ref, f.name), f.name
+
+
+@pytest.mark.parametrize(
+    "family, n, seed, kw, eps",
+    [
+        ("path", 64, 2, {}, 0.05),
+        ("grid", 81, 1, {}, 0.05),
+        ("erdos_renyi", 120, 4, {"p": 0.08}, 0.07),
+        ("geometric_unit_square", 150, 0, {}, 0.05),
+        ("geometric_unit_square", 90, 5, {}, 0.3),
+    ],
+)
+def test_hierarchy_matches_one_scan_per_level_reference(family, n, seed, kw, eps):
+    g = _normalized(family, n, seed, **kw)
+    _assert_same_hierarchy(build_net_hierarchy(g, eps, unsafe_eps=True), oracles.net_hierarchy_reference(g, eps))
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(connected_graphs(max_n=24, max_extra=30), connected_graphs(max_n=24, max_extra=30, weights=coarse_weights)),
+    st.sampled_from([0.05, 0.09, 0.3]),
+)
+def test_hierarchy_matches_reference_on_random_graphs(g, eps):
+    gn = normalize(g)[0]
+    _assert_same_hierarchy(build_net_hierarchy(gn, eps, unsafe_eps=True), oracles.net_hierarchy_reference(gn, eps))
+
+
+@pytest.mark.parametrize("family, n, kw", [("geometric_unit_square", 200, {}), ("erdos_renyi", 150, {"p": 0.06})])
+def test_hierarchy_scans_each_distinct_net_once(monkeypatch, family, n, kw):
+    g = _normalized(family, n, 3, **kw)
+    calls = []
+
+    def counting_scan(n, adj, sources, radius=None):
+        calls.append(tuple(sorted(set(sources))))
+        return scan(n, adj, sources, radius)
+
+    monkeypatch.setattr(nets, "scan", counting_scan)
+    h = build_net_hierarchy(g, 0.05)
+    distinct = {h.levels[j].members for j in range(h.i_max + 1)}
+    assert len(distinct) < h.i_max + 1  # top levels repeat, so sharing is exercised
+    assert sorted(calls) == sorted(distinct)
+    for j in range(h.i_max):
+        if h.levels[j].members == h.levels[j + 1].members:
+            assert h.nearest[j] is h.nearest[j + 1] and h.nearest_dist[j] is h.nearest_dist[j + 1]

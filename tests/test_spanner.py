@@ -65,6 +65,11 @@ def test_normalize_sets_mst_weight_to_n():
     assert gn.n == g.n and gn.m == g.m
 
 
+def test_normalize_rejects_a_graph_without_edges():
+    with pytest.raises(ValueError, match="graph has no edges"):
+        normalize(WeightedGraph(1, []))
+
+
 # ---------------------------------------------------------------- level sampling
 
 

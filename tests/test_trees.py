@@ -3,12 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lightspanner import trees
 from lightspanner.generate import generate_graph
 from lightspanner.graph import WeightedGraph, dijkstra, multi_source_dijkstra
 from lightspanner.trees import SpanningTree, mst, slt, slt_forest
 from lightspanner.verify import verify_slt
 
-from .conftest import connected_graphs, random_connected_graph
+from .conftest import coarse_weights, connected_graphs, random_connected_graph
 from . import oracles
 
 
@@ -177,3 +178,60 @@ def test_forest_validation():
 def test_spanning_tree_is_plain_value_object():
     t = SpanningTree(2, None, ((0, 1, 1.0),), 1.0)
     assert t.n == 2 and t.root is None
+
+
+# ------------------------------------------------------ the MST, once
+
+
+@pytest.fixture()
+def kruskal_sizes(monkeypatch):
+    """The number of edges each Kruskal run sorts, in call order."""
+    sizes = []
+    kruskal = trees._kruskal
+
+    def counting_kruskal(n, edges):
+        edges = list(edges)
+        sizes.append(len(edges))
+        return kruskal(n, edges)
+
+    monkeypatch.setattr(trees, "_kruskal", counting_kruskal)
+    return sizes
+
+
+def test_mst_is_computed_once_per_graph(kruskal_sizes):
+    g = generate_graph("geometric_unit_square", 60, seed=2)
+    first = mst(g)
+    assert mst(g) is first
+    slt(g, 3, 0.5)
+    slt_forest(g, [0, 7, 30], 0.5)
+    slt_forest(g, [5], 0.2)
+    # one sort of all m edges; each forest sorts n - 1 tree edges plus its roots
+    assert kruskal_sizes == [g.m, g.n - 1 + 3, g.n - 1 + 1]
+
+
+def test_build_sorts_all_edges_twice(kruskal_sizes):
+    from lightspanner.spanner import build_spanner
+
+    g = generate_graph("erdos_renyi", 80, seed=1, p=0.1)
+    levels = build_spanner(g, 0.05, 2, 0).internals.sampling.levels
+    # normalize on g and _require_normalized on its scaled copy sort all m
+    # edges; each sampled level's forest sorts n - 1 tree edges plus its roots
+    assert kruskal_sizes == [g.m, g.m, g.n - 1 + len(levels[1]), g.n - 1 + len(levels[2])]
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(connected_graphs(max_n=20, max_extra=30), connected_graphs(max_n=20, max_extra=30, weights=coarse_weights)),
+    st.data(),
+)
+def test_forest_matches_kruskal_over_all_augmented_edges(g, data):
+    roots = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    eps = data.draw(st.sampled_from([0.05, 0.5, 2.0]))
+    assert slt_forest(g, roots, eps) == oracles.slt_forest_reference(g, roots, eps)
+
+
+@pytest.mark.parametrize("family, n", [("geometric_unit_square", 200), ("erdos_renyi", 150), ("grid", 144)])
+def test_forest_matches_reference_on_generated_graphs(family, n):
+    g = generate_graph(family, n, seed=6)
+    for roots in ([0], list(range(0, n, 17)), list(range(1, n, 3))):
+        assert slt_forest(g, roots, 0.05) == oracles.slt_forest_reference(g, roots, 0.05)

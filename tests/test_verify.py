@@ -135,6 +135,12 @@ def test_all_pairs_on_one_vertex_passes_vacuously():
     assert report.passed
 
 
+def test_lightness_rejects_a_graph_without_edges():
+    g = WeightedGraph(1, [])
+    with pytest.raises(ValueError, match="graph has no edges"):
+        verify_lightness(g, _identity_spanner(g))
+
+
 def test_host_mismatch_rejected(medium_geometric):
     sp = build_spanner(medium_geometric, eps=0.05, k=2, seed=1)
     other = generate_graph("path", medium_geometric.n, seed=0)

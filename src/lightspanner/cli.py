@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import SpannerError
 from .generate import FAMILIES, generate_graph
 from .graph import WeightedGraph
-from .graphio import FORMATS, read_graph, write_graph
+from .graphio import FORMATS, format_edge_list, read_graph, write_graph
 from .nets import EPS_SAFE_LIMIT
 from .spanner import Spanner, build_spanner, build_wmax_spanner, spanner_from_json_dict
 from .verify import verify_lightness, verify_stretch
@@ -77,11 +77,9 @@ def _load_graph(args: argparse.Namespace) -> WeightedGraph:
 
 def _write_spanner_artifacts(sp: Spanner, out_dir: str) -> None:
     _dump_json(os.path.join(out_dir, "spanner.json"), sp.to_json_dict())
-    sub = WeightedGraph(
-        sp.host.n, [(u, v, sp.host.weight_of(u, v)) for u, v in sorted(sp.edges)]
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    write_graph(sub, os.path.join(out_dir, "spanner.edge_list"), "edge_list")
+    wt = sp.host.weight_of
+    text = format_edge_list(sp.host.n, ((u, v, wt(u, v)) for u, v in sorted(sp.edges)))
+    _atomic_write(os.path.join(out_dir, "spanner.edge_list"), text)
 
 
 def _print_spanner_summary(sp: Spanner) -> None:
@@ -102,9 +100,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cols=args.cols,
         weight_range=(args.weight_lo, args.weight_hi),
     )
-    os.makedirs(args.output_dir, exist_ok=True)
     path = os.path.join(args.output_dir, f"graph.{args.format}")
-    write_graph(g, path, args.format)
+    buf = io.StringIO()
+    write_graph(g, buf, args.format)
+    _atomic_write(path, buf.getvalue())
     print(f"wrote {path}: n={g.n} m={g.m} weight={g.total_weight():.6g}")
     return 0
 

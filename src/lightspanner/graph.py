@@ -99,6 +99,12 @@ class WeightedGraph:
                 raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
             seen.add(key)
             canon.append((key[0], key[1], float(w)))
+        # checked before any allocation of size n, which a bogus vertex
+        # count in a file header could make arbitrarily large
+        if len(canon) < n - 1:
+            raise DisconnectedGraphError(
+                f"graph on {n} vertices is not connected: {len(canon)} edges are fewer than n - 1"
+            )
         canon.sort()
         if n > 1 and not edges_connect(n, canon):
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")

@@ -18,7 +18,7 @@ import os
 from typing import IO, Iterable
 
 from .errors import GraphFormatError
-from .graph import WeightedGraph
+from .graph import Edge, WeightedGraph
 
 FORMATS = ("edge_list", "dimacs")
 
@@ -76,12 +76,15 @@ def read_edge_list(source) -> WeightedGraph:
             stream.close()
 
 
+def format_edge_list(n: int, edges: Iterable[Edge]) -> str:
+    """The edge_list text of n vertices and (u, v, w) edges, in the order given."""
+    return f"{n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in edges)
+
+
 def write_edge_list(g: WeightedGraph, dest) -> None:
     stream, owned = _open_text(dest, "w")
     try:
-        stream.write(f"{g.n}\n")
-        for u, v, w in g.edges:
-            stream.write(f"{u} {v} {w!r}\n")
+        stream.write(format_edge_list(g.n, g.edges))
     finally:
         if owned:
             stream.close()

@@ -141,8 +141,8 @@ class NetHierarchy:
     """Nested nets, nearest-member tables, H_0 edges, and representatives.
 
     levels[i] for i in -1 .. i_max; rep_table[i][v] is the level-i
-    representative of v (a member of levels[i]); nearest[j][v] and
-    nearest_dist[j][v] describe v's closest member of level j >= 0.
+    representative of v (a member of levels[i]); nearest[j][v] is v's
+    closest member of level j >= 0.
     """
 
     graph: WeightedGraph
@@ -152,7 +152,6 @@ class NetHierarchy:
     levels: dict[int, DeltaNet]
     net_level: tuple[int, ...]
     nearest: tuple[tuple[int, ...], ...]
-    nearest_dist: tuple[tuple[float, ...], ...]
     rep_table: tuple[tuple[int, ...], ...]
     h0_edges: frozenset[tuple[int, int]]
 
@@ -164,10 +163,6 @@ class NetHierarchy:
     def h0_weight(self) -> float:
         wt = self.graph.weight_of
         return sum(wt(u, v) for u, v in self.h0_edges)
-
-    @property
-    def climb_window(self) -> int:
-        return math.ceil(math.log2(1.0 / self.eps))
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,7 +202,7 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
     # rows[j] = (dist, parent, origin) of the multi-source scan from level j.
     def scan_rows(members):
         dist, parent, _, origin, _, _ = scan(n, g.adj, members)
-        return tuple(dist), parent, tuple(origin)
+        return dist, parent, tuple(origin)
 
     # the top net is a single vertex: 2^i_max is at least the diameter,
     # so any one vertex covers everything
@@ -269,7 +264,6 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
         levels=levels,
         net_level=tuple(net_level),
         nearest=nearest,
-        nearest_dist=tuple(rows[j][0] for j in range(i_max + 1)),
         rep_table=tuple(rep_rows),
         h0_edges=frozenset(h0),
     )

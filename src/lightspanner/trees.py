@@ -162,14 +162,13 @@ def slt(g: WeightedGraph, root: int, eps: float) -> SpanningTree:
 class SltForest:
     """Shallow-light forest rooted at a vertex set.
 
-    ``approx_pivot[u]`` is the root whose component contains u; the forest
-    path from u to it has length at most (1 + eps) times d_G(u, roots).
+    Each component holds one root, and the forest path from u to its root
+    has length at most (1 + eps) times d_G(u, roots).
     """
 
     n: int
     roots: frozenset[int]
     edges: tuple[Edge, ...]
-    approx_pivot: tuple[int, ...]
     total_weight: float
 
 
@@ -215,17 +214,6 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
     tree_adj = adjacency_from_edges(n_aug, [(u, v) for u, v, _ in tree_edges], aug_weight)
     parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
 
-    pivot = [-1] * g.n
-    for u in range(g.n):
-        chain = [u]
-        x = u
-        while pivot[x] == -1 and parents[x] != virtual:
-            x = parents[x]
-            chain.append(x)
-        found = x if parents[x] == virtual else pivot[x]
-        for y in chain:
-            pivot[y] = found
-
     edges = []
     for v in range(g.n):
         p = parents[v]
@@ -238,6 +226,5 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
         g.n,
         frozenset(root_list),
         tuple(edges),
-        tuple(pivot),
         sum(w for _, _, w in edges),
     )

@@ -19,7 +19,10 @@ half-bunch and paths-intersect checks share one cached pivot ball per
 center. A truncated scan settles every vertex within its radius with the
 full scan's distances, so every verdict is the one a full scan gives; full
 scans run only from top-level centers and to supply a violator's witness
-distance. Memory is O(sum of the balls scanned), not O(n^2).
+distance. Memory is O(sum of the balls scanned), not O(n^2). The
+paths-intersect check enumerates its pairs per connection record, from the
+records that share a vertex with it; its time is the sum over records of
+their partner counts, and it builds no global set of pairs.
 
 Distance comparisons allow 1e-9 relative slack on the bound side; the
 subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -606,9 +610,17 @@ def _check_paths_intersect(internals: BuildInternals, balls: _PivotBalls) -> Lem
     its next-level pivot, i.e. inside the center's pivot ball (see
     _PivotBalls). Top-level pairs are skipped (no next pivot, so the radius
     is unbounded and the claim is vacuous).
+
+    Pairs are enumerated per record: record a's partners are the union of
+    the records on each vertex of its path, and a is paired with each
+    partner b > a in ascending order, skipping records with a's own
+    (center, target). That is every intersecting pair once, in (a, b)
+    order, with no global pair set; time is the sum over records of their
+    partner counts. Each pair first asks for the ball of the center whose
+    target is farther (the lower index on a tie), and for the other
+    center's ball only when the first misses a point.
     """
-    sampling = internals.sampling
-    k = sampling.k
+    k = internals.sampling.k
     checked = 0
     witnesses = []
     for level in range(k):
@@ -617,31 +629,38 @@ def _check_paths_intersect(internals: BuildInternals, balls: _PivotBalls) -> Lem
         for idx, r in enumerate(recs):
             for w in r.path:
                 on_vertex.setdefault(w, []).append(idx)
-        pairs: set[tuple[int, int]] = set()
-        for idxs in on_vertex.values():
-            for a_pos in range(len(idxs)):
-                for b_pos in range(a_pos + 1, len(idxs)):
-                    a, b = idxs[a_pos], idxs[b_pos]
-                    if recs[a].center != recs[b].center or recs[a].target != recs[b].target:
-                        pairs.add((a, b) if a < b else (b, a))
-
-        def contains_all(center_rec, other_rec) -> bool:
-            ball = balls.ball(level, center_rec.center)
-            return (
-                center_rec.target in ball
-                and other_rec.center in ball
-                and other_rec.target in ball
-            )
-
-        for a, b in sorted(pairs):
-            ra, rb = recs[a], recs[b]
-            checked += 1
-            first, second = (ra, rb) if ra.dist_target >= rb.dist_target else (rb, ra)
-            if not (contains_all(first, second) or contains_all(second, first)):
-                witnesses.append(
-                    (level, ra.center, ra.target, rb.center, rb.target)
-                )
-    return LemmaResult("paths_intersect", checked, tuple(witnesses[:WITNESS_CAP]))
+        center = [r.center for r in recs]
+        target = [r.target for r in recs]
+        dist_target = [r.dist_target for r in recs]
+        got: dict[int, frozenset[int]] = {}  # this level's balls, read without a method call
+        for a, ra in enumerate(recs):
+            partners: set[int] = set()
+            for w in ra.path:
+                idxs = on_vertex[w]
+                partners.update(idxs[bisect_right(idxs, a):])
+            ca, ta, da = center[a], target[a], dist_target[a]
+            for b in sorted(partners):
+                cb, tb = center[b], target[b]
+                if cb == ca and tb == ta:
+                    continue
+                checked += 1
+                if dist_target[b] > da:
+                    x, tx, y, ty = cb, tb, ca, ta
+                else:
+                    x, tx, y, ty = ca, ta, cb, tb
+                s = got.get(x)
+                if s is None:
+                    s = got[x] = balls.ball(level, x)
+                if tx in s and y in s and ty in s:
+                    continue
+                s = got.get(y)
+                if s is None:
+                    s = got[y] = balls.ball(level, y)
+                if ty in s and x in s and tx in s:
+                    continue
+                if len(witnesses) < WITNESS_CAP:
+                    witnesses.append((level, ca, ta, cb, tb))
+    return LemmaResult("paths_intersect", checked, tuple(witnesses))
 
 
 def verify_lemma_suite(

@@ -9,7 +9,8 @@ comparison can demand equality instead of tolerance.
 
 lemma_suite_reference replays verify_lemma_suite's four checks with a full
 scan wherever a distance is read, so the library's truncated scans can be
-compared against it witness for witness.
+compared against it witness for witness; pivot_ball_keys_reference names
+the pivot balls those checks consult.
 
 net_hierarchy_reference and slt_forest_reference are the plain versions of
 two builder steps that the library does with less work: one greedy net and
@@ -166,7 +167,6 @@ def net_hierarchy_reference(g: WeightedGraph, eps: float) -> NetHierarchy:
         levels=levels,
         net_level=tuple(net_level),
         nearest=tuple(tuple(row) for row in nearest),
-        nearest_dist=tuple(tuple(table[0]) for table in tables),
         rep_table=tuple(rep_rows),
         h0_edges=frozenset(h0),
     )
@@ -194,16 +194,10 @@ def slt_forest_reference(g: WeightedGraph, roots, eps: float) -> SltForest:
     for row in tree_adj:
         row.sort()
     parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
-    pivot = []
-    for u in range(g.n):
-        x = u
-        while parents[x] != virtual:
-            x = parents[x]
-        pivot.append(x)
     edges = sorted(
         (min(v, p), max(v, p), g.weight_of(v, p)) for v, p in enumerate(parents[: g.n]) if p != virtual
     )
-    return SltForest(g.n, frozenset(root_list), tuple(edges), tuple(pivot), sum(w for _, _, w in edges))
+    return SltForest(g.n, frozenset(root_list), tuple(edges), sum(w for _, _, w in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +265,7 @@ def _distance_in_bunch_reference(gn, sp, internals, g_rows) -> LemmaResult:
     return LemmaResult("distance_in_bunch", checked, tuple(witnesses[:WITNESS_CAP]))
 
 
-def _half_bunch_reference(internals, g_rows) -> LemmaResult:
+def _half_bunch_reference(internals, g_rows, asked) -> LemmaResult:
     sampling = internals.sampling
     k = sampling.k
     groups: dict[tuple[int, int, int], list] = {}
@@ -285,6 +279,7 @@ def _half_bunch_reference(internals, g_rows) -> LemmaResult:
             checked += len(centers)
             continue
         star = max(centers, key=lambda cd: (cd[1], -cd[0]))[0]
+        asked.add((level, star))
         pd = sampling.pivot_dist[level + 1][star]
         row = g_rows.row(star)
         for u, _ in centers:
@@ -294,7 +289,7 @@ def _half_bunch_reference(internals, g_rows) -> LemmaResult:
     return LemmaResult("half_bunch_containment", checked, tuple(witnesses[:WITNESS_CAP]))
 
 
-def _paths_intersect_reference(internals, g_rows) -> LemmaResult:
+def _paths_intersect_reference(internals, g_rows, asked) -> LemmaResult:
     sampling = internals.sampling
     checked = 0
     witnesses = []
@@ -311,6 +306,7 @@ def _paths_intersect_reference(internals, g_rows) -> LemmaResult:
                     pairs.add((min(a, b), max(a, b)))
 
         def contains_all(center_rec, other_rec) -> bool:
+            asked.add((level, center_rec.center))
             pd = sampling.pivot_dist[level + 1][center_rec.center]
             row = g_rows.row(center_rec.center)
             points = (center_rec.target, other_rec.center, other_rec.target)
@@ -330,11 +326,29 @@ def lemma_suite_reference(sp, internals=None) -> LemmaSuiteReport:
     internals = internals if internals is not None else sp.internals
     gn = internals.normalized
     g_rows = _FullRows(gn.n, gn.adj)
+    asked: set[tuple[int, int]] = set()
     return LemmaSuiteReport(
         results=(
             _representative_reference(gn, internals),
             _distance_in_bunch_reference(gn, sp, internals, g_rows),
-            _half_bunch_reference(internals, g_rows),
-            _paths_intersect_reference(internals, g_rows),
+            _half_bunch_reference(internals, g_rows, asked),
+            _paths_intersect_reference(internals, g_rows, asked),
         )
     )
+
+
+def pivot_ball_keys_reference(internals) -> set[tuple[int, int]]:
+    """The (level, center) pivot balls the suite's lazy order asks for.
+
+    These are the half-bunch stars below the top level, plus the first
+    center of every intersecting pair (the one whose target is farther, the
+    lower record on a tie), plus the second center wherever the first
+    center's ball misses a point. The references above record each ball
+    they consult, and `or` consults the second only when the first fails.
+    """
+    gn = internals.normalized
+    g_rows = _FullRows(gn.n, gn.adj)
+    asked: set[tuple[int, int]] = set()
+    _half_bunch_reference(internals, g_rows, asked)
+    _paths_intersect_reference(internals, g_rows, asked)
+    return asked

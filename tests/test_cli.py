@@ -225,6 +225,26 @@ def test_one_vertex_graph_exits_two(workdir, capsys, command):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("header", ["99999999999999999999", "1000"], ids=["huge", "sparse"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["build", "--eps", "0.05", "--k", "2", "--output-dir", "out"],
+        ["verify", "--spanner", "spanner.json", "--output-dir", "out"],
+        ["inspect"],
+    ],
+    ids=["build", "verify", "inspect"],
+)
+def test_vertex_count_beyond_the_edges_exits_two(workdir, capsys, command, header):
+    # one edge connects two vertices at most, so the header alone decides
+    (workdir / "graph.edge_list").write_text(f"{header}\n0 1 1\n")
+    (workdir / "spanner.json").write_text(ONE_VERTEX_SPANNER)
+    rc = main(command + ["--input", "graph.edge_list"])
+    assert rc == 2
+    assert "not connected" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_sampled_verify_without_sources_exits_two(workdir, capsys, size):
     graph_path = _gen(workdir, family="path", n=20)
@@ -271,6 +291,26 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         cli._atomic_write(str(tmp_path / "report.json"), "text\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_failed_edge_list_writes_keep_the_old_files(workdir, monkeypatch):
+    first = _gen(workdir, family="path", n=20)
+    assert main(["build", "--input", first, "--eps", "0.05", "--k", "1", "--output-dir", str(workdir)]) == 0
+    second = _gen(workdir / "b", n=30)
+    old = {name: _read(workdir / name) for name in ("graph.edge_list", "spanner.edge_list")}
+    real_replace = os.replace
+
+    def fail_edge_lists(src, dst):
+        if dst.endswith(".edge_list"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", fail_edge_lists)
+    assert main(["gen", "--family", "grid", "--n", "36", "--output-dir", str(workdir)]) == 2
+    assert main(["build", "--input", second, "--eps", "0.05", "--k", "1", "--output-dir", str(workdir)]) == 2
+    for name, data in old.items():
+        assert _read(workdir / name) == data
+    assert sorted(os.listdir(workdir)) == ["b", "graph.edge_list", "spanner.edge_list", "spanner.json"]
 
 
 def test_atomic_write_keeps_the_mode_of_a_plain_write(tmp_path):

@@ -6,6 +6,7 @@ must agree to the byte, witnesses and fact counts included, whether the
 internals are genuine or tampered so that a check fails.
 """
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -15,8 +16,9 @@ from lightspanner.graph import adjacency_from_edges, scan
 from lightspanner.spanner import build_spanner
 from lightspanner.verify import WITNESS_CAP, verify_lemma_suite
 
+from . import oracles
 from .conftest import random_connected_graph
-from .oracles import lemma_suite_reference
+from .oracles import lemma_suite_reference, pivot_ball_keys_reference
 
 BUILDS = {
     "path": lambda: build_spanner(generate_graph("path", 200, seed=3), eps=0.09, k=2, seed=3),
@@ -26,6 +28,11 @@ BUILDS = {
         generate_graph("geometric_unit_square", 200, seed=5), eps=0.05, k=2, seed=5
     ),
     "dyadic": lambda: build_spanner(random_connected_graph(80, 120, seed=7), eps=0.08, k=2, seed=7),
+    # with eps this large, scale indices are nonnegative already at short
+    # distances, so several bunch members of one center share a representative
+    "shared_targets": lambda: build_spanner(
+        generate_graph("path", 200, seed=1), eps=0.5, k=2, seed=1, unsafe_eps=True
+    ),
 }
 
 
@@ -140,11 +147,56 @@ def test_shrunken_star_pivot_fails_half_bunch_containment(built):
     assert witnesses and all(w[3] == star for w in witnesses)
 
 
-def test_shrunken_level_zero_pivots_fail_paths_intersect(built):
+def _shrunken_level_one_pivots(internals, factor):
     def shrink(row):
-        row[:] = [d * 0.25 for d in row]
+        row[:] = [d * factor for d in row]
 
-    tampered = _with_pivot_dist(built.internals, 1, shrink)
+    return _with_pivot_dist(internals, 1, shrink)
+
+
+def test_shrunken_level_zero_pivots_fail_paths_intersect(built):
+    tampered = _shrunken_level_one_pivots(built.internals, 0.25)
     got, want = _suite_and_reference(built, tampered)
     assert got == want
     assert not _result(got, "paths_intersect")["passed"]
+
+
+def test_records_sharing_center_and_target_are_never_paired():
+    sp = BUILDS["shared_targets"]()
+    internals = sp.internals
+    keys = Counter(
+        (r.center, r.target) for r in internals.records if r.center_level < internals.sampling.k
+    )
+    assert max(keys.values()) >= 2  # the skip has something to skip
+    got = verify_lemma_suite(sp.host, sp).result("paths_intersect")
+    assert got == lemma_suite_reference(sp).result("paths_intersect")
+    assert got.passed
+
+
+def test_paths_intersect_witnesses_past_the_cap_match_reference(monkeypatch):
+    sp = BUILDS["geometric"]()
+    tampered = _shrunken_level_one_pivots(sp.internals, 1e-3)
+    got = verify_lemma_suite(sp.host, sp, tampered).result("paths_intersect")
+    want = lemma_suite_reference(sp, tampered).result("paths_intersect")
+    assert got == want
+    assert len(got.witnesses) == WITNESS_CAP
+    monkeypatch.setattr(oracles, "WITNESS_CAP", 10**9)
+    uncapped = lemma_suite_reference(sp, tampered).result("paths_intersect")
+    assert len(uncapped.witnesses) > WITNESS_CAP
+    assert uncapped.witnesses[:WITNESS_CAP] == got.witnesses
+
+
+@pytest.mark.parametrize("shrink", [1.0, 0.25])
+def test_suite_scans_the_pivot_balls_the_lazy_order_asks_for(built, monkeypatch, shrink):
+    internals = _shrunken_level_one_pivots(built.internals, shrink)
+    made = []
+
+    class RecordingBalls(verify._PivotBalls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "_PivotBalls", RecordingBalls)
+    verify_lemma_suite(built.host, built, internals)
+    (balls,) = made
+    assert set(balls._balls) == pivot_ball_keys_reference(internals)

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,7 +135,6 @@ def test_nearest_tables_match_reference_scan(medium_geometric):
     for j in (0, 1, h.i_max):
         table = multi_source_dijkstra(g, h.levels[j].members)
         assert h.nearest[j] == table.origin
-        assert h.nearest_dist[j] == table.dist
 
 
 def test_rep_of_negative_level_is_identity():
@@ -183,11 +181,6 @@ def test_hierarchy_deterministic():
     a = build_net_hierarchy(g, 0.06)
     b = build_net_hierarchy(g, 0.06)
     assert a.rep_table == b.rep_table and a.h0_edges == b.h0_edges
-
-
-def test_climb_window():
-    g = _normalized("path", 16, 0)
-    assert build_net_hierarchy(g, 0.05).climb_window == math.ceil(math.log2(20.0))
 
 
 def test_check_eps_boundaries():
@@ -263,4 +256,4 @@ def test_hierarchy_scans_each_distinct_net_once(monkeypatch, family, n, kw):
     assert sorted(calls) == sorted(distinct)
     for j in range(h.i_max):
         if h.levels[j].members == h.levels[j + 1].members:
-            assert h.nearest[j] is h.nearest[j + 1] and h.nearest_dist[j] is h.nearest_dist[j + 1]
+            assert h.nearest[j] is h.nearest[j + 1]

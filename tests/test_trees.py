@@ -129,8 +129,6 @@ def test_forest_reaches_every_vertex_within_budget(g, data):
                 heapq.heappush(heap, (nd, v))
     for v in range(g.n):
         assert dist[v] <= (1 + eps) * base[v] * (1 + 1e-9)
-        # the pivot must sit in v's own component
-        assert forest.approx_pivot[v] in dist
 
 
 @given(connected_graphs(), st.data())
@@ -148,21 +146,12 @@ def test_forest_single_root_matches_slt():
     forest = slt_forest(g, [4], 0.3)
     tree = slt(g, 4, 0.3)
     assert forest.edges == tree.edges
-    assert set(forest.approx_pivot) == {4}
 
 
 def test_forest_all_roots_is_empty():
     g = generate_graph("path", 6, seed=0)
     forest = slt_forest(g, range(6), 0.5)
     assert forest.edges == ()
-    assert forest.approx_pivot == tuple(range(6))
-
-
-def test_forest_roots_are_own_pivots():
-    g = generate_graph("grid", 36, seed=8)
-    forest = slt_forest(g, [0, 17, 35], 0.2)
-    for r in (0, 17, 35):
-        assert forest.approx_pivot[r] == r
 
 
 def test_forest_validation():

@@ -14,7 +14,8 @@ each of the next t = ceil(log2(1/eps)) levels above i. Chaining those
 hops climbs from any vertex v to a level-i net member rep(v, i) over a
 path of length at most (1 + 2*eps) * 2^i that lies entirely inside H_0.
 That bound is what makes eps < 1/10 worth enforcing; the geometric tail
-needs 2^-t <= eps and a bit of slack.
+needs 2^-t <= eps and a bit of slack. Representatives are not stored:
+NetHierarchy.rep climbs the nearest-member tables on demand.
 
 The build walks the levels top-down and scans each distinct net once: the
 multi-source scan of level i+1 gives its nearest-member table and parent
@@ -138,60 +139,46 @@ def max_level(n: int) -> int:
 
 @dataclass(frozen=True)
 class NetHierarchy:
-    """Nested nets, nearest-member tables, H_0 edges, and representatives.
+    """Nested nets, nearest-member tables and H_0 edges.
 
-    levels[i] for i in -1 .. i_max; rep_table[i][v] is the level-i
-    representative of v (a member of levels[i]); nearest[j][v] is v's
-    closest member of level j >= 0.
+    levels[i] for i in -1 .. i_max; nearest[j][v] is v's closest member of
+    level j >= 0. Representatives are not stored: rep(v, i) climbs the
+    nearest-member tables on demand.
     """
 
-    graph: WeightedGraph
     eps: float
-    n_w: float
     i_max: int
     levels: dict[int, DeltaNet]
-    net_level: tuple[int, ...]
     nearest: tuple[tuple[int, ...], ...]
-    rep_table: tuple[tuple[int, ...], ...]
     h0_edges: frozenset[tuple[int, int]]
 
     def rep(self, v: int, i: int) -> int:
+        """v's level-i representative: its nearest member of level i mod t,
+        then nearest members t levels up at a time, t = ceil(log2(1/eps))."""
         if i < 0:
             return v
-        return self.rep_table[i][v]
-
-    def h0_weight(self) -> float:
-        wt = self.graph.weight_of
-        return sum(wt(u, v) for u, v in self.h0_edges)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "net_hierarchy/v1",
-            "eps": self.eps,
-            "n": self.graph.n,
-            "n_w": self.n_w,
-            "i_max": self.i_max,
-            "levels": {str(i): list(net.members) for i, net in self.levels.items()},
-            "deltas": {str(i): net.delta for i, net in self.levels.items()},
-            "rep": [list(row) for row in self.rep_table],
-            "h0_edges": sorted([u, v, self.graph.weight_of(u, v)] for u, v in self.h0_edges),
-            "h0_weight": self.h0_weight(),
-        }
+        t = math.ceil(math.log2(1.0 / self.eps))
+        nearest = self.nearest
+        j = i % t
+        x = nearest[j][v]
+        while j < i:
+            j += t
+            x = nearest[j][x]
+        return x
 
 
-def _require_normalized(g: WeightedGraph) -> float:
+def _require_normalized(g: WeightedGraph) -> None:
     w = mst(g).total_weight
     if abs(w - g.n) > 1e-6 * g.n:
         raise ValueError(
             f"hierarchy expects a normalized graph with MST weight n={g.n}, "
             f"got {w}; run spanner.normalize first"
         )
-    return w
 
 
 def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = False) -> NetHierarchy:
     check_eps(eps, unsafe_eps)
-    n_w = _require_normalized(g)
+    _require_normalized(g)
     n = g.n
     i_max = max_level(n)
     t = math.ceil(math.log2(1.0 / eps))
@@ -244,26 +231,10 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
                 h0.add((x, p) if x < p else (p, x))
                 x = p
 
-    nearest = tuple(rows[j][2] for j in range(i_max + 1))
-    rep_rows: list[tuple[int, ...]] = []
-    for i in range(i_max + 1):
-        a, b = i % t, i // t
-        row = []
-        for v in range(n):
-            x = nearest[a][v]
-            for step in range(1, b + 1):
-                x = nearest[a + step * t][x]
-            row.append(x)
-        rep_rows.append(tuple(row))
-
     return NetHierarchy(
-        graph=g,
         eps=eps,
-        n_w=n_w,
         i_max=i_max,
         levels=levels,
-        net_level=tuple(net_level),
-        nearest=nearest,
-        rep_table=tuple(rep_rows),
+        nearest=tuple(rows[j][2] for j in range(i_max + 1)),
         h0_edges=frozenset(h0),
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SamplingError, SpannerError
-from .graph import INF, WeightedGraph, adjacency_from_edges, scan, walk_parents
+from .graph import WeightedGraph, adjacency_from_edges, scan, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
 from .trees import mst, slt, slt_forest
 
@@ -72,18 +72,16 @@ def scale_index(d: float, eps: float) -> int:
 
 @dataclass(frozen=True)
 class LevelSampling:
-    """Nested random levels A_0 .. A_k with pivot tables.
+    """Nested random levels A_0 .. A_k with pivot distances.
 
-    pivot[i][v] is v's nearest member of A_i (ties to the smallest id) and
-    pivot_dist[i][v] the corresponding distance; level_of[v] is the highest
-    level containing v. ``seed`` is as requested; ``effective_seed`` is the
-    one that produced nonempty levels (resampling bumps it by one each try).
+    pivot_dist[i][v] is v's distance to its nearest member of A_i; level_of[v]
+    is the highest level containing v. ``seed`` is as requested; ``effective_seed``
+    is the one that produced nonempty levels (resampling bumps it by one each try).
     """
 
     k: int
     levels: tuple[frozenset[int], ...]
     level_of: tuple[int, ...]
-    pivot: tuple[tuple[int, ...], ...]
     pivot_dist: tuple[tuple[float, ...], ...]
     seed: int
     effective_seed: int
@@ -127,18 +125,15 @@ def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAM
         for v in levels[i]:
             level_of[v] = i
 
-    pivots: list[tuple[int, ...]] = []
     pivot_dists: list[tuple[float, ...]] = []
     for i in range(k + 1):
-        dist, _, _, origin, _, _ = scan(n, g.adj, levels[i])
-        pivots.append(tuple(origin))
+        dist, _, _, _, _, _ = scan(n, g.adj, levels[i])
         pivot_dists.append(tuple(dist))
 
     return LevelSampling(
         k=k,
         levels=tuple(frozenset(lv) for lv in levels),
         level_of=tuple(level_of),
-        pivot=tuple(pivots),
         pivot_dist=tuple(pivot_dists),
         seed=seed,
         effective_seed=effective,
@@ -156,6 +151,11 @@ class Bunch:
     members: tuple[int, ...]
 
 
+def _level_mates_within(dist, order, radius: float, level: frozenset[int]) -> list[int]:
+    """Members of ``level`` among the scanned ``order`` closer than ``radius``, ascending."""
+    return sorted(v for v in order if dist[v] < radius and v in level)
+
+
 def bunch_of(sampling: LevelSampling, g: WeightedGraph, u: int, delta: float) -> Bunch:
     if not (0 < delta <= 1):
         raise ValueError(f"delta must be in (0, 1], got {delta}")
@@ -166,9 +166,7 @@ def bunch_of(sampling: LevelSampling, g: WeightedGraph, u: int, delta: float) ->
         return Bunch(u, delta, sampling.members(sampling.k))
     radius = delta * sampling.pivot_dist[i + 1][u]
     dist, _, _, _, _, order = scan(g.n, g.adj, (u,), radius=radius)
-    level = sampling.levels[i]
-    members = sorted(v for v in order if dist[v] < radius and v in level)
-    return Bunch(u, delta, tuple(members))
+    return Bunch(u, delta, tuple(_level_mates_within(dist, order, radius, sampling.levels[i])))
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,6 @@ class BuildInternals:
     """Construction state retained for lemma-level verification."""
 
     normalized: WeightedGraph
-    scale: float
     hierarchy: NetHierarchy
     sampling: LevelSampling
     records: tuple[RepPathRecord, ...]
@@ -207,23 +204,31 @@ class SpannerParams:
 
 @dataclass(frozen=True)
 class Spanner:
+    """A subgraph of ``host``; phase_tag's keys (u < v) are its edge set."""
+
     host: WeightedGraph
-    edges: frozenset[tuple[int, int]]
     phase_tag: dict[tuple[int, int], str]
     params: SpannerParams
     scale: float
     internals: "BuildInternals | WmaxInternals | None" = None
 
     @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        # the keys view, not the dict, fixes the set order weight() sums in
+        return frozenset(self.phase_tag.keys())
+
+    @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self.phase_tag)
 
     def weight(self) -> float:
         wt = self.host.weight_of
         return sum(wt(u, v) for u, v in self.edges)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        return adjacency_from_edges(self.host.n, self.edges, self.host.weight_of)
+        # rows come back sorted, so phase_tag's insertion order (sorted for a
+        # loaded spanner) only sets where the row entries sit in memory
+        return adjacency_from_edges(self.host.n, self.phase_tag, self.host.weight_of)
 
     def per_phase(self) -> dict[str, tuple[int, float]]:
         out = {tag: [0, 0.0] for tag in PHASES}
@@ -316,14 +321,7 @@ def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
             raise SpannerError(f"unknown phase tag {tag!r} on edge ({u}, {v})")
         tags[key] = tag
     params = SpannerParams(eps=eps, k=k, seed=seed, kind=kind)
-    return Spanner(host=host, edges=frozenset(tags), phase_tag=tags, params=params, scale=scale)
-
-
-def _add_path(path: Sequence[int], tag: str, tags: dict[tuple[int, int], str]) -> None:
-    for a, b in zip(path, path[1:]):
-        key = (a, b) if a < b else (b, a)
-        if key not in tags:
-            tags[key] = tag
+    return Spanner(host=host, phase_tag=tags, params=params, scale=scale)
 
 
 class _ChainWalker:
@@ -368,7 +366,8 @@ def phase2_paths(
     pivot_dist is enough to settle every representative target: the
     detour to a representative of v costs at most a (1 + eps/2) factor
     over d(u, v). Top-level vertices connect to representatives of every
-    other top vertex with the same scale rule.
+    other top vertex with the same scale rule, from a full scan, after
+    every lower-level center; an edge keeps the tag of its first path.
     """
     n = g.n
     k = sampling.k
@@ -376,30 +375,28 @@ def phase2_paths(
     tags: dict[tuple[int, int], str] = {}
     records: list[RepPathRecord] = []
 
-    for u in range(n):
-        i = sampling.level_of[u]
-        if i == k:
-            continue
-        pd = sampling.pivot_dist[i + 1][u]
-        radius = delta * pd
-        if radius <= 0:
-            raise SpannerError(f"vertex {u} has zero pivot distance at level {i + 1}")
-        reach = (1.0 + 0.5 * eps) * radius
-        dist, parent, _, _, settled, order = scan(n, g.adj, (u,), radius=reach)
-        level = sampling.levels[i]
+    def connect(u, i, members, scanned):
+        """Connect center u of level i to each of its bunch members."""
+        dist, parent, _, _, settled, _ = scanned
         walker = _ChainWalker(parent, u, tags)
-        for v in sorted(x for x in order if x != u and dist[x] < radius and x in level):
+        for v in members:
+            if v == u:
+                continue
             d_uv = dist[v]
             j = scale_index(d_uv, eps)
             if j < 0:
                 target, tag = v, PHASE_P2_DIRECT
+            elif j > hierarchy.i_max:
+                raise SpannerError(
+                    f"scale index {j} above hierarchy top {hierarchy.i_max} for d={d_uv}"
+                )
             else:
-                if j > hierarchy.i_max:
-                    raise SpannerError(
-                        f"scale index {j} above hierarchy top {hierarchy.i_max} for d={d_uv}"
-                    )
                 target, tag = hierarchy.rep(v, j), PHASE_P2_REP
-            if target not in settled:
+            if i == k:
+                # a full scan settles the whole connected graph; its
+                # `settled` is a bytearray, where `in` would test byte values
+                tag = PHASE_P2_TOP
+            elif target not in settled:
                 raise SpannerError(
                     f"representative {target} of ({u}, {v}) escaped the scan radius"
                 )
@@ -411,23 +408,19 @@ def phase2_paths(
                     )
                 )
 
+    for u in range(n):
+        i = sampling.level_of[u]
+        if i == k:
+            continue
+        radius = delta * sampling.pivot_dist[i + 1][u]
+        if radius <= 0:
+            raise SpannerError(f"vertex {u} has zero pivot distance at level {i + 1}")
+        scanned = scan(n, g.adj, (u,), radius=(1.0 + 0.5 * eps) * radius)
+        connect(u, i, _level_mates_within(scanned[0], scanned[5], radius, sampling.levels[i]), scanned)
+
     top = sorted(sampling.levels[k])
     for u in top:
-        dist, parent, _, _, _, _ = scan(n, g.adj, (u,))
-        walker = _ChainWalker(parent, u, tags)
-        for v in top:
-            if v == u:
-                continue
-            d_uv = dist[v]
-            j = scale_index(d_uv, eps)
-            target = v if j < 0 else hierarchy.rep(v, j)
-            walker.add(target, PHASE_P2_TOP)
-            if keep_records:
-                records.append(
-                    RepPathRecord(
-                        u, k, v, j, target, d_uv, dist[target], tuple(walk_parents(parent, target))
-                    )
-                )
+        connect(u, k, top, scan(n, g.adj, (u,)))
 
     return tags, tuple(records)
 
@@ -471,14 +464,12 @@ def build_spanner(
     if keep_internals:
         internals = BuildInternals(
             normalized=gn,
-            scale=scale,
             hierarchy=hierarchy,
             sampling=sampling,
             records=records,
         )
     return Spanner(
         host=g,
-        edges=frozenset(tags.keys()),
         phase_tag=tags,
         params=SpannerParams(eps=eps, k=k, seed=seed, kind="hierarchical"),
         scale=scale,
@@ -488,8 +479,6 @@ def build_spanner(
 
 @dataclass(frozen=True)
 class WmaxInternals:
-    normalized: WeightedGraph
-    scale: float
     net_members: tuple[int, ...]
     net_delta: float
 
@@ -520,10 +509,9 @@ def build_wmax_spanner(g: WeightedGraph, eps: float, *, keep_internals: bool = T
     _assert_spans(g.n, tags.keys())
     internals = None
     if keep_internals:
-        internals = WmaxInternals(gn, scale, net.members, net.delta)
+        internals = WmaxInternals(net.members, net.delta)
     return Spanner(
         host=g,
-        edges=frozenset(tags.keys()),
         phase_tag=tags,
         params=SpannerParams(eps=eps, k=None, seed=None, kind="wmax"),
         scale=scale,

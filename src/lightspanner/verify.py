@@ -9,7 +9,8 @@ come in three tiers:
   * verify_net / verify_slt certify the building blocks in isolation,
   * verify_lemma_suite replays the construction-level facts (representative
     distances, bunch distances, containment of rep-sharing centers, ball
-    containment of intersecting connection paths) against retained internals.
+    containment of intersecting connection paths) against retained internals;
+    distances the spanner must provide are measured inside it.
 
 Each lemma names one ball around one vertex, and its check scans only that
 ball: the representative check runs one truncated H0 scan of radius
@@ -66,8 +67,6 @@ def additive_stretch_constant(eps: float, k: int) -> float:
 def _check_host(g: WeightedGraph, sp: Spanner) -> None:
     if sp.host != g:
         raise SpannerError("spanner was built on a different graph than the one supplied")
-    if set(sp.phase_tag.keys()) != set(sp.edges):
-        raise SpannerError("phase tags do not partition the spanner edge set")
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +480,9 @@ class _PivotBalls:
         return cached
 
 
-def _check_representative(gn: WeightedGraph, internals: BuildInternals) -> LemmaResult:
+def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildInternals) -> LemmaResult:
     """d_{H0}(v, rep(v, i)) <= (1 + 2*eps) * 2**i for every vertex and level,
-    measured inside the phase-1 subgraph only.
+    measured inside H0 intersected with H, so a spanner missing H0 edges fails.
 
     Per level i, the vertices are grouped by x = rep(v, i) and one truncated
     H0 scan of radius bound * (1 + REL_TOL) runs from each x; H0 is
@@ -499,7 +498,7 @@ def _check_representative(gn: WeightedGraph, internals: BuildInternals) -> Lemma
     """
     h = internals.hierarchy
     n = gn.n
-    h0_adj = adjacency_from_edges(n, sorted(h.h0_edges), gn.weight_of)
+    h0_adj = adjacency_from_edges(n, sorted(h.h0_edges & sp.edges), gn.weight_of)
     factor = 1.0 + 2.0 * h.eps
     suspects = []
     for i in range(h.i_max + 1):
@@ -682,7 +681,7 @@ def verify_lemma_suite(
     gn = internals.normalized
     balls = _PivotBalls(gn, internals.sampling)
     results = (
-        _check_representative(gn, internals),
+        _check_representative(gn, sp, internals),
         _check_distance_in_bunch(gn, sp, internals),
         _check_half_bunch_containment(internals, balls),
         _check_paths_intersect(internals, balls),

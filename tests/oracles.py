@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from lightspanner.graph import INF, WeightedGraph, adjacency_from_edges, scan
 from lightspanner.nets import DeltaNet, NetHierarchy, greedy_delta_net, max_level
-from lightspanner.trees import SltForest, _kruskal, _last_parents, mst
+from lightspanner.trees import SltForest, _kruskal, _last_parents
 from lightspanner.verify import REL_TOL, WITNESS_CAP, LemmaResult, LemmaSuiteReport, _within
 
 
@@ -122,9 +122,12 @@ def all_pairs_via_bf(g: WeightedGraph) -> list[list[float]]:
 # builder steps, one scan per level and Kruskal over every edge
 
 
-def net_hierarchy_reference(g: WeightedGraph, eps: float) -> NetHierarchy:
+def net_hierarchy_reference(g: WeightedGraph, eps: float) -> tuple[NetHierarchy, tuple]:
     """build_net_hierarchy as greedy_delta_net per level, then one full
-    multi-source scan per level for the nearest-member tables."""
+    multi-source scan per level for the nearest-member tables.
+
+    Returns the hierarchy and a table of representatives, rep_table[i][v]
+    for every level i >= 0 and vertex v, built from those tables."""
     n = g.n
     i_max = max_level(n)
     t = math.ceil(math.log2(1.0 / eps))
@@ -159,17 +162,14 @@ def net_hierarchy_reference(g: WeightedGraph, eps: float) -> NetHierarchy:
                 x = nearest[a + step * t][x]
             row.append(x)
         rep_rows.append(tuple(row))
-    return NetHierarchy(
-        graph=g,
+    hierarchy = NetHierarchy(
         eps=eps,
-        n_w=mst(g).total_weight,
         i_max=i_max,
         levels=levels,
-        net_level=tuple(net_level),
         nearest=tuple(tuple(row) for row in nearest),
-        rep_table=tuple(rep_rows),
         h0_edges=frozenset(h0),
     )
+    return hierarchy, tuple(rep_rows)
 
 
 def slt_forest_reference(g: WeightedGraph, roots, eps: float) -> SltForest:
@@ -218,10 +218,10 @@ class _FullRows:
         return self._rows[u]
 
 
-def _representative_reference(gn, internals) -> LemmaResult:
+def _representative_reference(gn, sp, internals) -> LemmaResult:
     h = internals.hierarchy
     n = gn.n
-    h0_adj = adjacency_from_edges(n, sorted(h.h0_edges), gn.weight_of)
+    h0_adj = adjacency_from_edges(n, sorted(h.h0_edges & sp.edges), gn.weight_of)
     factor = 1.0 + 2.0 * h.eps
     checked = 0
     witnesses = []
@@ -329,7 +329,7 @@ def lemma_suite_reference(sp, internals=None) -> LemmaSuiteReport:
     asked: set[tuple[int, int]] = set()
     return LemmaSuiteReport(
         results=(
-            _representative_reference(gn, internals),
+            _representative_reference(gn, sp, internals),
             _distance_in_bunch_reference(gn, sp, internals, g_rows),
             _half_bunch_reference(internals, g_rows, asked),
             _paths_intersect_reference(internals, g_rows, asked),

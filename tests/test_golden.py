@@ -4,13 +4,23 @@ The CLI promises byte-identical artifacts for a fixed (graph, eps, k, seed).
 These digests were recorded from a reference build; a change that moves any
 byte of a generated graph, a spanner or a report fails here and has to say
 why the output changed before it re-records them.
+
+The artifacts do not show every build fact. On the path graphs of the CLI
+cases H0 claims every edge before phase 2, so no artifact exposes which
+representative a phase-2 connection reached. INTERNAL_GOLDEN pins those
+facts directly: the phase-2 records and the lemma-suite report of builds
+that route connections through representatives.
 """
 import hashlib
+import json
 import os
 
 import pytest
 
 from lightspanner.cli import main
+from lightspanner.generate import generate_graph
+from lightspanner.spanner import build_spanner
+from lightspanner.verify import verify_lemma_suite
 
 ARTIFACTS = (
     "graph.edge_list",
@@ -92,3 +102,67 @@ def test_wmax_artifacts_match_golden(tmp_path):
     assert main(["build-wmax", "--input", graph_path, "--eps", "0.05", "--output-dir", out]) == 0
     _verify(graph_path, out)
     assert _digests(out) == GOLDEN["wmax"]
+
+
+# (family, n, eps, unsafe_eps, build seed) -> (rep-routed records, sha256 of
+# the records, of the lemma-suite report, of spanner.json's payload); every
+# graph is generated with seed 0 and built with k=2. The two builds with build
+# seeds 3 and 5 have three top-level vertices, so they pin the top-level
+# connections too.
+INTERNAL_GOLDEN = {
+    ("path", 200, 0.09, False, 0): (
+        17,
+        "263e374b4a57001fd8b78523ac9273487a203b4cee7660cb68ffb1e8ab135ce1",
+        "ee65919d007f01512257b58239ee17364f3ea8c29a625b30674ba119734780fb",
+        "86c8d6fe6d033c8c60aa9339a64953fe101a7df8ce52f65d71c7fdc7336632e9",
+    ),
+    ("path", 200, 0.5, True, 0): (
+        57,
+        "47760eccd8fd7f04e45359e953ded5f60535d3ffb0a5e24b3bff571942a361e6",
+        "7bacd13826cb1186679aeb3f9c7d469c2527e3629683048d067b6c4c720be27a",
+        "4da769d6fe580de06fc7a9cc86237b26e2694a39f6a306a8c0c0a7d45576f5b4",
+    ),
+    ("geometric_unit_square", 300, 0.05, False, 0): (
+        0,
+        "5073464d8a10da2829fd1179ebb2ce12bda85a08990bd260bf88d7494c3e2ebb",
+        "88c52bd4539de3176ca92cf5dfa92509901319be42921151c62e28bc61572d79",
+        "2c456673b16535c69947c9c22d8cfdb12b5870e18e3a2cd75c0aeef1584b0d68",
+    ),
+    ("path", 200, 0.5, True, 5): (
+        6,
+        "372621d7fbb326707c0c5e97bdde1341394305f7897748232ff9b52484f62413",
+        "bec2d5f44a87836171bbf1f71722200056f585a109fac4bb672261871e6768a2",
+        "15918786253cd2f2ddbe56c9d2f33152e72ae072b56479c973fb49e6a40167c5",
+    ),
+    ("geometric_unit_square", 300, 0.05, False, 3): (
+        0,
+        "5dff4db1bc5d145aca16e2aa938b3bcaa96a39a71ff4c3696a8d9d4ab5375f1c",
+        "5f81f9ce1fb2cd51c9095148420929ab73e5220b13dca72409d6ae51297db7ea",
+        "f35d05815194e29d8ec06653c7379ed9327a01bf5c668409685808b14f436c43",
+    ),
+}
+
+
+def _canonical_sha256(payload):
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _internal_digests(family, n, eps, unsafe_eps, seed):
+    sp = build_spanner(generate_graph(family, n, seed=0), eps, 2, seed, unsafe_eps=unsafe_eps)
+    records = [
+        [r.center, r.member, r.scale, r.target, r.dist_target, list(r.path)]
+        for r in sp.internals.records
+    ]
+    return (
+        sum(r.scale >= 0 for r in sp.internals.records),
+        _canonical_sha256(records),
+        _canonical_sha256(verify_lemma_suite(sp.host, sp).to_json_dict()),
+        _canonical_sha256(sp.to_json_dict()),
+    )
+
+
+@pytest.mark.parametrize("family, n, eps, unsafe_eps, seed", sorted(INTERNAL_GOLDEN))
+def test_phase2_records_and_lemma_suite_match_golden(family, n, eps, unsafe_eps, seed):
+    key = (family, n, eps, unsafe_eps, seed)
+    assert _internal_digests(*key) == INTERNAL_GOLDEN[key]

@@ -99,9 +99,9 @@ def test_rep_pointed_at_far_vertex_fails_representative(built):
     internals = built.internals
     v = built.host.n // 2
     far = _far_vertex_in_h0(internals, v)
-    table = [list(row) for row in internals.hierarchy.rep_table]
-    table[0][v] = far
-    tampered = _with_hierarchy(internals, rep_table=tuple(tuple(row) for row in table))
+    nearest = [list(row) for row in internals.hierarchy.nearest]
+    nearest[0][v] = far  # rep(v, 0) is nearest[0][v]
+    tampered = _with_hierarchy(internals, nearest=tuple(tuple(row) for row in nearest))
     got, want = _suite_and_reference(built, tampered)
     assert got == want
     witnesses = _result(got, "representative")["witnesses"]
@@ -121,6 +121,17 @@ def test_removed_h0_edges_fail_representative(built, keep):
     assert rep["checked"] == built.host.n * (internals.hierarchy.i_max + 1)
     if keep == "none":
         assert len(rep["witnesses"]) == WITNESS_CAP
+
+
+def test_spanner_missing_h0_edges_fails_representative(built):
+    # the internals stay genuine; only the spanner loses half of H0
+    dropped = set(sorted(built.internals.hierarchy.h0_edges)[::2])
+    broken = dataclasses.replace(
+        built, phase_tag={e: tag for e, tag in built.phase_tag.items() if e not in dropped}
+    )
+    got, want = _suite_and_reference(broken, built.internals)
+    assert got == want
+    assert not _result(got, "representative")["passed"]
 
 
 def test_shrunken_star_pivot_fails_half_bunch_containment(built):

@@ -115,18 +115,6 @@ def test_top_level_always_covers():
     assert not report.covering_violations
 
 
-def test_net_level_is_highest_membership():
-    g = _normalized("grid", 49, 1)
-    h = build_net_hierarchy(g, 0.05)
-    for v in range(g.n):
-        lv = h.net_level[v]
-        assert lv >= -1
-        if lv >= 0:
-            assert v in h.levels[lv]
-        if lv + 1 <= h.i_max:
-            assert v not in h.levels[lv + 1]
-
-
 def test_nearest_tables_match_reference_scan(medium_geometric):
     g = normalize(medium_geometric)[0]
     h = build_net_hierarchy(g, 0.05)
@@ -160,7 +148,7 @@ def test_h0_weight_stays_within_logarithmic_budget():
         eps = 0.05
         h = build_net_hierarchy(g, eps)
         bound = (8.0 / eps) * (h.i_max + 2) * mst(g).total_weight
-        assert h.h0_weight() <= bound
+        assert sum(g.weight_of(u, v) for u, v in h.h0_edges) <= bound
 
 
 def test_h0_edges_exist_in_graph():
@@ -180,7 +168,7 @@ def test_hierarchy_deterministic():
     g = _normalized("erdos_renyi", 80, 11, p=0.1)
     a = build_net_hierarchy(g, 0.06)
     b = build_net_hierarchy(g, 0.06)
-    assert a.rep_table == b.rep_table and a.h0_edges == b.h0_edges
+    assert a == b
 
 
 def test_check_eps_boundaries():
@@ -197,22 +185,19 @@ def test_check_eps_boundaries():
         check_eps(1.0, unsafe_eps=True)
 
 
-def test_hierarchy_json_dict_shape():
-    g = _normalized("path", 16, 0)
-    h = build_net_hierarchy(g, 0.05)
-    d = h.to_json_dict()
-    assert d["schema"] == "net_hierarchy/v1"
-    assert d["n"] == 16
-    assert set(d["levels"]) == set(d["deltas"])
-    assert d["h0_weight"] == pytest.approx(h.h0_weight())
-
-
 # ------------------------------------------- one scan per distinct net
 
 
-def _assert_same_hierarchy(h, ref):
+def _assert_matches_reference(g, eps):
+    """Every field equals the reference's, and rep(v, i), computed on demand,
+    equals the reference's representative table for every vertex and level."""
+    h = build_net_hierarchy(g, eps, unsafe_eps=True)
+    ref, rep_table = oracles.net_hierarchy_reference(g, eps)
     for f in dataclasses.fields(h):
         assert getattr(h, f.name) == getattr(ref, f.name), f.name
+    assert len(rep_table) == h.i_max + 1
+    for i, row in enumerate(rep_table):
+        assert [h.rep(v, i) for v in range(g.n)] == list(row), i
 
 
 @pytest.mark.parametrize(
@@ -226,8 +211,7 @@ def _assert_same_hierarchy(h, ref):
     ],
 )
 def test_hierarchy_matches_one_scan_per_level_reference(family, n, seed, kw, eps):
-    g = _normalized(family, n, seed, **kw)
-    _assert_same_hierarchy(build_net_hierarchy(g, eps, unsafe_eps=True), oracles.net_hierarchy_reference(g, eps))
+    _assert_matches_reference(_normalized(family, n, seed, **kw), eps)
 
 
 @settings(max_examples=60)
@@ -236,8 +220,7 @@ def test_hierarchy_matches_one_scan_per_level_reference(family, n, seed, kw, eps
     st.sampled_from([0.05, 0.09, 0.3]),
 )
 def test_hierarchy_matches_reference_on_random_graphs(g, eps):
-    gn = normalize(g)[0]
-    _assert_same_hierarchy(build_net_hierarchy(gn, eps, unsafe_eps=True), oracles.net_hierarchy_reference(gn, eps))
+    _assert_matches_reference(normalize(g)[0], eps)
 
 
 @pytest.mark.parametrize("family, n, kw", [("geometric_unit_square", 200, {}), ("erdos_renyi", 150, {"p": 0.06})])

@@ -16,6 +16,7 @@ from lightspanner.spanner import (
 )
 from lightspanner.trees import SpanningTree, mst, slt
 from lightspanner.verify import (
+    WITNESS_CAP,
     additive_stretch_constant,
     delta_parameter,
     verify_lemma_suite,
@@ -27,11 +28,9 @@ from lightspanner.verify import (
 
 
 def _identity_spanner(g, eps=0.05, k=2):
-    edges = frozenset((u, v) for u, v, _ in g.edges)
     return Spanner(
         host=g,
-        edges=edges,
-        phase_tag={e: PHASE_H0 for e in edges},
+        phase_tag={(u, v): PHASE_H0 for u, v, _ in g.edges},
         params=SpannerParams(eps=eps, k=k, seed=0, kind="hierarchical"),
         scale=1.0,
     )
@@ -67,11 +66,9 @@ def test_mst_of_cycle_stretches_but_passes():
     n = 10
     cyc = [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)]
     g = WeightedGraph(n, cyc)
-    edges = frozenset((u, v) for u, v, _ in g.edges if (u, v) != (0, n - 1))
     sp = Spanner(
         host=g,
-        edges=edges,
-        phase_tag={e: PHASE_H0 for e in edges},
+        phase_tag={(u, v): PHASE_H0 for u, v, _ in g.edges if (u, v) != (0, n - 1)},
         params=SpannerParams(eps=0.05, k=1, seed=0, kind="hierarchical"),
         scale=1.0,
     )
@@ -85,9 +82,8 @@ def test_disconnected_candidate_fails_stretch():
     g = generate_graph("path", 30, seed=0)
     sp = build_spanner(g, eps=0.05, k=1, seed=0)
     dropped = sorted(sp.edges)[10]
-    edges = frozenset(e for e in sp.edges if e != dropped)
     broken = dataclasses.replace(
-        sp, edges=edges, phase_tag={e: sp.phase_tag[e] for e in edges}
+        sp, phase_tag={e: tag for e, tag in sp.phase_tag.items() if e != dropped}
     )
     report = verify_stretch(g, broken)
     assert not report.passed
@@ -146,15 +142,6 @@ def test_host_mismatch_rejected(medium_geometric):
     other = generate_graph("path", medium_geometric.n, seed=0)
     with pytest.raises(SpannerError, match="different graph"):
         verify_stretch(other, sp)
-
-
-def test_tag_edge_mismatch_rejected(medium_geometric):
-    sp = build_spanner(medium_geometric, eps=0.05, k=2, seed=1)
-    tags = dict(sp.phase_tag)
-    tags.pop(sorted(sp.edges)[0])
-    broken = dataclasses.replace(sp, phase_tag=tags)
-    with pytest.raises(SpannerError):
-        verify_stretch(medium_geometric, broken)
 
 
 def test_stretch_report_serializes(medium_geometric):
@@ -357,17 +344,35 @@ def test_lemma_suite_catches_severed_bunch_path(path_sp):
     severed = set()
     for a, b in zip(rec.path, rec.path[1:]):
         severed.add((a, b) if a < b else (b, a))
-    edges = frozenset(e for e in path_sp.edges if e not in severed)
     broken = dataclasses.replace(
-        path_sp, edges=edges, phase_tag={e: path_sp.phase_tag[e] for e in edges}
+        path_sp, phase_tag={e: tag for e, tag in path_sp.phase_tag.items() if e not in severed}
     )
     report = verify_lemma_suite(path_sp.host, broken)
     bunch = report.result("distance_in_bunch")
     assert not bunch.passed
     assert any(u == rec.center for u, *_ in bunch.witnesses)
-    # internals-only facts are untouched by edge deletion
-    assert report.result("representative").passed
+    # on a path H0 holds every edge, so the severed edges are H0 edges and
+    # the representative distances, measured inside H, break too
+    assert severed <= path_sp.internals.hierarchy.h0_edges
+    assert not report.result("representative").passed
+    # containment is about graph distances only
     assert report.result("half_bunch_containment").passed
+
+
+@pytest.mark.parametrize(
+    "family, n", [("geometric_unit_square", 512), ("erdos_renyi", 256), ("grid", 256)]
+)
+def test_bare_mst_fails_representative(family, n):
+    # a bare MST passes verify_stretch at these sizes; the representative
+    # check must see that it lacks H0 edges
+    g = generate_graph(family, n, seed=0)
+    sp = build_spanner(g, eps=0.05, k=2, seed=0)
+    tree = {(min(u, v), max(u, v)) for u, v, _ in mst(g).edges}
+    assert not sp.internals.hierarchy.h0_edges <= tree
+    bare = dataclasses.replace(sp, phase_tag={e: PHASE_H0 for e in tree})
+    rep = verify_lemma_suite(g, bare).result("representative")
+    assert not rep.passed
+    assert len(rep.witnesses) == WITNESS_CAP
 
 
 def test_lemma_suite_needs_internals(medium_geometric):

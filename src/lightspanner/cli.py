@@ -75,6 +75,18 @@ def _load_graph(args: argparse.Namespace) -> WeightedGraph:
     return read_graph(args.input, args.format)
 
 
+def _load_spanner_payload(path: str) -> dict:
+    """The JSON object in a spanner file; any other payload is a SpannerError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise SpannerError(f"spanner file {path} nests too deeply to parse") from None
+    if not isinstance(raw, dict):
+        raise SpannerError(f"spanner payload must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def _write_spanner_artifacts(sp: Spanner, out_dir: str) -> None:
     _dump_json(os.path.join(out_dir, "spanner.json"), sp.to_json_dict())
     wt = sp.host.weight_of
@@ -128,8 +140,7 @@ def cmd_build_wmax(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    with open(args.spanner, "r", encoding="utf-8") as fh:
-        sp = spanner_from_json_dict(json.load(fh), g)
+    sp = spanner_from_json_dict(_load_spanner_payload(args.spanner), g)
     stretch = verify_stretch(
         g, sp, mode=args.mode, sample_size=args.sample_size, seed=args.seed
     )
@@ -152,6 +163,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     payload: dict = {}
     if args.input:
         g = read_graph(args.input, args.format)
+        if not g.edges:
+            raise ValueError("graph has no edges")
         weights = [w for _, _, w in g.edges]
         payload["graph"] = {
             "n": g.n,
@@ -161,10 +174,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "max_weight": max(weights),
         }
     if args.spanner:
-        with open(args.spanner, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise SpannerError(f"spanner payload must be a JSON object, got {type(raw).__name__}")
+        raw = _load_spanner_payload(args.spanner)
         payload["spanner"] = {
             key: raw.get(key)
             for key in ("kind", "n", "size", "weight", "eps", "k", "seed", "scale", "per_phase")

@@ -18,11 +18,10 @@ scans) and bottleneck is the heaviest edge on the path. Among equal keys
 the smaller predecessor id wins. Repeated runs therefore return
 identical tables, paths, and parent forests.
 
-``scan`` is the one Dijkstra kernel. It dispatches on its arguments to a
-loop specialised for one source (origin is constant, so it stays out of
-the heap key), a loop for several sources, and a truncated loop for a
-given radius whose dict and set state grows with the ball it explores
-rather than with n. All three honour the contract above.
+``scan`` is the one Dijkstra kernel. It runs a full loop, whose list
+state has length n, or, given a radius, a truncated loop whose dict and
+set state holds exactly the settled ball, so it grows with the ball
+rather than with n. Both honour the contract above.
 """
 from __future__ import annotations
 
@@ -197,78 +196,29 @@ def scan(n, adj, sources, radius=None):
 
     Returns ``(dist, parent, bottleneck, origin, settled, order)``; ``order``
     holds the settled vertices in settlement sequence, and each source has
-    parent -1 and origin itself. One of three loops runs, chosen from the
-    arguments; each yields exactly what one general scan keyed on
-    (dist, origin, bottleneck) would, in the same settlement order:
+    parent -1 and origin itself. Both loops key the heap on (dist, origin,
+    bottleneck), so they settle vertices in the same sequence:
 
-    - one source, no radius: the heap holds ``(dist, bottleneck, vertex)``
-      and ``origin`` is filled in afterwards (the source where reached, -1
-      elsewhere);
-    - several sources, no radius: the heap holds ``(dist, origin,
-      bottleneck, vertex)``;
-    - ``radius`` given: every vertex with distance <= radius is settled and
-      the scan stops there. Its state covers only the vertices it reached
-      (the settled ball plus the unsettled neighbours it touched), so time
-      and memory are O(ball), not O(n), and ``n`` is not used: ``dist``,
-      ``parent``, ``bottleneck`` and ``origin`` are dicts keyed by those
-      vertices, entries of unsettled ones are tentative, and ``settled``
-      is a set.
+    - no radius: every vertex reachable from the sources is settled; the
+      tables are lists of length n (``dist`` INF, ``parent`` and ``origin``
+      -1 where not reached) and ``settled`` is a bytearray of 0/1 flags;
+    - ``radius`` given (>= 0): exactly the vertices at distance <= radius
+      are settled. A relaxation beyond the radius is skipped before it
+      touches any state, so ``dist``, ``parent``, ``bottleneck`` and
+      ``origin`` are dicts keyed by the settled ball, ``settled`` is that
+      ball as a set, the cost is O(ball), not O(n), and ``n`` is unused.
 
-    Full scans return lists of length n (``dist`` is INF, ``parent`` and
-    ``origin`` -1 where not reached) and ``settled`` as a bytearray of 0/1
-    flags. Test settlement with ``settled[v]`` after a full scan and with
-    ``v in settled`` after a truncated one (``in`` on a bytearray looks for
-    a byte value, not an index).
-
-    Each call allocates its own state, so concurrent calls and callers that
-    keep one result while running the next scan never interfere.
+    Test settlement with ``settled[v]`` after a full scan and with ``v in
+    settled`` after a truncated one (``in`` on a bytearray looks for a byte
+    value, not an index).
     """
     srcs = sorted(set(sources))
     if radius is not None:
         return _scan_truncated(adj, srcs, radius)
-    if len(srcs) == 1:
-        return _scan_single(n, adj, srcs[0])
-    return _scan_multi(n, adj, srcs)
+    return _scan_full(n, adj, srcs)
 
 
-def _scan_single(n, adj, source):
-    dist = [INF] * n
-    parent = [-1] * n
-    bottleneck = [0.0] * n
-    settled = bytearray(n)
-    order: list[int] = []
-    visit = order.append
-    push, pop = heapq.heappush, heapq.heappop
-    dist[source] = 0.0
-    heap = [(0.0, 0.0, source)]
-    while heap:
-        d, b, u = pop(heap)
-        # pushes only ever lower a vertex's (dist, bottleneck) key, so its
-        # first pop is its final one and later pops are stale
-        if settled[u]:
-            continue
-        settled[u] = 1
-        visit(u)
-        for v, w in adj[u]:
-            if settled[v]:
-                continue
-            nd = d + w
-            dv = dist[v]
-            if nd > dv:
-                continue
-            nb = b if b >= w else w
-            if nd < dv or nb < bottleneck[v]:
-                dist[v] = nd
-                bottleneck[v] = nb
-                parent[v] = u
-                push(heap, (nd, nb, v))
-            elif nb == bottleneck[v] and u < parent[v]:
-                parent[v] = u
-    origin = [source if d < INF else -1 for d in dist]
-    return dist, parent, bottleneck, origin, settled, order
-
-
-def _scan_multi(n, adj, srcs):
+def _scan_full(n, adj, srcs):
     dist = [INF] * n
     parent = [-1] * n
     bottleneck = [0.0] * n
@@ -284,6 +234,8 @@ def _scan_multi(n, adj, srcs):
         heap.append((0.0, s, 0.0, s))
     while heap:
         d, o, b, u = pop(heap)
+        # pushes only ever lower a vertex's (dist, origin, bottleneck) key, so
+        # its first pop is its final one and later pops are stale
         if settled[u]:
             continue
         settled[u] = 1
@@ -328,14 +280,14 @@ def _scan_truncated(adj, srcs, radius):
         d, o, b, u = pop(heap)
         if u in settled:
             continue
-        if d > radius:
-            break
         settle(u)
         visit(u)
         for v, w in adj[u]:
             if v in settled:
                 continue
             nd = d + w
+            if nd > radius:
+                continue
             dv = get(v, INF)
             if nd > dv:
                 continue

@@ -105,7 +105,7 @@ def greedy_delta_net(
         for s in seeds:
             d, _, _, _, settled, _ = scan(g.n, g.adj, (s,), radius=delta)
             for other in seeds:
-                if other != s and other in settled and d[other] <= delta:
+                if other != s and other in settled:
                     raise ValueError(
                         f"seed set violates packing at delta={delta}: "
                         f"d({s}, {other}) = {d[other]}"

@@ -125,8 +125,9 @@ def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAM
         for v in levels[i]:
             level_of[v] = i
 
-    pivot_dists: list[tuple[float, ...]] = []
-    for i in range(k + 1):
+    # every vertex is in A_0, so its level-0 pivot distance is 0 by definition
+    pivot_dists: list[tuple[float, ...]] = [(0.0,) * n]
+    for i in range(1, k + 1):
         dist, _, _, _, _, _ = scan(n, g.adj, levels[i])
         pivot_dists.append(tuple(dist))
 

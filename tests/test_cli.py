@@ -210,16 +210,17 @@ ONE_VERTEX_SPANNER = (
 @pytest.mark.parametrize(
     "command",
     [
-        ["build", "--eps", "0.05", "--k", "2"],
-        ["build-wmax", "--eps", "0.05"],
-        ["verify", "--spanner", "spanner.json"],
+        ["build", "--eps", "0.05", "--k", "2", "--output-dir", "out"],
+        ["build-wmax", "--eps", "0.05", "--output-dir", "out"],
+        ["verify", "--spanner", "spanner.json", "--output-dir", "out"],
+        ["inspect"],
     ],
-    ids=["build", "build-wmax", "verify"],
+    ids=["build", "build-wmax", "verify", "inspect"],
 )
 def test_one_vertex_graph_exits_two(workdir, capsys, command):
     (workdir / "graph.edge_list").write_text("1\n")
     (workdir / "spanner.json").write_text(ONE_VERTEX_SPANNER)
-    rc = main(command + ["--input", "graph.edge_list", "--output-dir", "out"])
+    rc = main(command + ["--input", "graph.edge_list"])
     assert rc == 2
     assert "graph has no edges" in capsys.readouterr().err
     assert not (workdir / "out").exists()
@@ -504,6 +505,15 @@ def test_inspect_non_object_spanner_json_exits_two(workdir, capsys, content):
     (workdir / "bad.json").write_text(content)
     assert main(["inspect", "--spanner", str(workdir / "bad.json")]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_too_deeply_nested_spanner_json_exits_two(workdir, capsys, command):
+    (workdir / "graph.edge_list").write_text("2\n0 1 1.0\n")
+    (workdir / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    args = [command, "--input", "graph.edge_list", "--spanner", "deep.json"]
+    assert main(args) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 def test_sweep_writes_csv(workdir, capsys):

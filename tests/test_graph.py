@@ -201,6 +201,7 @@ def test_truncated_scan_is_the_ball_of_the_full_scan(g, data):
     full_dist, full_parent, full_btl, full_origin, _, _ = scan(g.n, g.adj, sources)
     dist, parent, bottleneck, origin, settled, order = scan(g.n, g.adj, sources, radius=radius)
     assert settled == {v for v in range(g.n) if full_dist[v] <= radius}
+    assert set(dist) == set(parent) == set(bottleneck) == set(origin) == settled
     assert sorted(order) == sorted(settled)
     assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
     for v in settled:
@@ -216,15 +217,17 @@ def test_truncated_scan_state_is_proportional_to_the_ball():
     n = 100_000
     adj = adjacency_from_edges(n, [(v, v + 1) for v in range(n - 1)], lambda u, v: 1.0)
     result = scan(n, adj, (0,), radius=2.0)
-    assert all(len(container) <= 4 for container in result)
+    assert all(len(container) == 3 for container in result)
+    assert all(set(container) == {0, 1, 2} for container in result[:5])
     assert result[5] == [0, 1, 2]
 
 
 def test_adjacency_from_edges_allows_disconnected():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     adj = adjacency_from_edges(3, [(0, 1)], g.weight_of)
-    dist, _, _, _, _, _ = scan(3, adj, (0,))
+    dist, parent, _, origin, _, _ = scan(3, adj, (0,))
     assert dist[1] == 1.0 and dist[2] == INF
+    assert origin[:2] == [0, 0] and origin[2] == parent[2] == -1
 
 
 @given(connected_graphs())

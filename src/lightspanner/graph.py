@@ -21,7 +21,9 @@ identical tables, paths, and parent forests.
 ``scan`` is the one Dijkstra kernel. It runs a full loop, whose list
 state has length n, or, given a radius, a truncated loop whose dict and
 set state holds exactly the settled ball, so it grows with the ball
-rather than with n. Both honour the contract above.
+rather than with n. Both honour the contract above. ``tag_forest_path``
+is the one walker over a scan's parent forest: the net hierarchy's H_0
+paths and phase 2's connection paths both go through it.
 """
 from __future__ import annotations
 
@@ -311,6 +313,22 @@ def walk_parents(parent: Sequence[int], v: int) -> list[int]:
         chain.append(v)
     chain.reverse()
     return chain
+
+
+def tag_forest_path(parent, x: int, covered: set[int], tags: dict, tag) -> None:
+    """Tag the parent-forest path from x up to its first vertex in ``covered``.
+
+    Every vertex passed is added to ``covered``, so paths that share a
+    suffix toward the root read that suffix once; each edge passed gets
+    ``tag`` unless ``tags`` already holds it (first tag wins). A walk from a
+    covered vertex adds nothing. ``covered`` must hold a vertex of every
+    path walked, such as the forest's roots.
+    """
+    while x not in covered:
+        covered.add(x)
+        p = parent[x]
+        tags.setdefault((p, x) if p < x else (x, p), tag)
+        x = p
 
 
 @dataclass(frozen=True)

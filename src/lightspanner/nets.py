@@ -35,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import INF, WeightedGraph, scan
+from .graph import INF, WeightedGraph, scan, tag_forest_path
 from .trees import mst
 
 EPS_SAFE_LIMIT = 0.1
@@ -82,18 +82,12 @@ def _incremental_add(adj, dist, center) -> None:
                 heapq.heappush(heap, (nd, v))
 
 
-def greedy_delta_net(
-    g: WeightedGraph,
-    delta: float,
-    seed_set: Iterable[int] = (),
-    *,
-    verify_seed: bool = True,
-) -> DeltaNet:
+def greedy_delta_net(g: WeightedGraph, delta: float, seed_set: Iterable[int] = ()) -> DeltaNet:
     """Greedy net: scan ids ascending, add any vertex further than delta from the net.
 
     ``seed_set`` members are kept and must already satisfy packing at scale
     delta (callers stacking nets pass the next-coarser net, which packs at
-    twice the scale; they may skip the check with ``verify_seed=False``).
+    twice the scale); a seed set that violates it raises ValueError.
     """
     if not (delta >= 0):
         raise ValueError(f"delta must be nonnegative, got {delta}")
@@ -101,7 +95,7 @@ def greedy_delta_net(
     for s in seeds:
         if not (0 <= s < g.n):
             raise ValueError(f"seed vertex {s} outside 0..{g.n - 1}")
-    if verify_seed and len(seeds) > 1:
+    if len(seeds) > 1:
         for s in seeds:
             d, _, _, _, settled, _ = scan(g.n, g.adj, (s,), radius=delta)
             for other in seeds:
@@ -213,23 +207,16 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
             net_level[v] = max(net_level[v], i)
 
     # H_0: each vertex at net level i connects to its nearest member of
-    # levels i+1 .. i+t. Walks share suffixes, so we stop as soon as we
-    # reach a vertex whose connection at this level is already recorded.
-    h0: set[tuple[int, int]] = set()
+    # levels i+1 .. i+t along level j's parent forest. The walks of one
+    # level share suffixes, so each stops at the first vertex that level's
+    # members or an earlier walk already cover; only h0's keys are read.
+    h0: dict[tuple[int, int], None] = {}
     for j in range(i_max + 1):
         parent = rows[j][1]
-        done = bytearray(n)
-        for r in levels[j].members:
-            done[r] = 1
+        covered = set(levels[j].members)
         for v in range(n):
-            if not (j - t <= net_level[v] <= j - 1):
-                continue
-            x = v
-            while not done[x]:
-                done[x] = 1
-                p = parent[x]
-                h0.add((x, p) if x < p else (p, x))
-                x = p
+            if j - t <= net_level[v] <= j - 1:
+                tag_forest_path(parent, v, covered, h0, None)
 
     return NetHierarchy(
         eps=eps,

@@ -30,10 +30,10 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import SamplingError, SpannerError
-from .graph import WeightedGraph, adjacency_from_edges, scan, walk_parents
+from .graph import WeightedGraph, adjacency_from_edges, edges_connect, scan, tag_forest_path, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
 from .trees import mst, slt, slt_forest
 
@@ -325,61 +325,35 @@ def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
     return Spanner(host=host, phase_tag=tags, params=params, scale=scale)
 
 
-class _ChainWalker:
-    """Adds parent-chain edges for many targets of one scan in O(ball) total.
-
-    Chains from different targets share suffixes toward the scan root, so
-    each vertex's edge to its parent only needs to be walked once; later
-    targets stop at the first vertex an earlier target already covered.
-    Tagging matches walking each full chain with first-wins semantics.
-    """
-
-    def __init__(self, parent: Sequence[int], root: int, tags: dict[tuple[int, int], str]):
-        self.parent = parent
-        self.tags = tags
-        self.covered = {root}
-
-    def add(self, target: int, tag: str) -> None:
-        parent = self.parent
-        tags = self.tags
-        covered = self.covered
-        x = target
-        while x not in covered:
-            covered.add(x)
-            p = parent[x]
-            key = (p, x) if p < x else (x, p)
-            if key not in tags:
-                tags[key] = tag
-            x = p
-
-
 def phase2_paths(
     g: WeightedGraph,
     hierarchy: NetHierarchy,
     sampling: LevelSampling,
     eps: float,
+    tags: dict[tuple[int, int], str],
     *,
     keep_records: bool = True,
-) -> tuple[dict[tuple[int, int], str], tuple[RepPathRecord, ...]]:
-    """Bunch connections for every vertex; returns (edge tags, records).
+) -> tuple[RepPathRecord, ...]:
+    """Bunch connections for every vertex, tagged into ``tags``; returns the records.
 
-    For u below the top level the scan radius (1 + eps/2) * (1-eps)/2 *
-    pivot_dist is enough to settle every representative target: the
-    detour to a representative of v costs at most a (1 + eps/2) factor
-    over d(u, v). Top-level vertices connect to representatives of every
-    other top vertex with the same scale rule, from a full scan, after
-    every lower-level center; an edge keeps the tag of its first path.
+    Each connection path is tagged into the build's table with
+    tag_forest_path, so an edge already in ``tags`` (an H0 edge, or one an
+    earlier path tagged) keeps its first tag. For u below the top level
+    the scan radius (1 + eps/2) * (1-eps)/2 * pivot_dist is enough to
+    settle every representative target: the detour to a representative of
+    v costs at most a (1 + eps/2) factor over d(u, v). Top-level vertices
+    connect to representatives of every other top vertex with the same
+    scale rule, from a full scan, after every lower-level center.
     """
     n = g.n
     k = sampling.k
     delta = 0.5 * (1.0 - eps)
-    tags: dict[tuple[int, int], str] = {}
     records: list[RepPathRecord] = []
 
     def connect(u, i, members, scanned):
         """Connect center u of level i to each of its bunch members."""
         dist, parent, _, _, settled, _ = scanned
-        walker = _ChainWalker(parent, u, tags)
+        covered = {u}
         for v in members:
             if v == u:
                 continue
@@ -401,7 +375,7 @@ def phase2_paths(
                 raise SpannerError(
                     f"representative {target} of ({u}, {v}) escaped the scan radius"
                 )
-            walker.add(target, tag)
+            tag_forest_path(parent, target, covered, tags, tag)
             if keep_records:
                 records.append(
                     RepPathRecord(
@@ -423,13 +397,11 @@ def phase2_paths(
     for u in top:
         connect(u, k, top, scan(n, g.adj, (u,)))
 
-    return tags, tuple(records)
+    return tuple(records)
 
 
 def _assert_spans(n: int, edges: Iterable[tuple[int, int]]) -> None:
-    from .graph import edges_connect
-
-    if not edges_connect(n, [(u, v) for u, v in edges]):
+    if not edges_connect(n, edges):
         raise SpannerError("constructed spanner does not span the graph; this is a bug")
 
 
@@ -448,13 +420,10 @@ def build_spanner(
     hierarchy = build_net_hierarchy(gn, eps, unsafe_eps=unsafe_eps)
     sampling = sample_levels(gn, k, seed)
 
-    tags: dict[tuple[int, int], str] = {}
-    for u, v in sorted(hierarchy.h0_edges):
-        tags[(u, v)] = PHASE_H0
-
-    p2_tags, records = phase2_paths(gn, hierarchy, sampling, eps, keep_records=keep_internals)
-    for key, tag in p2_tags.items():
-        tags.setdefault(key, tag)
+    # the one tag table of the build: H0 first, in sorted order, then
+    # phase 2 and SLT, each edge keeping the tag of the phase that added it first
+    tags = dict.fromkeys(sorted(hierarchy.h0_edges), PHASE_H0)
+    records = phase2_paths(gn, hierarchy, sampling, eps, tags, keep_records=keep_internals)
 
     for i in range(1, k + 1):
         for u, v, _ in slt_forest(gn, sampling.levels[i], eps).edges:
@@ -491,8 +460,8 @@ def build_wmax_spanner(g: WeightedGraph, eps: float, *, keep_internals: bool = T
     in that regime the additive error 2 * (1 + eps) * W_max absorbs the
     hop to the nearest net member.
     """
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     gn, scale = normalize(g)
     w_max = max(w for _, _, w in gn.edges)
     threshold = math.sqrt(g.n)

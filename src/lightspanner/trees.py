@@ -198,11 +198,9 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
 
     virtual = g.n
     n_aug = g.n + 1
-    aug_adj: list[list[tuple[int, float]]] = [list(row) for row in g.adj]
-    aug_adj.append([])
-    for r in root_list:
-        aug_adj[r].append((virtual, 0.0))  # virtual id is largest, order kept
-        aug_adj[virtual].append((r, 0.0))
+    # the scan settles the virtual source first, so the roots' rows need no
+    # edge back to it and g's rows serve as they are
+    aug_adj = g.adj + [[(r, 0.0) for r in root_list]]
 
     aug_edges = list(mst(g).edges) + [(r, virtual, 0.0) for r in root_list]
     tree_edges = _kruskal(n_aug, aug_edges)

@@ -60,8 +60,18 @@ def delta_parameter(eps: float, k: int) -> float:
 
 
 def additive_stretch_constant(eps: float, k: int) -> float:
-    """Coefficient of the per-pair bottleneck weight in the stretch bound."""
-    return 24.0 * (3.0 * delta_parameter(eps, k)) ** k
+    """Coefficient of the per-pair bottleneck weight in the stretch bound.
+
+    Raises ValueError when 24 * (3D)^k is not a finite float, as for large
+    k: no spanner can be certified against an infinite bound.
+    """
+    try:
+        const = 24.0 * (3.0 * delta_parameter(eps, k)) ** k
+    except OverflowError:
+        const = INF
+    if not math.isfinite(const):
+        raise ValueError(f"additive stretch constant 24*(3D)^k overflows a float for eps={eps}, k={k}")
+    return const
 
 
 def _check_host(g: WeightedGraph, sp: Spanner) -> None:
@@ -282,7 +292,7 @@ class NetReport:
         }
 
 
-def verify_net(g: WeightedGraph, net: DeltaNet, *, mst_weight: float | None = None) -> NetReport:
+def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
     """Covering (every vertex within delta of the net) and packing (members
     pairwise further than delta apart), plus the net-size side condition
     size * delta <= 2 * w(MST) for nets with at least two members.
@@ -300,8 +310,6 @@ def verify_net(g: WeightedGraph, net: DeltaNet, *, mst_weight: float | None = No
     members = net.members
     if not members:
         raise ValueError("net has no members")
-    if mst_weight is None:
-        mst_weight = mst(g).total_weight
 
     dist, _, _, origin, _, _ = scan(n, g.adj, members)
     covering = [(v, dist[v]) for v in range(n) if not _within(dist[v], delta)]
@@ -327,7 +335,7 @@ def verify_net(g: WeightedGraph, net: DeltaNet, *, mst_weight: float | None = No
         assert suspects <= member_set
         packing.sort()
 
-    mst_ok = len(members) < 2 or _within(len(members) * delta, 2.0 * mst_weight)
+    mst_ok = len(members) < 2 or _within(len(members) * delta, 2.0 * mst(g).total_weight)
     return NetReport(
         delta=delta,
         size=len(members),

@@ -133,7 +133,7 @@ def net_hierarchy_reference(g: WeightedGraph, eps: float) -> tuple[NetHierarchy,
     t = math.ceil(math.log2(1.0 / eps))
     levels = {i_max: DeltaNet(float(2**i_max), (0,))}
     for i in range(i_max - 1, -1, -1):
-        levels[i] = greedy_delta_net(g, float(2**i), levels[i + 1].members, verify_seed=False)
+        levels[i] = greedy_delta_net(g, float(2**i), levels[i + 1].members)
     levels[-1] = DeltaNet(0.0, tuple(range(n)))
     net_level = [-1] * n
     for i in range(i_max + 1):

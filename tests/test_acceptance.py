@@ -61,11 +61,10 @@ def test_criterion_01_net_validity():
             g = generate_graph("erdos_renyi", n, seed=seed)
         gn, _ = normalize(g)
         h = build_net_hierarchy(gn, 0.05)
-        base = mst(gn).total_weight
         graphs += 1
         for i in range(h.i_max + 1):
             net = h.levels[i]
-            report = verify_net(gn, net, mst_weight=base)
+            report = verify_net(gn, net)
             levels_checked += 1
             if i < h.i_max and not report.passed:
                 bad.append((idx, i, report.covering_violations[:2], report.packing_violations[:2]))

@@ -411,11 +411,16 @@ def test_dimacs_pipeline(workdir):
     assert rc == 0
 
 
-def test_build_wmax_command(workdir, tmp_path):
-    # hand-build a heavy-spoke star so the variant's precondition holds
+def _heavy_star(tmp_path):
+    """A star with one heavy spoke, so build-wmax's precondition holds."""
     graph_path = tmp_path / "star.edge_list"
     lines = ["16"] + [f"0 {i} 1.0" for i in range(1, 15)] + ["0 15 600.0"]
     graph_path.write_text("\n".join(lines) + "\n")
+    return graph_path
+
+
+def test_build_wmax_command(workdir, tmp_path):
+    graph_path = _heavy_star(tmp_path)
     rc = main(
         [
             "build-wmax",
@@ -442,6 +447,32 @@ def test_build_wmax_command(workdir, tmp_path):
         ]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize("eps", ["inf", "1e309"])
+def test_build_wmax_rejects_non_finite_eps(workdir, tmp_path, capsys, eps):
+    graph_path = _heavy_star(tmp_path)
+    rc = main(["build-wmax", "--input", str(graph_path), "--eps", eps, "--output-dir", str(workdir)])
+    assert rc == 2
+    assert "eps" in capsys.readouterr().err
+    assert not (workdir / "spanner.json").exists()
+
+
+@pytest.mark.parametrize("k", [65, 100])
+def test_verify_exits_two_when_the_stretch_bound_overflows(workdir, capsys, k):
+    # build accepts k beyond log2(n) with a warning; the stretch constant
+    # 24*(3D)^k of such a spanner is not a finite float
+    graph_path = _gen(workdir, family="path", n=50)
+    build = ["build", "--input", graph_path, "--eps", "0.05", "--k", str(k), "--output-dir", str(workdir)]
+    with pytest.warns(UserWarning, match="exceeds log2"):
+        assert main(build) == 0
+    capsys.readouterr()
+    verify = ["verify", "--input", graph_path, "--spanner", str(workdir / "spanner.json"), "--output-dir", str(workdir)]
+    assert main(verify) == 2
+    captured = capsys.readouterr()
+    assert f"eps=0.05, k={k}" in captured.err
+    assert "PASS" not in captured.out
+    assert not (workdir / "stretch_report.json").exists()
 
 
 def test_build_wmax_rejects_light_graph(workdir, capsys):

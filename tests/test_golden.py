@@ -166,3 +166,28 @@ def _internal_digests(family, n, eps, unsafe_eps, seed):
 def test_phase2_records_and_lemma_suite_match_golden(family, n, eps, unsafe_eps, seed):
     key = (family, n, eps, unsafe_eps, seed)
     assert _internal_digests(*key) == INTERNAL_GOLDEN[key]
+
+
+# sha256 of list(sp.phase_tag.items()) as [u, v, tag] rows, in insertion
+# order, for every INTERNAL_GOLDEN build and for the graphs of the
+# hierarchical CLI cases (generated with seed 0, built with k=2, seed 0).
+# That order sets the order Spanner.weight() sums in and the order
+# adjacency() fills its rows in; no artifact above shows it, since
+# spanner.json lists its edges sorted. On the path graphs H0 claims every
+# edge, so their tables agree.
+PHASE_TAG_GOLDEN = {
+    ("path", 200, 0.09, False, 0): "f2e31baf3a484c17e40b74c73efaf9d0e0728f521251314dfe73c3bf7ff91223",
+    ("path", 200, 0.5, True, 0): "f2e31baf3a484c17e40b74c73efaf9d0e0728f521251314dfe73c3bf7ff91223",
+    ("path", 200, 0.5, True, 5): "f2e31baf3a484c17e40b74c73efaf9d0e0728f521251314dfe73c3bf7ff91223",
+    ("geometric_unit_square", 300, 0.05, False, 0): "b111f915d0e3789d50cde4795c37c0ed92ac15ccba8f137205c6dc82e12a9143",
+    ("geometric_unit_square", 300, 0.05, False, 3): "53f94e6fd7ad7707e88a9aec7008fe663f6b1d2f9b2fca70b7535175936948d9",
+    ("erdos_renyi", 200, 0.05, False, 0): "58253ab635f22c31426b14520cd8f949b00e8e1058e8b392158ac8f09f4f5940",
+    ("grid", 256, 0.05, False, 0): "7f91824616a9cb4e5d93eb07121c3ad1f5cd3e1f7d27fa57917a44bfc0214dc0",
+}
+
+
+@pytest.mark.parametrize("family, n, eps, unsafe_eps, seed", sorted(PHASE_TAG_GOLDEN))
+def test_phase_tag_order_matches_golden(family, n, eps, unsafe_eps, seed):
+    sp = build_spanner(generate_graph(family, n, seed=0), eps, 2, seed, unsafe_eps=unsafe_eps, keep_internals=False)
+    rows = [[u, v, tag] for (u, v), tag in sp.phase_tag.items()]
+    assert _canonical_sha256(rows) == PHASE_TAG_GOLDEN[(family, n, eps, unsafe_eps, seed)]

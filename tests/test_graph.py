@@ -12,6 +12,7 @@ from lightspanner.graph import (
     multi_source_dijkstra,
     scan,
     shortest_path,
+    tag_forest_path,
 )
 
 from .conftest import coarse_weights, connected_graphs
@@ -266,3 +267,41 @@ def test_scaled_rejects_weights_that_leave_the_positive_finite_range():
         g.scaled(1e-100)
     with pytest.raises(ValueError, match="scale factor"):
         g.scaled(0.0)
+
+
+class _CountingParent(dict):
+    """A parent table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_tag_forest_path_reads_a_shared_suffix_once():
+    # forest 0 <- 1 <- 2 <- 3 and 2 <- 4: the walks from 3 and 4 share 2 -> 1 -> 0
+    parent = _CountingParent({0: -1, 1: 0, 2: 1, 3: 2, 4: 2})
+    covered = {0}
+    tags = {}
+    tag_forest_path(parent, 3, covered, tags, "a")
+    assert parent.reads == 3
+    tag_forest_path(parent, 4, covered, tags, "b")
+    assert parent.reads == 4  # only 4's own edge; the suffix from 2 is covered
+    assert covered == {0, 1, 2, 3, 4}
+    assert list(tags.items()) == [((2, 3), "a"), ((1, 2), "a"), ((0, 1), "a"), ((2, 4), "b")]
+
+
+def test_tag_forest_path_keeps_the_first_tag():
+    parent = [-1, 0, 1]
+    tags = {(0, 1): "old"}
+    tag_forest_path(parent, 2, {0}, tags, "new")
+    assert list(tags.items()) == [((0, 1), "old"), ((1, 2), "new")]
+
+
+def test_tag_forest_path_from_a_covered_vertex_adds_nothing():
+    parent = _CountingParent({0: -1, 1: 0, 2: 1})
+    covered = {0, 2}
+    tags = {}
+    tag_forest_path(parent, 2, covered, tags, "a")
+    assert (covered, tags, parent.reads) == ({0, 2}, {}, 0)

@@ -102,9 +102,8 @@ def test_hierarchy_levels_are_nested():
 def test_hierarchy_levels_pass_net_checks():
     g = _normalized("erdos_renyi", 90, 5, p=0.1)
     h = build_net_hierarchy(g, 0.07)
-    base = mst(g).total_weight
     for i in range(h.i_max):  # the fiat top level only covers, skip it
-        report = verify_net(g, h.levels[i], mst_weight=base)
+        report = verify_net(g, h.levels[i])
         assert report.passed, (i, report.covering_violations, report.packing_violations)
 
 

@@ -230,10 +230,10 @@ def test_verify_net_packing_is_exact_at_delta():
 
 
 def test_verify_net_mst_side_condition():
-    g = generate_graph("path", 5, seed=0, weight_range=(1.0, 1.0))
-    report = verify_net(g, DeltaNet(10.0, (0, 4)), mst_weight=4.0)
+    g = generate_graph("path", 5, seed=0, weight_range=(1.0, 1.0))  # MST weight 4
+    report = verify_net(g, DeltaNet(10.0, (0, 4)))
     assert not report.mst_bound_ok  # 2 members * delta 10 > 2 * 4
-    report = verify_net(g, DeltaNet(1.5, (0, 2, 4)), mst_weight=4.0)
+    report = verify_net(g, DeltaNet(1.5, (0, 2, 4)))
     assert report.mst_bound_ok  # 4.5 <= 8
 
 

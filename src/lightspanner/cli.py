@@ -25,9 +25,9 @@ from .errors import SpannerError
 from .generate import FAMILIES, generate_graph
 from .graph import WeightedGraph
 from .graphio import FORMATS, format_edge_list, read_graph, write_graph
-from .nets import EPS_SAFE_LIMIT
+from .nets import EPS_SAFE_LIMIT, check_eps
 from .spanner import Spanner, build_spanner, build_wmax_spanner, spanner_from_json_dict
-from .verify import verify_lightness, verify_stretch
+from .verify import additive_stretch_constant, verify_lightness, verify_stretch
 
 SWEEP_HEADER = (
     "n",
@@ -121,6 +121,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    # refuse a build whose stretch bound no verify can evaluate, before it
+    # writes artifacts; eps is checked first, since the bound divides by it
+    check_eps(args.eps, args.unsafe_eps)
+    additive_stretch_constant(args.eps, args.k)
     g = _load_graph(args)
     sp = build_spanner(
         g, args.eps, args.k, args.seed, unsafe_eps=args.unsafe_eps, keep_internals=False

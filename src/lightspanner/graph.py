@@ -18,12 +18,18 @@ scans) and bottleneck is the heaviest edge on the path. Among equal keys
 the smaller predecessor id wins. Repeated runs therefore return
 identical tables, paths, and parent forests.
 
-``scan`` is the one Dijkstra kernel. It runs a full loop, whose list
+``scan`` is the Dijkstra kernel for callers that need a parent forest,
+an origin or the settlement order. It runs a full loop, whose list
 state has length n, or, given a radius, a truncated loop whose dict and
 set state holds exactly the settled ball, so it grows with the ball
 rather than with n. Both honour the contract above. ``tag_forest_path``
 is the one walker over a scan's parent forest: the net hierarchy's H_0
 paths and phase 2's connection paths both go through it.
+
+Full scans that read only distances, or distances and bottlenecks from one
+source, can go through ``distances`` and ``distances_and_bottlenecks``. They
+key the heap on (distance, vertex) and keep no parent, origin or order, and
+they return the very dist (and bottleneck) tables a full ``scan`` returns.
 """
 from __future__ import annotations
 
@@ -303,6 +309,72 @@ def _scan_truncated(adj, srcs, radius):
             elif o == origin[v] and nb == bottleneck[v] and u < parent[v]:
                 parent[v] = u
     return dist, parent, bottleneck, origin, settled, order
+
+
+def distances(n, adj, sources):
+    """Distances from the nearest of ``sources``: ``scan``'s dist table, INF
+    where a vertex is not reached.
+
+    A vertex is pushed only when its distance strictly falls, so every
+    vertex has exactly one heap entry at its final distance and a pop above
+    the vertex's distance is stale.
+    """
+    dist = [INF] * n
+    heap = []  # built from sorted sources, so already in heap order
+    for s in sorted(set(sources)):
+        dist[s] = 0.0
+        heap.append((0.0, s))
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                push(heap, (nd, v))
+    return dist
+
+
+def distances_and_bottlenecks(n, adj, source):
+    """``scan``'s dist and bottleneck tables for a single source.
+
+    ``btl[v]`` is the smallest heaviest edge over v's shortest paths. It is
+    set on a strict improvement of v's distance and lowered on an exact tie
+    whose max(btl[u], w) is smaller. Every u with dist[u] + w == dist[v]
+    lies strictly closer to the source, since weights are positive, so it
+    settles before v and ``btl[v]`` is final when v pops: the bottleneck
+    needs no place in the heap key. (Only a weight below half an ulp of a
+    distance, which the float sum absorbs, could put u at v's distance.)
+    A settled vertex is never written again.
+    """
+    dist = [INF] * n
+    btl = [0.0] * n
+    done = bytearray(n)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d, u = pop(heap)
+        if done[u]:
+            continue
+        done[u] = 1
+        b = btl[u]
+        for v, w in adj[u]:
+            nd = d + w
+            dv = dist[v]
+            if nd <= dv:
+                if nd < dv:
+                    dist[v] = nd
+                    btl[v] = b if b >= w else w
+                    push(heap, (nd, v))
+                # a settled v has dist[v] <= d <= nd, so only a tie can reach one
+                elif not done[v]:
+                    nb = b if b >= w else w
+                    if nb < btl[v]:
+                        btl[v] = nb
+    return dist, btl
 
 
 def walk_parents(parent: Sequence[int], v: int) -> list[int]:

@@ -35,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import INF, WeightedGraph, scan, tag_forest_path
+from .graph import INF, WeightedGraph, distances, scan, tag_forest_path
 from .trees import mst
 
 EPS_SAFE_LIMIT = 0.1
@@ -106,7 +106,7 @@ def greedy_delta_net(g: WeightedGraph, delta: float, seed_set: Iterable[int] = (
                     )
 
     if seeds:
-        dist, _, _, _, _, _ = scan(g.n, g.adj, seeds)
+        dist = distances(g.n, g.adj, seeds)
     else:
         dist = [INF] * g.n
     members = sorted(seeds + _greedy_extension(g.adj, dist, delta))

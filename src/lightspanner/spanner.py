@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import SamplingError, SpannerError
-from .graph import WeightedGraph, adjacency_from_edges, edges_connect, scan, tag_forest_path, walk_parents
+from .graph import WeightedGraph, adjacency_from_edges, distances, edges_connect, scan, tag_forest_path, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
 from .trees import mst, slt, slt_forest
 
@@ -128,8 +128,7 @@ def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAM
     # every vertex is in A_0, so its level-0 pivot distance is 0 by definition
     pivot_dists: list[tuple[float, ...]] = [(0.0,) * n]
     for i in range(1, k + 1):
-        dist, _, _, _, _, _ = scan(n, g.adj, levels[i])
-        pivot_dists.append(tuple(dist))
+        pivot_dists.append(tuple(distances(n, g.adj, levels[i])))
 
     return LevelSampling(
         k=k,

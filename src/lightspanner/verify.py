@@ -30,6 +30,10 @@ subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
 its float sum appears verbatim among the graph's candidate sums). Reports are
 plain frozen dataclasses with a to_json_dict() for serialization and are
 deterministic given (graph, spanner, mode, seed).
+
+The stretch check and verify_slt read only distances (and, for stretch, the
+graph's bottlenecks) from their full scans, so they run graph's
+distance-only kernels; the other checks use ``scan``.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import SpannerError
-from .graph import INF, WeightedGraph, adjacency_from_edges, scan
+from .graph import INF, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
 from .nets import DeltaNet
 from .spanner import BuildInternals, Spanner
 from .trees import SpanningTree, mst
@@ -138,6 +142,12 @@ def verify_stretch(
     mode runs full single-source checks from a seeded vertex sample of
     min(sample_size, n) sources; a sample_size below 1 is a ValueError,
     since a certification that checks no pair would pass vacuously.
+
+    Each source runs two full scans: ``distances_and_bottlenecks`` on G
+    and ``distances`` on H, neither with a parent, origin or bottleneck
+    heap key. A pair with d_H <= alpha*d_G has slack <= 0 and is within
+    the bound, so W, the slack and the bound are read only for a pair
+    above that line.
     """
     _check_host(g, sp)
     n = g.n
@@ -169,30 +179,37 @@ def verify_stretch(
     worst_slack = 0.0
     violations: list[tuple[int, int, float, float, float]] = []
     violation_count = 0
+    tol = 1.0 + REL_TOL
 
     for x in sources:
-        dist_g, _, btl_g, _, _, _ = scan(n, g.adj, (x,))
-        dist_h, _, _, _, _, _ = scan(n, h_adj, (x,))
-        targets = range(x + 1, n) if mode == "all_pairs" else range(n)
-        for y in targets:
-            if y == x:
-                continue
-            dg = dist_g[y]
-            dh = dist_h[y]
-            if dh < dg:
-                raise SpannerError(
-                    f"spanner claims a shorter path than the graph for ({x}, {y}): "
-                    f"{dh} < {dg}; the spanner is not a subgraph"
-                )
-            w = w_fixed if w_fixed is not None else btl_g[y]
-            pairs += 1
+        dist_g, btl_g = distances_and_bottlenecks(n, g.adj, x)
+        dist_h = distances(n, h_adj, (x,))
+        if mode == "all_pairs":
+            lo = x + 1
+            pairs += n - lo
+        else:
+            # the pair (x, x) is visited but not counted: both its
+            # distances are 0, so the first test below skips it
+            lo = 0
+            pairs += n - 1
+        for y, dg, dh in zip(range(lo, n), dist_g[lo:], dist_h[lo:]):
+            if dh <= dg:
+                if dh < dg:
+                    raise SpannerError(
+                        f"spanner claims a shorter path than the graph for ({x}, {y}): "
+                        f"{dh} < {dg}; the spanner is not a subgraph"
+                    )
+                continue  # stretch 1 and slack <= 0: no worst value moves
             mult = dh / dg
             if mult > worst_mult:
                 worst_mult = mult
+            if dh <= alpha * dg:
+                continue  # slack <= 0 and dh is within the bound
+            w = w_fixed if w_fixed is not None else btl_g[y]
             slack = (dh - alpha * dg) / w
             if slack > worst_slack:
                 worst_slack = slack
-            if not _within(dh, alpha * dg + bound_const * w):
+            if not dh <= (alpha * dg + bound_const * w) * tol:
                 violation_count += 1
                 if len(violations) < WITNESS_CAP:
                     violations.append((x, y, dg, dh, w))
@@ -389,9 +406,9 @@ def verify_slt(g: WeightedGraph, tree: SpanningTree, root: int, eps: float) -> S
             raise SpannerError(f"tree edge ({u}, {v}, {w}) is not a graph edge")
     alpha = 1.0 + eps
     gamma = 1.0 + 2.0 / eps
-    dist_g, _, _, _, _, _ = scan(g.n, g.adj, (root,))
+    dist_g = distances(g.n, g.adj, (root,))
     tree_adj = adjacency_from_edges(g.n, [(u, v) for u, v, _ in tree.edges], g.weight_of)
-    dist_t, _, _, _, _, _ = scan(g.n, tree_adj, (root,))
+    dist_t = distances(g.n, tree_adj, (root,))
     worst = 1.0
     violations = []
     for v in range(g.n):

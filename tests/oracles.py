@@ -12,6 +12,10 @@ scan wherever a distance is read, so the library's truncated scans can be
 compared against it witness for witness; pivot_ball_keys_reference names
 the pivot balls those checks consult.
 
+stretch_reference is verify_stretch as it was before its scans dropped
+parent, origin and bottleneck heap keys: two full ``scan`` calls per
+source and every pair's slack and bound computed.
+
 net_hierarchy_reference and slt_forest_reference are the plain versions of
 two builder steps that the library does with less work: one greedy net and
 one full scan per level, and Kruskal over every augmented edge.
@@ -20,12 +24,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from lightspanner.graph import INF, WeightedGraph, adjacency_from_edges, scan
 from lightspanner.nets import DeltaNet, NetHierarchy, greedy_delta_net, max_level
 from lightspanner.trees import SltForest, _kruskal, _last_parents
-from lightspanner.verify import REL_TOL, WITNESS_CAP, LemmaResult, LemmaSuiteReport, _within
+from lightspanner.errors import SpannerError
+from lightspanner.verify import (
+    REL_TOL,
+    WITNESS_CAP,
+    LemmaResult,
+    LemmaSuiteReport,
+    StretchReport,
+    _within,
+    additive_stretch_constant,
+)
 
 
 def bellman_ford(g: WeightedGraph, source: int) -> list[float]:
@@ -352,3 +366,57 @@ def pivot_ball_keys_reference(internals) -> set[tuple[int, int]]:
     _half_bunch_reference(internals, g_rows, asked)
     _paths_intersect_reference(internals, g_rows, asked)
     return asked
+
+
+def stretch_reference(g, sp, *, mode="all_pairs", sample_size=64, seed=0) -> StretchReport:
+    """verify_stretch with two full scans per source and every pair's bound."""
+    n = g.n
+    eps = sp.params.eps
+    if sp.params.kind == "hierarchical":
+        alpha = 1.0 + 2.0 * eps
+        bound_const = additive_stretch_constant(eps, sp.params.k)
+        w_fixed = None
+    else:
+        alpha = 1.0 + eps
+        bound_const = 2.0 * (1.0 + eps)
+        w_fixed = max(w for _, _, w in g.edges)
+    if mode == "all_pairs":
+        sources = range(n)
+    else:
+        sources = sorted(random.Random(seed).sample(range(n), min(sample_size, n)))
+    h_adj = sp.adjacency()
+    pairs = 0
+    worst_mult = 1.0
+    worst_slack = 0.0
+    violations = []
+    violation_count = 0
+    for x in sources:
+        dist_g, _, btl_g, _, _, _ = scan(n, g.adj, (x,))
+        dist_h, _, _, _, _, _ = scan(n, h_adj, (x,))
+        targets = range(x + 1, n) if mode == "all_pairs" else range(n)
+        for y in targets:
+            if y == x:
+                continue
+            dg = dist_g[y]
+            dh = dist_h[y]
+            if dh < dg:
+                raise SpannerError(f"spanner is not a subgraph at ({x}, {y})")
+            w = w_fixed if w_fixed is not None else btl_g[y]
+            pairs += 1
+            worst_mult = max(worst_mult, dh / dg)
+            worst_slack = max(worst_slack, (dh - alpha * dg) / w)
+            if not _within(dh, alpha * dg + bound_const * w):
+                violation_count += 1
+                if len(violations) < WITNESS_CAP:
+                    violations.append((x, y, dg, dh, w))
+    return StretchReport(
+        pairs_checked=pairs,
+        worst_mult_stretch=worst_mult,
+        worst_additive_slack=worst_slack,
+        bound_used=bound_const,
+        alpha=alpha,
+        violations=tuple(violations),
+        violation_count=violation_count,
+        mode=mode,
+        kind=sp.params.kind,
+    )

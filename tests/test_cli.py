@@ -6,6 +6,8 @@ import pytest
 
 from lightspanner import cli
 from lightspanner.cli import SWEEP_HEADER, main, run_sweep
+from lightspanner.graphio import read_graph
+from lightspanner.spanner import build_spanner
 
 
 def _read(path):
@@ -459,13 +461,28 @@ def test_build_wmax_rejects_non_finite_eps(workdir, tmp_path, capsys, eps):
 
 
 @pytest.mark.parametrize("k", [65, 100])
-def test_verify_exits_two_when_the_stretch_bound_overflows(workdir, capsys, k):
-    # build accepts k beyond log2(n) with a warning; the stretch constant
-    # 24*(3D)^k of such a spanner is not a finite float
+def test_build_exits_two_when_the_stretch_bound_overflows(workdir, capsys, k):
+    # the stretch constant 24*(3D)^k is not a finite float, so no verify
+    # could certify the spanner: build refuses before it writes anything
     graph_path = _gen(workdir, family="path", n=50)
+    capsys.readouterr()
     build = ["build", "--input", graph_path, "--eps", "0.05", "--k", str(k), "--output-dir", str(workdir)]
+    assert main(build) == 2
+    captured = capsys.readouterr()
+    assert f"eps=0.05, k={k}" in captured.err
+    assert captured.out == ""
+    assert not (workdir / "spanner.json").exists()
+    assert not (workdir / "spanner.edge_list").exists()
+
+
+@pytest.mark.parametrize("k", [65, 100])
+def test_verify_exits_two_when_the_stretch_bound_overflows(workdir, capsys, k):
+    # the library builds with k beyond log2(n), warning only; the stretch
+    # constant 24*(3D)^k of such a spanner is not a finite float
+    graph_path = _gen(workdir, family="path", n=50)
     with pytest.warns(UserWarning, match="exceeds log2"):
-        assert main(build) == 0
+        sp = build_spanner(read_graph(graph_path, "edge_list"), 0.05, k, 0, keep_internals=False)
+    (workdir / "spanner.json").write_text(json.dumps(sp.to_json_dict()))
     capsys.readouterr()
     verify = ["verify", "--input", graph_path, "--spanner", str(workdir / "spanner.json"), "--output-dir", str(workdir)]
     assert main(verify) == 2

@@ -1,14 +1,18 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lightspanner.errors import DisconnectedGraphError
+from lightspanner.generate import generate_graph
 from lightspanner.graph import (
     INF,
     WeightedGraph,
     adjacency_from_edges,
     dijkstra,
+    distances,
+    distances_and_bottlenecks,
     multi_source_dijkstra,
     scan,
     shortest_path,
@@ -221,6 +225,70 @@ def test_truncated_scan_state_is_proportional_to_the_ball():
     assert all(len(container) == 3 for container in result)
     assert all(set(container) == {0, 1, 2} for container in result[:5])
     assert result[5] == [0, 1, 2]
+
+
+def _grid(rows, cols, weight):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1, weight(v, v + 1)))
+            if r + 1 < rows:
+                edges.append((v, v + cols, weight(v, v + cols)))
+    return WeightedGraph(rows * cols, edges)
+
+
+KERNEL_GRAPHS = {
+    "path": lambda: generate_graph("path", 40, seed=1),
+    "star": lambda: generate_graph("star", 40, seed=1),
+    # unit weights tie every lattice path; weights 1 and 2 also tie paths
+    # whose heaviest edges differ, so the bottleneck tie rule decides
+    "unit-grid": lambda: _grid(8, 9, lambda u, v: 1.0),
+    "grid-1-2": lambda: _grid(9, 9, lambda u, v: float(random.Random(u * 100 + v).randint(1, 2))),
+    "gnp": lambda: generate_graph("erdos_renyi", 120, seed=2),
+    "geometric": lambda: generate_graph("geometric_unit_square", 150, seed=3),
+}
+
+
+def _scan_dist_btl(n, adj, sources):
+    dist, _, bottleneck, _, _, _ = scan(n, adj, sources)
+    return dist, bottleneck
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_distance_kernels_match_scan_on_families(name):
+    g = KERNEL_GRAPHS[name]()
+    for s in range(g.n):
+        dist, bottleneck = _scan_dist_btl(g.n, g.adj, (s,))
+        assert distances(g.n, g.adj, (s,)) == dist
+        assert distances_and_bottlenecks(g.n, g.adj, s) == (dist, bottleneck)
+    for step in (2, 7, 31):
+        sources = range(step // 2, g.n, step)
+        assert distances(g.n, g.adj, sources) == _scan_dist_btl(g.n, g.adj, sources)[0]
+
+
+@given(tie_heavy_graphs, st.data())
+def test_distance_kernels_match_scan(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    dist, bottleneck = _scan_dist_btl(g.n, g.adj, (s,))
+    assert distances(g.n, g.adj, (s,)) == dist
+    assert distances_and_bottlenecks(g.n, g.adj, s) == (dist, bottleneck)
+    sources = _draw_sources(g, data, 4)
+    assert distances(g.n, g.adj, sources) == _scan_dist_btl(g.n, g.adj, sources)[0]
+
+
+def test_distance_kernels_leave_unreached_vertices_at_inf():
+    # two components, {0, 1, 2} and {3, 4}, and vertex 5 on its own
+    g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 3.0), (4, 5, 1.0)])
+    adj = adjacency_from_edges(6, [(0, 1), (1, 2), (3, 4)], g.weight_of)
+    for s in range(6):
+        dist, bottleneck = _scan_dist_btl(6, adj, (s,))
+        assert distances(6, adj, (s,)) == dist
+        assert distances_and_bottlenecks(6, adj, s) == (dist, bottleneck)
+    assert distances(6, adj, (0,)) == [0.0, 1.0, 3.0, INF, INF, INF]
+    assert distances_and_bottlenecks(6, adj, 4) == ([INF, INF, INF, 3.0, 0.0, INF], [0.0, 0.0, 0.0, 3.0, 0.0, 0.0])
+    assert distances(6, adj, (2, 3)) == [3.0, 2.0, 0.0, 0.0, 3.0, INF]
 
 
 def test_adjacency_from_edges_allows_disconnected():

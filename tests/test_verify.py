@@ -26,6 +26,8 @@ from lightspanner.verify import (
     verify_stretch,
 )
 
+from . import oracles
+
 
 def _identity_spanner(g, eps=0.05, k=2):
     return Spanner(
@@ -90,6 +92,56 @@ def test_disconnected_candidate_fails_stretch():
     assert report.violation_count > 0
     x, y, dg, dh, w = report.violations[0]
     assert dh == math.inf and dg < math.inf
+
+
+def _without_edges(sp, drop):
+    return dataclasses.replace(sp, phase_tag={e: tag for e, tag in sp.phase_tag.items() if e not in drop})
+
+
+def _heavy_wheel():
+    # hub 0, unit spokes to a rim path 1..39 of unit edges, and one heavy
+    # spoke to 40, so build_wmax_spanner's precondition holds
+    edges = [(0, i, 1.0) for i in range(1, 40)] + [(i, i + 1, 1.0) for i in range(1, 39)] + [(0, 40, 600.0)]
+    return WeightedGraph(41, edges)
+
+
+@pytest.fixture(scope="module")
+def stretch_cases():
+    geo = generate_graph("geometric_unit_square", 150, seed=11)
+    gnp = generate_graph("erdos_renyi", 120, seed=2)
+    path = generate_graph("path", 30, seed=0)
+    wheel = _heavy_wheel()
+    wmax = build_wmax_spanner(wheel, eps=0.5)
+    # spokes and rim edges cut away from vertices 1..6 leave them isolated
+    cut = {e for e in wmax.edges if e[0] in range(1, 7) or (e[0] == 0 and e[1] in range(1, 7))}
+    path_sp = build_spanner(path, eps=0.05, k=1, seed=0)
+    # H drops edge (0, 2): d_H(0, 2) = 1.1055 sits just above alpha * d_G = 1.1
+    triangle = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 0.6055), (0, 2, 1.0)])
+    near_line = Spanner(
+        host=triangle,
+        phase_tag={(0, 1): PHASE_H0, (1, 2): PHASE_H0},
+        params=SpannerParams(eps=0.05, k=1, seed=0, kind="hierarchical"),
+        scale=1.0,
+    )
+    return {
+        "near-line": (triangle, near_line),
+        "geometric": (geo, build_spanner(geo, eps=0.05, k=2, seed=1)),
+        "gnp": (gnp, build_spanner(gnp, eps=0.05, k=2, seed=0)),
+        "disconnected": (path, _without_edges(path_sp, {sorted(path_sp.edges)[10]})),
+        "wmax": (wheel, wmax),
+        "wmax-cut": (wheel, _without_edges(wmax, cut)),
+    }
+
+
+@pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
+@pytest.mark.parametrize("case", ["near-line", "geometric", "gnp", "disconnected", "wmax", "wmax-cut"])
+def test_stretch_report_matches_the_full_scan_reference(stretch_cases, case, mode):
+    g, sp = stretch_cases[case]
+    got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
+    assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
+    if case == "wmax-cut" and mode == "all_pairs":
+        assert got.violation_count > WITNESS_CAP
+        assert len(got.violations) == WITNESS_CAP
 
 
 def test_sampled_mode_is_deterministic(medium_geometric):

@@ -7,9 +7,6 @@ so no caller can observe the write except as a faster second call.
 Every routine here is a pure function: each scan allocates its own state
 and shares no buffers, so shared graphs are safe to query concurrently
 and a caller may keep one scan's result while running the next.
-``WeightedGraph.scaled`` builds its result without revalidating, since
-scaling keeps ids, uniqueness, connectivity and edge order; only the new
-weights are checked.
 
 Determinism contract: shortest-path ties are resolved lexicographically.
 Each vertex is labelled with a key (distance, origin, bottleneck) where
@@ -27,9 +24,10 @@ is the one walker over a scan's parent forest: the net hierarchy's H_0
 paths and phase 2's connection paths both go through it.
 
 Full scans that read only distances, or distances and bottlenecks from one
-source, can go through ``distances`` and ``distances_and_bottlenecks``. They
-key the heap on (distance, vertex) and keep no parent, origin or order, and
-they return the very dist (and bottleneck) tables a full ``scan`` returns.
+source, go through ``distances`` and ``distances_and_bottlenecks``. They key
+the heap on (distance, vertex), keep no parent, origin or order, and return
+the very dist (and bottleneck) tables a full ``scan`` returns. Graphs and
+the verifier's subgraphs get their rows from ``adjacency_from_edges``.
 """
 from __future__ import annotations
 
@@ -118,19 +116,14 @@ class WeightedGraph:
         self._assemble(n, tuple(canon), tuple(labels) if labels is not None else None)
 
     def _assemble(self, n: int, edges: tuple[Edge, ...], labels: tuple[int, ...] | None) -> None:
-        """Fill every slot from edges already checked and sorted by (u, v).
+        """Fill every slot from edges already checked and sorted by (u, v), so
+        every adjacency row ascends (see ``adjacency_from_edges``).
 
-        adj and the pair dict hold the very float objects of ``edges``. No
-        row needs sorting: edges (x, v) come in ascending v, and every edge
-        (u, x) with u < x comes before them, in ascending u.
+        adj and the pair dict hold the very float objects of ``edges``.
         """
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
         self.n = n
         self.edges = edges
-        self.adj = adj
+        self.adj = adjacency_from_edges(n, edges)
         self.labels = labels
         self._pair_weight = {(u, v): w for u, v, w in edges}
         self._mst = None
@@ -183,19 +176,19 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
 
-def adjacency_from_edges(n: int, edges: Iterable[tuple[int, int]], weight_of) -> list[list[tuple[int, float]]]:
-    """Adjacency lists for an edge subset; used to search inside subgraphs.
+def adjacency_from_edges(n: int, edges: Iterable[Edge]) -> list[list[tuple[int, float]]]:
+    """Adjacency rows for (u, v, w) edges, each row in the order the edges come.
 
-    Unlike the WeightedGraph constructor this does not require connectivity,
-    so verification code can probe deliberately broken spanners.
+    It checks nothing and does not require connectivity, so verification
+    code can probe deliberately broken spanners. Edges sorted by (u, v)
+    give ascending rows: the edges (x, v) come in ascending v, after every
+    edge (u, x) with u < x, in ascending u. Scans return the same tables
+    for any row order.
     """
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v in edges:
-        w = weight_of(u, v)
+    for u, v, w in edges:
         adj[u].append((v, w))
         adj[v].append((u, w))
-    for row in adj:
-        row.sort()
     return adj
 
 
@@ -311,15 +304,19 @@ def _scan_truncated(adj, srcs, radius):
     return dist, parent, bottleneck, origin, settled, order
 
 
-def distances(n, adj, sources):
+def distances(n, adj, sources, dist=None):
     """Distances from the nearest of ``sources``: ``scan``'s dist table, INF
     where a vertex is not reached.
 
+    Given ``dist``, the distances from some earlier sources, the scan lowers
+    it in place to the distances from both source sets and returns it.
+
     A vertex is pushed only when its distance strictly falls, so every
-    vertex has exactly one heap entry at its final distance and a pop above
-    the vertex's distance is stale.
+    vertex the scan lowers has exactly one heap entry at its final distance
+    and a pop above the vertex's distance is stale.
     """
-    dist = [INF] * n
+    if dist is None:
+        dist = [INF] * n
     heap = []  # built from sorted sources, so already in heap order
     for s in sorted(set(sources)):
         dist[s] = 0.0

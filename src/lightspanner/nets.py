@@ -29,13 +29,12 @@ threads; building is single-threaded and deterministic.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import INF, WeightedGraph, distances, scan, tag_forest_path
+from .graph import WeightedGraph, distances, scan, tag_forest_path
 from .trees import mst
 
 EPS_SAFE_LIMIT = 0.1
@@ -65,23 +64,6 @@ class DeltaNet:
         return i < len(self.members) and self.members[i] == v
 
 
-def _incremental_add(adj, dist, center) -> None:
-    """Fold a new net member into the distance-to-net array."""
-    if dist[center] <= 0.0:
-        return
-    dist[center] = 0.0
-    heap = [(0.0, center)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-
-
 def greedy_delta_net(g: WeightedGraph, delta: float, seed_set: Iterable[int] = ()) -> DeltaNet:
     """Greedy net: scan ids ascending, add any vertex further than delta from the net.
 
@@ -105,10 +87,7 @@ def greedy_delta_net(g: WeightedGraph, delta: float, seed_set: Iterable[int] = (
                         f"d({s}, {other}) = {d[other]}"
                     )
 
-    if seeds:
-        dist = distances(g.n, g.adj, seeds)
-    else:
-        dist = [INF] * g.n
+    dist = distances(g.n, g.adj, seeds)
     members = sorted(seeds + _greedy_extension(g.adj, dist, delta))
     return DeltaNet(float(delta), tuple(members))
 
@@ -122,7 +101,7 @@ def _greedy_extension(adj, dist, delta: float) -> list[int]:
     for v in range(len(dist)):
         if dist[v] > delta:
             added.append(v)
-            _incremental_add(adj, dist, v)
+            distances(len(dist), adj, (v,), dist)
     return added
 
 

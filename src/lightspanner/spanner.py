@@ -226,9 +226,8 @@ class Spanner:
         return sum(wt(u, v) for u, v in self.edges)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        # rows come back sorted, so phase_tag's insertion order (sorted for a
-        # loaded spanner) only sets where the row entries sit in memory
-        return adjacency_from_edges(self.host.n, self.phase_tag, self.host.weight_of)
+        wt = self.host.weight_of
+        return adjacency_from_edges(self.host.n, [(u, v, wt(u, v)) for u, v in sorted(self.phase_tag)])
 
     def per_phase(self) -> dict[str, tuple[int, float]]:
         out = {tag: [0, 0.0] for tag in PHASES}

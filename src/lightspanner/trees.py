@@ -145,7 +145,7 @@ def slt(g: WeightedGraph, root: int, eps: float) -> SpanningTree:
     if not (eps > 0):
         raise ValueError(f"slt needs eps > 0, got {eps}")
     dist, parent_spt, _, _, _, _ = scan(g.n, g.adj, (root,))
-    tree_adj = adjacency_from_edges(g.n, [(u, v) for u, v, _ in mst(g).edges], g.weight_of)
+    tree_adj = adjacency_from_edges(g.n, mst(g).edges)
     parents = _last_parents(g.n, tree_adj, root, 1.0 + eps, dist, parent_spt, g.weight_of)
     edges = []
     for v in range(g.n):
@@ -209,7 +209,7 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
     def aug_weight(a: int, b: int) -> float:
         return 0.0 if virtual in (a, b) else g.weight_of(a, b)
 
-    tree_adj = adjacency_from_edges(n_aug, [(u, v) for u, v, _ in tree_edges], aug_weight)
+    tree_adj = adjacency_from_edges(n_aug, tree_edges)
     parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
 
     edges = []

@@ -407,7 +407,7 @@ def verify_slt(g: WeightedGraph, tree: SpanningTree, root: int, eps: float) -> S
     alpha = 1.0 + eps
     gamma = 1.0 + 2.0 / eps
     dist_g = distances(g.n, g.adj, (root,))
-    tree_adj = adjacency_from_edges(g.n, [(u, v) for u, v, _ in tree.edges], g.weight_of)
+    tree_adj = adjacency_from_edges(g.n, tree.edges)
     dist_t = distances(g.n, tree_adj, (root,))
     worst = 1.0
     violations = []
@@ -505,6 +505,13 @@ class _PivotBalls:
         return cached
 
 
+def _subgraph_adjacency(g: WeightedGraph, pairs) -> list[list[tuple[int, float]]]:
+    """Adjacency rows of the subgraph of g on the edges ``pairs``, which
+    need not connect g."""
+    wt = g.weight_of
+    return adjacency_from_edges(g.n, [(u, v, wt(u, v)) for u, v in sorted(pairs)])
+
+
 def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildInternals) -> LemmaResult:
     """d_{H0}(v, rep(v, i)) <= (1 + 2*eps) * 2**i for every vertex and level,
     measured inside H0 intersected with H, so a spanner missing H0 edges fails.
@@ -523,7 +530,7 @@ def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildIntern
     """
     h = internals.hierarchy
     n = gn.n
-    h0_adj = adjacency_from_edges(n, sorted(h.h0_edges & sp.edges), gn.weight_of)
+    h0_adj = _subgraph_adjacency(gn, h.h0_edges & sp.edges)
     factor = 1.0 + 2.0 * h.eps
     suspects = []
     for i in range(h.i_max + 1):
@@ -540,7 +547,7 @@ def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildIntern
         if len(witnesses) == WITNESS_CAP:
             break
         if row_of != v:
-            row, _, _, _, _, _ = scan(n, h0_adj, (v,))
+            row = distances(n, h0_adj, (v,))
             row_of = v
         x = h.rep(v, i)
         if not _within(row[x], factor * 2.0**i):
@@ -562,7 +569,7 @@ def _check_distance_in_bunch(
     sampling = internals.sampling
     eps = internals.hierarchy.eps
     n = gn.n
-    h_adj = adjacency_from_edges(n, sorted(sp.edges), gn.weight_of)
+    h_adj = _subgraph_adjacency(gn, sp.edges)
     delta = 0.5 * (1.0 - eps)
     checked = 0
     witnesses = []
@@ -570,7 +577,7 @@ def _check_distance_in_bunch(
         i = sampling.level_of[u]
         if i == sampling.k:
             members = [v for v in sampling.members(sampling.k) if v != u]
-            dist_g, _, _, _, _, _ = scan(n, gn.adj, (u,))
+            dist_g = distances(n, gn.adj, (u,))
         else:
             radius = delta * sampling.pivot_dist[i + 1][u]
             dist_g, _, _, _, _, order = scan(n, gn.adj, (u,), radius=radius)
@@ -620,7 +627,7 @@ def _check_half_bunch_containment(internals: BuildInternals, balls: _PivotBalls)
             if u in ball or len(witnesses) == WITNESS_CAP:
                 continue
             if row is None:
-                row, _, _, _, _, _ = scan(gn.n, gn.adj, (star,))
+                row = distances(gn.n, gn.adj, (star,))
             witnesses.append((level, scale, target, star, u, row[u], pd))
     return LemmaResult("half_bunch_containment", checked, tuple(witnesses))
 

@@ -235,7 +235,7 @@ class _FullRows:
 def _representative_reference(gn, sp, internals) -> LemmaResult:
     h = internals.hierarchy
     n = gn.n
-    h0_adj = adjacency_from_edges(n, sorted(h.h0_edges & sp.edges), gn.weight_of)
+    h0_adj = adjacency_from_edges(n, [(u, v, gn.weight_of(u, v)) for u, v in sorted(h.h0_edges & sp.edges)])
     factor = 1.0 + 2.0 * h.eps
     checked = 0
     witnesses = []
@@ -253,7 +253,7 @@ def _distance_in_bunch_reference(gn, sp, internals, g_rows) -> LemmaResult:
     sampling = internals.sampling
     eps = internals.hierarchy.eps
     n = gn.n
-    h_adj = adjacency_from_edges(n, sorted(sp.edges), gn.weight_of)
+    h_adj = adjacency_from_edges(n, [(u, v, gn.weight_of(u, v)) for u, v in sorted(sp.edges)])
     delta = 0.5 * (1.0 - eps)
     checked = 0
     witnesses = []

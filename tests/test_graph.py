@@ -220,7 +220,7 @@ def test_truncated_scan_is_the_ball_of_the_full_scan(g, data):
 
 def test_truncated_scan_state_is_proportional_to_the_ball():
     n = 100_000
-    adj = adjacency_from_edges(n, [(v, v + 1) for v in range(n - 1)], lambda u, v: 1.0)
+    adj = adjacency_from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)])
     result = scan(n, adj, (0,), radius=2.0)
     assert all(len(container) == 3 for container in result)
     assert all(set(container) == {0, 1, 2} for container in result[:5])
@@ -280,8 +280,7 @@ def test_distance_kernels_match_scan(g, data):
 
 def test_distance_kernels_leave_unreached_vertices_at_inf():
     # two components, {0, 1, 2} and {3, 4}, and vertex 5 on its own
-    g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 3.0), (4, 5, 1.0)])
-    adj = adjacency_from_edges(6, [(0, 1), (1, 2), (3, 4)], g.weight_of)
+    adj = adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
     for s in range(6):
         dist, bottleneck = _scan_dist_btl(6, adj, (s,))
         assert distances(6, adj, (s,)) == dist
@@ -292,8 +291,7 @@ def test_distance_kernels_leave_unreached_vertices_at_inf():
 
 
 def test_adjacency_from_edges_allows_disconnected():
-    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    adj = adjacency_from_edges(3, [(0, 1)], g.weight_of)
+    adj = adjacency_from_edges(3, [(0, 1, 1.0)])
     dist, parent, _, origin, _, _ = scan(3, adj, (0,))
     assert dist[1] == 1.0 and dist[2] == INF
     assert origin[:2] == [0, 0] and origin[2] == parent[2] == -1
@@ -373,3 +371,39 @@ def test_tag_forest_path_from_a_covered_vertex_adds_nothing():
     tags = {}
     tag_forest_path(parent, 2, covered, tags, "a")
     assert (covered, tags, parent.reads) == ({0, 2}, {}, 0)
+
+
+def _sorted_rows(g):
+    rows = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    return [sorted(row) for row in rows]
+
+
+@pytest.mark.parametrize("family", ["path", "star", "grid", "erdos_renyi", "geometric_unit_square"])
+def test_adjacency_from_sorted_edges_has_ascending_rows(family):
+    g = generate_graph(family, 64, seed=1)
+    assert adjacency_from_edges(g.n, g.edges) == g.adj == _sorted_rows(g)
+
+
+@given(tie_heavy_graphs)
+def test_adjacency_from_edges_keeps_the_order_given(g):
+    assert adjacency_from_edges(g.n, g.edges) == g.adj == _sorted_rows(g)
+    backwards = adjacency_from_edges(g.n, reversed(g.edges))
+    assert backwards == [row[::-1] for row in g.adj]
+
+
+@given(tie_heavy_graphs, st.data())
+def test_distances_lowers_a_given_table_to_both_source_sets(g, data):
+    a = _draw_sources(g, data, 3)
+    b = _draw_sources(g, data, 3)
+    dist = distances(g.n, g.adj, a)
+    assert distances(g.n, g.adj, b, dist) is dist
+    assert dist == distances(g.n, g.adj, set(a) | set(b))
+
+
+@pytest.mark.parametrize("a, b", [((0,), (3,)), ((2,), (0,)), ((5,), (1, 4)), ((), (3,)), ((3, 4), (1,))])
+def test_distances_lowers_a_given_table_on_a_disconnected_subgraph(a, b):
+    adj = adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
+    assert distances(6, adj, b, distances(6, adj, a)) == distances(6, adj, set(a) | set(b))

@@ -12,7 +12,7 @@ import pytest
 
 from lightspanner import verify
 from lightspanner.generate import generate_graph
-from lightspanner.graph import adjacency_from_edges, scan
+from lightspanner.graph import adjacency_from_edges, distances, scan
 from lightspanner.spanner import build_spanner
 from lightspanner.verify import WITNESS_CAP, verify_lemma_suite
 
@@ -58,22 +58,30 @@ def test_suite_matches_reference(built):
 
 
 def test_passing_suite_runs_full_scans_only_from_top_level_centers(built, monkeypatch):
+    full_rows = []
     full_scans = []
 
-    def counting_scan(n, adj, sources, radius=None):
+    def recording_distances(n, adj, sources, dist=None):
+        full_rows.append(tuple(sources))
+        return distances(n, adj, sources, dist)
+
+    def recording_scan(n, adj, sources, radius=None):
         if radius is None:
             full_scans.append(tuple(sources))
         return scan(n, adj, sources, radius)
 
-    monkeypatch.setattr(verify, "scan", counting_scan)
+    monkeypatch.setattr(verify, "distances", recording_distances)
+    monkeypatch.setattr(verify, "scan", recording_scan)
     assert verify_lemma_suite(built.host, built).passed
     top = built.internals.sampling.levels[built.internals.sampling.k]
-    assert sorted(full_scans) == sorted((u,) for u in top)
+    assert sorted(full_rows) == sorted((u,) for u in top)
+    assert full_scans == []
 
 
 def _far_vertex_in_h0(internals, v):
     gn = internals.normalized
-    h0_adj = adjacency_from_edges(gn.n, sorted(internals.hierarchy.h0_edges), gn.weight_of)
+    wt = gn.weight_of
+    h0_adj = adjacency_from_edges(gn.n, [(u, v, wt(u, v)) for u, v in sorted(internals.hierarchy.h0_edges)])
     dist = scan(gn.n, h0_adj, (v,))[0]
     return max(range(gn.n), key=lambda x: (dist[x], -x))
 

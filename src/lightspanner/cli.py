@@ -136,7 +136,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_build_wmax(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    sp = build_wmax_spanner(g, args.eps, keep_internals=False)
+    sp = build_wmax_spanner(g, args.eps)
     _write_spanner_artifacts(sp, args.output_dir)
     _print_spanner_summary(sp)
     return 0

@@ -20,7 +20,8 @@ NetHierarchy.rep climbs the nearest-member tables on demand.
 The build walks the levels top-down and scans each distinct net once: the
 multi-source scan of level i+1 gives its nearest-member table and parent
 forest, and a copy of its distances seeds the greedy extension that makes
-level i. A level that adds no member is the same net as the level above
+level i, which folds each new member into the copy with graph.distances.
+A level that adds no member is the same net as the level above
 and shares that level's scan and rows; the top levels of a normalized
 graph often repeat the single top vertex.
 

@@ -210,7 +210,7 @@ class Spanner:
     phase_tag: dict[tuple[int, int], str]
     params: SpannerParams
     scale: float
-    internals: "BuildInternals | WmaxInternals | None" = None
+    internals: BuildInternals | None = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -262,7 +262,11 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return (type(x) is int or type(x) is float) and math.isfinite(x)
+    """A finite JSON number; an int too large for a float is not one."""
+    try:
+        return (type(x) is int or type(x) is float) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
@@ -445,13 +449,7 @@ def build_spanner(
     )
 
 
-@dataclass(frozen=True)
-class WmaxInternals:
-    net_members: tuple[int, ...]
-    net_delta: float
-
-
-def build_wmax_spanner(g: WeightedGraph, eps: float, *, keep_internals: bool = True) -> Spanner:
+def build_wmax_spanner(g: WeightedGraph, eps: float) -> Spanner:
     """Heavy-edge variant: one sqrt(n)-net, one shallow-light tree per member.
 
     Requires the normalized maximum edge weight to be at least sqrt(n);
@@ -475,13 +473,9 @@ def build_wmax_spanner(g: WeightedGraph, eps: float, *, keep_internals: bool = T
         for u, v, _ in tree.edges:
             tags.setdefault((u, v), PHASE_SLT)
     _assert_spans(g.n, tags.keys())
-    internals = None
-    if keep_internals:
-        internals = WmaxInternals(net.members, net.delta)
     return Spanner(
         host=g,
         phase_tag=tags,
         params=SpannerParams(eps=eps, k=None, seed=None, kind="wmax"),
         scale=scale,
-        internals=internals,
     )

@@ -31,9 +31,10 @@ its float sum appears verbatim among the graph's candidate sums). Reports are
 plain frozen dataclasses with a to_json_dict() for serialization and are
 deterministic given (graph, spanner, mode, seed).
 
-The stretch check and verify_slt read only distances (and, for stretch, the
-graph's bottlenecks) from their full scans, so they run graph's
-distance-only kernels; the other checks use ``scan``.
+The stretch check, verify_slt and the lemma suite's full rows read only
+distances (and, for stretch, the graph's bottlenecks), so they run graph's
+distance-only kernels; ``scan`` serves the truncated balls and the
+multi-source scan of verify_net, which reads origins.
 """
 from __future__ import annotations
 

@@ -161,10 +161,21 @@ def _duplicate_first_edge(payload):
     payload["edges"].append([v, u, w, tag])
 
 
+# valid JSON, but too large for a float
+HUGE_INT = 10**400
+
+
+def _huge_first_weight(payload):
+    payload["edges"][0][2] = HUGE_INT
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         pytest.param(_drop("eps"), "missing eps", id="eps-missing"),
+        pytest.param(_put("eps", HUGE_INT), "eps must be a positive number", id="eps-huge-int"),
+        pytest.param(_put("scale", HUGE_INT), "scale", id="scale-huge-int"),
+        pytest.param(_huge_first_weight, "finite weight", id="edge-weight-huge-int"),
         pytest.param(_put("k", None), "integer k", id="k-null"),
         pytest.param(_put("eps", "0.05"), "eps must be a positive number", id="eps-string"),
         pytest.param(_put("eps", 0.0), "eps must be a positive number", id="eps-zero"),

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from lightspanner.errors import SamplingError
 from lightspanner.generate import generate_graph
+from lightspanner import spanner
 from lightspanner.graph import WeightedGraph, dijkstra
+from lightspanner.nets import greedy_delta_net
 from lightspanner.spanner import (
     PHASE_H0,
     PHASE_SLT,
@@ -348,11 +350,20 @@ def test_wmax_build_on_heavy_star():
     assert sp.edges == {(u, v) for u, v, _ in g.edges}  # host is a tree
 
 
-def test_wmax_net_size_bound():
+def test_wmax_net_size_bound(monkeypatch):
     g = _heavy_star(25)
+    nets = []
+
+    def recording_net(gn, delta, seed_set=()):
+        nets.append(greedy_delta_net(gn, delta, seed_set))
+        return nets[-1]
+
+    monkeypatch.setattr(spanner, "greedy_delta_net", recording_net)
     sp = build_wmax_spanner(g, eps=0.5)
-    assert len(sp.internals.net_members) <= 2 * math.sqrt(g.n)
-    assert sp.internals.net_delta == pytest.approx(math.sqrt(g.n))
+    (net,) = nets
+    assert len(net.members) <= 2 * math.sqrt(g.n)
+    assert net.delta == pytest.approx(math.sqrt(g.n))
+    assert sp.internals is None
 
 
 def test_wmax_rejects_light_instances():

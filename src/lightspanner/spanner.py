@@ -30,7 +30,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, KeysView
 
 from .errors import SamplingError, SpannerError
 from .graph import WeightedGraph, adjacency_from_edges, distances, edges_connect, scan, tag_forest_path, walk_parents
@@ -213,29 +213,29 @@ class Spanner:
     internals: BuildInternals | None = None
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        # the keys view, not the dict, fixes the set order weight() sums in
-        return frozenset(self.phase_tag.keys())
+    def edges(self) -> KeysView[tuple[int, int]]:
+        return self.phase_tag.keys()
 
     @property
     def size(self) -> int:
         return len(self.phase_tag)
 
     def weight(self) -> float:
+        # fsum is exact, so the total depends on the edge set alone, not on
+        # the order of the table, and equals verify_lightness's
         wt = self.host.weight_of
-        return sum(wt(u, v) for u, v in self.edges)
+        return math.fsum(wt(u, v) for u, v in self.phase_tag)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         wt = self.host.weight_of
         return adjacency_from_edges(self.host.n, [(u, v, wt(u, v)) for u, v in sorted(self.phase_tag)])
 
     def per_phase(self) -> dict[str, tuple[int, float]]:
-        out = {tag: [0, 0.0] for tag in PHASES}
+        weights: dict[str, list[float]] = {tag: [] for tag in PHASES}
         wt = self.host.weight_of
         for (u, v), tag in self.phase_tag.items():
-            out[tag][0] += 1
-            out[tag][1] += wt(u, v)
-        return {tag: (c, w) for tag, (c, w) in out.items()}
+            weights[tag].append(wt(u, v))
+        return {tag: (len(ws), math.fsum(ws)) for tag, ws in weights.items()}
 
     def to_json_dict(self) -> dict:
         wt = self.host.weight_of

@@ -33,21 +33,21 @@ ARTIFACTS = (
 GOLDEN = {
     "geometric_unit_square-300": {
         "graph.edge_list": "cf3cdfd49c99bceb488c447790cf3ae079bc5398ae1b2215d364d5081c3f0b1e",
-        "spanner.json": "f2490199858e101cd2699e71a0b4aeeddbace615728729681be83b384425f375",
+        "spanner.json": "a62f875166e06e4d6afdbb0d4d5aa0532e335bf175cd4b560e6217a24ebebd05",
         "spanner.edge_list": "1ca5296e3685820c5d053f6e4c2a854d24bb4f1777ce1ec4ca475513ff70b973",
         "stretch_report.json": "b2a89557150add2d53eef2dc65bc63b347a29696f148f68bba11a325c3e1b36a",
         "lightness_report.json": "7023014963b68a5fb2c38385352fcc2f319d01b37bd154ca06192c4da747fd5d",
     },
     "erdos_renyi-200": {
         "graph.edge_list": "7dd0827048f86b0d99405816552883eb298c138014d0a5b0048e51eeb0873ae8",
-        "spanner.json": "6b43184bdb5cb7a65403abf7c7db576f7138b25bfbd055237f58714508deffaf",
+        "spanner.json": "e1ba516f7f149605f7b97c85fd60ccc8ade0556e7afa5889f708d79d82ea4ae6",
         "spanner.edge_list": "cad969dbed8752368a3418550bf949284a7a9a5b0da4640d33c8f6553f0a0127",
         "stretch_report.json": "75bcb80ca133b4ff51e9052ecce2236cbb80246e9f23dd8a62444bf9742d291f",
         "lightness_report.json": "23580105989172ffca2520ee838375a375d67b24156d56b0d5d9a86a17993c8a",
     },
     "grid-256": {
         "graph.edge_list": "5888a7d1b820cc35c1c333c7d2d126d5d0fa3cca097fde25a7d87a59a68fae4c",
-        "spanner.json": "3897909b94af975f35d63dc3e6799bf431a2514e788ac208d24c1778e43063d7",
+        "spanner.json": "f86279fa6b4669469c08f0d2f9120bd775800abe6352f1fbfb5901313b479a77",
         "spanner.edge_list": "ba3d8a3563f0537709eec8ec77db027ed4b065db4c6d56f7fe6192e9972b3cfd",
         "stretch_report.json": "df8a6018bf60189748e08f0d837e3d3e2fe7e31dd30b5e6eeb3b4e576b24ba20",
         "lightness_report.json": "51be86a17aeab83d8231f9ba3bb69bdcf52f21ed7fa038894aa75f97ee87d9c3",
@@ -114,31 +114,31 @@ INTERNAL_GOLDEN = {
         17,
         "263e374b4a57001fd8b78523ac9273487a203b4cee7660cb68ffb1e8ab135ce1",
         "ee65919d007f01512257b58239ee17364f3ea8c29a625b30674ba119734780fb",
-        "86c8d6fe6d033c8c60aa9339a64953fe101a7df8ce52f65d71c7fdc7336632e9",
+        "1b6c59447e7470f7e66da00952b97e129f46e35f16b471aaafcab140a70eef6a",
     ),
     ("path", 200, 0.5, True, 0): (
         57,
         "47760eccd8fd7f04e45359e953ded5f60535d3ffb0a5e24b3bff571942a361e6",
         "7bacd13826cb1186679aeb3f9c7d469c2527e3629683048d067b6c4c720be27a",
-        "4da769d6fe580de06fc7a9cc86237b26e2694a39f6a306a8c0c0a7d45576f5b4",
+        "fa90e41a48eac683db16f7b8e37167b1fd71b6bd6ce3d2b4913b5f06cd884e09",
     ),
     ("geometric_unit_square", 300, 0.05, False, 0): (
         0,
         "5073464d8a10da2829fd1179ebb2ce12bda85a08990bd260bf88d7494c3e2ebb",
         "88c52bd4539de3176ca92cf5dfa92509901319be42921151c62e28bc61572d79",
-        "2c456673b16535c69947c9c22d8cfdb12b5870e18e3a2cd75c0aeef1584b0d68",
+        "0ee86943c99f5986d953433f37e47a5bd89bfbabb5e5b6cb639264cb6b281741",
     ),
     ("path", 200, 0.5, True, 5): (
         6,
         "372621d7fbb326707c0c5e97bdde1341394305f7897748232ff9b52484f62413",
         "bec2d5f44a87836171bbf1f71722200056f585a109fac4bb672261871e6768a2",
-        "15918786253cd2f2ddbe56c9d2f33152e72ae072b56479c973fb49e6a40167c5",
+        "794e9518df5db29016e19dfd48f405b101ff1108bde279e5cdc67a80eba0d25a",
     ),
     ("geometric_unit_square", 300, 0.05, False, 3): (
         0,
         "5dff4db1bc5d145aca16e2aa938b3bcaa96a39a71ff4c3696a8d9d4ab5375f1c",
         "5f81f9ce1fb2cd51c9095148420929ab73e5220b13dca72409d6ae51297db7ea",
-        "f35d05815194e29d8ec06653c7379ed9327a01bf5c668409685808b14f436c43",
+        "9e7613b8744e4aeced7562bc1d243e6dfb56b4b05c2d3584128d33f5d4dac15d",
     ),
 }
 
@@ -171,10 +171,9 @@ def test_phase2_records_and_lemma_suite_match_golden(family, n, eps, unsafe_eps,
 # sha256 of list(sp.phase_tag.items()) as [u, v, tag] rows, in insertion
 # order, for every INTERNAL_GOLDEN build and for the graphs of the
 # hierarchical CLI cases (generated with seed 0, built with k=2, seed 0).
-# That order sets the order Spanner.weight() sums in and the order
-# adjacency() fills its rows in; no artifact above shows it, since
-# spanner.json lists its edges sorted. On the path graphs H0 claims every
-# edge, so their tables agree.
+# No artifact above shows that order: spanner.json lists its edges sorted,
+# and its weights are exact sums (math.fsum), the same in any order. On the
+# path graphs H0 claims every edge, so their tables agree.
 PHASE_TAG_GOLDEN = {
     ("path", 200, 0.09, False, 0): "f2e31baf3a484c17e40b74c73efaf9d0e0728f521251314dfe73c3bf7ff91223",
     ("path", 200, 0.5, True, 0): "f2e31baf3a484c17e40b74c73efaf9d0e0728f521251314dfe73c3bf7ff91223",

@@ -13,6 +13,7 @@ from lightspanner.spanner import (
     SpannerParams,
     build_spanner,
     build_wmax_spanner,
+    spanner_from_json_dict,
 )
 from lightspanner.trees import SpanningTree, mst, slt
 from lightspanner.verify import (
@@ -232,6 +233,22 @@ def test_tree_spanner_lightness_is_one():
     g = generate_graph("path", 25, seed=2, weight_range=(1.0, 4.0))
     report = verify_lightness(g, _identity_spanner(g))
     assert report.lightness == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "family, n, seed", [("geometric_unit_square", 300, 0), ("erdos_renyi", 200, 1), ("grid", 256, 2), ("path", 120, 3)]
+)
+def test_spanner_json_weights_equal_the_lightness_report(family, n, seed):
+    g = generate_graph(family, n, seed=seed)
+    sp = build_spanner(g, eps=0.05, k=2, seed=seed, keep_internals=False)
+    payload = sp.to_json_dict()
+    loaded = spanner_from_json_dict(payload, g)
+    for spanner in (sp, loaded):
+        report = verify_lightness(g, spanner)
+        assert payload["weight"] == spanner.weight() == report.spanner_weight
+        for tag, entry in payload["per_phase"].items():
+            want = report.per_phase.get(tag, (0, 0.0))
+            assert (entry["count"], entry["weight"]) == spanner.per_phase()[tag] == want
 
 
 def test_per_phase_buckets_sum_to_totals(medium_geometric):

@@ -228,7 +228,7 @@ class Spanner:
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         wt = self.host.weight_of
-        return adjacency_from_edges(self.host.n, [(u, v, wt(u, v)) for u, v in sorted(self.phase_tag)])
+        return adjacency_from_edges(self.host.n, ((u, v, wt(u, v)) for u, v in sorted(self.phase_tag)))
 
     def per_phase(self) -> dict[str, tuple[int, float]]:
         weights: dict[str, list[float]] = {tag: [] for tag in PHASES}

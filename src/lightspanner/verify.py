@@ -510,7 +510,7 @@ def _subgraph_adjacency(g: WeightedGraph, pairs) -> list[list[tuple[int, float]]
     """Adjacency rows of the subgraph of g on the edges ``pairs``, which
     need not connect g."""
     wt = g.weight_of
-    return adjacency_from_edges(g.n, [(u, v, wt(u, v)) for u, v in sorted(pairs)])
+    return adjacency_from_edges(g.n, ((u, v, wt(u, v)) for u, v in sorted(pairs)))
 
 
 def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildInternals) -> LemmaResult:

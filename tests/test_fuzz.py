@@ -44,19 +44,11 @@ json_values = st.recursive(
 
 
 @settings(max_examples=200)
-@given(graph_text)
-def test_edge_list_reader_raises_only_expected_errors(text):
+@pytest.mark.parametrize("reader", [read_edge_list, read_dimacs], ids=["edge_list", "dimacs"])
+@given(text=graph_text)
+def test_graph_readers_raise_only_expected_errors(reader, text):
     try:
-        read_edge_list(io.StringIO(text))
-    except EXPECTED:
-        pass
-
-
-@settings(max_examples=200)
-@given(graph_text)
-def test_dimacs_reader_raises_only_expected_errors(text):
-    try:
-        read_dimacs(io.StringIO(text))
+        reader(io.StringIO(text))
     except EXPECTED:
         pass
 

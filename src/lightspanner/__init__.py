@@ -8,14 +8,7 @@ from .errors import (
     SpannerError,
 )
 from .generate import FAMILIES, generate_graph
-from .graph import (
-    DistanceTable,
-    Path,
-    WeightedGraph,
-    dijkstra,
-    multi_source_dijkstra,
-    shortest_path,
-)
+from .graph import WeightedGraph
 from .graphio import FORMATS, read_graph, write_graph
 from .nets import DeltaNet, NetHierarchy, build_net_hierarchy, greedy_delta_net, max_level
 from .spanner import (
@@ -52,7 +45,6 @@ __all__ = [
     "Bunch",
     "DeltaNet",
     "DisconnectedGraphError",
-    "DistanceTable",
     "FAMILIES",
     "FORMATS",
     "GenerationError",
@@ -62,7 +54,6 @@ __all__ = [
     "LightnessReport",
     "NetHierarchy",
     "NetReport",
-    "Path",
     "SamplingError",
     "SltForest",
     "SltReport",
@@ -77,17 +68,14 @@ __all__ = [
     "build_wmax_spanner",
     "bunch_of",
     "delta_parameter",
-    "dijkstra",
     "generate_graph",
     "greedy_delta_net",
     "max_level",
     "mst",
-    "multi_source_dijkstra",
     "normalize",
     "read_graph",
     "sample_levels",
     "scale_index",
-    "shortest_path",
     "slt",
     "slt_forest",
     "spanner_from_json_dict",

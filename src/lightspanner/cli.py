@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SpannerError
 from .generate import FAMILIES, generate_graph
@@ -50,17 +50,18 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a uniquely named temp file in the same
-    directory, so concurrent writers never share a temp file and readers see
-    either the old or the new content."""
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` through a uniquely named
+    temp file in the same directory, so concurrent writers never share a temp
+    file and readers see either the old or the new content, also when the
+    chunks fail part way through."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -68,7 +69,25 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _dump_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
+
+
+def _spanner_json_chunks(head: dict, rows: Sequence[tuple[int, int, float, str]]) -> Iterator[str]:
+    """The text ``_dump_json`` writes for ``Spanner.to_json_dict``, one chunk per edge.
+
+    With an indent, json encodes in pure Python, so only the head goes
+    through json; each row is written as json writes it: ints and floats by
+    repr, the tag (a plain ASCII name) in quotes. "edges" sorts first.
+    """
+    tail = json.dumps(head, indent=2, sort_keys=True)[2:]  # without the opening "{\n"
+    if not rows:
+        yield '{\n  "edges": [],\n' + tail + "\n"
+        return
+    sep = '{\n  "edges": [\n'
+    for u, v, w, tag in rows:
+        yield f'{sep}    [\n      {u},\n      {v},\n      {w!r},\n      "{tag}"\n    ]'
+        sep = ",\n"
+    yield "\n  ],\n" + tail + "\n"
 
 
 def _load_graph(args: argparse.Namespace) -> WeightedGraph:
@@ -87,18 +106,22 @@ def _load_spanner_payload(path: str) -> dict:
     return raw
 
 
-def _write_spanner_artifacts(sp: Spanner, out_dir: str) -> None:
-    _dump_json(os.path.join(out_dir, "spanner.json"), sp.to_json_dict())
-    wt = sp.host.weight_of
-    text = format_edge_list(sp.host.n, ((u, v, wt(u, v)) for u, v in sorted(sp.edges)))
-    _atomic_write(os.path.join(out_dir, "spanner.edge_list"), text)
+def _write_spanner_artifacts(sp: Spanner, out_dir: str) -> dict:
+    """Write spanner.json and spanner.edge_list, each weight looked up once;
+    returns spanner.json's head, from which the summary is printed."""
+    head = sp.json_head()
+    rows = list(sp.edge_rows())
+    _atomic_write(os.path.join(out_dir, "spanner.json"), _spanner_json_chunks(head, rows))
+    text = format_edge_list(sp.host.n, ((u, v, w) for u, v, w, _ in rows))
+    _atomic_write(os.path.join(out_dir, "spanner.edge_list"), (text,))
+    return head
 
 
-def _print_spanner_summary(sp: Spanner) -> None:
-    print(f"spanner: kind={sp.params.kind} n={sp.host.n} size={sp.size} weight={sp.weight():.6g}")
-    for tag, (count, weight) in sorted(sp.per_phase().items()):
-        if count:
-            print(f"  {tag}: {count} edges, weight {weight:.6g}")
+def _print_spanner_summary(head: dict) -> None:
+    print(f"spanner: kind={head['kind']} n={head['n']} size={head['size']} weight={head['weight']:.6g}")
+    for tag, phase in head["per_phase"].items():
+        if phase["count"]:
+            print(f"  {tag}: {phase['count']} edges, weight {phase['weight']:.6g}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -115,7 +138,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     path = os.path.join(args.output_dir, f"graph.{args.format}")
     buf = io.StringIO()
     write_graph(g, buf, args.format)
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, (buf.getvalue(),))
     print(f"wrote {path}: n={g.n} m={g.m} weight={g.total_weight():.6g}")
     return 0
 
@@ -129,16 +152,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     sp = build_spanner(
         g, args.eps, args.k, args.seed, unsafe_eps=args.unsafe_eps, keep_internals=False
     )
-    _write_spanner_artifacts(sp, args.output_dir)
-    _print_spanner_summary(sp)
+    _print_spanner_summary(_write_spanner_artifacts(sp, args.output_dir))
     return 0
 
 
 def cmd_build_wmax(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     sp = build_wmax_spanner(g, args.eps)
-    _write_spanner_artifacts(sp, args.output_dir)
-    _print_spanner_summary(sp)
+    _print_spanner_summary(_write_spanner_artifacts(sp, args.output_dir))
     return 0
 
 
@@ -259,7 +280,7 @@ def run_sweep(
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-        _atomic_write(out_path, buf.getvalue())
+        _atomic_write(out_path, (buf.getvalue(),))
     return rows
 
 

@@ -4,9 +4,10 @@ Graphs are immutable once constructed: n, edges, adjacency, labels and
 weights never change. The one slot written later is a memo, ``_mst``,
 which ``trees.mst`` fills on first use with the tree the edges determine,
 so no caller can observe the write except as a faster second call.
-Every routine here is a pure function: each scan allocates its own state
-and shares no buffers, so shared graphs are safe to query concurrently
-and a caller may keep one scan's result while running the next.
+``scan`` and the distance kernels allocate their own state and share no
+buffers, so shared graphs are safe to query concurrently and a caller may
+keep one scan's result while running the next. ``BallScanner`` is the
+exception: its tables serve scan after scan for one caller.
 
 Determinism contract: shortest-path ties are resolved lexicographically.
 Each vertex is labelled with a key (distance, origin, bottleneck) where
@@ -15,13 +16,14 @@ scans) and bottleneck is the heaviest edge on the path. Among equal keys
 the smaller predecessor id wins. Repeated runs therefore return
 identical tables, paths, and parent forests.
 
-``scan`` is the Dijkstra kernel for callers that need a parent forest,
-an origin or the settlement order. It runs a full loop, whose list
-state has length n, or, given a radius, a truncated loop whose dict and
-set state holds exactly the settled ball, so it grows with the ball
-rather than with n. Both honour the contract above. ``tag_forest_path``
-is the one walker over a scan's parent forest: the net hierarchy's H_0
-paths and phase 2's connection paths both go through it.
+``scan`` is the full Dijkstra kernel for callers that need a parent forest,
+an origin or the settlement order of every vertex reached; its list state
+has length n. ``BallScanner`` runs single-source scans truncated at a
+radius: its n-length tables are allocated once, and each scan writes and
+later resets only the entries of its ball, so the cost of a scan grows
+with the ball rather than with n. Both honour the contract above.
+``tag_forest_path`` is the one walker over a scan's parent forest: the net
+hierarchy's H_0 paths and phase 2's connection paths both go through it.
 
 Full scans that read only distances, or distances and bottlenecks from one
 source, go through ``distances`` and ``distances_and_bottlenecks``. They key
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError
@@ -192,34 +193,16 @@ def adjacency_from_edges(n: int, edges: Iterable[Edge]) -> list[list[tuple[int, 
     return adj
 
 
-def scan(n, adj, sources, radius=None):
+def scan(n, adj, sources):
     """Dijkstra from ``sources`` over ``adj`` with the module's deterministic ties.
 
-    Returns ``(dist, parent, bottleneck, origin, settled, order)``; ``order``
-    holds the settled vertices in settlement sequence, and each source has
-    parent -1 and origin itself. Both loops key the heap on (dist, origin,
-    bottleneck), so they settle vertices in the same sequence:
-
-    - no radius: every vertex reachable from the sources is settled; the
-      tables are lists of length n (``dist`` INF, ``parent`` and ``origin``
-      -1 where not reached) and ``settled`` is a bytearray of 0/1 flags;
-    - ``radius`` given (>= 0): exactly the vertices at distance <= radius
-      are settled. A relaxation beyond the radius is skipped before it
-      touches any state, so ``dist``, ``parent``, ``bottleneck`` and
-      ``origin`` are dicts keyed by the settled ball, ``settled`` is that
-      ball as a set, the cost is O(ball), not O(n), and ``n`` is unused.
-
-    Test settlement with ``settled[v]`` after a full scan and with ``v in
-    settled`` after a truncated one (``in`` on a bytearray looks for a byte
-    value, not an index).
+    Returns ``(dist, parent, bottleneck, origin, settled, order)``: tables of
+    length n (``settled`` a bytearray of 0/1 flags) and the settled vertices
+    in settlement sequence. Every vertex reachable from the sources is
+    settled; ``dist`` is INF, ``parent`` and ``origin`` -1 and ``settled`` 0
+    where one is not reached. Each source has parent -1 and origin itself.
+    Scans truncated at a radius from one source go through ``BallScanner``.
     """
-    srcs = sorted(set(sources))
-    if radius is not None:
-        return _scan_truncated(adj, srcs, radius)
-    return _scan_full(n, adj, srcs)
-
-
-def _scan_full(n, adj, srcs):
     dist = [INF] * n
     parent = [-1] * n
     bottleneck = [0.0] * n
@@ -229,7 +212,7 @@ def _scan_full(n, adj, srcs):
     visit = order.append
     push, pop = heapq.heappush, heapq.heappop
     heap = []  # built from sorted sources, so already in heap order
-    for s in srcs:
+    for s in sorted(set(sources)):
         dist[s] = 0.0
         origin[s] = s
         heap.append((0.0, s, 0.0, s))
@@ -260,48 +243,73 @@ def _scan_full(n, adj, srcs):
     return dist, parent, bottleneck, origin, settled, order
 
 
-def _scan_truncated(adj, srcs, radius):
-    dist: dict[int, float] = {}
-    parent: dict[int, int] = {}
-    bottleneck: dict[int, float] = {}
-    origin: dict[int, int] = {}
-    settled: set[int] = set()
-    order: list[int] = []
-    settle, visit = settled.add, order.append
-    push, pop = heapq.heappush, heapq.heappop
-    heap = []  # built from sorted sources, so already in heap order
-    for s in srcs:
-        dist[s] = 0.0
-        parent[s] = -1
-        bottleneck[s] = 0.0
-        origin[s] = s
-        heap.append((0.0, s, 0.0, s))
-    get = dist.get
-    while heap:
-        d, o, b, u = pop(heap)
-        if u in settled:
-            continue
-        settle(u)
-        visit(u)
-        for v, w in adj[u]:
-            if v in settled:
+class BallScanner:
+    """Single-source scans truncated at a radius, over tables kept between scans.
+
+    ``dist``, ``parent``, ``bottleneck`` and ``settled`` have one entry per
+    vertex and are allocated once, by the constructor. ``ball(adj, source,
+    radius)`` settles exactly the vertices within ``radius`` of the source,
+    with the entries a full ``scan`` from it gives them, and returns them in
+    settlement order. Outside that ball every entry reads as unreached:
+    ``dist`` INF, ``parent`` -1, ``bottleneck`` 0.0, ``settled`` 0. The
+    tables and the returned list hold until the next ``ball`` call, which
+    first resets the entries of the previous ball, so a scan costs O(ball),
+    not O(n). ``adj`` may change between calls but has at most n rows.
+
+    A scanner is one caller's working memory: callers that keep two balls at
+    once, or run on two threads, each need their own.
+    """
+
+    __slots__ = ("dist", "parent", "bottleneck", "settled", "order")
+
+    def __init__(self, n: int):
+        self.dist = [INF] * n
+        self.parent = [-1] * n
+        self.bottleneck = [0.0] * n
+        self.settled = bytearray(n)
+        self.order: list[int] = []
+
+    def ball(self, adj, source: int, radius: float) -> list[int]:
+        dist, parent, bottleneck, settled = self.dist, self.parent, self.bottleneck, self.settled
+        # every vertex the last scan wrote was pushed within its radius and
+        # so settled: its order lists all of them
+        for v in self.order:
+            dist[v] = INF
+            parent[v] = -1
+            bottleneck[v] = 0.0
+            settled[v] = 0
+        order = self.order = []
+        visit = order.append
+        push, pop = heapq.heappush, heapq.heappop
+        dist[source] = 0.0
+        # with one source the origin is the same everywhere, so the key of
+        # ``scan`` drops it: (dist, bottleneck, vertex)
+        heap = [(0.0, 0.0, source)]
+        while heap:
+            d, b, u = pop(heap)
+            if settled[u]:
                 continue
-            nd = d + w
-            if nd > radius:
-                continue
-            dv = get(v, INF)
-            if nd > dv:
-                continue
-            nb = b if b >= w else w
-            if nd < dv or o < origin[v] or (o == origin[v] and nb < bottleneck[v]):
-                dist[v] = nd
-                origin[v] = o
-                bottleneck[v] = nb
-                parent[v] = u
-                push(heap, (nd, o, nb, v))
-            elif o == origin[v] and nb == bottleneck[v] and u < parent[v]:
-                parent[v] = u
-    return dist, parent, bottleneck, origin, settled, order
+            settled[u] = 1
+            visit(u)
+            for v, w in adj[u]:
+                if settled[v]:
+                    continue
+                nd = d + w
+                # skipped before it touches any state, so only the ball is written
+                if nd > radius:
+                    continue
+                dv = dist[v]
+                if nd > dv:
+                    continue
+                nb = b if b >= w else w
+                if nd < dv or nb < bottleneck[v]:
+                    dist[v] = nd
+                    bottleneck[v] = nb
+                    parent[v] = u
+                    push(heap, (nd, nb, v))
+                elif nb == bottleneck[v] and u < parent[v]:
+                    parent[v] = u
+        return order
 
 
 def distances(n, adj, sources, dist=None):
@@ -398,67 +406,3 @@ def tag_forest_path(parent, x: int, covered: set[int], tags: dict, tag) -> None:
         p = parent[x]
         tags.setdefault((p, x) if p < x else (x, p), tag)
         x = p
-
-
-@dataclass(frozen=True)
-class Path:
-    vertices: tuple[int, ...]
-    length: float
-    bottleneck: float
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """Distances, parent forest, per-vertex bottleneck, and nearest origin.
-
-    ``source`` is None for multi-source scans; ``origin[v]`` then names the
-    nearest source (ties to the smallest source id). The bottleneck entry is
-    the minimum, over tied shortest paths, of the heaviest edge on the path.
-    """
-
-    source: int | None
-    dist: tuple[float, ...]
-    parent: tuple[int, ...]
-    bottleneck: tuple[float, ...]
-    origin: tuple[int, ...]
-
-    def path_to(self, v: int) -> Path:
-        if self.dist[v] == INF:
-            raise ValueError(f"vertex {v} not reached")
-        return Path(tuple(walk_parents(self.parent, v)), self.dist[v], self.bottleneck[v])
-
-
-def _check_vertex(g: WeightedGraph, v: int) -> None:
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex id {v} outside 0..{g.n - 1}")
-
-
-def dijkstra(g: WeightedGraph, source: int) -> DistanceTable:
-    """Single-source shortest paths with deterministic min-bottleneck ties."""
-    _check_vertex(g, source)
-    dist, parent, bott, origin, _, _ = scan(g.n, g.adj, (source,))
-    return DistanceTable(source, tuple(dist), tuple(parent), tuple(bott), tuple(origin))
-
-
-def multi_source_dijkstra(g: WeightedGraph, sources: Iterable[int]) -> DistanceTable:
-    """Shortest paths from a set of sources; dist[v] = min over the set.
-
-    The parent forest identifies each vertex's nearest source, ties broken by
-    the smallest source id and then the smallest predecessor id.
-    """
-    srcs = sorted(set(sources))
-    if not srcs:
-        raise ValueError("sources must be nonempty")
-    for s in srcs:
-        _check_vertex(g, s)
-    dist, parent, bott, origin, _, _ = scan(g.n, g.adj, srcs)
-    return DistanceTable(None, tuple(dist), tuple(parent), tuple(bott), tuple(origin))
-
-
-def shortest_path(g: WeightedGraph, u: int, v: int) -> Path:
-    """One deterministic shortest u-v path (min bottleneck among ties)."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        return Path((u,), 0.0, 0.0)
-    return dijkstra(g, u).path_to(v)

@@ -35,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import WeightedGraph, distances, scan, tag_forest_path
+from .graph import BallScanner, WeightedGraph, distances, scan, tag_forest_path
 from .trees import mst
 
 EPS_SAFE_LIMIT = 0.1
@@ -79,13 +79,14 @@ def greedy_delta_net(g: WeightedGraph, delta: float, seed_set: Iterable[int] = (
         if not (0 <= s < g.n):
             raise ValueError(f"seed vertex {s} outside 0..{g.n - 1}")
     if len(seeds) > 1:
+        scanner = BallScanner(g.n)
         for s in seeds:
-            d, _, _, _, settled, _ = scan(g.n, g.adj, (s,), radius=delta)
+            scanner.ball(g.adj, s, delta)
             for other in seeds:
-                if other != s and other in settled:
+                if other != s and scanner.settled[other]:
                     raise ValueError(
                         f"seed set violates packing at delta={delta}: "
-                        f"d({s}, {other}) = {d[other]}"
+                        f"d({s}, {other}) = {scanner.dist[other]}"
                     )
 
     dist = distances(g.n, g.adj, seeds)

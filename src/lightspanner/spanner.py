@@ -30,10 +30,11 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, KeysView
+from typing import Iterable, Iterator, KeysView
 
 from .errors import SamplingError, SpannerError
-from .graph import WeightedGraph, adjacency_from_edges, distances, edges_connect, scan, tag_forest_path, walk_parents
+from .graph import BallScanner, WeightedGraph, adjacency_from_edges, distances, edges_connect, scan
+from .graph import tag_forest_path, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
 from .trees import mst, slt, slt_forest
 
@@ -165,8 +166,9 @@ def bunch_of(sampling: LevelSampling, g: WeightedGraph, u: int, delta: float) ->
     if i == sampling.k:
         return Bunch(u, delta, sampling.members(sampling.k))
     radius = delta * sampling.pivot_dist[i + 1][u]
-    dist, _, _, _, _, order = scan(g.n, g.adj, (u,), radius=radius)
-    return Bunch(u, delta, tuple(_level_mates_within(dist, order, radius, sampling.levels[i])))
+    scanner = BallScanner(g.n)
+    order = scanner.ball(g.adj, u, radius)
+    return Bunch(u, delta, tuple(_level_mates_within(scanner.dist, order, radius, sampling.levels[i])))
 
 
 @dataclass(frozen=True)
@@ -237,8 +239,14 @@ class Spanner:
             weights[tag].append(wt(u, v))
         return {tag: (len(ws), math.fsum(ws)) for tag, ws in weights.items()}
 
-    def to_json_dict(self) -> dict:
+    def edge_rows(self) -> Iterator[tuple[int, int, float, str]]:
+        """(u, v, weight, tag) for every edge, in ascending (u, v)."""
         wt = self.host.weight_of
+        tags = self.phase_tag
+        return ((u, v, wt(u, v), tags[(u, v)]) for u, v in sorted(tags))
+
+    def json_head(self) -> dict:
+        """Every key of ``to_json_dict`` but its edge list."""
         return {
             "schema": "spanner/v1",
             "kind": self.params.kind,
@@ -250,8 +258,11 @@ class Spanner:
             "size": self.size,
             "weight": self.weight(),
             "per_phase": {tag: {"count": c, "weight": w} for tag, (c, w) in sorted(self.per_phase().items())},
-            "edges": [[u, v, wt(u, v), self.phase_tag[(u, v)]] for u, v in sorted(self.edges)],
         }
+
+    def to_json_dict(self) -> dict:
+        """The payload of spanner.json, which ``spanner_from_json_dict`` reads back."""
+        return {**self.json_head(), "edges": [list(row) for row in self.edge_rows()]}
 
 
 _REQUIRED_KEYS = ("kind", "eps", "k", "seed", "scale", "n", "edges")
@@ -340,21 +351,25 @@ def phase2_paths(
 
     Each connection path is tagged into the build's table with
     tag_forest_path, so an edge already in ``tags`` (an H0 edge, or one an
-    earlier path tagged) keeps its first tag. For u below the top level
-    the scan radius (1 + eps/2) * (1-eps)/2 * pivot_dist is enough to
-    settle every representative target: the detour to a representative of
-    v costs at most a (1 + eps/2) factor over d(u, v). Top-level vertices
-    connect to representatives of every other top vertex with the same
-    scale rule, from a full scan, after every lower-level center.
+    earlier path tagged) keeps its first tag. Each center u below the top
+    level runs one truncated scan on the phase's one ``BallScanner``. Its
+    bunch members lie closer than the radius r = (1-eps)/2 * pivot_dist.
+    If r <= 4/eps, each member v has scale_index(d(u, v)) < 0 and is its
+    own target, so the scan stops at r; otherwise it reaches (1 + eps/2) *
+    r, which settles every representative target, since the detour to a
+    representative of v costs at most that factor over d(u, v). A settled
+    vertex's distance and parent do not depend on the radius, so both
+    reaches tag the same paths. Top-level vertices connect to representatives
+    of every other top vertex by the same rule, from full scans, last.
     """
     n = g.n
     k = sampling.k
     delta = 0.5 * (1.0 - eps)
+    direct_radius = 4.0 / eps
     records: list[RepPathRecord] = []
 
-    def connect(u, i, members, scanned):
+    def connect(u, i, members, dist, parent, settled):
         """Connect center u of level i to each of its bunch members."""
-        dist, parent, _, _, settled, _ = scanned
         covered = {u}
         for v in members:
             if v == u:
@@ -369,14 +384,12 @@ def phase2_paths(
                 )
             else:
                 target, tag = hierarchy.rep(v, j), PHASE_P2_REP
-            if i == k:
-                # a full scan settles the whole connected graph; its
-                # `settled` is a bytearray, where `in` would test byte values
-                tag = PHASE_P2_TOP
-            elif target not in settled:
+            if not settled[target]:
                 raise SpannerError(
                     f"representative {target} of ({u}, {v}) escaped the scan radius"
                 )
+            if i == k:
+                tag = PHASE_P2_TOP
             tag_forest_path(parent, target, covered, tags, tag)
             if keep_records:
                 records.append(
@@ -385,6 +398,8 @@ def phase2_paths(
                     )
                 )
 
+    scanner = BallScanner(n)
+    dist, parent, settled = scanner.dist, scanner.parent, scanner.settled
     for u in range(n):
         i = sampling.level_of[u]
         if i == k:
@@ -392,12 +407,14 @@ def phase2_paths(
         radius = delta * sampling.pivot_dist[i + 1][u]
         if radius <= 0:
             raise SpannerError(f"vertex {u} has zero pivot distance at level {i + 1}")
-        scanned = scan(n, g.adj, (u,), radius=(1.0 + 0.5 * eps) * radius)
-        connect(u, i, _level_mates_within(scanned[0], scanned[5], radius, sampling.levels[i]), scanned)
+        reach = radius if radius <= direct_radius else (1.0 + 0.5 * eps) * radius
+        order = scanner.ball(g.adj, u, reach)
+        connect(u, i, _level_mates_within(dist, order, radius, sampling.levels[i]), dist, parent, settled)
 
     top = sorted(sampling.levels[k])
     for u in top:
-        connect(u, k, top, scan(n, g.adj, (u,)))
+        dist_top, parent_top, _, _, settled_top, _ = scan(n, g.adj, (u,))
+        connect(u, k, top, dist_top, parent_top, settled_top)
 
     return tuple(records)
 

@@ -20,7 +20,9 @@ half-bunch and paths-intersect checks share one cached pivot ball per
 center. A truncated scan settles every vertex within its radius with the
 full scan's distances, so every verdict is the one a full scan gives; full
 scans run only from top-level centers and to supply a violator's witness
-distance. Memory is O(sum of the balls scanned), not O(n^2). The
+distance. Each check runs its truncated scans on its own
+``graph.BallScanner``, whose O(n) tables are reused from ball to ball, so
+memory is O(n) per check plus the cached pivot balls, not O(n^2). The
 paths-intersect check enumerates its pairs per connection record, from the
 records that share a vertex with it; its time is the sum over records of
 their partner counts, and it builds no global set of pairs.
@@ -33,8 +35,8 @@ deterministic given (graph, spanner, mode, seed).
 
 The stretch check, verify_slt and the lemma suite's full rows read only
 distances (and, for stretch, the graph's bottlenecks), so they run graph's
-distance-only kernels; ``scan`` serves the truncated balls and the
-multi-source scan of verify_net, which reads origins.
+distance-only kernels; ``BallScanner`` serves the truncated balls and
+``scan`` the multi-source scan of verify_net, which reads origins.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import SpannerError
-from .graph import INF, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
+from .graph import INF, BallScanner, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
 from .nets import DeltaNet
 from .spanner import BuildInternals, Spanner
 from .trees import SpanningTree, mst
@@ -341,10 +343,13 @@ def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
                 suspects.add(origin[v])
         member_set = set(members)
         seen: set[tuple[int, int]] = set()
+        scanner = BallScanner(n)
+        d_a = scanner.dist
         for a in sorted(suspects):
-            d_a, _, _, _, settled, _ = scan(n, g.adj, (a,), radius=delta * (1.0 + REL_TOL))
+            scanner.ball(g.adj, a, delta * (1.0 + REL_TOL))
             for b in members:
-                if b == a or b not in settled or d_a[b] > delta:
+                # d_a[b] is INF for a b outside the ball
+                if b == a or d_a[b] > delta:
                     continue
                 key = (a, b) if a < b else (b, a)
                 if key not in seen:
@@ -487,21 +492,23 @@ class _PivotBalls:
     truncated scan of that radius from c. A truncated scan settles every
     vertex within its radius with the full scan's distances, so membership
     answers exactly what comparing a full row against the radius would.
-    Memory is the sum of the cached balls, not a row of n per center.
+    Memory is the sum of the cached balls plus one scanner's tables, not a
+    row of n per center.
     """
 
     def __init__(self, gn: WeightedGraph, sampling):
         self.gn = gn
         self.sampling = sampling
         self._balls: dict[tuple[int, int], frozenset[int]] = {}
+        self._scanner = BallScanner(gn.n)
 
     def ball(self, level: int, center: int) -> frozenset[int]:
         key = (level, center)
         cached = self._balls.get(key)
         if cached is None:
             radius = self.sampling.pivot_dist[level + 1][center] * (1.0 + REL_TOL)
-            dist, _, _, _, _, order = scan(self.gn.n, self.gn.adj, (center,), radius=radius)
-            cached = frozenset(x for x in order if dist[x] < radius)
+            dist = self._scanner.dist
+            cached = frozenset(x for x in self._scanner.ball(self.gn.adj, center, radius) if dist[x] < radius)
             self._balls[key] = cached
         return cached
 
@@ -527,21 +534,25 @@ def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildIntern
     from v decides it and supplies the witness, exactly as a full scan from
     every vertex would (in (v, i) order, stopping at WITNESS_CAP). Time is
     the sum of the H0 balls around the level-i representatives plus the
-    suspects' full scans; memory is one ball or row plus O(n) grouping.
+    suspects' full scans; memory is one scanner's tables or one row plus
+    O(n) grouping.
     """
     h = internals.hierarchy
     n = gn.n
     h0_adj = _subgraph_adjacency(gn, h.h0_edges & sp.edges)
     factor = 1.0 + 2.0 * h.eps
     suspects = []
+    scanner = BallScanner(n)
+    dist = scanner.dist
     for i in range(h.i_max + 1):
         bound = factor * 2.0**i
         by_rep: dict[int, list[int]] = {}
         for v in range(n):
             by_rep.setdefault(h.rep(v, i), []).append(v)
         for x, group in by_rep.items():
-            dist, _, _, _, settled, _ = scan(n, h0_adj, (x,), radius=bound * (1.0 + REL_TOL))
-            suspects.extend((v, i) for v in group if v not in settled or dist[v] > bound)
+            scanner.ball(h0_adj, x, bound * (1.0 + REL_TOL))
+            # dist is INF for a vertex the scan leaves unsettled
+            suspects.extend((v, i) for v in group if dist[v] > bound)
     witnesses = []
     row_of = -1
     for v, i in sorted(suspects):
@@ -574,6 +585,8 @@ def _check_distance_in_bunch(
     delta = 0.5 * (1.0 - eps)
     checked = 0
     witnesses = []
+    g_scanner, h_scanner = BallScanner(n), BallScanner(n)
+    dist_h = h_scanner.dist  # INF outside the ball, as for an unreached vertex
     for u in range(n):
         i = sampling.level_of[u]
         if i == sampling.k:
@@ -581,16 +594,17 @@ def _check_distance_in_bunch(
             dist_g = distances(n, gn.adj, (u,))
         else:
             radius = delta * sampling.pivot_dist[i + 1][u]
-            dist_g, _, _, _, _, order = scan(n, gn.adj, (u,), radius=radius)
+            order = g_scanner.ball(gn.adj, u, radius)
+            dist_g = g_scanner.dist
             level = sampling.levels[i]
             members = sorted(v for v in order if v != u and dist_g[v] < radius and v in level)
         if not members:
             continue
         reach = (1.0 + eps) * max(dist_g[v] for v in members) * (1.0 + REL_TOL)
-        dist_h, _, _, _, settled_h, _ = scan(n, h_adj, (u,), radius=reach)
+        h_scanner.ball(h_adj, u, reach)
         for v in members:
             checked += 1
-            dh = dist_h[v] if v in settled_h else INF
+            dh = dist_h[v]
             if not _within(dh, (1.0 + eps) * dist_g[v]):
                 witnesses.append((u, v, dist_g[v], dh))
     return LemmaResult("distance_in_bunch", checked, tuple(witnesses[:WITNESS_CAP]))

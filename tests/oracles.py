@@ -19,15 +19,21 @@ source and every pair's slack and bound computed.
 net_hierarchy_reference and slt_forest_reference are the plain versions of
 two builder steps that the library does with less work: one greedy net and
 one full scan per level, and Kruskal over every augmented edge.
+
+dijkstra, multi_source_dijkstra and shortest_path wrap one full ``scan``
+into frozen tables and paths with the vertex checks a public entry point
+makes; tests read distances, parents and paths from them.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from lightspanner.graph import INF, WeightedGraph, adjacency_from_edges, scan
+from lightspanner.graph import INF, WeightedGraph, adjacency_from_edges, scan, walk_parents
 from lightspanner.nets import DeltaNet, NetHierarchy, greedy_delta_net, max_level
 from lightspanner.trees import SltForest, _kruskal, _last_parents
 from lightspanner.errors import SpannerError
@@ -40,6 +46,70 @@ from lightspanner.verify import (
     _within,
     additive_stretch_constant,
 )
+
+
+@dataclass(frozen=True)
+class Path:
+    vertices: tuple[int, ...]
+    length: float
+    bottleneck: float
+
+
+@dataclass(frozen=True)
+class DistanceTable:
+    """Distances, parent forest, per-vertex bottleneck, and nearest origin.
+
+    ``source`` is None for multi-source scans; ``origin[v]`` then names the
+    nearest source (ties to the smallest source id). The bottleneck entry is
+    the minimum, over tied shortest paths, of the heaviest edge on the path.
+    """
+
+    source: int | None
+    dist: tuple[float, ...]
+    parent: tuple[int, ...]
+    bottleneck: tuple[float, ...]
+    origin: tuple[int, ...]
+
+    def path_to(self, v: int) -> Path:
+        if self.dist[v] == INF:
+            raise ValueError(f"vertex {v} not reached")
+        return Path(tuple(walk_parents(self.parent, v)), self.dist[v], self.bottleneck[v])
+
+
+def _check_vertex(g: WeightedGraph, v: int) -> None:
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex id {v} outside 0..{g.n - 1}")
+
+
+def dijkstra(g: WeightedGraph, source: int) -> DistanceTable:
+    """Single-source shortest paths with deterministic min-bottleneck ties."""
+    _check_vertex(g, source)
+    dist, parent, bott, origin, _, _ = scan(g.n, g.adj, (source,))
+    return DistanceTable(source, tuple(dist), tuple(parent), tuple(bott), tuple(origin))
+
+
+def multi_source_dijkstra(g: WeightedGraph, sources: Iterable[int]) -> DistanceTable:
+    """Shortest paths from a set of sources; dist[v] = min over the set.
+
+    The parent forest identifies each vertex's nearest source, ties broken by
+    the smallest source id and then the smallest predecessor id.
+    """
+    srcs = sorted(set(sources))
+    if not srcs:
+        raise ValueError("sources must be nonempty")
+    for s in srcs:
+        _check_vertex(g, s)
+    dist, parent, bott, origin, _, _ = scan(g.n, g.adj, srcs)
+    return DistanceTable(None, tuple(dist), tuple(parent), tuple(bott), tuple(origin))
+
+
+def shortest_path(g: WeightedGraph, u: int, v: int) -> Path:
+    """One deterministic shortest u-v path (min bottleneck among ties)."""
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    if u == v:
+        return Path((u,), 0.0, 0.0)
+    return dijkstra(g, u).path_to(v)
 
 
 def bellman_ford(g: WeightedGraph, source: int) -> list[float]:

@@ -14,7 +14,7 @@ import pytest
 
 from lightspanner.cli import run_sweep
 from lightspanner.generate import generate_graph
-from lightspanner.graph import WeightedGraph, dijkstra, scan
+from lightspanner.graph import WeightedGraph, scan
 from lightspanner.nets import build_net_hierarchy
 from lightspanner.spanner import (
     build_spanner,
@@ -35,6 +35,7 @@ from lightspanner.verify import (
 )
 
 from . import oracles
+from .oracles import dijkstra
 from .conftest import random_connected_graph
 
 

@@ -6,8 +6,10 @@ import pytest
 
 from lightspanner import cli
 from lightspanner.cli import SWEEP_HEADER, main, run_sweep
-from lightspanner.graphio import read_graph
-from lightspanner.spanner import build_spanner
+from lightspanner.generate import generate_graph
+from lightspanner.graph import WeightedGraph
+from lightspanner.graphio import format_edge_list, read_graph
+from lightspanner.spanner import PHASE_P2_REP, Spanner, SpannerParams, build_spanner, build_wmax_spanner
 
 
 def _read(path):
@@ -286,12 +288,12 @@ def test_interleaved_atomic_writes_both_land(tmp_path, monkeypatch):
     def replace_after_second_write(src, dst):
         if not landed:
             landed.append(None)
-            cli._atomic_write(str(target), "second\n")
+            cli._atomic_write(str(target), ("second\n",))
             landed[0] = target.read_text()
         real_replace(src, dst)
 
     monkeypatch.setattr(cli.os, "replace", replace_after_second_write)
-    cli._atomic_write(str(target), "first\n")
+    cli._atomic_write(str(target), ("first\n",))
     assert landed == ["second\n"]
     assert target.read_text() == "first\n"
     assert os.listdir(tmp_path) == ["report.json"]
@@ -303,7 +305,7 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        cli._atomic_write(str(tmp_path / "report.json"), "text\n")
+        cli._atomic_write(str(tmp_path / "report.json"), ("text\n",))
     assert os.listdir(tmp_path) == []
 
 
@@ -327,9 +329,60 @@ def test_failed_edge_list_writes_keep_the_old_files(workdir, monkeypatch):
     assert sorted(os.listdir(workdir)) == ["b", "graph.edge_list", "spanner.edge_list", "spanner.json"]
 
 
+def _spanners_to_write():
+    """A hierarchical build with every phase tag (edges retagged P2_REP, which
+    H0 preempts in real builds at these sizes), a wmax build, and a spanner
+    without edges."""
+    hier = build_spanner(generate_graph("geometric_unit_square", 120, seed=0), 0.5, 2, 1, unsafe_eps=True)
+    retagged = {e: PHASE_P2_REP if i % 5 == 0 else tag for i, (e, tag) in enumerate(hier.phase_tag.items())}
+    cycle = [(i, (i + 1) % 64, 1.0 + (i % 3) / 4) for i in range(64)] + [(i, i + 32, 300.0 + i) for i in range(0, 32, 5)]
+    wmax = build_wmax_spanner(WeightedGraph(64, cycle), 0.05)
+    empty = Spanner(host=WeightedGraph(1, []), phase_tag={}, params=wmax.params, scale=1.0)
+    return {"hierarchical": Spanner(hier.host, retagged, hier.params, hier.scale), "wmax": wmax, "empty": empty}
+
+
+@pytest.mark.parametrize("name", ["hierarchical", "wmax", "empty"])
+def test_streamed_spanner_json_is_the_json_dump(tmp_path, name):
+    sp = _spanners_to_write()[name]
+    if name == "hierarchical":
+        assert set(sp.phase_tag.values()) == {"H0", "P2_REP", "P2_DIRECT", "P2_TOP", "SLT"}
+    cli._write_spanner_artifacts(sp, str(tmp_path))
+    assert (tmp_path / "spanner.json").read_text() == json.dumps(sp.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    wt = sp.host.weight_of
+    edge_list = format_edge_list(sp.host.n, [(u, v, wt(u, v)) for u, v in sorted(sp.edges)])
+    assert (tmp_path / "spanner.edge_list").read_text() == edge_list
+
+
+def test_streamed_spanner_json_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):
+    sp = _spanners_to_write()["hierarchical"]
+    cli._write_spanner_artifacts(sp, str(tmp_path))
+    old = _read(tmp_path / "spanner.json")
+    real_chunks = cli._spanner_json_chunks
+
+    def failing_chunks(head, rows):
+        for i, chunk in enumerate(real_chunks(head, rows)):
+            if i == len(rows) // 2:
+                raise OSError("disk full")
+            yield chunk
+
+    monkeypatch.setattr(cli, "_spanner_json_chunks", failing_chunks)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_spanner_artifacts(sp, str(tmp_path))
+    monkeypatch.undo()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        cli._write_spanner_artifacts(sp, str(tmp_path))
+    assert _read(tmp_path / "spanner.json") == old
+    assert sorted(os.listdir(tmp_path)) == ["spanner.edge_list", "spanner.json"]
+
+
 def test_atomic_write_keeps_the_mode_of_a_plain_write(tmp_path):
     (tmp_path / "plain.txt").write_text("x")
-    cli._atomic_write(str(tmp_path / "atomic.txt"), "x")
+    cli._atomic_write(str(tmp_path / "atomic.txt"), ("x",))
     assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
 
 

@@ -3,15 +3,15 @@ import pytest
 from lightspanner.errors import GenerationError
 from lightspanner.generate import FAMILIES, default_geometric_radius, generate_graph
 
+from . import oracles
+
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_family_yields_connected_graph(family):
     g = generate_graph(family, 40, seed=3)
     assert g.n >= 40 if family == "grid" else g.n == 40
     # constructor would have raised on a disconnected result; sanity-check reach
-    from lightspanner.graph import dijkstra
-
-    assert all(d < float("inf") for d in dijkstra(g, 0).dist)
+    assert all(d < float("inf") for d in oracles.dijkstra(g, 0).dist)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

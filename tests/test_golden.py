@@ -168,6 +168,19 @@ def test_phase2_records_and_lemma_suite_match_golden(family, n, eps, unsafe_eps,
     assert _internal_digests(*key) == INTERNAL_GOLDEN[key]
 
 
+def test_internal_golden_builds_cover_both_phase2_reaches():
+    # phase 2 scans to a bunch radius r <= 4/eps itself and to (1 + eps/2) * r
+    # beyond it; the pins above guard both reaches only if their builds take both
+    reaches = set()
+    for family, n, eps, unsafe_eps, seed in INTERNAL_GOLDEN:
+        sampling = build_spanner(generate_graph(family, n, seed=0), eps, 2, seed, unsafe_eps=unsafe_eps).internals.sampling
+        for u in range(n):
+            i = sampling.level_of[u]
+            if i < sampling.k:
+                reaches.add(0.5 * (1.0 - eps) * sampling.pivot_dist[i + 1][u] <= 4.0 / eps)
+    assert reaches == {True, False}
+
+
 # sha256 of list(sp.phase_tag.items()) as [u, v, tag] rows, in insertion
 # order, for every INTERNAL_GOLDEN build and for the graphs of the
 # hierarchical CLI cases (generated with seed 0, built with k=2, seed 0).

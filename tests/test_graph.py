@@ -8,19 +8,18 @@ from lightspanner.errors import DisconnectedGraphError
 from lightspanner.generate import generate_graph
 from lightspanner.graph import (
     INF,
+    BallScanner,
     WeightedGraph,
     adjacency_from_edges,
-    dijkstra,
     distances,
     distances_and_bottlenecks,
-    multi_source_dijkstra,
     scan,
-    shortest_path,
     tag_forest_path,
 )
 
 from .conftest import coarse_weights, connected_graphs
 from . import oracles
+from .oracles import dijkstra, multi_source_dijkstra, shortest_path
 
 # ties between paths, which the tie-break tests need, are rare with 128
 # distinct weights and common with four
@@ -155,15 +154,93 @@ def test_shortest_path_same_vertex():
 
 def test_scan_radius_settles_exactly_the_ball():
     g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-    dist, _, _, _, settled, order = scan(g.n, g.adj, (0,), radius=2.0)
-    assert [v for v in range(5) if v in settled] == [0, 1, 2]
-    assert order == [0, 1, 2]
-    assert dist[2] == 2.0
+    scanner = BallScanner(g.n)
+    # vertex 2 sits exactly on the radius, and is inside
+    assert scanner.ball(g.adj, 0, 2.0) == [0, 1, 2]
+    assert list(scanner.settled) == [1, 1, 1, 0, 0]
+    assert scanner.dist == [0.0, 1.0, 2.0, INF, INF]
+    assert scanner.parent == [-1, 0, 1, -1, -1]
 
 
 def _draw_sources(g, data, max_size):
     size = data.draw(st.integers(1, min(max_size, g.n)))
     return sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=size, max_size=size)))
+
+
+def _assert_is_ball(scanner, order, full, radius):
+    """The scanner holds the ball of ``radius`` from the full scan ``full``
+    of the same source, with full's entries inside and unreached ones outside."""
+    full_dist, full_parent, full_btl = full[:3]
+    n = len(full_dist)
+    ball = {v for v in range(n) if full_dist[v] <= radius}
+    assert sorted(order) == sorted(ball) and len(order) == len(ball)
+    assert order is scanner.order
+    assert all(scanner.dist[a] <= scanner.dist[b] for a, b in zip(order, order[1:]))
+    for v in range(n):
+        got = (scanner.dist[v], scanner.parent[v], scanner.bottleneck[v], scanner.settled[v])
+        assert got == ((full_dist[v], full_parent[v], full_btl[v], 1) if v in ball else (INF, -1, 0.0, 0))
+
+
+def _radii(full_dist):
+    """0, the distances the scan reached (a vertex on the radius is inside),
+    and dyadic radii in between."""
+    reached = sorted({d for d in full_dist if d < INF})
+    return st.one_of(st.just(0.0), st.sampled_from(reached), st.integers(0, 4 * 64).map(lambda k: k / 64.0))
+
+
+@given(tie_heavy_graphs, st.data())
+def test_truncated_scan_is_the_ball_of_the_full_scan(g, data):
+    s = data.draw(st.integers(0, g.n - 1))
+    full = scan(g.n, g.adj, (s,))
+    radius = data.draw(_radii(full[0]))
+    scanner = BallScanner(g.n)
+    _assert_is_ball(scanner, scanner.ball(g.adj, s, radius), full, radius)
+
+
+@given(tie_heavy_graphs, st.data())
+def test_consecutive_balls_on_one_scanner_leave_no_stale_entry(g, data):
+    # a second adjacency on the same vertices, which need not be connected
+    adjs = [g.adj, adjacency_from_edges(g.n, g.edges[::2])]
+    scanner = BallScanner(g.n)
+    for _ in range(4):
+        adj = data.draw(st.sampled_from(adjs))
+        s = data.draw(st.integers(0, g.n - 1))
+        full = scan(g.n, adj, (s,))
+        radius = data.draw(_radii(full[0]))
+        _assert_is_ball(scanner, scanner.ball(adj, s, radius), full, radius)
+
+
+def _logged(table, log):
+    """A copy of ``table`` (a list or a bytearray) that adds to ``log`` every
+    index written to it."""
+
+    class Logged(type(table)):
+        def __setitem__(self, i, x):
+            log.add(i)
+            super().__setitem__(i, x)
+
+    return Logged(table)
+
+
+def test_ball_scan_touches_and_resets_only_its_ball():
+    n = 100_000
+    adj = adjacency_from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+    scanner = BallScanner(n)
+    written = set()
+    scanner.dist = _logged(scanner.dist, written)
+    scanner.parent = _logged(scanner.parent, written)
+    scanner.bottleneck = _logged(scanner.bottleneck, written)
+    scanner.settled = _logged(scanner.settled, written)
+    assert scanner.ball(adj, 50_000, 2.0) == [50_000, 49_999, 50_001, 49_998, 50_002]
+    assert written == set(range(49_998, 50_003))
+    written.clear()
+    assert scanner.ball(adj, 10, 1.0) == [10, 9, 11]
+    # the reset touches the last ball, the scan its own
+    assert written == set(range(49_998, 50_003)) | {9, 10, 11}
+    fresh = BallScanner(n)
+    fresh.ball(adj, 10, 1.0)
+    assert (scanner.dist, scanner.parent, scanner.bottleneck) == (fresh.dist, fresh.parent, fresh.bottleneck)
+    assert scanner.settled == fresh.settled
 
 
 @given(
@@ -197,34 +274,6 @@ def test_scan_parent_is_smallest_tie_optimal_predecessor(g, data):
             if dist[q] + w == dist[v] and origin[q] == origin[v] and max(bottleneck[q], w) == bottleneck[v]
         ]
         assert parent[v] == min(optimal)
-
-
-@given(tie_heavy_graphs, st.data())
-def test_truncated_scan_is_the_ball_of_the_full_scan(g, data):
-    sources = _draw_sources(g, data, 3)
-    radius = data.draw(st.integers(0, 4 * 64).map(lambda k: k / 64.0))
-    full_dist, full_parent, full_btl, full_origin, _, _ = scan(g.n, g.adj, sources)
-    dist, parent, bottleneck, origin, settled, order = scan(g.n, g.adj, sources, radius=radius)
-    assert settled == {v for v in range(g.n) if full_dist[v] <= radius}
-    assert set(dist) == set(parent) == set(bottleneck) == set(origin) == settled
-    assert sorted(order) == sorted(settled)
-    assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
-    for v in settled:
-        assert (dist[v], parent[v], bottleneck[v], origin[v]) == (
-            full_dist[v],
-            full_parent[v],
-            full_btl[v],
-            full_origin[v],
-        )
-
-
-def test_truncated_scan_state_is_proportional_to_the_ball():
-    n = 100_000
-    adj = adjacency_from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)])
-    result = scan(n, adj, (0,), radius=2.0)
-    assert all(len(container) == 3 for container in result)
-    assert all(set(container) == {0, 1, 2} for container in result[:5])
-    assert result[5] == [0, 1, 2]
 
 
 def _grid(rows, cols, weight):
@@ -266,6 +315,19 @@ def test_distance_kernels_match_scan_on_families(name):
     for step in (2, 7, 31):
         sources = range(step // 2, g.n, step)
         assert distances(g.n, g.adj, sources) == _scan_dist_btl(g.n, g.adj, sources)[0]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_ball_scanner_matches_scan_on_families(name):
+    g = KERNEL_GRAPHS[name]()
+    scanner = BallScanner(g.n)
+    for s in range(0, g.n, 3):
+        full = scan(g.n, g.adj, (s,))
+        reached = sorted(full[0])
+        mid = len(reached) // 2
+        # 0, a radius on the distance of a vertex, and one between two distances
+        for radius in (0.0, reached[mid // 2], (reached[mid] + reached[mid + 1]) / 2):
+            _assert_is_ball(scanner, scanner.ball(g.adj, s, radius), full, radius)
 
 
 @given(tie_heavy_graphs, st.data())

@@ -2,6 +2,8 @@
 
 - Every heap-based shortest-path loop lives in ``graph``, so ``heapq`` is
   imported there and nowhere else in the package.
+- ``spanner``, ``nets``, ``trees`` and ``verify`` import ``scan`` by name:
+  perfbench/tracing.py rebinds it in each of them to count full scans.
 - The verifier stays independent of the builder: from ``spanner`` it takes
   only the data classes it reads, ``BuildInternals`` and ``Spanner``.
 """
@@ -34,6 +36,11 @@ def test_the_package_has_modules():
 def test_heapq_is_imported_only_by_graph(path):
     uses_heapq = any(module == "heapq" for module, _ in _imports(path))
     assert not uses_heapq or path.name == "graph.py"
+
+
+@pytest.mark.parametrize("module", ["spanner", "nets", "trees", "verify"])
+def test_traced_callers_bind_scan(module):
+    assert (".graph", "scan") in _imports(PACKAGE / f"{module}.py")
 
 
 def test_verify_imports_only_data_classes_from_spanner():

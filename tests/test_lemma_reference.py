@@ -65,10 +65,9 @@ def test_passing_suite_runs_full_scans_only_from_top_level_centers(built, monkey
         full_rows.append(tuple(sources))
         return distances(n, adj, sources, dist)
 
-    def recording_scan(n, adj, sources, radius=None):
-        if radius is None:
-            full_scans.append(tuple(sources))
-        return scan(n, adj, sources, radius)
+    def recording_scan(n, adj, sources):
+        full_scans.append(tuple(sources))
+        return scan(n, adj, sources)
 
     monkeypatch.setattr(verify, "distances", recording_distances)
     monkeypatch.setattr(verify, "scan", recording_scan)

@@ -117,10 +117,8 @@ def test_top_level_always_covers():
 def test_nearest_tables_match_reference_scan(medium_geometric):
     g = normalize(medium_geometric)[0]
     h = build_net_hierarchy(g, 0.05)
-    from lightspanner.graph import multi_source_dijkstra
-
     for j in (0, 1, h.i_max):
-        table = multi_source_dijkstra(g, h.levels[j].members)
+        table = oracles.multi_source_dijkstra(g, h.levels[j].members)
         assert h.nearest[j] == table.origin
 
 
@@ -227,9 +225,9 @@ def test_hierarchy_scans_each_distinct_net_once(monkeypatch, family, n, kw):
     g = _normalized(family, n, 3, **kw)
     calls = []
 
-    def counting_scan(n, adj, sources, radius=None):
+    def counting_scan(n, adj, sources):
         calls.append(tuple(sorted(set(sources))))
-        return scan(n, adj, sources, radius)
+        return scan(n, adj, sources)
 
     monkeypatch.setattr(nets, "scan", counting_scan)
     h = build_net_hierarchy(g, 0.05)

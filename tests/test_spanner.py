@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from lightspanner.errors import SamplingError
 from lightspanner.generate import generate_graph
 from lightspanner import spanner
-from lightspanner.graph import WeightedGraph, dijkstra
+from lightspanner.graph import WeightedGraph
 from lightspanner.nets import greedy_delta_net
 from lightspanner.spanner import (
     PHASE_H0,
@@ -24,6 +24,7 @@ from lightspanner.spanner import (
 )
 from lightspanner.trees import mst
 
+from . import oracles
 from .conftest import random_connected_graph
 
 import random
@@ -89,10 +90,8 @@ def test_levels_are_nested_and_nonempty():
 def test_pivots_match_reference_scan():
     g = generate_graph("grid", 64, seed=5)
     s = sample_levels(g, 2, seed=1)
-    from lightspanner.graph import multi_source_dijkstra
-
     for i in range(3):
-        table = multi_source_dijkstra(g, sorted(s.levels[i]))
+        table = oracles.multi_source_dijkstra(g, sorted(s.levels[i]))
         assert s.pivot_dist[i] == table.dist
 
 
@@ -151,7 +150,7 @@ def test_bunch_matches_filtered_dijkstra():
         if i == s.k:
             assert b.members == s.members(s.k)
             continue
-        dist = dijkstra(g, u).dist
+        dist = oracles.dijkstra(g, u).dist
         radius = delta * s.pivot_dist[i + 1][u]
         want = tuple(sorted(v for v in s.levels[i] if dist[v] < radius))
         assert b.members == want

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from lightspanner import trees
 from lightspanner.generate import generate_graph
-from lightspanner.graph import WeightedGraph, dijkstra, multi_source_dijkstra
+from lightspanner.graph import WeightedGraph
 from lightspanner.trees import SpanningTree, mst, slt, slt_forest
 from lightspanner.verify import verify_slt
 
 from .conftest import coarse_weights, connected_graphs, random_connected_graph
 from . import oracles
+from .oracles import dijkstra, multi_source_dijkstra
 
 
 @given(connected_graphs(max_n=8, max_extra=8))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -30,17 +31,7 @@ from .spanner import Spanner, build_spanner, build_wmax_spanner, spanner_from_js
 from .verify import additive_stretch_constant, verify_lightness, verify_stretch
 
 SWEEP_HEADER = (
-    "n",
-    "k",
-    "eps",
-    "seed",
-    "family",
-    "size",
-    "lightness",
-    "worst_mult",
-    "worst_slack",
-    "bound",
-    "runtime_ms",
+    "n", "k", "eps", "seed", "family", "size", "lightness", "worst_mult", "worst_slack", "bound", "runtime_ms"
 )
 
 
@@ -149,9 +140,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     check_eps(args.eps, args.unsafe_eps)
     additive_stretch_constant(args.eps, args.k)
     g = _load_graph(args)
-    sp = build_spanner(
-        g, args.eps, args.k, args.seed, unsafe_eps=args.unsafe_eps, keep_internals=False
-    )
+    sp = build_spanner(g, args.eps, args.k, args.seed, unsafe_eps=args.unsafe_eps, keep_internals=False)
     _print_spanner_summary(_write_spanner_artifacts(sp, args.output_dir))
     return 0
 
@@ -166,9 +155,7 @@ def cmd_build_wmax(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     sp = spanner_from_json_dict(_load_spanner_payload(args.spanner), g)
-    stretch = verify_stretch(
-        g, sp, mode=args.mode, sample_size=args.sample_size, seed=args.seed
-    )
+    stretch = verify_stretch(g, sp, mode=args.mode, sample_size=args.sample_size, seed=args.seed)
     lightness = verify_lightness(g, sp)
     _dump_json(os.path.join(args.output_dir, "stretch_report.json"), stretch.to_json_dict())
     _dump_json(os.path.join(args.output_dir, "lightness_report.json"), lightness.to_json_dict())
@@ -231,55 +218,44 @@ def run_sweep(
     under test.
     """
     rows: list[dict] = []
-    for family in families:
-        for n in ns:
-            for k in ks:
-                for eps in epss:
-                    for seed in seeds:
-                        g = generate_graph(family, n, seed=seed)
-                        start = time.perf_counter()
-                        sp = build_spanner(
-                            g, eps, k, seed, unsafe_eps=unsafe_eps, keep_internals=False
-                        )
-                        runtime_ms = (time.perf_counter() - start) * 1000.0
-                        stretch = verify_stretch(
-                            g, sp, mode=mode, sample_size=sample_size, seed=seed
-                        )
-                        lightness = verify_lightness(g, sp)
-                        if not stretch.passed:
-                            raise SpannerError(
-                                f"stretch violation in sweep cell "
-                                f"(family={family} n={n} k={k} eps={eps} seed={seed})"
-                            )
-                        row = {
-                            "n": n,
-                            "k": k,
-                            "eps": eps,
-                            "seed": seed,
-                            "family": family,
-                            "size": sp.size,
-                            "lightness": lightness.lightness,
-                            "worst_mult": stretch.worst_mult_stretch,
-                            "worst_slack": stretch.worst_additive_slack,
-                            "bound": stretch.bound_used,
-                            "runtime_ms": runtime_ms,
-                            # extra keys for callers; not part of the CSV schema
-                            "h0_weight": lightness.per_phase.get("H0", (0, 0.0))[1],
-                            "mst_weight": lightness.mst_weight,
-                        }
-                        rows.append(row)
-                        if progress is not None:
-                            progress(
-                                f"cell family={family} n={n} k={k} eps={eps} seed={seed}: "
-                                f"size={sp.size} lightness={lightness.lightness:.3f} "
-                                f"({runtime_ms:.0f} ms)"
-                            )
+    for family, n, k, eps, seed in itertools.product(families, ns, ks, epss, seeds):
+        g = generate_graph(family, n, seed=seed)
+        start = time.perf_counter()
+        sp = build_spanner(g, eps, k, seed, unsafe_eps=unsafe_eps, keep_internals=False)
+        runtime_ms = (time.perf_counter() - start) * 1000.0
+        stretch = verify_stretch(g, sp, mode=mode, sample_size=sample_size, seed=seed)
+        lightness = verify_lightness(g, sp)
+        if not stretch.passed:
+            raise SpannerError(
+                f"stretch violation in sweep cell (family={family} n={n} k={k} eps={eps} seed={seed})"
+            )
+        row = {
+            "n": n,
+            "k": k,
+            "eps": eps,
+            "seed": seed,
+            "family": family,
+            "size": sp.size,
+            "lightness": lightness.lightness,
+            "worst_mult": stretch.worst_mult_stretch,
+            "worst_slack": stretch.worst_additive_slack,
+            "bound": stretch.bound_used,
+            "runtime_ms": runtime_ms,
+            # extra keys for callers; not part of the CSV schema
+            "h0_weight": lightness.per_phase.get("H0", (0, 0.0))[1],
+            "mst_weight": lightness.mst_weight,
+        }
+        rows.append(row)
+        if progress is not None:
+            progress(
+                f"cell family={family} n={n} k={k} eps={eps} seed={seed}: "
+                f"size={sp.size} lightness={lightness.lightness:.3f} ({runtime_ms:.0f} ms)"
+            )
     if out_path is not None:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SWEEP_HEADER, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         _atomic_write(out_path, (buf.getvalue(),))
     return rows
 

@@ -1,9 +1,11 @@
 """Weighted undirected graphs and deterministic shortest-path scans.
 
 Graphs are immutable once constructed: n, edges, adjacency, labels and
-weights never change. The one slot written later is a memo, ``_mst``,
-which ``trees.mst`` fills on first use with the tree the edges determine,
-so no caller can observe the write except as a faster second call.
+weights never change. Two slots are memos filled on first use: ``_mst``
+with the tree the edges determine (by ``trees.mst``) and ``_adj`` with their
+rows (by a read of ``adj``), so a graph that is never scanned builds no rows.
+No caller can observe either write except as a faster second call; threads
+racing on a first read build equal values, and one of them is kept.
 ``scan`` and the distance kernels allocate their own state and share no
 buffers, so shared graphs are safe to query concurrently and a caller may
 keep one scan's result while running the next. ``BallScanner`` is the
@@ -28,8 +30,9 @@ hierarchy's H_0 paths and phase 2's connection paths both go through it.
 Full scans that read only distances, or distances and bottlenecks from one
 source, go through ``distances`` and ``distances_and_bottlenecks``. They key
 the heap on (distance, vertex), keep no parent, origin or order, and return
-the very dist (and bottleneck) tables a full ``scan`` returns. Graphs and
-the verifier's subgraphs get their rows from ``adjacency_from_edges``.
+the very dist (and bottleneck) tables a full ``scan`` returns. Graphs get
+their rows from ``adjacency_from_edges``; spanners and the verifier's
+subgraphs from ``subgraph_adjacency``, whose rows share the host's entries.
 """
 from __future__ import annotations
 
@@ -86,7 +89,7 @@ class WeightedGraph:
     remembers original external ids for formats that are not 0-based.
     """
 
-    __slots__ = ("n", "edges", "adj", "labels", "_pair_weight", "_mst")
+    __slots__ = ("n", "edges", "_adj", "labels", "_pair_weight", "_mst")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None):
         if n < 1:
@@ -124,10 +127,16 @@ class WeightedGraph:
         """
         self.n = n
         self.edges = edges
-        self.adj = adjacency_from_edges(n, edges)
         self.labels = labels
         self._pair_weight = {(u, v): w for u, v, w in edges}
-        self._mst = None
+        self._adj = self._mst = None
+
+    @property
+    def adj(self) -> list[list[tuple[int, float]]]:
+        """Adjacency rows, ascending, built on first read (see the module docstring)."""
+        if self._adj is None:
+            self._adj = adjacency_from_edges(self.n, self.edges)
+        return self._adj
 
     @property
     def m(self) -> int:
@@ -185,12 +194,29 @@ def adjacency_from_edges(n: int, edges: Iterable[Edge]) -> list[list[tuple[int, 
     give ascending rows: the edges (x, v) come in ascending v, after every
     edge (u, x) with u < x, in ascending u. Scans return the same tables
     for any row order.
+
+    Each row's tuples are allocated together, so a scan reads a row from
+    adjacent memory. The per-vertex lists live until every row is built:
+    freed early, their scattered slots would take the new tuples.
     """
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    wts: list[list[float]] = [[] for _ in range(n)]
     for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
+        nbrs[u].append(v)
+        wts[u].append(w)
+        nbrs[v].append(u)
+        wts[v].append(w)
+    return [list(zip(vs, ws)) for vs, ws in zip(nbrs, wts)]
+
+
+def subgraph_adjacency(adj, pairs) -> list[list[tuple[int, float]]]:
+    """The rows of ``adj`` kept to the edges ``pairs`` (keys (u, v), u < v).
+
+    Kept entries are the host rows' own tuples, in the host's order, so a
+    graph's rows give those ``adjacency_from_edges`` builds from the sorted
+    pairs. Like it, this checks nothing and needs no connectivity.
+    """
+    return [[e for e in row if ((u, e[0]) if u < e[0] else (e[0], u)) in pairs] for u, row in enumerate(adj)]
 
 
 def scan(n, adj, sources):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView
 
 from .errors import SamplingError, SpannerError
-from .graph import BallScanner, WeightedGraph, adjacency_from_edges, distances, edges_connect, scan
+from .graph import BallScanner, WeightedGraph, distances, edges_connect, scan, subgraph_adjacency
 from .graph import tag_forest_path, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
 from .trees import mst, slt, slt_forest
@@ -229,15 +229,18 @@ class Spanner:
         return math.fsum(wt(u, v) for u, v in self.phase_tag)
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        wt = self.host.weight_of
-        return adjacency_from_edges(self.host.n, ((u, v, wt(u, v)) for u, v in sorted(self.phase_tag)))
+        """The host's rows kept to the spanner's edges, sharing their entries."""
+        return subgraph_adjacency(self.host.adj, self.phase_tag)
 
-    def per_phase(self) -> dict[str, tuple[int, float]]:
+    def _phase_weights(self) -> dict[str, list[float]]:
         weights: dict[str, list[float]] = {tag: [] for tag in PHASES}
         wt = self.host.weight_of
         for (u, v), tag in self.phase_tag.items():
             weights[tag].append(wt(u, v))
-        return {tag: (len(ws), math.fsum(ws)) for tag, ws in weights.items()}
+        return weights
+
+    def per_phase(self) -> dict[str, tuple[int, float]]:
+        return {tag: (len(ws), math.fsum(ws)) for tag, ws in self._phase_weights().items()}
 
     def edge_rows(self) -> Iterator[tuple[int, int, float, str]]:
         """(u, v, weight, tag) for every edge, in ascending (u, v)."""
@@ -246,7 +249,8 @@ class Spanner:
         return ((u, v, wt(u, v), tags[(u, v)]) for u, v in sorted(tags))
 
     def json_head(self) -> dict:
-        """Every key of ``to_json_dict`` but its edge list."""
+        """Every key of ``to_json_dict`` but its edge list, each weight read once."""
+        weights = self._phase_weights()  # fsum is exact, so the total equals weight()
         return {
             "schema": "spanner/v1",
             "kind": self.params.kind,
@@ -256,8 +260,8 @@ class Spanner:
             "scale": self.scale,
             "n": self.host.n,
             "size": self.size,
-            "weight": self.weight(),
-            "per_phase": {tag: {"count": c, "weight": w} for tag, (c, w) in sorted(self.per_phase().items())},
+            "weight": math.fsum(w for ws in weights.values() for w in ws),
+            "per_phase": {tag: {"count": len(ws), "weight": math.fsum(ws)} for tag, ws in sorted(weights.items())},
         }
 
     def to_json_dict(self) -> dict:

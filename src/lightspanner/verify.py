@@ -48,6 +48,7 @@ from typing import Sequence
 
 from .errors import SpannerError
 from .graph import INF, BallScanner, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
+from .graph import subgraph_adjacency
 from .nets import DeltaNet
 from .spanner import BuildInternals, Spanner
 from .trees import SpanningTree, mst
@@ -268,13 +269,11 @@ def verify_lightness(g: WeightedGraph, sp: Spanner) -> LightnessReport:
     mst_weight = mst(g).total_weight
     wt = g.weight_of
     buckets: dict[str, list[float]] = {}
-    counts: dict[str, int] = {}
-    for u, v in sorted(sp.edges):
-        tag = sp.phase_tag[(u, v)]
+    # fsum is exact, so neither the sums nor the report depend on edge order
+    for (u, v), tag in sp.phase_tag.items():
         buckets.setdefault(tag, []).append(wt(u, v))
-        counts[tag] = counts.get(tag, 0) + 1
-    per_phase = {tag: (counts[tag], math.fsum(ws)) for tag, ws in buckets.items()}
-    total = math.fsum(w for _, ws in sorted(buckets.items()) for w in ws)
+    per_phase = {tag: (len(ws), math.fsum(ws)) for tag, ws in buckets.items()}
+    total = math.fsum(w for ws in buckets.values() for w in ws)
     return LightnessReport(
         spanner_weight=total,
         mst_weight=mst_weight,
@@ -513,13 +512,6 @@ class _PivotBalls:
         return cached
 
 
-def _subgraph_adjacency(g: WeightedGraph, pairs) -> list[list[tuple[int, float]]]:
-    """Adjacency rows of the subgraph of g on the edges ``pairs``, which
-    need not connect g."""
-    wt = g.weight_of
-    return adjacency_from_edges(g.n, ((u, v, wt(u, v)) for u, v in sorted(pairs)))
-
-
 def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildInternals) -> LemmaResult:
     """d_{H0}(v, rep(v, i)) <= (1 + 2*eps) * 2**i for every vertex and level,
     measured inside H0 intersected with H, so a spanner missing H0 edges fails.
@@ -539,7 +531,7 @@ def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildIntern
     """
     h = internals.hierarchy
     n = gn.n
-    h0_adj = _subgraph_adjacency(gn, h.h0_edges & sp.edges)
+    h0_adj = subgraph_adjacency(gn.adj, h.h0_edges & sp.edges)
     factor = 1.0 + 2.0 * h.eps
     suspects = []
     scanner = BallScanner(n)
@@ -581,7 +573,7 @@ def _check_distance_in_bunch(
     sampling = internals.sampling
     eps = internals.hierarchy.eps
     n = gn.n
-    h_adj = _subgraph_adjacency(gn, sp.edges)
+    h_adj = subgraph_adjacency(gn.adj, sp.edges)
     delta = 0.5 * (1.0 - eps)
     checked = 0
     witnesses = []

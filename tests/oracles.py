@@ -23,6 +23,11 @@ one full scan per level, and Kruskal over every augmented edge.
 dijkstra, multi_source_dijkstra and shortest_path wrap one full ``scan``
 into frozen tables and paths with the vertex checks a public entry point
 makes; tests read distances, parents and paths from them.
+
+adjacency_reference is the plain row builder, one tuple appended per edge
+end, and subgraph_rows_reference builds a subgraph's rows with it from the
+sorted pairs and the host's weights. The references above read subgraph
+rows from it, not from the library's ``subgraph_adjacency``.
 """
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from lightspanner.graph import INF, WeightedGraph, adjacency_from_edges, scan, walk_parents
+from lightspanner.graph import INF, WeightedGraph, scan, walk_parents
 from lightspanner.nets import DeltaNet, NetHierarchy, greedy_delta_net, max_level
 from lightspanner.trees import SltForest, _kruskal, _last_parents
 from lightspanner.errors import SpannerError
@@ -46,6 +51,20 @@ from lightspanner.verify import (
     _within,
     additive_stretch_constant,
 )
+
+
+def adjacency_reference(n: int, edges: Iterable[tuple[int, int, float]]) -> list[list[tuple[int, float]]]:
+    """Rows for (u, v, w) edges, each row in the order the edges come."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def subgraph_rows_reference(g: WeightedGraph, pairs) -> list[list[tuple[int, float]]]:
+    """Rows of the subgraph of g on the edges ``pairs``, built from the sorted pairs."""
+    return adjacency_reference(g.n, [(u, v, g.weight_of(u, v)) for u, v in sorted(pairs)])
 
 
 @dataclass(frozen=True)
@@ -305,7 +324,7 @@ class _FullRows:
 def _representative_reference(gn, sp, internals) -> LemmaResult:
     h = internals.hierarchy
     n = gn.n
-    h0_adj = adjacency_from_edges(n, [(u, v, gn.weight_of(u, v)) for u, v in sorted(h.h0_edges & sp.edges)])
+    h0_adj = subgraph_rows_reference(gn, h.h0_edges & sp.edges)
     factor = 1.0 + 2.0 * h.eps
     checked = 0
     witnesses = []
@@ -323,7 +342,7 @@ def _distance_in_bunch_reference(gn, sp, internals, g_rows) -> LemmaResult:
     sampling = internals.sampling
     eps = internals.hierarchy.eps
     n = gn.n
-    h_adj = adjacency_from_edges(n, [(u, v, gn.weight_of(u, v)) for u, v in sorted(sp.edges)])
+    h_adj = subgraph_rows_reference(gn, sp.edges)
     delta = 0.5 * (1.0 - eps)
     checked = 0
     witnesses = []
@@ -454,7 +473,7 @@ def stretch_reference(g, sp, *, mode="all_pairs", sample_size=64, seed=0) -> Str
         sources = range(n)
     else:
         sources = sorted(random.Random(seed).sample(range(n), min(sample_size, n)))
-    h_adj = sp.adjacency()
+    h_adj = subgraph_rows_reference(g, sp.edges)
     pairs = 0
     worst_mult = 1.0
     worst_slack = 0.0

@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from lightspanner import graph
 from lightspanner.errors import DisconnectedGraphError
 from lightspanner.generate import generate_graph
+from lightspanner.graphio import read_graph, write_graph
 from lightspanner.graph import (
     INF,
     BallScanner,
@@ -469,3 +472,55 @@ def test_distances_lowers_a_given_table_to_both_source_sets(g, data):
 def test_distances_lowers_a_given_table_on_a_disconnected_subgraph(a, b):
     adj = adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
     assert distances(6, adj, b, distances(6, adj, a)) == distances(6, adj, set(a) | set(b))
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) with distinct vertex pairs in any order and orientation;
+    vertices may be isolated and n may be 1."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    return n, [(v, u, draw(coarse_weights)) if draw(st.booleans()) else (u, v, draw(coarse_weights)) for u, v in picked]
+
+
+@given(edge_lists())
+@example((1, []))
+@example((5, [(3, 0, 1.0), (0, 2, 0.5)]))
+def test_adjacency_from_edges_matches_the_plain_builder(case):
+    n, edges = case
+    assert adjacency_from_edges(n, edges) == oracles.adjacency_reference(n, edges)
+
+
+# ---------------------------------------------------------------- rows on first read
+
+
+def _rows_built_on_first_read(g):
+    assert g._adj is None
+    rows = g.adj
+    assert rows == _sorted_rows(g)
+    assert g._adj is rows and g.adj is rows
+
+
+def test_generated_read_and_scaled_graphs_build_rows_on_first_read(tmp_path):
+    g = generate_graph("erdos_renyi", 40, seed=2)
+    _rows_built_on_first_read(g)
+    path = tmp_path / "graph.edge_list"
+    write_graph(g, str(path))
+    _rows_built_on_first_read(read_graph(str(path)))
+    write_graph(g, str(tmp_path / "graph.dimacs"), "dimacs")
+    _rows_built_on_first_read(read_graph(str(tmp_path / "graph.dimacs"), "dimacs"))
+    # g's rows are built by now; a scaled copy still waits for its first read
+    _rows_built_on_first_read(g.scaled(3.0))
+
+
+def test_a_bogus_vertex_count_raises_before_any_table_of_size_n(tmp_path, monkeypatch):
+    def refuse(n, *args):
+        raise AssertionError(f"a table of size {n} was allocated")
+
+    monkeypatch.setattr(graph, "adjacency_from_edges", refuse)
+    monkeypatch.setattr(graph, "DisjointSets", refuse)
+    path = tmp_path / "graph.edge_list"
+    path.write_text("99999999999999999999\n0 1 1\n")
+    with pytest.raises(DisconnectedGraphError, match="fewer than n - 1"):
+        read_graph(str(path))

@@ -13,8 +13,8 @@ import pytest
 from lightspanner import verify
 from lightspanner.generate import generate_graph
 from lightspanner.graph import adjacency_from_edges, distances, scan
-from lightspanner.spanner import build_spanner
-from lightspanner.verify import WITNESS_CAP, verify_lemma_suite
+from lightspanner.spanner import PHASE_P2_DIRECT, PHASE_P2_REP, PHASE_P2_TOP, build_spanner
+from lightspanner.verify import WITNESS_CAP, verify_lemma_suite, verify_stretch
 
 from . import oracles
 from .conftest import random_connected_graph
@@ -139,6 +139,24 @@ def test_spanner_missing_h0_edges_fails_representative(built):
     got, want = _suite_and_reference(broken, built.internals)
     assert got == want
     assert not _result(got, "representative")["passed"]
+
+
+def test_spanner_without_phase_two_edges_fails_on_the_reference_witnesses(built):
+    # the internals stay genuine; the spanner loses every edge phase 2 tagged
+    phase_two = {PHASE_P2_REP, PHASE_P2_DIRECT, PHASE_P2_TOP}
+    broken = dataclasses.replace(
+        built, phase_tag={e: tag for e, tag in built.phase_tag.items() if tag not in phase_two}
+    )
+    got, want = _suite_and_reference(broken, built.internals)
+    assert got == want
+    if broken.size < built.size:
+        assert not _result(got, "distance_in_bunch")["passed"]
+    # the whole-graph check, whose additive bound no build this small can
+    # exceed, reads the same rows and reports what the full-scan reference does
+    stretch = verify_stretch(broken.host, broken, mode="sampled", sample_size=16, seed=1)
+    assert stretch.to_json_dict() == oracles.stretch_reference(
+        broken.host, broken, mode="sampled", sample_size=16, seed=1
+    ).to_json_dict()
 
 
 def test_shrunken_star_pivot_fails_half_bunch_containment(built):

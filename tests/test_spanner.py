@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import pytest
@@ -5,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from lightspanner.errors import SamplingError
 from lightspanner.generate import generate_graph
-from lightspanner import spanner
-from lightspanner.graph import WeightedGraph
+from lightspanner import spanner, verify
+from lightspanner.graph import WeightedGraph, subgraph_adjacency
+from lightspanner.graphio import loads_edge_list, write_graph
 from lightspanner.nets import greedy_delta_net
 from lightspanner.spanner import (
     PHASE_H0,
@@ -277,6 +280,49 @@ def test_path_family_exercises_representative_routing(path_spanner):
     # not phase_tag
     kinds = {rec.scale >= 0 for rec in path_spanner.internals.records}
     assert kinds == {True, False}
+
+
+# ---------------------------------------------------------------- subgraph rows
+
+
+def _assert_rows_share_host_entries(rows, host, pairs):
+    """The rows equal those built from the sorted pairs, and every entry is
+    an entry object of the host's row."""
+    assert rows == oracles.subgraph_rows_reference(host, pairs)
+    for u, row in enumerate(rows):
+        own = {id(e) for e in host.adj[u]}
+        assert all(id(e) in own for e in row)
+
+
+def test_spanner_rows_share_the_host_entries(geo_spanner):
+    _assert_rows_share_host_entries(geo_spanner.adjacency(), geo_spanner.host, geo_spanner.edges)
+
+
+def test_loaded_spanner_rows_share_the_loaded_host_entries(geo_spanner):
+    # as verify loads them: the graph from its file, the spanner from JSON text
+    buf = io.StringIO()
+    write_graph(geo_spanner.host, buf)
+    host = loads_edge_list(buf.getvalue())
+    loaded = spanner_from_json_dict(json.loads(json.dumps(geo_spanner.to_json_dict())), host)
+    _assert_rows_share_host_entries(loaded.adjacency(), host, loaded.edges)
+
+
+def test_lemma_suite_subgraph_rows_share_the_normalized_entries(geo_spanner, monkeypatch):
+    built = []
+
+    def recording(adj, pairs):
+        rows = subgraph_adjacency(adj, pairs)
+        built.append((adj, set(pairs), rows))
+        return rows
+
+    monkeypatch.setattr(verify, "subgraph_adjacency", recording)
+    assert verify.verify_lemma_suite(geo_spanner.host, geo_spanner).passed
+    gn = geo_spanner.internals.normalized
+    h0 = geo_spanner.internals.hierarchy.h0_edges
+    assert [pairs for _, pairs, _ in built] == [set(h0 & geo_spanner.edges), set(geo_spanner.edges)]
+    for adj, pairs, rows in built:
+        assert adj is gn.adj
+        _assert_rows_share_host_entries(rows, gn, pairs)
 
 
 # ---------------------------------------------------------------- persistence

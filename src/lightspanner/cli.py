@@ -25,9 +25,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import SpannerError
 from .generate import FAMILIES, generate_graph
 from .graph import WeightedGraph
-from .graphio import FORMATS, format_edge_list, read_graph, write_graph
+from .graphio import FORMATS, edge_list_lines, read_graph, write_graph
 from .nets import EPS_SAFE_LIMIT, check_eps
-from .spanner import Spanner, build_spanner, build_wmax_spanner, spanner_from_json_dict
+from .spanner import PHASES, Spanner, build_spanner, build_wmax_spanner, spanner_from_json_dict
 from .verify import additive_stretch_constant, verify_lightness, verify_stretch
 
 SWEEP_HEADER = (
@@ -63,12 +63,13 @@ def _dump_json(path: str, payload: dict) -> None:
     _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
 
 
-def _spanner_json_chunks(head: dict, rows: Sequence[tuple[int, int, float, str]]) -> Iterator[str]:
+def _spanner_json_chunks(head: dict, rows: Sequence[tuple[int, int, str, str]]) -> Iterator[str]:
     """The text ``_dump_json`` writes for ``Spanner.to_json_dict``, one chunk per edge.
 
     With an indent, json encodes in pure Python, so only the head goes
-    through json; each row is written as json writes it: ints and floats by
-    repr, the tag (a plain ASCII name) in quotes. "edges" sorts first.
+    through json; each row (u, v, repr of the weight, tag) is written as
+    json writes it: ints and floats by repr, the tag (a plain ASCII name)
+    in quotes. "edges" sorts first.
     """
     tail = json.dumps(head, indent=2, sort_keys=True)[2:]  # without the opening "{\n"
     if not rows:
@@ -76,7 +77,7 @@ def _spanner_json_chunks(head: dict, rows: Sequence[tuple[int, int, float, str]]
         return
     sep = '{\n  "edges": [\n'
     for u, v, w, tag in rows:
-        yield f'{sep}    [\n      {u},\n      {v},\n      {w!r},\n      "{tag}"\n    ]'
+        yield f'{sep}    [\n      {u},\n      {v},\n      {w},\n      "{tag}"\n    ]'
         sep = ",\n"
     yield "\n  ],\n" + tail + "\n"
 
@@ -98,13 +99,18 @@ def _load_spanner_payload(path: str) -> dict:
 
 
 def _write_spanner_artifacts(sp: Spanner, out_dir: str) -> dict:
-    """Write spanner.json and spanner.edge_list, each weight looked up once;
-    returns spanner.json's head, from which the summary is printed."""
-    head = sp.json_head()
-    rows = list(sp.edge_rows())
+    """Write spanner.json and spanner.edge_list from one pass over the edge
+    rows: each weight is looked up and rendered once, and the head is summed
+    from the rows. Returns spanner.json's head, from which the summary is printed."""
+    weights: dict[str, list[float]] = {tag: [] for tag in PHASES}
+    rows = []
+    for u, v, w, tag in sp.edge_rows():
+        weights[tag].append(w)
+        rows.append((u, v, repr(w), tag))
+    head = sp.json_head(weights)
     _atomic_write(os.path.join(out_dir, "spanner.json"), _spanner_json_chunks(head, rows))
-    text = format_edge_list(sp.host.n, ((u, v, w) for u, v, w, _ in rows))
-    _atomic_write(os.path.join(out_dir, "spanner.edge_list"), (text,))
+    lines = edge_list_lines(sp.host.n, ((u, v, w) for u, v, w, _ in rows))
+    _atomic_write(os.path.join(out_dir, "spanner.edge_list"), lines)
     return head
 
 

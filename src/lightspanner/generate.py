@@ -18,8 +18,8 @@ import math
 import random
 from collections import defaultdict
 
-from .errors import GenerationError
-from .graph import WeightedGraph, edges_connect
+from .errors import DisconnectedGraphError, GenerationError
+from .graph import WeightedGraph
 
 FAMILIES = ("path", "star", "grid", "erdos_renyi", "geometric_unit_square")
 
@@ -161,8 +161,10 @@ def generate_graph(
         else:
             rad = radius if radius is not None else default_geometric_radius(n)
             edges = _geometric_edges(n, rad, rng)
-        if edges_connect(n, edges):
+        try:
             return WeightedGraph(n, edges)
+        except DisconnectedGraphError:
+            continue
 
     raise GenerationError(
         f"family {family!r} with n={n}, seed={seed} stayed disconnected after {max_retries} retries"

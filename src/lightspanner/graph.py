@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraphError
 
@@ -47,39 +47,26 @@ INF = math.inf
 Edge = tuple[int, int, float]
 
 
-class DisjointSets:
-    """Union-find over dense integer ids (path compression + union by size)."""
+def spanning_forest(n: int, edges: Iterable[tuple]) -> Iterator[tuple]:
+    """The edges, in the order given, that join two components of the ones before.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
+    One union-find over 0..n-1 with an inlined path-halving find, so an edge
+    costs no Python call; a generator yields only the at most n - 1 joins.
+    """
+    parent = list(range(n))
+    for e in edges:
+        a, b = e[0], e[1]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+            yield e
 
 
 def edges_connect(n: int, edges: Iterable[tuple]) -> bool:
-    dsu = DisjointSets(n)
-    for e in edges:
-        dsu.union(e[0], e[1])
-    return dsu.components == 1
+    return n - sum(1 for _ in spanning_forest(n, edges)) == 1
 
 
 class WeightedGraph:
@@ -92,8 +79,6 @@ class WeightedGraph:
     __slots__ = ("n", "edges", "_adj", "labels", "_pair_weight", "_mst")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None):
-        if n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={n}")
         canon: list[Edge] = []
         seen: set[tuple[int, int]] = set()
         for u, v, w in edges:
@@ -108,6 +93,20 @@ class WeightedGraph:
                 raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
             seen.add(key)
             canon.append((key[0], key[1], float(w)))
+        self._connect(n, canon, labels)
+
+    @classmethod
+    def from_checked_edges(cls, n: int, edges: list[Edge], labels: Sequence[int] | None = None) -> "WeightedGraph":
+        """A graph of edges that pass the constructor's checks already (ids
+        0 <= u < v < n, distinct pairs, positive finite float weights); only n
+        and connectivity are checked, and ``edges`` is sorted in place."""
+        g = cls.__new__(cls)
+        g._connect(n, edges, labels)
+        return g
+
+    def _connect(self, n: int, canon: list[Edge], labels: Sequence[int] | None) -> None:
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
         # checked before any allocation of size n, which a bogus vertex
         # count in a file header could make arbitrarily large
         if len(canon) < n - 1:

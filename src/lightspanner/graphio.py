@@ -8,14 +8,18 @@ arc lines with 1-based (or arbitrary sparse positive) ids. Ids are
 re-indexed to 0..n-1 on load; the sorted original ids are kept on the
 graph as ``labels`` and used again when writing.
 
-Both readers reject duplicate edges and non-positive weights, naming
-the offending line.
+Both readers reject bad ids, self loops, duplicate edges and weights
+that are not positive and finite, naming the offending line. They hand
+their edges, so checked, to ``WeightedGraph.from_checked_edges``, which
+checks only connectivity.
 """
 from __future__ import annotations
 
 import io
+import math
 import os
-from typing import IO, Iterable
+from contextlib import contextmanager
+from typing import IO, Iterable, Iterator
 
 from .errors import GraphFormatError
 from .graph import Edge, WeightedGraph
@@ -23,10 +27,14 @@ from .graph import Edge, WeightedGraph
 FORMATS = ("edge_list", "dimacs")
 
 
-def _open_text(source, mode: str):
+@contextmanager
+def _opened(source, mode: str) -> Iterator[IO[str]]:
+    """A path opened as UTF-8 text and closed on exit, or a stream left open."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, mode, encoding="utf-8"), True
-    return source, False
+        with open(source, mode, encoding="utf-8") as stream:
+            yield stream
+    else:
+        yield source
 
 
 def _meaningful_lines(stream: IO[str], comment_prefixes: tuple[str, ...]) -> Iterable[tuple[int, str]]:
@@ -38,8 +46,7 @@ def _meaningful_lines(stream: IO[str], comment_prefixes: tuple[str, ...]) -> Ite
 
 
 def read_edge_list(source) -> WeightedGraph:
-    stream, owned = _open_text(source, "r")
-    try:
+    with _opened(source, "r") as stream:
         lines = _meaningful_lines(stream, ("#",))
         try:
             lineno, header = next(lines)
@@ -63,36 +70,36 @@ def read_edge_list(source) -> WeightedGraph:
                 raise GraphFormatError(f"vertex id outside 0..{n - 1} in {line!r}", lineno)
             if u == v:
                 raise GraphFormatError(f"self loop at vertex {u}", lineno)
-            if not (w > 0):
-                raise GraphFormatError(f"non-positive weight {w}", lineno)
+            if not (0 < w < math.inf):
+                raise GraphFormatError(f"weight {w} is not positive and finite", lineno)
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise GraphFormatError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
             seen.add(key)
-            edges.append((u, v, w))
-        return WeightedGraph(n, edges)
-    finally:
-        if owned:
-            stream.close()
+            edges.append((key[0], key[1], w))
+        return WeightedGraph.from_checked_edges(n, edges)
+
+
+def edge_list_lines(n: int, edges: Iterable[Edge]) -> Iterator[str]:
+    """The lines of the edge_list text of n vertices and (u, v, w) edges, in
+    the order given. A weight is written as ``format`` gives it: a float by
+    its repr, a string, such as a weight's repr rendered already, as it is."""
+    yield f"{n}\n"
+    for u, v, w in edges:
+        yield f"{u} {v} {w}\n"
 
 
 def format_edge_list(n: int, edges: Iterable[Edge]) -> str:
-    """The edge_list text of n vertices and (u, v, w) edges, in the order given."""
-    return f"{n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in edges)
+    return "".join(edge_list_lines(n, edges))
 
 
 def write_edge_list(g: WeightedGraph, dest) -> None:
-    stream, owned = _open_text(dest, "w")
-    try:
+    with _opened(dest, "w") as stream:
         stream.write(format_edge_list(g.n, g.edges))
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_dimacs(source) -> WeightedGraph:
-    stream, owned = _open_text(source, "r")
-    try:
+    with _opened(source, "r") as stream:
         n = m = None
         raw_edges: list[tuple[int, int, float, int]] = []
         ids: set[int] = set()
@@ -118,8 +125,8 @@ def read_dimacs(source) -> WeightedGraph:
                     raise GraphFormatError(f"could not parse arc {line!r}", lineno) from None
                 if u < 1 or v < 1:
                     raise GraphFormatError(f"dimacs ids must be >= 1 in {line!r}", lineno)
-                if not (w > 0):
-                    raise GraphFormatError(f"non-positive weight {w}", lineno)
+                if not (0 < w < math.inf):
+                    raise GraphFormatError(f"weight {w} is not positive and finite", lineno)
                 raw_edges.append((u, v, w, lineno))
                 ids.add(u)
                 ids.add(v)
@@ -141,45 +148,33 @@ def read_dimacs(source) -> WeightedGraph:
             if key in seen:
                 raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
             seen.add(key)
-            edges.append((iu, iv, w))
+            edges.append((key[0], key[1], w))
         if len(labels) < n:
             # header promises more vertices than the arcs mention
             raise GraphFormatError(f"only {len(labels)} ids seen but header says n={n}")
         if m is not None and m != len(edges):
             raise GraphFormatError(f"header says m={m} but {len(edges)} arcs found")
-        return WeightedGraph(n, edges, labels=labels)
-    finally:
-        if owned:
-            stream.close()
+        return WeightedGraph.from_checked_edges(n, edges, labels)
 
 
 def write_dimacs(g: WeightedGraph, dest) -> None:
     labels = g.labels if g.labels is not None else tuple(range(1, g.n + 1))
-    stream, owned = _open_text(dest, "w")
-    try:
+    with _opened(dest, "w") as stream:
         stream.write(f"p sp {g.n} {g.m}\n")
         for u, v, w in g.edges:
             stream.write(f"a {labels[u]} {labels[v]} {w!r}\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_graph(path, fmt: str = "edge_list") -> WeightedGraph:
-    if fmt == "edge_list":
-        return read_edge_list(path)
-    if fmt == "dimacs":
-        return read_dimacs(path)
-    raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
+    return read_edge_list(path) if fmt == "edge_list" else read_dimacs(path)
 
 
 def write_graph(g: WeightedGraph, path, fmt: str = "edge_list") -> None:
-    if fmt == "edge_list":
-        write_edge_list(g, path)
-    elif fmt == "dimacs":
-        write_dimacs(g, path)
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
+    (write_edge_list if fmt == "edge_list" else write_dimacs)(g, path)
 
 
 def loads_edge_list(text: str) -> WeightedGraph:

@@ -36,7 +36,7 @@ from .errors import SamplingError, SpannerError
 from .graph import BallScanner, WeightedGraph, distances, edges_connect, scan, subgraph_adjacency
 from .graph import tag_forest_path, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
-from .trees import mst, slt, slt_forest
+from .trees import carry_mst, mst, slt, slt_forest
 
 PHASE_H0 = "H0"
 PHASE_P2_REP = "P2_REP"
@@ -49,12 +49,14 @@ SAMPLING_RETRIES = 32
 
 
 def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
-    """Scale weights so the MST weighs exactly n; returns (graph, scale)."""
+    """Scale weights so the MST weighs exactly n; returns (graph, scale), the
+    graph with its MST memoised (see ``trees.carry_mst``)."""
     if not g.edges:
         raise ValueError("graph has no edges")
-    w = mst(g).total_weight
-    scale = g.n / w
-    return g.scaled(scale), scale
+    scale = g.n / mst(g).total_weight
+    gn = g.scaled(scale)
+    carry_mst(g, gn)
+    return gn, scale
 
 
 def scale_index(d: float, eps: float) -> int:
@@ -248,9 +250,10 @@ class Spanner:
         tags = self.phase_tag
         return ((u, v, wt(u, v), tags[(u, v)]) for u, v in sorted(tags))
 
-    def json_head(self) -> dict:
-        """Every key of ``to_json_dict`` but its edge list, each weight read once."""
-        weights = self._phase_weights()  # fsum is exact, so the total equals weight()
+    def json_head(self, weights: dict[str, list[float]]) -> dict:
+        """Every key of ``to_json_dict`` but its edge list, summed from
+        ``weights``, each phase's list of edge weights in any order."""
+        # fsum is exact, so the sums do not depend on the lists' order and equal weight()
         return {
             "schema": "spanner/v1",
             "kind": self.params.kind,
@@ -266,7 +269,7 @@ class Spanner:
 
     def to_json_dict(self) -> dict:
         """The payload of spanner.json, which ``spanner_from_json_dict`` reads back."""
-        return {**self.json_head(), "edges": [list(row) for row in self.edge_rows()]}
+        return {**self.json_head(self._phase_weights()), "edges": [list(row) for row in self.edge_rows()]}
 
 
 _REQUIRED_KEYS = ("kind", "eps", "k", "seed", "scale", "n", "edges")
@@ -327,12 +330,13 @@ def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
         u, v, w, tag = entry
         if not (_is_int(u) and _is_int(v) and _is_real(w)):
             raise SpannerError(f"spanner edge {entry!r} needs integer endpoints and a finite weight")
-        if not host.has_edge(u, v):
-            raise SpannerError(f"spanner edge ({u}, {v}) is not a host edge")
+        try:
+            hw = host.weight_of(u, v)
+        except ValueError:
+            raise SpannerError(f"spanner edge ({u}, {v}) is not a host edge") from None
         key = (u, v) if u < v else (v, u)
         if key in tags:
             raise SpannerError(f"duplicate spanner edge ({key[0]}, {key[1]})")
-        hw = host.weight_of(u, v)
         if abs(hw - w) > 1e-9 * max(abs(hw), abs(w)):
             raise SpannerError(f"edge ({u}, {v}) weight {w} does not match host weight {hw}")
         if tag not in PHASES:

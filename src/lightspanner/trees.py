@@ -29,24 +29,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError
-from .graph import Edge, WeightedGraph, adjacency_from_edges, scan, walk_parents
+from .graph import Edge, WeightedGraph, adjacency_from_edges, scan, spanning_forest, walk_parents
 
 INF = math.inf
 
 
 def _kruskal(n: int, edges: Iterable[Edge]) -> list[Edge]:
-    from .graph import DisjointSets
-
-    picked: list[Edge] = []
-    dsu = DisjointSets(n)
-    for u, v, w in sorted(edges, key=lambda e: (e[2], e[0], e[1])):
-        if dsu.union(u, v):
-            picked.append((u, v, w))
-            if len(picked) == n - 1:
-                break
+    # a stable sort on w of edges sorted by (u, v) gives the (w, u, v) order,
+    # and float keys compare faster than tuples
+    picked = list(islice(spanning_forest(n, sorted(sorted(edges), key=itemgetter(2))), n - 1))
     if len(picked) != n - 1:
         raise DisconnectedGraphError("cannot span a disconnected graph")
     picked.sort()
@@ -76,6 +72,21 @@ def mst(g: WeightedGraph) -> SpanningTree:
         tree = SpanningTree(g.n, None, tuple(picked), sum(w for _, _, w in picked))
         g._mst = tree
     return tree
+
+
+def carry_mst(g: WeightedGraph, gs: WeightedGraph) -> None:
+    """Memoise on ``gs``, a ``g.scaled`` copy, the tree ``mst(gs)`` would compute.
+
+    Kruskal reads only the (w, u, v) order. Rounding is monotone, so scaling
+    keeps that order unless it rounds two distinct weights to one, which
+    leaves gs fewer distinct weights than g. Then gs keeps no memo and ``mst``
+    runs Kruskal on it; else MST(gs) is mst(g)'s edges with gs's weights,
+    summed in the same (u, v) order.
+    """
+    if len({w for _, _, w in g.edges}) == len({w for _, _, w in gs.edges}):
+        wt = gs.weight_of
+        edges = tuple((u, v, wt(u, v)) for u, v, _ in mst(g).edges)
+        gs._mst = SpanningTree(gs.n, None, edges, sum(w for _, _, w in edges))
 
 
 def _last_parents(
@@ -134,6 +145,13 @@ def _last_parents(
     return parent
 
 
+def _parent_edges(g: WeightedGraph, parents: Sequence[int]) -> tuple[Edge, ...]:
+    """The edges of g from each vertex to its parent, sorted; a parent of -1
+    or outside g (a virtual root) gives none."""
+    pairs = sorted((p, v) if p < v else (v, p) for v, p in enumerate(parents[: g.n]) if 0 <= p < g.n)
+    return tuple((a, b, g.weight_of(a, b)) for a, b in pairs)
+
+
 def slt(g: WeightedGraph, root: int, eps: float) -> SpanningTree:
     """Shallow-light spanning tree rooted at ``root``.
 
@@ -147,15 +165,8 @@ def slt(g: WeightedGraph, root: int, eps: float) -> SpanningTree:
     dist, parent_spt, _, _, _, _ = scan(g.n, g.adj, (root,))
     tree_adj = adjacency_from_edges(g.n, mst(g).edges)
     parents = _last_parents(g.n, tree_adj, root, 1.0 + eps, dist, parent_spt, g.weight_of)
-    edges = []
-    for v in range(g.n):
-        if v == root:
-            continue
-        p = parents[v]
-        a, b = (p, v) if p < v else (v, p)
-        edges.append((a, b, g.weight_of(a, b)))
-    edges.sort()
-    return SpanningTree(g.n, root, tuple(edges), sum(w for _, _, w in edges))
+    edges = _parent_edges(g, parents)
+    return SpanningTree(g.n, root, edges, sum(w for _, _, w in edges))
 
 
 @dataclass(frozen=True)
@@ -211,18 +222,5 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
 
     tree_adj = adjacency_from_edges(n_aug, tree_edges)
     parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
-
-    edges = []
-    for v in range(g.n):
-        p = parents[v]
-        if p == virtual:
-            continue
-        a, b = (p, v) if p < v else (v, p)
-        edges.append((a, b, g.weight_of(a, b)))
-    edges.sort()
-    return SltForest(
-        g.n,
-        frozenset(root_list),
-        tuple(edges),
-        sum(w for _, _, w in edges),
-    )
+    edges = _parent_edges(g, parents)
+    return SltForest(g.n, frozenset(root_list), edges, sum(w for _, _, w in edges))

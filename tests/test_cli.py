@@ -329,6 +329,20 @@ def test_failed_edge_list_writes_keep_the_old_files(workdir, monkeypatch):
     assert sorted(os.listdir(workdir)) == ["b", "graph.edge_list", "spanner.edge_list", "spanner.json"]
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [("graph.edge_list", "3\n0 1 1.0\n1 2 1e999\n"), ("graph.dimacs", "p sp 3 2\na 1 2 1.0\na 2 3 1e999\n")],
+    ids=["edge_list", "dimacs"],
+)
+def test_an_infinite_weight_exits_two_naming_its_line(workdir, capsys, name, text):
+    (workdir / name).write_text(text)
+    fmt = name.split(".")[1]
+    rc = main(["build", "--input", name, "--format", fmt, "--eps", "0.05", "--k", "2", "--output-dir", "out"])
+    assert rc == 2
+    assert "line 3: weight inf is not positive and finite" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def _spanners_to_write():
     """A hierarchical build with every phase tag (edges retagged P2_REP, which
     H0 preempts in real builds at these sizes), a wmax build, and a spanner
@@ -351,6 +365,20 @@ def test_streamed_spanner_json_is_the_json_dump(tmp_path, name):
     wt = sp.host.weight_of
     edge_list = format_edge_list(sp.host.n, [(u, v, wt(u, v)) for u, v in sorted(sp.edges)])
     assert (tmp_path / "spanner.edge_list").read_text() == edge_list
+
+
+def test_spanner_files_look_each_weight_up_once(tmp_path, monkeypatch):
+    sp = _spanners_to_write()["hierarchical"]
+    lookups = []
+    weight_of = WeightedGraph.weight_of
+
+    def counting_weight_of(self, u, v):
+        lookups.append((u, v))
+        return weight_of(self, u, v)
+
+    monkeypatch.setattr(WeightedGraph, "weight_of", counting_weight_of)
+    cli._write_spanner_artifacts(sp, str(tmp_path))
+    assert sorted(lookups) == sorted(sp.edges)
 
 
 def test_streamed_spanner_json_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lightspanner.errors import GenerationError
@@ -90,6 +92,20 @@ def test_unknown_family():
 def test_n_too_small():
     with pytest.raises(ValueError, match="n >= 2"):
         generate_graph("path", 1)
+
+
+def test_a_disconnected_draw_is_redrawn_from_the_next_seed():
+    from lightspanner.generate import _erdos_renyi_edges
+    from lightspanner.graph import WeightedGraph, edges_connect
+
+    retried = 0
+    for seed in range(20):
+        g = generate_graph("erdos_renyi", 30, seed=seed, p=0.1)
+        draws = (_erdos_renyi_edges(30, 0.1, random.Random(seed + a), (1.0, 2.0)) for a in range(64))
+        first, edges = next((a, e) for a, e in enumerate(draws) if edges_connect(30, e))
+        retried += first > 0
+        assert g == WeightedGraph(30, edges)
+    assert retried
 
 
 def test_sparse_random_graph_retries_then_gives_up():

@@ -519,7 +519,7 @@ def test_a_bogus_vertex_count_raises_before_any_table_of_size_n(tmp_path, monkey
         raise AssertionError(f"a table of size {n} was allocated")
 
     monkeypatch.setattr(graph, "adjacency_from_edges", refuse)
-    monkeypatch.setattr(graph, "DisjointSets", refuse)
+    monkeypatch.setattr(graph, "spanning_forest", refuse)
     path = tmp_path / "graph.edge_list"
     path.write_text("99999999999999999999\n0 1 1\n")
     with pytest.raises(DisconnectedGraphError, match="fewer than n - 1"):

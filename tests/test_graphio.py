@@ -1,9 +1,10 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from lightspanner.errors import GraphFormatError
+from lightspanner.graph import WeightedGraph
 from lightspanner.graphio import (
     loads_edge_list,
     read_dimacs,
@@ -14,7 +15,7 @@ from lightspanner.graphio import (
     write_graph,
 )
 
-from .conftest import connected_graphs
+from .conftest import coarse_weights, connected_graphs
 
 
 @given(connected_graphs())
@@ -138,3 +139,35 @@ def test_read_graph_unknown_format(tmp_path):
         read_graph(tmp_path / "x", fmt="gml")
     with pytest.raises(ValueError, match="unknown graph format"):
         write_graph(loads_edge_list("2\n0 1 1.0\n"), tmp_path / "x", fmt="gml")
+
+
+@pytest.mark.parametrize("weight", ["1e999", "inf", "-inf", "nan", "0", "-2.5"])
+@pytest.mark.parametrize(
+    "reader, text",
+    [(read_edge_list, "3\n0 1 1.0\n1 2 {w}\n"), (read_dimacs, "p sp 3 2\na 1 2 1.0\na 2 3 {w}\n")],
+    ids=["edge_list", "dimacs"],
+)
+def test_readers_reject_a_weight_that_is_not_positive_and_finite(reader, text, weight):
+    with pytest.raises(GraphFormatError, match="is not positive and finite") as err:
+        reader(io.StringIO(text.format(w=weight)))
+    assert err.value.line == 3
+
+
+@given(
+    st.one_of(connected_graphs(), connected_graphs(weights=coarse_weights)),
+    st.randoms(use_true_random=False),
+)
+def test_a_read_graph_is_the_constructed_graph(g, rnd):
+    # the readers skip the constructor's checks, so their graphs must equal
+    # its graphs for edges in any order and orientation
+    edges = [(v, u, w) if rnd.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
+    rnd.shuffle(edges)
+    want = WeightedGraph(g.n, edges)
+    got = read_edge_list(io.StringIO(f"{g.n}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in edges)))
+    assert (got.n, got.edges, got.labels, got.adj) == (want.n, want.edges, want.labels, want.adj)
+
+    labels = sorted(rnd.sample(range(1, 10 * g.n), g.n))
+    want = WeightedGraph(g.n, edges, labels=labels)
+    arcs = "".join(f"a {labels[u]} {labels[v]} {w!r}\n" for u, v, w in edges)
+    got = read_dimacs(io.StringIO(f"p sp {g.n} {len(edges)}\n" + arcs))
+    assert (got.n, got.edges, got.labels, got.adj) == (want.n, want.edges, want.labels, want.adj)

@@ -145,6 +145,8 @@ def generate_graph(
 
     if family == "grid":
         rows, cols = _grid_shape(n, rows, cols)
+        if rows < 1 or cols < 1 or rows * cols < 2:
+            raise ValueError(f"grid needs rows, cols >= 1 and rows * cols >= 2, got rows={rows}, cols={cols}")
         n = rows * cols
 
     for attempt in range(max_retries):

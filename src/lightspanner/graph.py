@@ -45,6 +45,7 @@ from .errors import DisconnectedGraphError
 INF = math.inf
 
 Edge = tuple[int, int, float]
+PairWeights = dict[tuple[int, int], float]  # (u, v) with u < v -> w
 
 
 def spanning_forest(n: int, edges: Iterable[tuple]) -> Iterator[tuple]:
@@ -79,8 +80,7 @@ class WeightedGraph:
     __slots__ = ("n", "edges", "_adj", "labels", "_pair_weight", "_mst")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None):
-        canon: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
+        pair_weight: PairWeights = {}
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has endpoint outside 0..{n - 1}")
@@ -89,45 +89,46 @@ class WeightedGraph:
             if not (w > 0 and math.isfinite(w)):
                 raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
             key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if key in pair_weight:
                 raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            canon.append((key[0], key[1], float(w)))
-        self._connect(n, canon, labels)
+            pair_weight[key] = float(w)
+        self._connect(n, pair_weight, labels)
 
     @classmethod
-    def from_checked_edges(cls, n: int, edges: list[Edge], labels: Sequence[int] | None = None) -> "WeightedGraph":
-        """A graph of edges that pass the constructor's checks already (ids
-        0 <= u < v < n, distinct pairs, positive finite float weights); only n
-        and connectivity are checked, and ``edges`` is sorted in place."""
+    def from_checked_edges(cls, n: int, pair_weight: PairWeights, labels: Sequence[int] | None = None) -> WeightedGraph:
+        """A graph of edges (u, v) -> w that pass the constructor's checks already
+        (ids 0 <= u < v < n, positive finite float weights), kept as its pair
+        table; only n and connectivity are checked."""
         g = cls.__new__(cls)
-        g._connect(n, edges, labels)
+        g._connect(n, pair_weight, labels)
         return g
 
-    def _connect(self, n: int, canon: list[Edge], labels: Sequence[int] | None) -> None:
+    def _connect(self, n: int, pair_weight: PairWeights, labels: Sequence[int] | None) -> None:
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         # checked before any allocation of size n, which a bogus vertex
         # count in a file header could make arbitrarily large
-        if len(canon) < n - 1:
+        if len(pair_weight) < n - 1:
             raise DisconnectedGraphError(
-                f"graph on {n} vertices is not connected: {len(canon)} edges are fewer than n - 1"
+                f"graph on {n} vertices is not connected: {len(pair_weight)} edges are fewer than n - 1"
             )
-        canon.sort()
+        canon = sorted((u, v, w) for (u, v), w in pair_weight.items())
         if n > 1 and not edges_connect(n, canon):
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
-        self._assemble(n, tuple(canon), tuple(labels) if labels is not None else None)
+        self._assemble(n, tuple(canon), tuple(labels) if labels is not None else None, pair_weight)
 
-    def _assemble(self, n: int, edges: tuple[Edge, ...], labels: tuple[int, ...] | None) -> None:
+    def _assemble(
+        self, n: int, edges: tuple[Edge, ...], labels: tuple[int, ...] | None, pair_weight: PairWeights
+    ) -> None:
         """Fill every slot from edges already checked and sorted by (u, v), so
         every adjacency row ascends (see ``adjacency_from_edges``).
 
-        adj and the pair dict hold the very float objects of ``edges``.
+        adj and ``pair_weight`` hold the very float objects of ``edges``.
         """
         self.n = n
         self.edges = edges
         self.labels = labels
-        self._pair_weight = {(u, v): w for u, v, w in edges}
+        self._pair_weight = pair_weight
         self._adj = self._mst = None
 
     @property
@@ -164,13 +165,15 @@ class WeightedGraph:
         if not (factor > 0):
             raise ValueError(f"scale factor must be positive, got {factor}")
         edges = []
+        pair_weight = {}
         for u, v, w in self.edges:
             w *= factor
             if not (w > 0 and math.isfinite(w)):
                 raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
             edges.append((u, v, w))
+            pair_weight[u, v] = w
         g = WeightedGraph.__new__(WeightedGraph)
-        g._assemble(self.n, tuple(edges), self.labels)
+        g._assemble(self.n, tuple(edges), self.labels, pair_weight)
         return g
 
     def __eq__(self, other: object) -> bool:

@@ -10,7 +10,8 @@ graph as ``labels`` and used again when writing.
 
 Both readers reject bad ids, self loops, duplicate edges and weights
 that are not positive and finite, naming the offending line. They hand
-their edges, so checked, to ``WeightedGraph.from_checked_edges``, which
+their edges, so checked, to ``WeightedGraph.from_checked_edges`` as the
+pair table their duplicate check builds; the graph keeps that table and
 checks only connectivity.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ from contextlib import contextmanager
 from typing import IO, Iterable, Iterator
 
 from .errors import GraphFormatError
-from .graph import Edge, WeightedGraph
+from .graph import Edge, PairWeights, WeightedGraph
 
 FORMATS = ("edge_list", "dimacs")
 
@@ -56,8 +57,7 @@ def read_edge_list(source) -> WeightedGraph:
             n = int(header.split()[0])
         except ValueError:
             raise GraphFormatError(f"expected vertex count, got {header!r}", lineno) from None
-        edges = []
-        seen = set()
+        pair_weight: PairWeights = {}
         for lineno, line in lines:
             parts = line.split()
             if len(parts) != 3:
@@ -73,11 +73,10 @@ def read_edge_list(source) -> WeightedGraph:
             if not (0 < w < math.inf):
                 raise GraphFormatError(f"weight {w} is not positive and finite", lineno)
             key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if key in pair_weight:
                 raise GraphFormatError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
-            seen.add(key)
-            edges.append((key[0], key[1], w))
-        return WeightedGraph.from_checked_edges(n, edges)
+            pair_weight[key] = w
+        return WeightedGraph.from_checked_edges(n, pair_weight)
 
 
 def edge_list_lines(n: int, edges: Iterable[Edge]) -> Iterator[str]:
@@ -89,13 +88,9 @@ def edge_list_lines(n: int, edges: Iterable[Edge]) -> Iterator[str]:
         yield f"{u} {v} {w}\n"
 
 
-def format_edge_list(n: int, edges: Iterable[Edge]) -> str:
-    return "".join(edge_list_lines(n, edges))
-
-
 def write_edge_list(g: WeightedGraph, dest) -> None:
     with _opened(dest, "w") as stream:
-        stream.write(format_edge_list(g.n, g.edges))
+        stream.writelines(edge_list_lines(g.n, g.edges))
 
 
 def read_dimacs(source) -> WeightedGraph:
@@ -138,23 +133,21 @@ def read_dimacs(source) -> WeightedGraph:
             raise GraphFormatError(f"{len(ids)} distinct ids but header says n={n}")
         labels = sorted(ids)
         index = {orig: i for i, orig in enumerate(labels)}
-        edges = []
-        seen = set()
+        pair_weight: PairWeights = {}
         for u, v, w, lineno in raw_edges:
             iu, iv = index[u], index[v]
             if iu == iv:
                 raise GraphFormatError(f"self loop at id {u}", lineno)
             key = (iu, iv) if iu < iv else (iv, iu)
-            if key in seen:
+            if key in pair_weight:
                 raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-            seen.add(key)
-            edges.append((key[0], key[1], w))
+            pair_weight[key] = w
         if len(labels) < n:
             # header promises more vertices than the arcs mention
             raise GraphFormatError(f"only {len(labels)} ids seen but header says n={n}")
-        if m is not None and m != len(edges):
-            raise GraphFormatError(f"header says m={m} but {len(edges)} arcs found")
-        return WeightedGraph.from_checked_edges(n, edges, labels)
+        if m is not None and m != len(pair_weight):
+            raise GraphFormatError(f"header says m={m} but {len(pair_weight)} arcs found")
+        return WeightedGraph.from_checked_edges(n, pair_weight, labels)
 
 
 def write_dimacs(g: WeightedGraph, dest) -> None:

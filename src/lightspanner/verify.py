@@ -30,7 +30,7 @@ their partner counts, and it builds no global set of pairs.
 Distance comparisons allow 1e-9 relative slack on the bound side; the
 subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
 its float sum appears verbatim among the graph's candidate sums). Reports are
-plain frozen dataclasses with a to_json_dict() for serialization and are
+frozen dataclasses that serialize from their fields (see ``_Report``) and are
 deterministic given (graph, spanner, mode, seed).
 
 The stretch check, verify_slt and the lemma suite's full rows read only
@@ -43,8 +43,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Sequence
 
 from .errors import SpannerError
 from .graph import INF, BallScanner, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
@@ -87,18 +87,43 @@ def _check_host(g: WeightedGraph, sp: Spanner) -> None:
         raise SpannerError("spanner was built on a different graph than the one supplied")
 
 
+class _Report:
+    """Base of the report dataclasses: a report's JSON is its fields, each
+    under its own name (tuples as lists, nested reports as their dicts), its
+    class's ``schema`` where it has one, and ``passed``."""
+
+    schema: ClassVar[str | None] = None
+
+    def to_json_dict(self) -> dict:
+        out = {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        if self.schema is not None:
+            out["schema"] = self.schema
+        out["passed"] = self.passed
+        return out
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, _Report):
+        return value.to_json_dict()
+    return value
+
+
 # ---------------------------------------------------------------------------
 # stretch
 
 
 @dataclass(frozen=True)
-class StretchReport:
+class StretchReport(_Report):
     """All-pairs (or sampled-source) stretch certification.
 
     worst_additive_slack is max over pairs of (d_H - alpha*d_G) / W, clamped
     to 0 when the multiplicative part alone covers the pair; the spanner
     passes iff that slack never exceeds bound_used.
     """
+
+    schema: ClassVar[str] = "stretch_report/v1"
 
     pairs_checked: int
     worst_mult_stretch: float
@@ -113,21 +138,6 @@ class StretchReport:
     @property
     def passed(self) -> bool:
         return self.violation_count == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "stretch_report/v1",
-            "mode": self.mode,
-            "kind": self.kind,
-            "pairs_checked": self.pairs_checked,
-            "worst_mult_stretch": self.worst_mult_stretch,
-            "worst_additive_slack": self.worst_additive_slack,
-            "bound_used": self.bound_used,
-            "alpha": self.alpha,
-            "violation_count": self.violation_count,
-            "violations": [list(v) for v in self.violations],
-            "passed": self.passed,
-        }
 
 
 def verify_stretch(
@@ -236,7 +246,9 @@ def verify_stretch(
 
 
 @dataclass(frozen=True)
-class LightnessReport:
+class LightnessReport(_Report):
+    schema: ClassVar[str] = "lightness_report/v1"
+
     spanner_weight: float
     mst_weight: float
     lightness: float
@@ -248,17 +260,11 @@ class LightnessReport:
         return self.lightness >= 1.0 - REL_TOL
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "lightness_report/v1",
-            "spanner_weight": self.spanner_weight,
-            "mst_weight": self.mst_weight,
-            "lightness": self.lightness,
-            "size": self.size,
-            "per_phase": {
-                tag: {"count": c, "weight": w} for tag, (c, w) in sorted(self.per_phase.items())
-            },
-            "passed": self.passed,
+        out = super().to_json_dict()
+        out["per_phase"] = {
+            tag: {"count": c, "weight": w} for tag, (c, w) in sorted(self.per_phase.items())
         }
+        return out
 
 
 def verify_lightness(g: WeightedGraph, sp: Spanner) -> LightnessReport:
@@ -288,7 +294,9 @@ def verify_lightness(g: WeightedGraph, sp: Spanner) -> LightnessReport:
 
 
 @dataclass(frozen=True)
-class NetReport:
+class NetReport(_Report):
+    schema: ClassVar[str] = "net_report/v1"
+
     delta: float
     size: int
     covering_violations: tuple[tuple[int, float], ...]  # (vertex, dist to net)
@@ -298,17 +306,6 @@ class NetReport:
     @property
     def passed(self) -> bool:
         return not self.covering_violations and not self.packing_violations and self.mst_bound_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "net_report/v1",
-            "delta": self.delta,
-            "size": self.size,
-            "covering_violations": [list(v) for v in self.covering_violations],
-            "packing_violations": [list(v) for v in self.packing_violations],
-            "mst_bound_ok": self.mst_bound_ok,
-            "passed": self.passed,
-        }
 
 
 def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
@@ -372,7 +369,9 @@ def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
 
 
 @dataclass(frozen=True)
-class SltReport:
+class SltReport(_Report):
+    schema: ClassVar[str] = "slt_report/v1"
+
     root: int
     alpha: float
     gamma: float
@@ -385,20 +384,6 @@ class SltReport:
     @property
     def passed(self) -> bool:
         return not self.violations and _within(self.weight_ratio, self.gamma)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "slt_report/v1",
-            "root": self.root,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "worst_root_stretch": self.worst_root_stretch,
-            "tree_weight": self.tree_weight,
-            "mst_weight": self.mst_weight,
-            "weight_ratio": self.weight_ratio,
-            "violations": [list(v) for v in self.violations],
-            "passed": self.passed,
-        }
 
 
 def verify_slt(g: WeightedGraph, tree: SpanningTree, root: int, eps: float) -> SltReport:
@@ -442,7 +427,7 @@ def verify_slt(g: WeightedGraph, tree: SpanningTree, root: int, eps: float) -> S
 
 
 @dataclass(frozen=True)
-class LemmaResult:
+class LemmaResult(_Report):
     name: str
     checked: int
     witnesses: tuple[tuple, ...]
@@ -451,17 +436,11 @@ class LemmaResult:
     def passed(self) -> bool:
         return not self.witnesses
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "witnesses": [list(w) for w in self.witnesses],
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class LemmaSuiteReport:
+class LemmaSuiteReport(_Report):
+    schema: ClassVar[str] = "lemma_suite/v1"
+
     results: tuple[LemmaResult, ...]
 
     @property
@@ -473,13 +452,6 @@ class LemmaSuiteReport:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "lemma_suite/v1",
-            "results": [r.to_json_dict() for r in self.results],
-            "passed": self.passed,
-        }
 
 
 class _PivotBalls:

@@ -8,7 +8,7 @@ from lightspanner import cli
 from lightspanner.cli import SWEEP_HEADER, main, run_sweep
 from lightspanner.generate import generate_graph
 from lightspanner.graph import WeightedGraph
-from lightspanner.graphio import format_edge_list, read_graph
+from lightspanner.graphio import edge_list_lines, read_graph
 from lightspanner.spanner import PHASE_P2_REP, Spanner, SpannerParams, build_spanner, build_wmax_spanner
 
 
@@ -41,6 +41,15 @@ def _gen(workdir, family="geometric_unit_square", n=80, seed=4, fmt="edge_list")
     )
     assert rc == 0
     return os.path.join(str(workdir), f"graph.{fmt}")
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (0, 5), (-2, -3)])
+def test_gen_rejects_a_grid_shape_nothing_can_build(workdir, capsys, rows, cols):
+    argv = ["gen", "--family", "grid", "--n", "12", "--rows", str(rows), "--cols", str(cols)]
+    assert main(argv + ["--output-dir", str(workdir)]) == 2
+    err = capsys.readouterr().err
+    assert f"rows={rows}" in err and f"cols={cols}" in err
+    assert os.listdir(workdir) == []
 
 
 def test_gen_build_verify_pipeline(workdir, capsys):
@@ -363,7 +372,7 @@ def test_streamed_spanner_json_is_the_json_dump(tmp_path, name):
     cli._write_spanner_artifacts(sp, str(tmp_path))
     assert (tmp_path / "spanner.json").read_text() == json.dumps(sp.to_json_dict(), indent=2, sort_keys=True) + "\n"
     wt = sp.host.weight_of
-    edge_list = format_edge_list(sp.host.n, [(u, v, wt(u, v)) for u, v in sorted(sp.edges)])
+    edge_list = "".join(edge_list_lines(sp.host.n, [(u, v, wt(u, v)) for u, v in sorted(sp.edges)]))
     assert (tmp_path / "spanner.edge_list").read_text() == edge_list
 
 

@@ -9,7 +9,8 @@ The artifacts do not show every build fact. On the path graphs of the CLI
 cases H0 claims every edge before phase 2, so no artifact exposes which
 representative a phase-2 connection reached. INTERNAL_GOLDEN pins those
 facts directly: the phase-2 records and the lemma-suite report of builds
-that route connections through representatives.
+that route connections through representatives. REPORT_GOLDEN pins the
+net and shallow-light-tree reports, which no CLI command writes.
 """
 import hashlib
 import json
@@ -19,8 +20,10 @@ import pytest
 
 from lightspanner.cli import main
 from lightspanner.generate import generate_graph
+from lightspanner.nets import DeltaNet, greedy_delta_net
 from lightspanner.spanner import build_spanner
-from lightspanner.verify import verify_lemma_suite
+from lightspanner.trees import mst, slt
+from lightspanner.verify import verify_lemma_suite, verify_net, verify_slt
 
 ARTIFACTS = (
     "graph.edge_list",
@@ -203,3 +206,33 @@ def test_phase_tag_order_matches_golden(family, n, eps, unsafe_eps, seed):
     sp = build_spanner(generate_graph(family, n, seed=0), eps, 2, seed, unsafe_eps=unsafe_eps, keep_internals=False)
     rows = [[u, v, tag] for (u, v), tag in sp.phase_tag.items()]
     assert _canonical_sha256(rows) == PHASE_TAG_GOLDEN[(family, n, eps, unsafe_eps, seed)]
+
+
+# sha256 of to_json_dict() for the net and shallow-light-tree reports, one
+# passing and one failing each; the failing ones list covering and packing
+# violations (a 3-vertex net of delta 4 on a unit path) and root-stretch
+# violations (the MST taken as a tree of eps 0.05).
+REPORT_GOLDEN = {
+    "net-pass": "b12ae4f347c59ee9bd4407130c4fdd57694d6c3ed85461482ca94512215cd408",
+    "net-fail": "9364c4d236ec5512dfe83de462eb759512c3a51d04bd30216eeaa12e3b856c55",
+    "slt-pass": "427d0b07f6d84b28e30a40fb43c5e459bda85c9ec99e6f624bc68438ca16e18c",
+    "slt-fail": "8dfa4d85ec20ed53ef5f6f36d85527be033e8ea9db70df18ae40376a14ac2a80",
+}
+
+
+def _report(name):
+    geo = generate_graph("geometric_unit_square", 200, seed=0)
+    if name == "net-pass":
+        return verify_net(geo, greedy_delta_net(geo, 0.2))
+    if name == "net-fail":
+        return verify_net(generate_graph("path", 10, seed=0, weight_range=(1.0, 1.0)), DeltaNet(4.0, (0, 1, 2)))
+    if name == "slt-pass":
+        return verify_slt(geo, slt(geo, 0, 0.5), 0, 0.5)
+    return verify_slt(geo, mst(geo), 0, 0.05)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_net_and_slt_reports_match_golden(name):
+    report = _report(name)
+    assert report.passed == name.endswith("pass")
+    assert _canonical_sha256(report.to_json_dict()) == REPORT_GOLDEN[name]

@@ -6,6 +6,9 @@
   perfbench/tracing.py rebinds it in each of them to count full scans.
 - The verifier stays independent of the builder: from ``spanner`` it takes
   only the data classes it reads, ``BuildInternals`` and ``Spanner``.
+- Verifier reports serialize from their fields: in ``verify`` only the
+  reports' base defines ``to_json_dict``, and ``LightnessReport`` overrides
+  it for the shape of its ``per_phase`` table.
 """
 import ast
 import pathlib
@@ -50,3 +53,14 @@ def test_verify_imports_only_data_classes_from_spanner():
     # the whole module, which would bring every builder helper along
     assert (".", "spanner") not in imports and ("lightspanner", "spanner") not in imports
     assert ("lightspanner.spanner", None) not in imports
+
+
+def test_only_the_report_base_and_lightness_define_to_json_dict():
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    defining = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "to_json_dict" for item in node.body)
+    }
+    assert defining == {"_Report", "LightnessReport"}

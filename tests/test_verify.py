@@ -18,6 +18,12 @@ from lightspanner.spanner import (
 from lightspanner.trees import SpanningTree, mst, slt
 from lightspanner.verify import (
     WITNESS_CAP,
+    LemmaResult,
+    LemmaSuiteReport,
+    LightnessReport,
+    NetReport,
+    SltReport,
+    StretchReport,
     additive_stretch_constant,
     delta_parameter,
     verify_lemma_suite,
@@ -456,3 +462,54 @@ def test_lemma_suite_rejects_wmax():
     sp = build_wmax_spanner(g, eps=0.5)
     with pytest.raises(SpannerError, match="internals"):
         verify_lemma_suite(g, sp)
+
+
+# ---------------------------------------------------------------- report JSON
+
+REPORT_SCHEMAS = {
+    StretchReport: "stretch_report/v1",
+    LightnessReport: "lightness_report/v1",
+    NetReport: "net_report/v1",
+    SltReport: "slt_report/v1",
+    LemmaResult: None,
+    LemmaSuiteReport: "lemma_suite/v1",
+}
+
+
+@pytest.fixture(scope="module")
+def one_report_of_each_type(medium_geometric):
+    g = medium_geometric
+    sp = build_spanner(g, eps=0.05, k=2, seed=0)
+    suite = verify_lemma_suite(g, sp)
+    reports = [
+        verify_stretch(g, sp),
+        verify_lightness(g, sp),
+        verify_net(g, greedy_delta_net(g, 0.2)),
+        verify_slt(g, slt(g, 0, 0.5), 0, 0.5),
+        suite.results[0],
+        suite,
+    ]
+    return {type(r): r for r in reports}
+
+
+@pytest.mark.parametrize("report_type", sorted(REPORT_SCHEMAS, key=lambda t: t.__name__), ids=lambda t: t.__name__)
+def test_report_json_keys_are_its_fields_passed_and_schema(one_report_of_each_type, report_type):
+    report = one_report_of_each_type[report_type]
+    payload = report.to_json_dict()
+    schema = REPORT_SCHEMAS[report_type]
+    keys = {f.name for f in dataclasses.fields(report)} | {"passed"} | ({"schema"} if schema else set())
+    assert set(payload) == keys
+    assert payload.get("schema") == schema
+    assert payload["passed"] is report.passed
+
+
+def test_lemma_suite_json_nests_each_result_with_its_passed():
+    g = generate_graph("path", 60, seed=0)
+    sp = build_spanner(g, eps=0.05, k=2, seed=0)
+    bare = dataclasses.replace(sp, phase_tag={e: PHASE_H0 for e in list(sp.phase_tag)[::2]})
+    suite = verify_lemma_suite(g, bare, sp.internals)
+    payload = suite.to_json_dict()
+    assert payload["passed"] is False
+    assert payload["results"] == [r.to_json_dict() for r in suite.results]
+    assert [r["passed"] for r in payload["results"]] == [r.passed for r in suite.results]
+    assert all(type(w) is list for r in payload["results"] for w in r["witnesses"])

@@ -7,7 +7,9 @@ atomic (temp file + rename) and byte-deterministic for a given command line
 and inputs: JSON is dumped with sorted keys and no timestamps.
 
 Exit codes: 0 success (and every requested verification passed), 1 a
-verification reported violations, 2 an error in any stage.
+verification reported violations, 2 an error in any stage. A closed stdout
+(``lightspanner inspect ... | head -1``) is none of these: the rest of the
+output is dropped and the command keeps its own exit code.
 """
 from __future__ import annotations
 
@@ -82,6 +84,18 @@ def _spanner_json_chunks(head: dict, rows: Sequence[tuple[int, int, str, str]]) 
     yield "\n  ],\n" + tail + "\n"
 
 
+def _say(line: str) -> None:
+    """Print ``line`` to stdout, flushed, so a reader that has gone away (EPIPE)
+    shows here rather than in the flush at exit. From then on stdout points at
+    os.devnull: the command runs on and keeps its own exit code."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _load_graph(args: argparse.Namespace) -> WeightedGraph:
     return read_graph(args.input, args.format)
 
@@ -115,10 +129,10 @@ def _write_spanner_artifacts(sp: Spanner, out_dir: str) -> dict:
 
 
 def _print_spanner_summary(head: dict) -> None:
-    print(f"spanner: kind={head['kind']} n={head['n']} size={head['size']} weight={head['weight']:.6g}")
+    _say(f"spanner: kind={head['kind']} n={head['n']} size={head['size']} weight={head['weight']:.6g}")
     for tag, phase in head["per_phase"].items():
         if phase["count"]:
-            print(f"  {tag}: {phase['count']} edges, weight {phase['weight']:.6g}")
+            _say(f"  {tag}: {phase['count']} edges, weight {phase['weight']:.6g}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -136,7 +150,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     write_graph(g, buf, args.format)
     _atomic_write(path, (buf.getvalue(),))
-    print(f"wrote {path}: n={g.n} m={g.m} weight={g.total_weight():.6g}")
+    _say(f"wrote {path}: n={g.n} m={g.m} weight={g.total_weight():.6g}")
     return 0
 
 
@@ -165,12 +179,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lightness = verify_lightness(g, sp)
     _dump_json(os.path.join(args.output_dir, "stretch_report.json"), stretch.to_json_dict())
     _dump_json(os.path.join(args.output_dir, "lightness_report.json"), lightness.to_json_dict())
-    print(
+    _say(
         f"stretch: {'PASS' if stretch.passed else 'FAIL'} "
         f"(pairs={stretch.pairs_checked} worst_mult={stretch.worst_mult_stretch:.6g} "
         f"worst_slack={stretch.worst_additive_slack:.6g} bound={stretch.bound_used:.6g})"
     )
-    print(
+    _say(
         f"lightness: {'PASS' if lightness.passed else 'FAIL'} "
         f"(size={lightness.size} lightness={lightness.lightness:.6g})"
     )
@@ -199,7 +213,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         }
     if not payload:
         raise SpannerError("inspect needs --input and/or --spanner")
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _say(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -278,9 +292,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         out_path=out_path,
         unsafe_eps=args.unsafe_eps,
-        progress=lambda line: print(line),
+        progress=_say,
     )
-    print(f"wrote {out_path}: {len(rows)} cells")
+    _say(f"wrote {out_path}: {len(rows)} cells")
     return 0
 
 

@@ -48,6 +48,9 @@ def _star_edges(n, rng, weight_range):
 def _grid_shape(n: int, rows: int | None, cols: int | None) -> tuple[int, int]:
     if rows is not None and cols is not None:
         return rows, cols
+    if rows is not None or cols is not None:
+        missing = "cols" if cols is None else "rows"
+        raise ValueError(f"grid needs rows and cols together, {missing} is missing: got rows={rows}, cols={cols}")
     # largest factor of n that is <= sqrt(n); primes degenerate to 1 x n
     r = int(math.isqrt(n))
     while n % r:

@@ -6,10 +6,11 @@ with the tree the edges determine (by ``trees.mst``) and ``_adj`` with their
 rows (by a read of ``adj``), so a graph that is never scanned builds no rows.
 No caller can observe either write except as a faster second call; threads
 racing on a first read build equal values, and one of them is kept.
-``scan`` and the distance kernels allocate their own state and share no
-buffers, so shared graphs are safe to query concurrently and a caller may
-keep one scan's result while running the next. ``BallScanner`` is the
-exception: its tables serve scan after scan for one caller.
+``scan`` and the distance kernels allocate their own state, so shared
+graphs are safe to query concurrently and a caller may keep one scan's
+result while running the next. Two exceptions serve one caller: ``scan``
+handed an earlier scan's tables lowers them in place, and ``BallScanner``'s
+tables serve scan after scan.
 
 Determinism contract: shortest-path ties are resolved lexicographically.
 Each vertex is labelled with a key (distance, origin, bottleneck) where
@@ -221,7 +222,7 @@ def subgraph_adjacency(adj, pairs) -> list[list[tuple[int, float]]]:
     return [[e for e in row if ((u, e[0]) if u < e[0] else (e[0], u)) in pairs] for u, row in enumerate(adj)]
 
 
-def scan(n, adj, sources):
+def scan(n, adj, sources, tables=None):
     """Dijkstra from ``sources`` over ``adj`` with the module's deterministic ties.
 
     Returns ``(dist, parent, bottleneck, origin, settled, order)``: tables of
@@ -230,20 +231,31 @@ def scan(n, adj, sources):
     settled; ``dist`` is INF, ``parent`` and ``origin`` -1 and ``settled`` 0
     where one is not reached. Each source has parent -1 and origin itself.
     Scans truncated at a radius from one source go through ``BallScanner``.
+
+    Given ``tables``, the (dist, parent, bottleneck, origin) lists of an
+    earlier scan, the scan lowers them in place to the tables of a scan from
+    both source sets, settling (and listing in ``order``) only the vertices
+    whose key falls. They match because new sources only lower keys; a
+    vertex whose key changes takes a new source as its origin, so every
+    predecessor that ties it for parent has that origin too and changed in
+    the same pass; and unchanged vertices keep their parent. The tables are
+    the lexicographic minimum over all sources, in any order of addition.
     """
-    dist = [INF] * n
-    parent = [-1] * n
-    bottleneck = [0.0] * n
-    origin = [-1] * n
+    if tables is None:
+        tables = [INF] * n, [-1] * n, [0.0] * n, [-1] * n
+    dist, parent, bottleneck, origin = tables
     settled = bytearray(n)
     order: list[int] = []
     visit = order.append
     push, pop = heapq.heappush, heapq.heappop
     heap = []  # built from sorted sources, so already in heap order
     for s in sorted(set(sources)):
-        dist[s] = 0.0
-        origin[s] = s
-        heap.append((0.0, s, 0.0, s))
+        if dist[s]:  # a source of the given tables already has the least key
+            dist[s] = 0.0
+            parent[s] = -1
+            bottleneck[s] = 0.0
+            origin[s] = s
+            heap.append((0.0, s, 0.0, s))
     while heap:
         d, o, b, u = pop(heap)
         # pushes only ever lower a vertex's (dist, origin, bottleneck) key, so
@@ -340,19 +352,15 @@ class BallScanner:
         return order
 
 
-def distances(n, adj, sources, dist=None):
+def distances(n, adj, sources):
     """Distances from the nearest of ``sources``: ``scan``'s dist table, INF
     where a vertex is not reached.
 
-    Given ``dist``, the distances from some earlier sources, the scan lowers
-    it in place to the distances from both source sets and returns it.
-
     A vertex is pushed only when its distance strictly falls, so every
-    vertex the scan lowers has exactly one heap entry at its final distance
-    and a pop above the vertex's distance is stale.
+    vertex reached has exactly one heap entry at its final distance and a
+    pop above the vertex's distance is stale.
     """
-    if dist is None:
-        dist = [INF] * n
+    dist = [INF] * n
     heap = []  # built from sorted sources, so already in heap order
     for s in sorted(set(sources)):
         dist[s] = 0.0

@@ -17,13 +17,11 @@ That bound is what makes eps < 1/10 worth enforcing; the geometric tail
 needs 2^-t <= eps and a bit of slack. Representatives are not stored:
 NetHierarchy.rep climbs the nearest-member tables on demand.
 
-The build walks the levels top-down and scans each distinct net once: the
-multi-source scan of level i+1 gives its nearest-member table and parent
-forest, and a copy of its distances seeds the greedy extension that makes
-level i, which folds each new member into the copy with graph.distances.
-A level that adds no member is the same net as the level above
-and shares that level's scan and rows; the top levels of a normalized
-graph often repeat the single top vertex.
+The build scans the top net once. The greedy extension that makes level i
+lowers those tables in place, one new member at a time (graph.scan), so each
+distinct net keeps its parent forest and nearest-member table from the scans
+that chose its members. A level that adds no member shares the rows of the
+level above; the top levels of a normalized graph often repeat the top vertex.
 
 Structures are frozen after construction and safe to share across
 threads; building is single-threaded and deterministic.
@@ -35,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import BallScanner, WeightedGraph, distances, scan, tag_forest_path
+from .graph import BallScanner, WeightedGraph, scan, tag_forest_path
 from .trees import mst
 
 EPS_SAFE_LIMIT = 0.1
@@ -89,21 +87,23 @@ def greedy_delta_net(g: WeightedGraph, delta: float, seed_set: Iterable[int] = (
                         f"d({s}, {other}) = {scanner.dist[other]}"
                     )
 
-    dist = distances(g.n, g.adj, seeds)
-    members = sorted(seeds + _greedy_extension(g.adj, dist, delta))
+    tables = scan(g.n, g.adj, seeds)[:4]
+    members = sorted(seeds + _greedy_extension(g.adj, tables, delta))
     return DeltaNet(float(delta), tuple(members))
 
 
-def _greedy_extension(adj, dist, delta: float) -> list[int]:
-    """Vertices the greedy pass adds, ascending; ``dist`` (distance to the
-    net so far) is updated in place to the distance to the extended net."""
+def _greedy_extension(adj, tables, delta: float) -> list[int]:
+    """Vertices the greedy pass adds, ascending; ``tables``, the (dist,
+    parent, bottleneck, origin) lists of a scan from the net so far, are
+    lowered in place to those of a scan from the extended net."""
+    dist = tables[0]
     added = []
     # one ascending pass suffices: adding a member only shrinks distances,
     # so vertices behind the scan pointer stay covered
     for v in range(len(dist)):
         if dist[v] > delta:
             added.append(v)
-            distances(len(dist), adj, (v,), dist)
+            scan(len(dist), adj, (v,), tables=tables)
     return added
 
 
@@ -158,34 +158,25 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
     i_max = max_level(n)
     t = math.ceil(math.log2(1.0 / eps))
 
-    # Top-down: level i extends the net of level i+1 greedily, starting
-    # from the distances of level i+1's scan. Each distinct net is scanned
-    # once; a level that adds no member shares the scan of the level above.
-    # rows[j] = (dist, parent, origin) of the multi-source scan from level j.
-    def scan_rows(members):
-        dist, parent, _, origin, _, _ = scan(n, g.adj, members)
-        return dist, parent, tuple(origin)
-
-    # the top net is a single vertex: 2^i_max is at least the diameter,
-    # so any one vertex covers everything
+    # rows[j] = (parent, origin) of level j's tables. The top net is a single
+    # vertex: 2^i_max is at least the diameter, so any one vertex covers all.
     members: tuple[int, ...] = (0,)
+    _, parent, _, origin = tables = scan(n, g.adj, members)[:4]
     levels: dict[int, DeltaNet] = {i_max: DeltaNet(float(2**i_max), members)}
-    rows = {i_max: scan_rows(members)}
+    rows = {i_max: (tuple(parent), tuple(origin))}
+    net_level = [-1] * n  # the highest level holding v: the one that added it
+    net_level[0] = i_max
     for i in range(i_max - 1, -1, -1):
-        dist = list(rows[i + 1][0])
-        added = _greedy_extension(g.adj, dist, float(2**i))
+        added = _greedy_extension(g.adj, tables, float(2**i))
         if added:
             members = tuple(sorted(members + tuple(added)))
-            rows[i] = scan_rows(members)
+            rows[i] = (tuple(parent), tuple(origin))
+            for v in added:
+                net_level[v] = i
         else:
             rows[i] = rows[i + 1]
         levels[i] = DeltaNet(float(2**i), members)
     levels[-1] = DeltaNet(0.0, tuple(range(n)))
-
-    net_level = [-1] * n
-    for i in range(i_max + 1):
-        for v in levels[i].members:
-            net_level[v] = max(net_level[v], i)
 
     # H_0: each vertex at net level i connects to its nearest member of
     # levels i+1 .. i+t along level j's parent forest. The walks of one
@@ -193,16 +184,16 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
     # members or an earlier walk already cover; only h0's keys are read.
     h0: dict[tuple[int, int], None] = {}
     for j in range(i_max + 1):
-        parent = rows[j][1]
+        forest = rows[j][0]
         covered = set(levels[j].members)
         for v in range(n):
             if j - t <= net_level[v] <= j - 1:
-                tag_forest_path(parent, v, covered, h0, None)
+                tag_forest_path(forest, v, covered, h0, None)
 
     return NetHierarchy(
         eps=eps,
         i_max=i_max,
         levels=levels,
-        nearest=tuple(rows[j][2] for j in range(i_max + 1)),
+        nearest=tuple(rows[j][1] for j in range(i_max + 1)),
         h0_edges=frozenset(h0),
     )

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,9 +45,12 @@ def _gen(workdir, family="geometric_unit_square", n=80, seed=4, fmt="edge_list")
     return os.path.join(str(workdir), f"graph.{fmt}")
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 1), (0, 5), (-2, -3)])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (0, 5), (-2, -3), (5, None), (None, 5)])
 def test_gen_rejects_a_grid_shape_nothing_can_build(workdir, capsys, rows, cols):
-    argv = ["gen", "--family", "grid", "--n", "12", "--rows", str(rows), "--cols", str(cols)]
+    argv = ["gen", "--family", "grid", "--n", "12"]
+    for flag, value in (("--rows", rows), ("--cols", cols)):
+        if value is not None:
+            argv += [flag, str(value)]
     assert main(argv + ["--output-dir", str(workdir)]) == 2
     err = capsys.readouterr().err
     assert f"rows={rows}" in err and f"cols={cols}" in err
@@ -116,28 +121,20 @@ def test_artifacts_are_byte_deterministic(workdir):
     assert first == second
 
 
-def test_verify_flags_corrupted_spanner(workdir, capsys):
+def _spanner_with_a_cut_edge(workdir):
+    """A path graph and its k=1 spanner with one edge removed, which fails
+    the stretch check; returns the graph's path."""
     graph_path = _gen(workdir, family="path", n=40)
-    assert (
-        main(
-            [
-                "build",
-                "--input",
-                graph_path,
-                "--eps",
-                "0.05",
-                "--k",
-                "1",
-                "--output-dir",
-                str(workdir),
-            ]
-        )
-        == 0
-    )
+    assert main(["build", "--input", graph_path, "--eps", "0.05", "--k", "1", "--output-dir", str(workdir)]) == 0
     payload = json.loads((workdir / "spanner.json").read_text())
     removed = payload["edges"][len(payload["edges"]) // 2]
     payload["edges"] = [e for e in payload["edges"] if e != removed]
     (workdir / "spanner.json").write_text(json.dumps(payload))
+    return graph_path
+
+
+def test_verify_flags_corrupted_spanner(workdir, capsys):
+    graph_path = _spanner_with_a_cut_edge(workdir)
     rc = main(
         [
             "verify",
@@ -151,6 +148,47 @@ def test_verify_flags_corrupted_spanner(workdir, capsys):
     )
     assert rc == 1
     assert "stretch: FAIL" in capsys.readouterr().out
+
+
+def _run_into_a_closed_pipe(workdir, argv, unbuffered=True):
+    """Run the CLI in a child whose stdout is a pipe whose read end is closed
+    before it starts, so its first write to stdout fails with EPIPE; returns
+    the exit code and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "lightspanner.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, cwd=workdir, env=env
+        )
+    finally:
+        os.close(write_end)
+    return child.returncode, child.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_inspect_into_a_closed_stdout_exits_zero_and_quiet(workdir, unbuffered):
+    graph_path = _gen(workdir, family="path", n=40)
+    assert main(["build", "--input", graph_path, "--eps", "0.05", "--k", "1", "--output-dir", str(workdir)]) == 0
+    argv = ["inspect", "--input", graph_path, "--spanner", "spanner.json"]
+    assert _run_into_a_closed_pipe(workdir, argv, unbuffered) == (0, "")
+
+
+def test_failing_verify_into_a_closed_stdout_keeps_its_verdict(workdir):
+    graph_path = _spanner_with_a_cut_edge(workdir)
+    argv = ["verify", "--input", graph_path, "--spanner", "spanner.json"]
+    assert _run_into_a_closed_pipe(workdir, argv) == (1, "")
+    assert not json.loads((workdir / "stretch_report.json").read_text())["passed"]
+
+
+def test_sweep_into_a_closed_stdout_still_writes_its_csv(workdir):
+    argv = ["sweep", "--families", "path", "--ns", "30", "--ks", "1", "--epss", "0.05", "--sample-size", "8"]
+    assert _run_into_a_closed_pipe(workdir, argv) == (0, "")
+    with open(workdir / "sweep.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 1
 
 
 def _drop(key):

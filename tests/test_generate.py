@@ -51,7 +51,7 @@ def test_grid_explicit_rows_cols_override_n():
     assert g.n == 10 and g.m == 2 * 4 + 1 * 5
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 1), (0, 5), (3, 0), (-2, -3)])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (0, 5), (3, 0), (-2, -3), (5, None), (None, 5)])
 def test_grid_shape_needs_two_vertices_in_rows_and_cols_of_at_least_one(rows, cols):
     with pytest.raises(ValueError, match=f"rows={rows}, cols={cols}"):
         generate_graph("grid", 5, rows=rows, cols=cols, seed=0)

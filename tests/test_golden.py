@@ -10,7 +10,9 @@ cases H0 claims every edge before phase 2, so no artifact exposes which
 representative a phase-2 connection reached. INTERNAL_GOLDEN pins those
 facts directly: the phase-2 records and the lemma-suite report of builds
 that route connections through representatives. REPORT_GOLDEN pins the
-net and shallow-light-tree reports, which no CLI command writes.
+net and shallow-light-tree reports, which no CLI command writes, and
+HIERARCHY_GOLDEN the net hierarchy's levels, nearest-member rows and H0
+edges, which no artifact shows whole.
 """
 import hashlib
 import json
@@ -236,3 +238,70 @@ def test_net_and_slt_reports_match_golden(name):
     report = _report(name)
     assert report.passed == name.endswith("pass")
     assert _canonical_sha256(report.to_json_dict()) == REPORT_GOLDEN[name]
+
+
+# sha256 of the net hierarchy of every PHASE_TAG_GOLDEN build: (every
+# level's members from -1 up, every nearest-member row, the sorted H0 edges).
+# NET_GOLDEN pins greedy_delta_net on its own, from no seed and from the
+# members of the net of twice the scale, which pack at the smaller one.
+HIERARCHY_GOLDEN = {
+    ("erdos_renyi", 200, 0.05, False, 0): (
+        "b4cf2921080896ac0ea6133f1dd2d4882adad83797687aab8418a4416e31b6fa",
+        "dcbd411f9834783d839c35c8b589d67b85a5d8538cfe941d321f4d7a2c9c857f",
+        "85c553427ad4f9ad5dc7e2da53c7330c37f2e68a3bd6f645593956cf39656a27",
+    ),
+    ("geometric_unit_square", 300, 0.05, False, 0): (
+        "fcdfe49b97da07d0777c5556303ffe569ebe3cfb35cd49dd21f847cbc0a43a5c",
+        "9fc7962238fa79a729e4bbbf27497bee4992396100fad12f4c16a20cde2cf924",
+        "91d1e98136a894230ad2749e88e43e317439ac4bcf03beb2f247cd59dbdc8fc8",
+    ),
+    ("geometric_unit_square", 300, 0.05, False, 3): (
+        "fcdfe49b97da07d0777c5556303ffe569ebe3cfb35cd49dd21f847cbc0a43a5c",
+        "9fc7962238fa79a729e4bbbf27497bee4992396100fad12f4c16a20cde2cf924",
+        "91d1e98136a894230ad2749e88e43e317439ac4bcf03beb2f247cd59dbdc8fc8",
+    ),
+    ("grid", 256, 0.05, False, 0): (
+        "ef89cd33db5b19709b2319ea0c384ed2fc32688d4864741d1b18aee2c3c9dc36",
+        "13e9c4b490304cb6c08dc646714d178e742dbf3c870152c97a156a5ea17709c1",
+        "11e820c74560f0697359906b16318313df352f9e879fce44dbda8b01a196de61",
+    ),
+    ("path", 200, 0.09, False, 0): (
+        "5ed96de1a8159b8caed641b3812ef98a82e77120a63f81715ab2e8f966cde8d1",
+        "fb3c1ef6a63f2728188e787849d8cce7d98568f8ec0ec9942c859279629388c9",
+        "20cff9fb8214282e95201e15746cc04473a4d384956a2fa79f4d3f72d119877c",
+    ),
+    ("path", 200, 0.5, True, 0): (
+        "5ed96de1a8159b8caed641b3812ef98a82e77120a63f81715ab2e8f966cde8d1",
+        "fb3c1ef6a63f2728188e787849d8cce7d98568f8ec0ec9942c859279629388c9",
+        "20cff9fb8214282e95201e15746cc04473a4d384956a2fa79f4d3f72d119877c",
+    ),
+    ("path", 200, 0.5, True, 5): (
+        "5ed96de1a8159b8caed641b3812ef98a82e77120a63f81715ab2e8f966cde8d1",
+        "fb3c1ef6a63f2728188e787849d8cce7d98568f8ec0ec9942c859279629388c9",
+        "20cff9fb8214282e95201e15746cc04473a4d384956a2fa79f4d3f72d119877c",
+    ),
+}
+
+NET_GOLDEN = {
+    False: "62604fde4663e103d9fc3e23f9caaff3798aae5408a09675348ef91234b9ca27",
+    True: "673776cab323ea4f27dec2fb367d85f3a075b71b62abd715ff3c46500b7b50b9",
+}
+
+
+@pytest.mark.parametrize("family, n, eps, unsafe_eps, seed", sorted(PHASE_TAG_GOLDEN))
+def test_net_hierarchy_matches_golden(family, n, eps, unsafe_eps, seed):
+    h = build_spanner(generate_graph(family, n, seed=0), eps, 2, seed, unsafe_eps=unsafe_eps).internals.hierarchy
+    digests = (
+        _canonical_sha256([[i, list(h.levels[i].members)] for i in sorted(h.levels)]),
+        _canonical_sha256([list(row) for row in h.nearest]),
+        _canonical_sha256(sorted(h.h0_edges)),
+    )
+    assert digests == HIERARCHY_GOLDEN[(family, n, eps, unsafe_eps, seed)]
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_greedy_net_matches_golden(seeded):
+    geo = generate_graph("geometric_unit_square", 200, seed=0)
+    seeds = greedy_delta_net(geo, 0.4).members if seeded else ()
+    net = greedy_delta_net(geo, 0.2, seeds)
+    assert _canonical_sha256(list(net.members)) == NET_GOLDEN[seeded]

@@ -459,19 +459,42 @@ def test_adjacency_from_edges_keeps_the_order_given(g):
     assert backwards == [row[::-1] for row in g.adj]
 
 
+def _assert_lowers_to_the_union(n, adj, a, b):
+    """A scan from ``b`` handed the tables of a scan from ``a`` lowers them in
+    place to the tables of a scan from both, and settles exactly the vertices
+    whose (dist, origin, bottleneck) key falls."""
+    tables = scan(n, adj, a)[:4]
+    before = list(zip(tables[0], tables[3], tables[2]))
+    got = scan(n, adj, b, tables)
+    assert all(x is y for x, y in zip(got, tables))
+    union = scan(n, adj, set(a) | set(b))
+    assert got[:4] == union[:4]
+    fell = [v for v in range(n) if (union[0][v], union[3][v], union[2][v]) < before[v]]
+    assert sorted(got[5]) == fell
+    assert [v for v in range(n) if got[4][v]] == fell
+
+
 @given(tie_heavy_graphs, st.data())
-def test_distances_lowers_a_given_table_to_both_source_sets(g, data):
-    a = _draw_sources(g, data, 3)
-    b = _draw_sources(g, data, 3)
-    dist = distances(g.n, g.adj, a)
-    assert distances(g.n, g.adj, b, dist) is dist
-    assert dist == distances(g.n, g.adj, set(a) | set(b))
+def test_scan_lowers_given_tables_to_both_source_sets(g, data):
+    # the source sets may share vertices, which keep their entries
+    _assert_lowers_to_the_union(g.n, g.adj, _draw_sources(g, data, 3), _draw_sources(g, data, 3))
 
 
 @pytest.mark.parametrize("a, b", [((0,), (3,)), ((2,), (0,)), ((5,), (1, 4)), ((), (3,)), ((3, 4), (1,))])
-def test_distances_lowers_a_given_table_on_a_disconnected_subgraph(a, b):
+def test_scan_lowers_given_tables_on_a_disconnected_subgraph(a, b):
     adj = adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
-    assert distances(6, adj, b, distances(6, adj, a)) == distances(6, adj, set(a) | set(b))
+    _assert_lowers_to_the_union(6, adj, a, b)
+
+
+@pytest.mark.parametrize("a, b", [((0,), (4,)), ((4,), (0,)), ((), (0, 4))])
+def test_a_vertex_tied_between_two_origins_keeps_the_smaller_origins_parent(a, b):
+    # 3 lies at distance 2 from source 0 (through 2) and from source 4
+    # (through 1), with equal bottlenecks: origin 0 wins, and with it parent
+    # 2, in whichever order the sources come
+    adj = adjacency_from_edges(5, [(0, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0), (2, 3, 1.0)])
+    tables = scan(5, adj, a)[:4]
+    scan(5, adj, b, tables)
+    assert (tables[1][3], tables[3][3]) == (2, 0)
 
 
 @st.composite

@@ -61,9 +61,9 @@ def test_passing_suite_runs_full_scans_only_from_top_level_centers(built, monkey
     full_rows = []
     full_scans = []
 
-    def recording_distances(n, adj, sources, dist=None):
+    def recording_distances(n, adj, sources):
         full_rows.append(tuple(sources))
-        return distances(n, adj, sources, dist)
+        return distances(n, adj, sources)
 
     def recording_scan(n, adj, sources):
         full_scans.append(tuple(sources))

@@ -222,18 +222,24 @@ def test_hierarchy_matches_reference_on_random_graphs(g, eps):
 
 @pytest.mark.parametrize("family, n, kw", [("geometric_unit_square", 200, {}), ("erdos_renyi", 150, {"p": 0.06})])
 def test_hierarchy_scans_each_distinct_net_once(monkeypatch, family, n, kw):
+    """One fresh scan, of the top net, then one in-place scan per member the
+    greedy extensions add, top level first; repeated levels share rows."""
     g = _normalized(family, n, 3, **kw)
-    calls = []
+    fresh, lowered = [], []
 
-    def counting_scan(n, adj, sources):
-        calls.append(tuple(sorted(set(sources))))
-        return scan(n, adj, sources)
+    def counting_scan(n, adj, sources, tables=None):
+        (fresh if tables is None else lowered).append(tuple(sources))
+        return scan(n, adj, sources, tables)
 
     monkeypatch.setattr(nets, "scan", counting_scan)
     h = build_net_hierarchy(g, 0.05)
+    assert fresh == [h.levels[h.i_max].members]
+    added = []
+    for j in range(h.i_max - 1, -1, -1):
+        added += sorted(set(h.levels[j].members) - set(h.levels[j + 1].members))
+    assert lowered == [(v,) for v in added]
     distinct = {h.levels[j].members for j in range(h.i_max + 1)}
     assert len(distinct) < h.i_max + 1  # top levels repeat, so sharing is exercised
-    assert sorted(calls) == sorted(distinct)
     for j in range(h.i_max):
         if h.levels[j].members == h.levels[j + 1].members:
             assert h.nearest[j] is h.nearest[j + 1]

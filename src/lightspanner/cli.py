@@ -9,7 +9,8 @@ and inputs: JSON is dumped with sorted keys and no timestamps.
 Exit codes: 0 success (and every requested verification passed), 1 a
 verification reported violations, 2 an error in any stage. A closed stdout
 (``lightspanner inspect ... | head -1``) is none of these: the rest of the
-output is dropped and the command keeps its own exit code.
+output is dropped and the command keeps its own exit code, as ``--help``
+(0) and a usage error (2) keep theirs.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import SpannerError
 from .generate import FAMILIES, generate_graph
@@ -84,16 +85,30 @@ def _spanner_json_chunks(head: dict, rows: Sequence[tuple[int, int, str, str]]) 
     yield "\n  ],\n" + tail + "\n"
 
 
-def _say(line: str) -> None:
-    """Print ``line`` to stdout, flushed, so a reader that has gone away (EPIPE)
-    shows here rather than in the flush at exit. From then on stdout points at
-    os.devnull: the command runs on and keeps its own exit code."""
+def _write(stream: IO[str], text: str) -> None:
+    """Write ``text`` to ``stream`` and flush it, so a reader that has gone away
+    (EPIPE) shows here rather than in the flush at exit. From then on the
+    stream points at os.devnull: the command runs on and keeps its exit code."""
     try:
-        print(line, flush=True)
+        stream.write(text)
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
+
+
+def _say(line: str) -> None:
+    _write(sys.stdout, line + "\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Help and usage text goes through ``_write``: with no reader, ``--help``
+    still exits 0 and a usage error 2. Subparsers inherit the class."""
+
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        if message:
+            _write(file or sys.stderr, message)
 
 
 def _load_graph(args: argparse.Namespace) -> WeightedGraph:
@@ -315,7 +330,7 @@ def _add_eps_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lightspanner",
         description="Construct and certify light near-additive graph spanners.",
     )

@@ -161,18 +161,19 @@ class WeightedGraph:
 
         Scaling keeps ids, uniqueness, connectivity and the (u, v) order of
         the edges, so only the new weights are checked: an underflow to 0 or
-        an overflow to inf raises ValueError as the constructor would.
+        an overflow to inf raises ValueError as the constructor would. The
+        pair table is keyed by the host's own key tuples, and each scaled
+        weight is one float that the table, the edges and the rows share.
         """
         if not (factor > 0):
             raise ValueError(f"scale factor must be positive, got {factor}")
+        pair_weight = {key: w * factor for key, w in self._pair_weight.items()}
         edges = []
-        pair_weight = {}
-        for u, v, w in self.edges:
-            w *= factor
+        for u, v, _ in self.edges:
+            w = pair_weight[u, v]
             if not (w > 0 and math.isfinite(w)):
                 raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
             edges.append((u, v, w))
-            pair_weight[u, v] = w
         g = WeightedGraph.__new__(WeightedGraph)
         g._assemble(self.n, tuple(edges), self.labels, pair_weight)
         return g

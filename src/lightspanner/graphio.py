@@ -12,7 +12,8 @@ Both readers reject bad ids, self loops, duplicate edges and weights
 that are not positive and finite, naming the offending line. They hand
 their edges, so checked, to ``WeightedGraph.from_checked_edges`` as the
 pair table their duplicate check builds; the graph keeps that table and
-checks only connectivity.
+checks only connectivity. Its keys hold one int object per vertex id, which
+the edges and rows share; neither reader sizes a table by the header's n.
 """
 from __future__ import annotations
 
@@ -58,6 +59,7 @@ def read_edge_list(source) -> WeightedGraph:
         except ValueError:
             raise GraphFormatError(f"expected vertex count, got {header!r}", lineno) from None
         pair_weight: PairWeights = {}
+        ids: dict[int, int] = {}  # one int object per id seen, shared by every edge it ends
         for lineno, line in lines:
             parts = line.split()
             if len(parts) != 3:
@@ -75,7 +77,7 @@ def read_edge_list(source) -> WeightedGraph:
             key = (u, v) if u < v else (v, u)
             if key in pair_weight:
                 raise GraphFormatError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
-            pair_weight[key] = w
+            pair_weight[ids.setdefault(key[0], key[0]), ids.setdefault(key[1], key[1])] = w
         return WeightedGraph.from_checked_edges(n, pair_weight)
 
 

@@ -294,7 +294,9 @@ def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
     wrong type or out of range, a kind that disagrees with k and seed
     (hierarchical needs integers, wmax nulls), and edges that are malformed,
     duplicated, or not host edges of the recorded weight. A malformed file
-    is therefore an error, never a spanner that fails verification.
+    is therefore an error, never a spanner that fails verification. A row
+    that passes keeps no object of the payload: its key holds ids from one
+    list of n ints made per load, and its tag is the ``PHASES`` constant.
     """
     if not isinstance(payload, dict):
         raise SpannerError(f"spanner payload must be a JSON object, got {type(payload).__name__}")
@@ -324,6 +326,7 @@ def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
     if not isinstance(edges, list):
         raise SpannerError(f"spanner edges must be a list, got {type(edges).__name__}")
     tags: dict[tuple[int, int], str] = {}
+    ids = list(range(n))
     for entry in edges:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise SpannerError(f"spanner edge {entry!r} is not [u, v, weight, tag]")
@@ -341,7 +344,7 @@ def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
             raise SpannerError(f"edge ({u}, {v}) weight {w} does not match host weight {hw}")
         if tag not in PHASES:
             raise SpannerError(f"unknown phase tag {tag!r} on edge ({u}, {v})")
-        tags[key] = tag
+        tags[ids[key[0]], ids[key[1]]] = PHASES[PHASES.index(tag)]
     params = SpannerParams(eps=eps, k=k, seed=seed, kind=kind)
     return Spanner(host=host, phase_tag=tags, params=params, scale=scale)
 

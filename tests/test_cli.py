@@ -150,10 +150,10 @@ def test_verify_flags_corrupted_spanner(workdir, capsys):
     assert "stretch: FAIL" in capsys.readouterr().out
 
 
-def _run_into_a_closed_pipe(workdir, argv, unbuffered=True):
-    """Run the CLI in a child whose stdout is a pipe whose read end is closed
-    before it starts, so its first write to stdout fails with EPIPE; returns
-    the exit code and stderr."""
+def _run_into_a_closed_pipe(workdir, argv, unbuffered=True, closed="stdout"):
+    """Run the CLI in a child whose ``closed`` stream (stdout or stderr) is a
+    pipe whose read end is closed before it starts, so its first write there
+    fails with EPIPE; returns the exit code and the other stream's text."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -161,12 +161,24 @@ def _run_into_a_closed_pipe(workdir, argv, unbuffered=True):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        child = subprocess.run(
-            [sys.executable, "-m", "lightspanner.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, cwd=workdir, env=env
-        )
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
+        child = subprocess.run([sys.executable, "-m", "lightspanner.cli", *argv], cwd=workdir, env=env, **streams)
     finally:
         os.close(write_end)
-    return child.returncode, child.stderr.decode()
+    return child.returncode, (child.stderr if closed == "stdout" else child.stdout).decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_into_a_closed_stdout_exits_zero_and_quiet(workdir, unbuffered):
+    # block-buffered, argparse's text would meet the closed pipe only in the flush
+    # at exit; unbuffered, in argparse's own write
+    assert _run_into_a_closed_pipe(workdir, ["sweep", "--help"], unbuffered=unbuffered) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_usage_error_into_a_closed_stderr_exits_two_and_quiet(workdir, unbuffered):
+    # stderr is line-buffered either way, so the usage line fails in argparse's own write
+    assert _run_into_a_closed_pipe(workdir, ["sweep"], unbuffered=unbuffered, closed="stderr") == (2, "")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -1,9 +1,11 @@
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lightspanner.errors import GraphFormatError
+from lightspanner.errors import DisconnectedGraphError, GraphFormatError
 from lightspanner.graph import WeightedGraph
 from lightspanner.graphio import (
     loads_edge_list,
@@ -171,3 +173,68 @@ def test_a_read_graph_is_the_constructed_graph(g, rnd):
     arcs = "".join(f"a {labels[u]} {labels[v]} {w!r}\n" for u, v, w in edges)
     got = read_dimacs(io.StringIO(f"p sp {g.n} {len(edges)}\n" + arcs))
     assert (got.n, got.edges, got.labels, got.adj) == (want.n, want.edges, want.labels, want.adj)
+
+
+def _unsorted_edge_list(n, seed):
+    """The edge_list text of a connected graph on n vertices, its lines in
+    random order and each edge in a random orientation."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {tuple(sorted(p)) for p in zip(order, order[1:])}
+    while len(pairs) < 2 * n:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    lines = []
+    for u, v in sorted(pairs):
+        if rng.random() < 0.5:
+            u, v = v, u
+        lines.append(f"{u} {v} {rng.randint(1, 64) / 8}")
+    rng.shuffle(lines)
+    return "\n".join([str(n), *lines]) + "\n"
+
+
+def test_edge_list_reader_keeps_one_int_per_vertex_id(tmp_path):
+    # CPython caches ints up to 256 only, so every parse of a larger id makes a new one
+    path = tmp_path / "g.edge_list"
+    path.write_text(_unsorted_edge_list(400, seed=5))
+    g = read_graph(path)
+    one = {x: x for u, v, _ in g.edges for x in (u, v)}
+    assert len(one) == g.n
+    assert all(u is one[u] and v is one[v] for u, v, _ in g.edges)
+    assert all(u is one[u] and v is one[v] for u, v in g._pair_weight)
+    assert all(x is one[x] for row in g.adj for x, _ in row)
+
+
+@pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
+def test_scaled_shares_the_hosts_keys_and_one_float_per_edge(unsorted):
+    # the host's pair table runs in file order and its edges in (u, v) order:
+    # a scaled weight paired by position with the wrong edge shows on unsorted input
+    text = _unsorted_edge_list(300, seed=8)
+    if not unsorted:
+        buf = io.StringIO()
+        write_edge_list(loads_edge_list(text), buf)
+        text = buf.getvalue()
+    g = loads_edge_list(text)
+    factor = 0.37
+    gn = g.scaled(factor)
+    host_key = {key: key for key in g._pair_weight}
+    assert all(key is host_key[key] for key in gn._pair_weight)
+    assert [(u, v) for u, v, _ in gn.edges] == [(u, v) for u, v, _ in g.edges]
+    for (u, v, w), (_, _, hw) in zip(gn.edges, g.edges):
+        assert w is gn._pair_weight[u, v]
+        assert w == hw * factor
+
+
+def test_a_huge_header_with_one_edge_allocates_nothing_of_its_size(tmp_path):
+    # a table sized by the header's 2 000 000 ids would take about 70 MB
+    path = tmp_path / "g.edge_list"
+    path.write_text("2000000\n0 1 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError):
+            read_graph(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

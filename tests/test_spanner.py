@@ -328,6 +328,17 @@ def test_lemma_suite_subgraph_rows_share_the_normalized_entries(geo_spanner, mon
 # ---------------------------------------------------------------- persistence
 
 
+def test_loaded_spanner_keeps_the_phase_constants_and_one_int_per_vertex(path_spanner):
+    # JSON text gives every row its own tag string and, for ids above 256,
+    # its own ints; the loader keeps neither
+    host = path_spanner.host
+    loaded = spanner_from_json_dict(json.loads(json.dumps(path_spanner.to_json_dict())), host)
+    assert loaded.phase_tag == path_spanner.phase_tag
+    assert all(any(tag is phase for phase in PHASES) for tag in loaded.phase_tag.values())
+    assert max(path_spanner.edges)[1] > 256
+    assert len({id(x) for key in loaded.phase_tag for x in key}) <= host.n
+
+
 def test_json_round_trip(geo_spanner):
     payload = geo_spanner.to_json_dict()
     back = spanner_from_json_dict(payload, geo_spanner.host)

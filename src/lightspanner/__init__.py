@@ -12,12 +12,10 @@ from .graph import WeightedGraph
 from .graphio import FORMATS, read_graph, write_graph
 from .nets import DeltaNet, NetHierarchy, build_net_hierarchy, greedy_delta_net, max_level
 from .spanner import (
-    Bunch,
     LevelSampling,
     Spanner,
     build_spanner,
     build_wmax_spanner,
-    bunch_of,
     normalize,
     sample_levels,
     scale_index,
@@ -42,7 +40,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bunch",
     "DeltaNet",
     "DisconnectedGraphError",
     "FAMILIES",
@@ -66,7 +63,6 @@ __all__ = [
     "build_net_hierarchy",
     "build_spanner",
     "build_wmax_spanner",
-    "bunch_of",
     "delta_parameter",
     "generate_graph",
     "greedy_delta_net",

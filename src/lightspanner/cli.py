@@ -27,7 +27,6 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import SpannerError
 from .generate import FAMILIES, generate_graph
-from .graph import WeightedGraph
 from .graphio import FORMATS, edge_list_lines, read_graph, write_graph
 from .nets import EPS_SAFE_LIMIT, check_eps
 from .spanner import PHASES, Spanner, build_spanner, build_wmax_spanner, spanner_from_json_dict
@@ -111,10 +110,6 @@ class _Parser(argparse.ArgumentParser):
             _write(file or sys.stderr, message)
 
 
-def _load_graph(args: argparse.Namespace) -> WeightedGraph:
-    return read_graph(args.input, args.format)
-
-
 def _load_spanner_payload(path: str) -> dict:
     """The JSON object in a spanner file; any other payload is a SpannerError."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -174,21 +169,21 @@ def cmd_build(args: argparse.Namespace) -> int:
     # writes artifacts; eps is checked first, since the bound divides by it
     check_eps(args.eps, args.unsafe_eps)
     additive_stretch_constant(args.eps, args.k)
-    g = _load_graph(args)
+    g = read_graph(args.input, args.format)
     sp = build_spanner(g, args.eps, args.k, args.seed, unsafe_eps=args.unsafe_eps, keep_internals=False)
     _print_spanner_summary(_write_spanner_artifacts(sp, args.output_dir))
     return 0
 
 
 def cmd_build_wmax(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+    g = read_graph(args.input, args.format)
     sp = build_wmax_spanner(g, args.eps)
     _print_spanner_summary(_write_spanner_artifacts(sp, args.output_dir))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+    g = read_graph(args.input, args.format)
     sp = spanner_from_json_dict(_load_spanner_payload(args.spanner), g)
     stretch = verify_stretch(g, sp, mode=args.mode, sample_size=args.sample_size, seed=args.seed)
     lightness = verify_lightness(g, sp)

@@ -31,9 +31,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
 
-from .graph import BallScanner, WeightedGraph, scan, tag_forest_path
+from .graph import WeightedGraph, scan, tag_forest_path
 from .trees import mst
 
 EPS_SAFE_LIMIT = 0.1
@@ -63,33 +62,12 @@ class DeltaNet:
         return i < len(self.members) and self.members[i] == v
 
 
-def greedy_delta_net(g: WeightedGraph, delta: float, seed_set: Iterable[int] = ()) -> DeltaNet:
-    """Greedy net: scan ids ascending, add any vertex further than delta from the net.
-
-    ``seed_set`` members are kept and must already satisfy packing at scale
-    delta (callers stacking nets pass the next-coarser net, which packs at
-    twice the scale); a seed set that violates it raises ValueError.
-    """
+def greedy_delta_net(g: WeightedGraph, delta: float) -> DeltaNet:
+    """Greedy net: scan ids ascending, add any vertex further than delta from the net."""
     if not (delta >= 0):
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    seeds = sorted(set(seed_set))
-    for s in seeds:
-        if not (0 <= s < g.n):
-            raise ValueError(f"seed vertex {s} outside 0..{g.n - 1}")
-    if len(seeds) > 1:
-        scanner = BallScanner(g.n)
-        for s in seeds:
-            scanner.ball(g.adj, s, delta)
-            for other in seeds:
-                if other != s and scanner.settled[other]:
-                    raise ValueError(
-                        f"seed set violates packing at delta={delta}: "
-                        f"d({s}, {other}) = {scanner.dist[other]}"
-                    )
-
-    tables = scan(g.n, g.adj, seeds)[:4]
-    members = sorted(seeds + _greedy_extension(g.adj, tables, delta))
-    return DeltaNet(float(delta), tuple(members))
+    tables = scan(g.n, g.adj, ())[:4]
+    return DeltaNet(float(delta), tuple(_greedy_extension(g.adj, tables, delta)))
 
 
 def _greedy_extension(adj, tables, delta: float) -> list[int]:

@@ -103,9 +103,21 @@ def _sample_levels_once(n: int, k: int, p: float, rng: random.Random) -> list[li
     return levels
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true/false load as bool, a subclass of int
+
+
+def _check_k_seed(k, seed) -> None:
+    """Reject a k or seed that spanner_from_json_dict would refuse to load:
+    each must be a plain int (not a bool or a float), and k >= 1."""
+    if not (_is_int(k) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAMPLING_RETRIES) -> LevelSampling:
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be an integer >= 1, got {k}")
+    _check_k_seed(k, seed)
     n = g.n
     if k > math.log2(max(n, 2)):
         warnings.warn(f"k={k} exceeds log2(n)={math.log2(n):.2f}; extra levels add no benefit")
@@ -141,36 +153,6 @@ def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAM
         seed=seed,
         effective_seed=effective,
     )
-
-
-@dataclass(frozen=True)
-class Bunch:
-    """Level-mates of ``center`` strictly closer than delta times the distance
-    to its next-level pivot. Contains the center itself (distance zero); top
-    level centers get the whole top level regardless of delta."""
-
-    center: int
-    delta: float
-    members: tuple[int, ...]
-
-
-def _level_mates_within(dist, order, radius: float, level: frozenset[int]) -> list[int]:
-    """Members of ``level`` among the scanned ``order`` closer than ``radius``, ascending."""
-    return sorted(v for v in order if dist[v] < radius and v in level)
-
-
-def bunch_of(sampling: LevelSampling, g: WeightedGraph, u: int, delta: float) -> Bunch:
-    if not (0 < delta <= 1):
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    if not (0 <= u < g.n):
-        raise ValueError(f"vertex id {u} outside 0..{g.n - 1}")
-    i = sampling.level_of[u]
-    if i == sampling.k:
-        return Bunch(u, delta, sampling.members(sampling.k))
-    radius = delta * sampling.pivot_dist[i + 1][u]
-    scanner = BallScanner(g.n)
-    order = scanner.ball(g.adj, u, radius)
-    return Bunch(u, delta, tuple(_level_mates_within(scanner.dist, order, radius, sampling.levels[i])))
 
 
 @dataclass(frozen=True)
@@ -273,10 +255,6 @@ class Spanner:
 
 
 _REQUIRED_KEYS = ("kind", "eps", "k", "seed", "scale", "n", "edges")
-
-
-def _is_int(x) -> bool:
-    return type(x) is int  # JSON true/false load as bool, a subclass of int
 
 
 def _is_real(x) -> bool:
@@ -420,7 +398,8 @@ def phase2_paths(
             raise SpannerError(f"vertex {u} has zero pivot distance at level {i + 1}")
         reach = radius if radius <= direct_radius else (1.0 + 0.5 * eps) * radius
         order = scanner.ball(g.adj, u, reach)
-        connect(u, i, _level_mates_within(dist, order, radius, sampling.levels[i]), dist, parent, settled)
+        level = sampling.levels[i]
+        connect(u, i, sorted(v for v in order if dist[v] < radius and v in level), dist, parent, settled)
 
     top = sorted(sampling.levels[k])
     for u in top:
@@ -445,6 +424,7 @@ def build_spanner(
     keep_internals: bool = True,
 ) -> Spanner:
     """Hierarchical near-additive spanner of the host graph g."""
+    _check_k_seed(k, seed)
     check_eps(eps, unsafe_eps)
     gn, scale = normalize(g)
     hierarchy = build_net_hierarchy(gn, eps, unsafe_eps=unsafe_eps)

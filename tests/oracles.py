@@ -17,8 +17,9 @@ parent, origin and bottleneck heap keys: two full ``scan`` calls per
 source and every pair's slack and bound computed.
 
 net_hierarchy_reference and slt_forest_reference are the plain versions of
-two builder steps that the library does with less work: one greedy net and
-one full scan per level, and Kruskal over every augmented edge.
+two builder steps that the library does with less work: a greedy net per
+level that min-merges one Dijkstra row per added member, then one full scan
+per level, and Kruskal over every augmented edge.
 
 dijkstra, multi_source_dijkstra and shortest_path wrap one full ``scan``
 into frozen tables and paths with the vertex checks a public entry point
@@ -39,7 +40,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from lightspanner.graph import INF, WeightedGraph, scan, walk_parents
-from lightspanner.nets import DeltaNet, NetHierarchy, greedy_delta_net, max_level
+from lightspanner.nets import DeltaNet, NetHierarchy, max_level
 from lightspanner.trees import SltForest, _kruskal, _last_parents
 from lightspanner.errors import SpannerError
 from lightspanner.verify import (
@@ -226,8 +227,9 @@ def all_pairs_via_bf(g: WeightedGraph) -> list[list[float]]:
 
 
 def net_hierarchy_reference(g: WeightedGraph, eps: float) -> tuple[NetHierarchy, tuple]:
-    """build_net_hierarchy as greedy_delta_net per level, then one full
-    multi-source scan per level for the nearest-member tables.
+    """build_net_hierarchy as a plain greedy net per level, seeded with the
+    level above, then one full multi-source scan per level for the
+    nearest-member tables.
 
     Returns the hierarchy and a table of representatives, rep_table[i][v]
     for every level i >= 0 and vertex v, built from those tables."""
@@ -235,8 +237,15 @@ def net_hierarchy_reference(g: WeightedGraph, eps: float) -> tuple[NetHierarchy,
     i_max = max_level(n)
     t = math.ceil(math.log2(1.0 / eps))
     levels = {i_max: DeltaNet(float(2**i_max), (0,))}
+    members = [0]
+    near = scan(n, g.adj, (0,))[0]  # each vertex's distance to the members so far
     for i in range(i_max - 1, -1, -1):
-        levels[i] = greedy_delta_net(g, float(2**i), levels[i + 1].members)
+        delta = float(2**i)
+        for v in range(n):
+            if near[v] > delta:
+                members.append(v)
+                near = [min(a, b) for a, b in zip(near, scan(n, g.adj, (v,))[0])]
+        levels[i] = DeltaNet(delta, tuple(sorted(members)))
     levels[-1] = DeltaNet(0.0, tuple(range(n)))
     net_level = [-1] * n
     for i in range(i_max + 1):

@@ -9,11 +9,16 @@
 - Verifier reports serialize from their fields: in ``verify`` only the
   reports' base defines ``to_json_dict``, and ``LightnessReport`` overrides
   it for the shape of its ``per_phase`` table.
+- ``lightspanner.__all__`` lists exactly the names ``__init__`` imports, so
+  ``from lightspanner import *`` does not break when an export is removed
+  from only one of the two lists.
 """
 import ast
 import pathlib
 
 import pytest
+
+import lightspanner
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "lightspanner"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -64,3 +69,8 @@ def test_only_the_report_base_and_lightness_define_to_json_dict():
         and any(isinstance(item, ast.FunctionDef) and item.name == "to_json_dict" for item in node.body)
     }
     assert defining == {"_Report", "LightnessReport"}
+
+
+def test_all_lists_exactly_the_package_imports():
+    imported = [name for _, name in _imports(PACKAGE / "__init__.py")]
+    assert sorted(lightspanner.__all__) == sorted(imported)

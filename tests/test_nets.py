@@ -43,28 +43,11 @@ def test_huge_delta_net_is_first_vertex():
     g = generate_graph("grid", 12, seed=0)
     net = greedy_delta_net(g, 1e9)
     assert net.members == (0,)
-
-
-def test_greedy_net_keeps_seed_set():
-    g = generate_graph("path", 20, seed=1, weight_range=(1.0, 1.0))
-    net = greedy_delta_net(g, 3.0, seed_set=[19])
-    assert 19 in net.members
-    assert 19 in net  # __contains__ on DeltaNet
-
-
-def test_seed_packing_violation_rejected():
-    g = generate_graph("path", 10, seed=0, weight_range=(1.0, 1.0))
-    with pytest.raises(ValueError, match="packing"):
-        greedy_delta_net(g, 5.0, seed_set=[2, 4])
-    # same seeds are legal at a smaller scale
-    net = greedy_delta_net(g, 1.5, seed_set=[2, 4])
-    assert {2, 4} <= set(net.members)
+    assert 0 in net and 11 not in net  # __contains__ on DeltaNet
 
 
 def test_seed_validation():
     g = WeightedGraph(2, [(0, 1, 1.0)])
-    with pytest.raises(ValueError, match="outside"):
-        greedy_delta_net(g, 1.0, seed_set=[7])
     with pytest.raises(ValueError, match="nonnegative"):
         greedy_delta_net(g, -1.0)
 

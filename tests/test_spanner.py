@@ -19,7 +19,6 @@ from lightspanner.spanner import (
     _sample_levels_once,
     build_spanner,
     build_wmax_spanner,
-    bunch_of,
     normalize,
     sample_levels,
     scale_index,
@@ -110,6 +109,17 @@ def test_sampling_rejects_bad_k():
         sample_levels(g, 0, seed=0)
 
 
+@pytest.mark.parametrize("k, seed", [(True, 0), (2, 1.5), (2, True), (2.0, 0)])
+def test_build_rejects_a_k_or_seed_the_loader_refuses(monkeypatch, k, seed):
+    # spanner_from_json_dict needs plain ints, k >= 1; bools and floats are refused
+    g = generate_graph("path", 10, seed=0)
+    with pytest.raises(ValueError, match="k must be|seed must be"):
+        sample_levels(g, k, seed)
+    monkeypatch.setattr(spanner, "normalize", lambda g: pytest.fail("normalized before the check"))
+    with pytest.raises(ValueError, match="k must be|seed must be"):
+        build_spanner(g, 0.05, k, seed)
+
+
 def test_sampling_warns_on_oversized_k():
     g = generate_graph("path", 8, seed=0)
     with pytest.warns(UserWarning, match="exceeds log2"):
@@ -143,32 +153,28 @@ def test_promotion_rate_is_calibrated():
 # ---------------------------------------------------------------- bunches
 
 
-def test_bunch_matches_filtered_dijkstra():
-    g = generate_graph("geometric_unit_square", 100, seed=6)
-    s = sample_levels(g, 2, seed=4)
-    delta = 0.45
-    for u in range(0, 100, 7):
-        b = bunch_of(s, g, u, delta)
+@pytest.mark.parametrize(
+    "family, n", [("geometric_unit_square", 300), ("path", 200), ("erdos_renyi", 200)]
+)
+def test_phase2_connects_every_center_to_exactly_its_bunch(family, n):
+    # a center's bunch: its level-mates strictly inside (1-eps)/2 times its
+    # pivot distance, or the whole top level for a top center; the center
+    # itself needs no connection, so its records name the rest
+    eps = 0.05
+    internals = build_spanner(generate_graph(family, n, seed=0), eps, 2, 3).internals
+    gn, s = internals.normalized, internals.sampling
+    connected = {u: [] for u in range(n)}
+    for r in internals.records:
+        connected[r.center].append(r.member)
+    for u in range(n):
         i = s.level_of[u]
         if i == s.k:
-            assert b.members == s.members(s.k)
-            continue
-        dist = oracles.dijkstra(g, u).dist
-        radius = delta * s.pivot_dist[i + 1][u]
-        want = tuple(sorted(v for v in s.levels[i] if dist[v] < radius))
-        assert b.members == want
-        assert u in b.members  # center is distance zero from itself
-
-
-def test_bunch_validation():
-    g = generate_graph("path", 10, seed=0)
-    s = sample_levels(g, 1, seed=0)
-    with pytest.raises(ValueError, match="delta"):
-        bunch_of(s, g, 0, 0.0)
-    with pytest.raises(ValueError, match="delta"):
-        bunch_of(s, g, 0, 1.5)
-    with pytest.raises(ValueError, match="outside"):
-        bunch_of(s, g, 99, 0.5)
+            bunch = s.members(s.k)
+        else:
+            dist = oracles.dijkstra(gn, u).dist
+            radius = 0.5 * (1.0 - eps) * s.pivot_dist[i + 1][u]
+            bunch = sorted(v for v in s.levels[i] if dist[v] < radius)
+        assert connected[u] == [v for v in bunch if v != u], u
 
 
 # ---------------------------------------------------------------- full build
@@ -410,8 +416,8 @@ def test_wmax_net_size_bound(monkeypatch):
     g = _heavy_star(25)
     nets = []
 
-    def recording_net(gn, delta, seed_set=()):
-        nets.append(greedy_delta_net(gn, delta, seed_set))
+    def recording_net(gn, delta):
+        nets.append(greedy_delta_net(gn, delta))
         return nets[-1]
 
     monkeypatch.setattr(spanner, "greedy_delta_net", recording_net)

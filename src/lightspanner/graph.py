@@ -1,7 +1,10 @@
 """Weighted undirected graphs and deterministic shortest-path scans.
 
 Graphs are immutable once constructed: n, edges, adjacency, labels and
-weights never change. Two slots are memos filled on first use: ``_mst``
+weights never change. A graph stores each edge once, as a (u, v, w) tuple
+of its ``edges``, sorted by (u, v) with u < v, and its rows when built;
+``weight_of`` and ``has_edge`` bisect ``edges``, and no per-edge table
+outlives construction. Two slots are memos filled on first use: ``_mst``
 with the tree the edges determine (by ``trees.mst``) and ``_adj`` with their
 rows (by a read of ``adj``), so a graph that is never scanned builds no rows.
 No caller can observe either write except as a faster second call; threads
@@ -39,7 +42,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DisconnectedGraphError
 
@@ -47,6 +51,20 @@ INF = math.inf
 
 Edge = tuple[int, int, float]
 PairWeights = dict[tuple[int, int], float]  # (u, v) with u < v -> w
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as CPython before 3.12 computes it: 0 plus each value,
+    left to right, one rounding per addition.
+
+    From 3.12 on ``sum`` compensates float rounding, so its last digits, and
+    with them an MST's weight, the normalized weights and every artifact,
+    would depend on the interpreter's version.
+    """
+    total = 0
+    for x in values:
+        total += x
+    return total
 
 
 def spanning_forest(n: int, edges: Iterable[tuple]) -> Iterator[tuple]:
@@ -78,7 +96,7 @@ class WeightedGraph:
     remembers original external ids for formats that are not 0-based.
     """
 
-    __slots__ = ("n", "edges", "_adj", "labels", "_pair_weight", "_mst")
+    __slots__ = ("n", "edges", "_adj", "labels", "_mst")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None):
         pair_weight: PairWeights = {}
@@ -98,8 +116,9 @@ class WeightedGraph:
     @classmethod
     def from_checked_edges(cls, n: int, pair_weight: PairWeights, labels: Sequence[int] | None = None) -> WeightedGraph:
         """A graph of edges (u, v) -> w that pass the constructor's checks already
-        (ids 0 <= u < v < n, positive finite float weights), kept as its pair
-        table; only n and connectivity are checked."""
+        (ids 0 <= u < v < n, positive finite float weights); only n and
+        connectivity are checked. The graph keeps the keys' ints and the
+        weights, not the table."""
         g = cls.__new__(cls)
         g._connect(n, pair_weight, labels)
         return g
@@ -116,20 +135,20 @@ class WeightedGraph:
         canon = sorted((u, v, w) for (u, v), w in pair_weight.items())
         if n > 1 and not edges_connect(n, canon):
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
-        self._assemble(n, tuple(canon), tuple(labels) if labels is not None else None, pair_weight)
+        self._assemble(n, tuple(canon), tuple(labels) if labels is not None else None)
 
-    def _assemble(
-        self, n: int, edges: tuple[Edge, ...], labels: tuple[int, ...] | None, pair_weight: PairWeights
-    ) -> None:
-        """Fill every slot from edges already checked and sorted by (u, v), so
-        every adjacency row ascends (see ``adjacency_from_edges``).
+    def _assemble(self, n: int, edges: tuple[Edge, ...], labels: tuple[int, ...] | None) -> None:
+        """Fill every slot from edges already checked, each (u, v, w) with
+        u < v, and sorted by (u, v).
 
-        adj and ``pair_weight`` hold the very float objects of ``edges``.
+        Every reader relies on that order: each adjacency row ascends (see
+        ``adjacency_from_edges``), and ``weight_of`` and ``has_edge`` find
+        the edge (u, v, w) by bisecting for (u, v), which sorts just before
+        it. adj holds the very float objects of ``edges``.
         """
         self.n = n
         self.edges = edges
         self.labels = labels
-        self._pair_weight = pair_weight
         self._adj = self._mst = None
 
     @property
@@ -144,38 +163,67 @@ class WeightedGraph:
         return len(self.edges)
 
     def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
+        return left_sum(w for _, _, w in self.edges)
+
+    def _find(self, u: int, v: int) -> Edge | None:
+        """The edge joining u and v, in either orientation, or None; O(log m)."""
+        if v < u:
+            u, v = v, u
+        edges = self.edges
+        i = bisect_left(edges, (u, v))
+        if i < len(edges):
+            e = edges[i]
+            if e[0] == u and e[1] == v:
+                return e
+        return None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._pair_weight
+        return self._find(u, v) is not None
 
     def weight_of(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._pair_weight[key]
-        except KeyError:
-            raise ValueError(f"no edge ({u}, {v})") from None
+        e = self._find(u, v)
+        if e is None:
+            raise ValueError(f"no edge ({u}, {v})")
+        return e[2]
+
+    def edges_in(self, tags: Mapping[tuple[int, int], str]) -> Iterator[tuple[int, int, float, str]]:
+        """(u, v, w, tags[u, v]) for each edge whose (u, v) is a key of
+        ``tags``, in ascending (u, v): one walk of ``edges``, no lookup.
+
+        Once the walk ends, a key left over, one that is no edge (u, v) with
+        u < v, raises ValueError.
+        """
+        found = 0
+        get = tags.get
+        for u, v, w in self.edges:
+            tag = get((u, v))
+            if tag is not None:
+                found += 1
+                yield u, v, w, tag
+        if found != len(tags):
+            # every key the walk found is an edge (u, v), u < v, so a stray one is not
+            stray = next(key for key in tags if not (key[0] < key[1] and self.has_edge(*key)))
+            raise ValueError(f"no edge ({stray[0]}, {stray[1]})")
 
     def scaled(self, factor: float) -> "WeightedGraph":
         """The same graph with every weight multiplied by ``factor``.
 
         Scaling keeps ids, uniqueness, connectivity and the (u, v) order of
         the edges, so only the new weights are checked: an underflow to 0 or
-        an overflow to inf raises ValueError as the constructor would. The
-        pair table is keyed by the host's own key tuples, and each scaled
-        weight is one float that the table, the edges and the rows share.
+        an overflow to inf raises ValueError as the constructor would. Its
+        edges hold the host's own id ints, and each scaled weight is one
+        float that the edges and the rows share.
         """
         if not (factor > 0):
             raise ValueError(f"scale factor must be positive, got {factor}")
-        pair_weight = {key: w * factor for key, w in self._pair_weight.items()}
         edges = []
-        for u, v, _ in self.edges:
-            w = pair_weight[u, v]
+        for u, v, w in self.edges:
+            w *= factor
             if not (w > 0 and math.isfinite(w)):
                 raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
             edges.append((u, v, w))
         g = WeightedGraph.__new__(WeightedGraph)
-        g._assemble(self.n, tuple(edges), self.labels, pair_weight)
+        g._assemble(self.n, tuple(edges), self.labels)
         return g
 
     def __eq__(self, other: object) -> bool:

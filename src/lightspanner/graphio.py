@@ -11,9 +11,10 @@ graph as ``labels`` and used again when writing.
 Both readers reject bad ids, self loops, duplicate edges and weights
 that are not positive and finite, naming the offending line. They hand
 their edges, so checked, to ``WeightedGraph.from_checked_edges`` as the
-pair table their duplicate check builds; the graph keeps that table and
-checks only connectivity. Its keys hold one int object per vertex id, which
-the edges and rows share; neither reader sizes a table by the header's n.
+pair table their duplicate check builds; the graph checks only
+connectivity and keeps the edges, not the table. The edge_list reader's
+keys hold one int object per vertex id, which the edges and rows share;
+neither reader sizes a table by the header's n.
 """
 from __future__ import annotations
 

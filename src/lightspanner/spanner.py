@@ -207,10 +207,9 @@ class Spanner:
         return len(self.phase_tag)
 
     def weight(self) -> float:
-        # fsum is exact, so the total depends on the edge set alone, not on
-        # the order of the table, and equals verify_lightness's
-        wt = self.host.weight_of
-        return math.fsum(wt(u, v) for u, v in self.phase_tag)
+        # fsum is exact, so the total depends on the edge set alone and
+        # equals verify_lightness's
+        return math.fsum(w for _, _, w, _ in self.edge_rows())
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """The host's rows kept to the spanner's edges, sharing their entries."""
@@ -218,19 +217,18 @@ class Spanner:
 
     def _phase_weights(self) -> dict[str, list[float]]:
         weights: dict[str, list[float]] = {tag: [] for tag in PHASES}
-        wt = self.host.weight_of
-        for (u, v), tag in self.phase_tag.items():
-            weights[tag].append(wt(u, v))
+        for _, _, w, tag in self.edge_rows():
+            weights[tag].append(w)
         return weights
 
     def per_phase(self) -> dict[str, tuple[int, float]]:
         return {tag: (len(ws), math.fsum(ws)) for tag, ws in self._phase_weights().items()}
 
     def edge_rows(self) -> Iterator[tuple[int, int, float, str]]:
-        """(u, v, weight, tag) for every edge, in ascending (u, v)."""
-        wt = self.host.weight_of
-        tags = self.phase_tag
-        return ((u, v, wt(u, v), tags[(u, v)]) for u, v in sorted(tags))
+        """(u, v, weight, tag) for every edge, in ascending (u, v), from one
+        walk of the host's edges; a key that is no host edge raises
+        ValueError (see ``WeightedGraph.edges_in``)."""
+        return self.host.edges_in(self.phase_tag)
 
     def json_head(self, weights: dict[str, list[float]]) -> dict:
         """Every key of ``to_json_dict`` but its edge list, summed from

@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError
-from .graph import Edge, WeightedGraph, adjacency_from_edges, scan, spanning_forest, walk_parents
+from .graph import Edge, WeightedGraph, adjacency_from_edges, left_sum, scan, spanning_forest, walk_parents
 
 INF = math.inf
 
@@ -69,7 +69,7 @@ def mst(g: WeightedGraph) -> SpanningTree:
     tree = g._mst
     if tree is None:
         picked = _kruskal(g.n, g.edges)
-        tree = SpanningTree(g.n, None, tuple(picked), sum(w for _, _, w in picked))
+        tree = SpanningTree(g.n, None, tuple(picked), left_sum(w for _, _, w in picked))
         g._mst = tree
     return tree
 
@@ -86,7 +86,7 @@ def carry_mst(g: WeightedGraph, gs: WeightedGraph) -> None:
     if len({w for _, _, w in g.edges}) == len({w for _, _, w in gs.edges}):
         wt = gs.weight_of
         edges = tuple((u, v, wt(u, v)) for u, v, _ in mst(g).edges)
-        gs._mst = SpanningTree(gs.n, None, edges, sum(w for _, _, w in edges))
+        gs._mst = SpanningTree(gs.n, None, edges, left_sum(w for _, _, w in edges))
 
 
 def _last_parents(
@@ -166,7 +166,7 @@ def slt(g: WeightedGraph, root: int, eps: float) -> SpanningTree:
     tree_adj = adjacency_from_edges(g.n, mst(g).edges)
     parents = _last_parents(g.n, tree_adj, root, 1.0 + eps, dist, parent_spt, g.weight_of)
     edges = _parent_edges(g, parents)
-    return SpanningTree(g.n, root, edges, sum(w for _, _, w in edges))
+    return SpanningTree(g.n, root, edges, left_sum(w for _, _, w in edges))
 
 
 @dataclass(frozen=True)
@@ -223,4 +223,4 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
     tree_adj = adjacency_from_edges(n_aug, tree_edges)
     parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
     edges = _parent_edges(g, parents)
-    return SltForest(g.n, frozenset(root_list), edges, sum(w for _, _, w in edges))
+    return SltForest(g.n, frozenset(root_list), edges, left_sum(w for _, _, w in edges))

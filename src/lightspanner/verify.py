@@ -273,11 +273,10 @@ def verify_lightness(g: WeightedGraph, sp: Spanner) -> LightnessReport:
     if not g.edges:
         raise ValueError("graph has no edges")
     mst_weight = mst(g).total_weight
-    wt = g.weight_of
     buckets: dict[str, list[float]] = {}
     # fsum is exact, so neither the sums nor the report depend on edge order
-    for (u, v), tag in sp.phase_tag.items():
-        buckets.setdefault(tag, []).append(wt(u, v))
+    for _, _, w, tag in g.edges_in(sp.phase_tag):
+        buckets.setdefault(tag, []).append(w)
     per_phase = {tag: (len(ws), math.fsum(ws)) for tag, ws in buckets.items()}
     total = math.fsum(w for ws in buckets.values() for w in ws)
     return LightnessReport(

@@ -25,6 +25,9 @@ dijkstra, multi_source_dijkstra and shortest_path wrap one full ``scan``
 into frozen tables and paths with the vertex checks a public entry point
 makes; tests read distances, parents and paths from them.
 
+pair_weights_reference is the dict of both orientations of every edge key
+that ``weight_of`` and ``has_edge`` are held to.
+
 adjacency_reference is the plain row builder, one tuple appended per edge
 end, and subgraph_rows_reference builds a subgraph's rows with it from the
 sorted pairs and the host's weights. The references above read subgraph
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from lightspanner.graph import INF, WeightedGraph, scan, walk_parents
+from lightspanner.graph import INF, WeightedGraph, left_sum, scan, walk_parents
 from lightspanner.nets import DeltaNet, NetHierarchy, max_level
 from lightspanner.trees import SltForest, _kruskal, _last_parents
 from lightspanner.errors import SpannerError
@@ -61,6 +64,15 @@ def adjacency_reference(n: int, edges: Iterable[tuple[int, int, float]]) -> list
         adj[u].append((v, w))
         adj[v].append((u, w))
     return adj
+
+
+def pair_weights_reference(edges: Iterable[tuple[int, int, float]]) -> dict[tuple[int, int], float]:
+    """The weight of each (u, v, w) edge under both (u, v) and (v, u): what
+    ``weight_of`` and ``has_edge`` must answer."""
+    table: dict[tuple[int, int], float] = {}
+    for u, v, w in edges:
+        table[u, v] = table[v, u] = w
+    return table
 
 
 def subgraph_rows_reference(g: WeightedGraph, pairs) -> list[list[tuple[int, float]]]:
@@ -309,7 +321,7 @@ def slt_forest_reference(g: WeightedGraph, roots, eps: float) -> SltForest:
     edges = sorted(
         (min(v, p), max(v, p), g.weight_of(v, p)) for v, p in enumerate(parents[: g.n]) if p != virtual
     )
-    return SltForest(g.n, frozenset(root_list), tuple(edges), sum(w for _, _, w in edges))
+    return SltForest(g.n, frozenset(root_list), tuple(edges), left_sum(w for _, _, w in edges))
 
 
 # ---------------------------------------------------------------------------

@@ -426,18 +426,25 @@ def test_streamed_spanner_json_is_the_json_dump(tmp_path, name):
     assert (tmp_path / "spanner.edge_list").read_text() == edge_list
 
 
-def test_spanner_files_look_each_weight_up_once(tmp_path, monkeypatch):
+def test_spanner_files_look_no_weight_up(tmp_path, monkeypatch):
+    # the writer walks the host's edges once and reads each weight there
     sp = _spanners_to_write()["hierarchical"]
     lookups = []
-    weight_of = WeightedGraph.weight_of
+    weight_of, has_edge = WeightedGraph.weight_of, WeightedGraph.has_edge
 
     def counting_weight_of(self, u, v):
         lookups.append((u, v))
         return weight_of(self, u, v)
 
+    def counting_has_edge(self, u, v):
+        lookups.append((u, v))
+        return has_edge(self, u, v)
+
     monkeypatch.setattr(WeightedGraph, "weight_of", counting_weight_of)
+    monkeypatch.setattr(WeightedGraph, "has_edge", counting_has_edge)
     cli._write_spanner_artifacts(sp, str(tmp_path))
-    assert sorted(lookups) == sorted(sp.edges)
+    assert lookups == []
+    assert (tmp_path / "spanner.json").exists()
 
 
 def test_streamed_spanner_json_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from lightspanner import graph
 from lightspanner.errors import DisconnectedGraphError
 from lightspanner.generate import generate_graph
-from lightspanner.graphio import read_graph, write_graph
+from lightspanner.graphio import read_dimacs, read_edge_list, read_graph, write_graph
 from lightspanner.graph import (
     INF,
     BallScanner,
@@ -367,11 +368,47 @@ def test_total_weight_is_edge_sum(g):
     assert g.total_weight() == math.fsum(w for _, _, w in g.edges)
 
 
+def test_left_sum_rounds_after_every_addition_on_every_interpreter():
+    # CPython 3.12's sum() compensates and returns 1.0 and 2.0 here
+    assert graph.left_sum([0.1] * 10) == 0.9999999999999999
+    assert graph.left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert graph.left_sum([]) == 0 and graph.left_sum([2.5]) == 2.5
+
+
+@given(connected_graphs(min_n=1), st.sampled_from(["constructor", "edge_list", "dimacs", "scaled"]), st.randoms())
+def test_weight_lookups_match_a_dict_of_the_input_edges(base, source, rng):
+    # the input lists each edge once, in random order and orientation
+    given_edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in base.edges]
+    rng.shuffle(given_edges)
+    n = base.n
+    if source == "constructor":
+        g = WeightedGraph(n, given_edges)
+    elif source == "edge_list":
+        g = read_edge_list(io.StringIO("".join([f"{n}\n", *(f"{u} {v} {w!r}\n" for u, v, w in given_edges)])))
+    elif source == "dimacs":
+        if n == 1:  # a dimacs file names its vertices through its arcs
+            return
+        arcs = (f"a {u + 1} {v + 1} {w!r}\n" for u, v, w in given_edges)
+        g = read_dimacs(io.StringIO("".join([f"p sp {n} {len(given_edges)}\n", *arcs])))
+    else:
+        g = WeightedGraph(n, given_edges).scaled(0.3)
+        given_edges = [(u, v, w * 0.3) for u, v, w in given_edges]
+    weights = oracles.pair_weights_reference(given_edges)
+    for u in range(-2, n + 2):
+        for v in [*range(-2, n + 2), 10**20]:
+            assert g.has_edge(u, v) is ((u, v) in weights)
+            if (u, v) in weights:
+                assert g.weight_of(u, v) == weights[u, v]
+            else:
+                with pytest.raises(ValueError, match=rf"no edge \({u}, {v}\)"):
+                    g.weight_of(u, v)
+
+
 # ---------------------------------------------------------------- scaled
 
 
 def _same_graph_fields(a, b):
-    assert (a.n, a.edges, a.adj, a.labels, a._pair_weight) == (b.n, b.edges, b.adj, b.labels, b._pair_weight)
+    assert (a.n, a.edges, a.adj, a.labels) == (b.n, b.edges, b.adj, b.labels)
 
 
 @given(tie_heavy_graphs, st.sampled_from([1e-3, 0.3, 1.0, 7.0, 1e5]))
@@ -385,7 +422,7 @@ def test_scaled_keeps_labels_and_shares_weight_objects():
     h = g.scaled(3.0)
     _same_graph_fields(h, WeightedGraph(4, [(u, v, w * 3.0) for u, v, w in g.edges], [10, 20, 30, 40]))
     for u, v, w in h.edges:
-        assert h._pair_weight[(u, v)] is w
+        assert h.weight_of(u, v) is w and h.weight_of(v, u) is w
         assert any(x == v and wx is w for x, wx in h.adj[u])
         assert any(x == u and wx is w for x, wx in h.adj[v])
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lightspanner.errors import DisconnectedGraphError, GraphFormatError
+from lightspanner.generate import generate_graph
 from lightspanner.graph import WeightedGraph
 from lightspanner.graphio import (
     loads_edge_list,
@@ -202,14 +203,13 @@ def test_edge_list_reader_keeps_one_int_per_vertex_id(tmp_path):
     one = {x: x for u, v, _ in g.edges for x in (u, v)}
     assert len(one) == g.n
     assert all(u is one[u] and v is one[v] for u, v, _ in g.edges)
-    assert all(u is one[u] and v is one[v] for u, v in g._pair_weight)
     assert all(x is one[x] for row in g.adj for x, _ in row)
 
 
 @pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
 def test_scaled_shares_the_hosts_keys_and_one_float_per_edge(unsorted):
-    # the host's pair table runs in file order and its edges in (u, v) order:
-    # a scaled weight paired by position with the wrong edge shows on unsorted input
+    # the file lists edges in its own order and the graph in (u, v) order:
+    # a scaled weight paired with the wrong edge shows on unsorted input
     text = _unsorted_edge_list(300, seed=8)
     if not unsorted:
         buf = io.StringIO()
@@ -218,12 +218,33 @@ def test_scaled_shares_the_hosts_keys_and_one_float_per_edge(unsorted):
     g = loads_edge_list(text)
     factor = 0.37
     gn = g.scaled(factor)
-    host_key = {key: key for key in g._pair_weight}
-    assert all(key is host_key[key] for key in gn._pair_weight)
-    assert [(u, v) for u, v, _ in gn.edges] == [(u, v) for u, v, _ in g.edges]
-    for (u, v, w), (_, _, hw) in zip(gn.edges, g.edges):
-        assert w is gn._pair_weight[u, v]
+    assert len(gn.edges) == len(g.edges)
+    for (u, v, w), (hu, hv, hw) in zip(gn.edges, g.edges):
+        assert u is hu and v is hv
         assert w == hw * factor
+        assert gn.weight_of(v, u) is w
+        assert any(x is v and wx is w for x, wx in gn.adj[u])
+
+
+def test_a_graph_retains_one_tuple_and_one_float_per_edge():
+    # a (u, v, w) tuple, its float and its slot in ``edges`` take 96 bytes on
+    # 64-bit CPython, less where a free list recycles a tuple; a second table
+    # of the edges, such as a dict keyed by (u, v), adds 45 to 90 more
+    buf = io.StringIO()
+    write_edge_list(generate_graph("geometric_unit_square", 2048, seed=3), buf)
+    text = buf.getvalue()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = loads_edge_list(text)
+        loaded = tracemalloc.get_traced_memory()[0]
+        gn = g.scaled(0.5)
+        scaled = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert gn.m == g.m > 10_000
+    assert (loaded - start) / g.m <= 130
+    assert (scaled - loaded) / g.m <= 110
 
 
 def test_a_huge_header_with_one_edge_allocates_nothing_of_its_size(tmp_path):

@@ -379,6 +379,30 @@ def test_json_rejects_foreign_edge(geo_spanner):
         spanner_from_json_dict(payload, g)
 
 
+@pytest.mark.parametrize("stray", ["reversed", "absent"])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda sp: list(sp.edge_rows()),
+        lambda sp: sp.weight(),
+        lambda sp: sp.per_phase(),
+        lambda sp: sp.to_json_dict(),
+        lambda sp: verify.verify_lightness(sp.host, sp),
+    ],
+    ids=["edge_rows", "weight", "per_phase", "to_json_dict", "verify_lightness"],
+)
+def test_a_tag_key_that_is_no_host_edge_raises(geo_spanner, stray, read):
+    g = geo_spanner.host
+    u, v, _ = g.edges[len(g.edges) // 2]
+    if stray == "reversed":  # a host edge, keyed in the wrong orientation
+        key = (v, u)
+    else:
+        key = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b))
+    tags = {**geo_spanner.phase_tag, key: PHASE_H0}
+    with pytest.raises(ValueError, match=rf"no edge \({key[0]}, {key[1]}\)"):
+        read(Spanner(g, tags, geo_spanner.params, geo_spanner.scale))
+
+
 def test_json_rejects_weight_drift(geo_spanner):
     payload = geo_spanner.to_json_dict()
     payload["edges"][0][2] *= 2.0

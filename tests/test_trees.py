@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lightspanner import trees
 from lightspanner.generate import generate_graph
-from lightspanner.graph import WeightedGraph
+from lightspanner.graph import WeightedGraph, left_sum
 from lightspanner.trees import SpanningTree, mst, slt, slt_forest
 from lightspanner.verify import verify_slt
 
@@ -218,7 +218,7 @@ def test_a_scaled_copy_carries_the_tree_kruskal_picks_on_it(g, factor):
     gs = g.scaled(factor)
     trees.carry_mst(g, gs)
     picked = trees._kruskal(gs.n, gs.edges)
-    assert mst(gs) == SpanningTree(gs.n, None, tuple(picked), sum(w for _, _, w in picked))
+    assert mst(gs) == SpanningTree(gs.n, None, tuple(picked), left_sum(w for _, _, w in picked))
 
 
 def test_a_scaling_that_merges_two_weights_falls_back_to_kruskal():

@@ -21,7 +21,7 @@ from .spanner import (
     scale_index,
     spanner_from_json_dict,
 )
-from .trees import SltForest, SpanningTree, mst, slt, slt_forest
+from .trees import SltForest, SpanningTree, mst, slt_forest
 from .verify import (
     LemmaSuiteReport,
     LightnessReport,
@@ -72,7 +72,6 @@ __all__ = [
     "read_graph",
     "sample_levels",
     "scale_index",
-    "slt",
     "slt_forest",
     "spanner_from_json_dict",
     "verify_lemma_suite",

@@ -1,5 +1,10 @@
 """Weighted undirected graphs and deterministic shortest-path scans.
 
+Every graph is checked by ``WeightedGraph.__init__``, the readers' graphs
+included: they parse and hand it their edges. The one other way in is
+``scaled``, whose graph keeps its host's checked ids and order and checks
+only its new weights.
+
 Graphs are immutable once constructed: n, edges, adjacency, labels and
 weights never change. A graph stores each edge once, as a (u, v, w) tuple
 of its ``edges``, sorted by (u, v) with u < v, and its rows when built;
@@ -50,7 +55,6 @@ from .errors import DisconnectedGraphError
 INF = math.inf
 
 Edge = tuple[int, int, float]
-PairWeights = dict[tuple[int, int], float]  # (u, v) with u < v -> w
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -99,40 +103,37 @@ class WeightedGraph:
     __slots__ = ("n", "edges", "_adj", "labels", "_mst")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None):
-        pair_weight: PairWeights = {}
+        """Check and keep n vertices and the (u, v, w) ``edges``, given in any
+        order and orientation: the one place a graph's rules are checked.
+
+        n < 1 raises ValueError before any edge is read. Each edge is checked
+        as it is taken, so a ValueError (an id outside 0..n-1, a self loop, a
+        weight not positive and finite, a pair given twice in either
+        orientation) is about the edge ``edges`` yielded last. After the last
+        edge only DisconnectedGraphError is raised, before any allocation of
+        size n, which a bogus vertex count in a file header could make
+        arbitrarily large. The graph keeps the edges' own id ints and floats.
+        """
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        pair_weight: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has endpoint outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self loop at vertex {u}")
             if not (w > 0 and math.isfinite(w)):
-                raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
+                raise ValueError(f"weight {w} is not positive and finite, edge ({u}, {v})")
             key = (u, v) if u < v else (v, u)
             if key in pair_weight:
                 raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
             pair_weight[key] = float(w)
-        self._connect(n, pair_weight, labels)
-
-    @classmethod
-    def from_checked_edges(cls, n: int, pair_weight: PairWeights, labels: Sequence[int] | None = None) -> WeightedGraph:
-        """A graph of edges (u, v) -> w that pass the constructor's checks already
-        (ids 0 <= u < v < n, positive finite float weights); only n and
-        connectivity are checked. The graph keeps the keys' ints and the
-        weights, not the table."""
-        g = cls.__new__(cls)
-        g._connect(n, pair_weight, labels)
-        return g
-
-    def _connect(self, n: int, pair_weight: PairWeights, labels: Sequence[int] | None) -> None:
-        if n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={n}")
-        # checked before any allocation of size n, which a bogus vertex
-        # count in a file header could make arbitrarily large
         if len(pair_weight) < n - 1:
             raise DisconnectedGraphError(
                 f"graph on {n} vertices is not connected: {len(pair_weight)} edges are fewer than n - 1"
             )
         canon = sorted((u, v, w) for (u, v), w in pair_weight.items())
+        del pair_weight
         if n > 1 and not edges_connect(n, canon):
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
         self._assemble(n, tuple(canon), tuple(labels) if labels is not None else None)

@@ -8,24 +8,24 @@ arc lines with 1-based (or arbitrary sparse positive) ids. Ids are
 re-indexed to 0..n-1 on load; the sorted original ids are kept on the
 graph as ``labels`` and used again when writing.
 
-Both readers reject bad ids, self loops, duplicate edges and weights
-that are not positive and finite, naming the offending line. They hand
-their edges, so checked, to ``WeightedGraph.from_checked_edges`` as the
-pair table their duplicate check builds; the graph checks only
-connectivity and keeps the edges, not the table. The edge_list reader's
-keys hold one int object per vertex id, which the edges and rows share;
-neither reader sizes a table by the header's n.
+The readers only parse: each hands its edges, as a generator, to
+``WeightedGraph``, which checks ids, self loops, weights, duplicates and
+connectivity, one edge at a time as it takes it. A ValueError it raises
+is raised again as a GraphFormatError naming the line of the edge yielded
+last. The dimacs reader parses the whole file before it can relabel, so
+it checks the header's n and m first. The edge_list reader yields one int
+object per vertex id, which the edges and rows share; neither reader
+sizes a table by the header's n.
 """
 from __future__ import annotations
 
 import io
-import math
 import os
 from contextlib import contextmanager
 from typing import IO, Iterable, Iterator
 
 from .errors import GraphFormatError
-from .graph import Edge, PairWeights, WeightedGraph
+from .graph import Edge, WeightedGraph
 
 FORMATS = ("edge_list", "dimacs")
 
@@ -59,27 +59,24 @@ def read_edge_list(source) -> WeightedGraph:
             n = int(header.split()[0])
         except ValueError:
             raise GraphFormatError(f"expected vertex count, got {header!r}", lineno) from None
-        pair_weight: PairWeights = {}
-        ids: dict[int, int] = {}  # one int object per id seen, shared by every edge it ends
-        for lineno, line in lines:
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphFormatError(f"expected 'u v w', got {line!r}", lineno)
-            try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"could not parse edge {line!r}", lineno) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"vertex id outside 0..{n - 1} in {line!r}", lineno)
-            if u == v:
-                raise GraphFormatError(f"self loop at vertex {u}", lineno)
-            if not (0 < w < math.inf):
-                raise GraphFormatError(f"weight {w} is not positive and finite", lineno)
-            key = (u, v) if u < v else (v, u)
-            if key in pair_weight:
-                raise GraphFormatError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
-            pair_weight[ids.setdefault(key[0], key[0]), ids.setdefault(key[1], key[1])] = w
-        return WeightedGraph.from_checked_edges(n, pair_weight)
+
+        def parsed() -> Iterator[Edge]:
+            nonlocal lineno
+            ids: dict[int, int] = {}  # one int object per id seen, shared by every edge it ends
+            for lineno, line in lines:
+                parts = line.split()
+                if len(parts) != 3:
+                    raise GraphFormatError(f"expected 'u v w', got {line!r}", lineno)
+                try:
+                    u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError:
+                    raise GraphFormatError(f"could not parse edge {line!r}", lineno) from None
+                yield ids.setdefault(u, u), ids.setdefault(v, v), w
+
+        try:
+            return WeightedGraph(n, parsed())
+        except ValueError as err:  # the graph checks each edge as it takes it
+            raise GraphFormatError(str(err), lineno) from None
 
 
 def edge_list_lines(n: int, edges: Iterable[Edge]) -> Iterator[str]:
@@ -112,6 +109,7 @@ def read_dimacs(source) -> WeightedGraph:
                     n, m = int(parts[2]), int(parts[3])
                 except ValueError:
                     raise GraphFormatError(f"bad 'p' header {line!r}", lineno) from None
+                header_line = lineno
             elif parts[0] == "a":
                 if n is None:
                     raise GraphFormatError("arc line before 'p' header", lineno)
@@ -123,34 +121,33 @@ def read_dimacs(source) -> WeightedGraph:
                     raise GraphFormatError(f"could not parse arc {line!r}", lineno) from None
                 if u < 1 or v < 1:
                     raise GraphFormatError(f"dimacs ids must be >= 1 in {line!r}", lineno)
-                if not (0 < w < math.inf):
-                    raise GraphFormatError(f"weight {w} is not positive and finite", lineno)
                 raw_edges.append((u, v, w, lineno))
                 ids.add(u)
                 ids.add(v)
             else:
                 raise GraphFormatError(f"unrecognized line {line!r}", lineno)
-        if n is None:
-            raise GraphFormatError("missing 'p sp n m' header")
-        if len(ids) > n:
-            raise GraphFormatError(f"{len(ids)} distinct ids but header says n={n}")
-        labels = sorted(ids)
-        index = {orig: i for i, orig in enumerate(labels)}
-        pair_weight: PairWeights = {}
+    if n is None:
+        raise GraphFormatError("missing 'p sp n m' header")
+    if len(ids) > n:
+        raise GraphFormatError(f"{len(ids)} distinct ids but header says n={n}")
+    if len(ids) < n:
+        # header promises more vertices than the arcs mention
+        raise GraphFormatError(f"only {len(ids)} ids seen but header says n={n}")
+    if m != len(raw_edges):
+        raise GraphFormatError(f"header says m={m} but {len(raw_edges)} arcs found")
+    labels = sorted(ids)
+    index = {orig: i for i, orig in enumerate(labels)}
+    lineno = header_line  # named by an error of n itself, before any arc
+
+    def relabelled() -> Iterator[Edge]:
+        nonlocal lineno
         for u, v, w, lineno in raw_edges:
-            iu, iv = index[u], index[v]
-            if iu == iv:
-                raise GraphFormatError(f"self loop at id {u}", lineno)
-            key = (iu, iv) if iu < iv else (iv, iu)
-            if key in pair_weight:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-            pair_weight[key] = w
-        if len(labels) < n:
-            # header promises more vertices than the arcs mention
-            raise GraphFormatError(f"only {len(labels)} ids seen but header says n={n}")
-        if m is not None and m != len(pair_weight):
-            raise GraphFormatError(f"header says m={m} but {len(pair_weight)} arcs found")
-        return WeightedGraph.from_checked_edges(n, pair_weight, labels)
+            yield index[u], index[v], w
+
+    try:
+        return WeightedGraph(n, relabelled(), labels)
+    except ValueError as err:  # the graph checks each edge as it takes it
+        raise GraphFormatError(str(err), lineno) from None
 
 
 def write_dimacs(g: WeightedGraph, dest) -> None:

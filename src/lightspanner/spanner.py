@@ -36,7 +36,7 @@ from .errors import SamplingError, SpannerError
 from .graph import BallScanner, WeightedGraph, distances, edges_connect, scan, subgraph_adjacency
 from .graph import tag_forest_path, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
-from .trees import carry_mst, mst, slt, slt_forest
+from .trees import carry_mst, mst, slt_forest
 
 PHASE_H0 = "H0"
 PHASE_P2_REP = "P2_REP"
@@ -475,7 +475,7 @@ def build_wmax_spanner(g: WeightedGraph, eps: float) -> Spanner:
     net = greedy_delta_net(gn, threshold)
     tags: dict[tuple[int, int], str] = {}
     for r in net.members:
-        tree = slt(gn, r, eps)
+        tree = slt_forest(gn, (r,), eps)
         for u, v, _ in tree.edges:
             tags.setdefault((u, v), PHASE_SLT)
     _assert_spans(g.n, tags.keys())

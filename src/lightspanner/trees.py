@@ -1,9 +1,10 @@
 """Spanning tree primitives: MST, shallow-light trees, and rooted forests.
 
-The shallow-light tree (slt) balances a shortest-path tree against the
-MST: for a parameter eps > 0 it returns a spanning tree whose root
-distances are at most (1 + eps) times the true graph distances while its
-total weight stays within (1 + 2/eps) of the MST weight.
+The shallow-light tree (SLT) balances a shortest-path tree against the
+MST: for a parameter eps > 0 it is a spanning tree whose root distances
+are at most (1 + eps) times the true graph distances while its total
+weight stays within (1 + 2/eps) of the MST weight. ``slt_forest`` builds
+it over a root set; the tree of one root r is ``slt_forest(g, (r,), eps)``.
 
 Construction: walk an Euler tour of the MST, relaxing tentative
 distances along every tour edge. On first arrival at a vertex whose
@@ -14,7 +15,7 @@ path weights, which is where the 2/eps term comes from (the Euler tour
 costs twice the MST).
 
 The MST of a graph is computed once and memoised on the graph (see
-``mst``); ``slt`` and ``slt_forest`` take their tree edges from it. The
+``mst``); ``slt_forest`` takes its tree edges from it. The
 forest needs the MST of the graph plus a virtual root joined to its roots
 by zero-weight edges, and finds it from the n-1 MST edges plus the root
 edges alone: by the cycle property, an edge outside the MST is the largest
@@ -51,10 +52,9 @@ def _kruskal(n: int, edges: Iterable[Edge]) -> list[Edge]:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """n-1 edges spanning the host graph; root is None for an MST."""
+    """n-1 edges spanning the host graph."""
 
     n: int
-    root: int | None
     edges: tuple[Edge, ...]
     total_weight: float
 
@@ -69,7 +69,7 @@ def mst(g: WeightedGraph) -> SpanningTree:
     tree = g._mst
     if tree is None:
         picked = _kruskal(g.n, g.edges)
-        tree = SpanningTree(g.n, None, tuple(picked), left_sum(w for _, _, w in picked))
+        tree = SpanningTree(g.n, tuple(picked), left_sum(w for _, _, w in picked))
         g._mst = tree
     return tree
 
@@ -86,7 +86,7 @@ def carry_mst(g: WeightedGraph, gs: WeightedGraph) -> None:
     if len({w for _, _, w in g.edges}) == len({w for _, _, w in gs.edges}):
         wt = gs.weight_of
         edges = tuple((u, v, wt(u, v)) for u, v, _ in mst(g).edges)
-        gs._mst = SpanningTree(gs.n, None, edges, left_sum(w for _, _, w in edges))
+        gs._mst = SpanningTree(gs.n, edges, left_sum(w for _, _, w in edges))
 
 
 def _last_parents(
@@ -150,23 +150,6 @@ def _parent_edges(g: WeightedGraph, parents: Sequence[int]) -> tuple[Edge, ...]:
     or outside g (a virtual root) gives none."""
     pairs = sorted((p, v) if p < v else (v, p) for v, p in enumerate(parents[: g.n]) if 0 <= p < g.n)
     return tuple((a, b, g.weight_of(a, b)) for a, b in pairs)
-
-
-def slt(g: WeightedGraph, root: int, eps: float) -> SpanningTree:
-    """Shallow-light spanning tree rooted at ``root``.
-
-    Guarantees d_T(root, x) <= (1 + eps) * d_G(root, x) for every x and
-    w(T) <= (1 + 2/eps) * w(MST).
-    """
-    if not (0 <= root < g.n):
-        raise ValueError(f"root {root} outside 0..{g.n - 1}")
-    if not (eps > 0):
-        raise ValueError(f"slt needs eps > 0, got {eps}")
-    dist, parent_spt, _, _, _, _ = scan(g.n, g.adj, (root,))
-    tree_adj = adjacency_from_edges(g.n, mst(g).edges)
-    parents = _last_parents(g.n, tree_adj, root, 1.0 + eps, dist, parent_spt, g.weight_of)
-    edges = _parent_edges(g, parents)
-    return SpanningTree(g.n, root, edges, left_sum(w for _, _, w in edges))
 
 
 @dataclass(frozen=True)

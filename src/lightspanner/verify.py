@@ -51,7 +51,7 @@ from .graph import INF, BallScanner, WeightedGraph, adjacency_from_edges, distan
 from .graph import subgraph_adjacency
 from .nets import DeltaNet
 from .spanner import BuildInternals, Spanner
-from .trees import SpanningTree, mst
+from .trees import SltForest, SpanningTree, mst
 
 REL_TOL = 1e-9
 WITNESS_CAP = 100
@@ -325,6 +325,9 @@ def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
     members = net.members
     if not members:
         raise ValueError("net has no members")
+    stray = next((v for v in members if not (0 <= v < n)), None)
+    if stray is not None:
+        raise ValueError(f"net member {stray} outside 0..{n - 1}")
 
     dist, _, _, origin, _, _ = scan(n, g.adj, members)
     covering = [(v, dist[v]) for v in range(n) if not _within(dist[v], delta)]
@@ -385,9 +388,14 @@ class SltReport(_Report):
         return not self.violations and _within(self.weight_ratio, self.gamma)
 
 
-def verify_slt(g: WeightedGraph, tree: SpanningTree, root: int, eps: float) -> SltReport:
+def verify_slt(g: WeightedGraph, tree: SltForest | SpanningTree, root: int, eps: float) -> SltReport:
     """Both shallow-light conditions: root distances within 1+eps of the
-    graph's, total weight within 1+2/eps of the MST's."""
+    graph's, total weight within 1+2/eps of the MST's. ``tree`` holds edges
+    of g, such as those of ``slt_forest(g, (root,), eps)``."""
+    if not (0 <= root < g.n):
+        raise ValueError(f"root {root} outside 0..{g.n - 1}")
+    if not (eps > 0):
+        raise ValueError(f"verify_slt needs eps > 0, got {eps}")
     if tree.n != g.n:
         raise SpannerError(f"tree has {tree.n} vertices but graph has {g.n}")
     for u, v, w in tree.edges:

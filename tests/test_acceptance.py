@@ -22,7 +22,7 @@ from lightspanner.spanner import (
     normalize,
     sample_levels,
 )
-from lightspanner.trees import mst, slt
+from lightspanner.trees import mst, slt_forest
 from lightspanner.verify import (
     additive_stretch_constant,
     delta_parameter,
@@ -114,7 +114,7 @@ def test_criterion_03_slt_contract():
         eps = eps_pool[(idx // 5) % 5]
         g = generate_graph(family, n, seed=idx)
         root = (idx * 7) % g.n
-        report = verify_slt(g, slt(g, root, eps), root, eps)
+        report = verify_slt(g, slt_forest(g, (root,), eps), root, eps)
         if not report.passed:
             bad.append((idx, family, g.n, eps, report.violations[:2], report.weight_ratio))
     ok = not bad

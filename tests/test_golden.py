@@ -24,7 +24,7 @@ from lightspanner.cli import main
 from lightspanner.generate import generate_graph
 from lightspanner.nets import DeltaNet, greedy_delta_net
 from lightspanner.spanner import build_spanner
-from lightspanner.trees import mst, slt
+from lightspanner.trees import mst, slt_forest
 from lightspanner.verify import verify_lemma_suite, verify_net, verify_slt
 
 ARTIFACTS = (
@@ -229,7 +229,7 @@ def _report(name):
     if name == "net-fail":
         return verify_net(generate_graph("path", 10, seed=0, weight_range=(1.0, 1.0)), DeltaNet(4.0, (0, 1, 2)))
     if name == "slt-pass":
-        return verify_slt(geo, slt(geo, 0, 0.5), 0, 0.5)
+        return verify_slt(geo, slt_forest(geo, (0,), 0.5), 0, 0.5)
     return verify_slt(geo, mst(geo), 0, 0.05)
 
 

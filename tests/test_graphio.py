@@ -156,13 +156,57 @@ def test_readers_reject_a_weight_that_is_not_positive_and_finite(reader, text, w
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "reader, text, line, message",
+    [
+        (read_edge_list, "# ids 0..2\n3\n0 1 1.0\n1 3 1.0\n", 4, r"edge \(1, 3\) has endpoint outside 0\.\.2"),
+        (read_edge_list, "3\n0 1 1.0\n2 2 1.0\n1 2 1.0\n", 3, "self loop at vertex 2"),
+        (read_edge_list, "3\n0 1 1.0\n1 2 -1.0\n", 3, r"weight -1\.0 is not positive and finite"),
+        (read_edge_list, "3\n0 1 1.0\n1 2 1.0\n\n1 0 2.0\n", 5, r"duplicate edge \(0, 1\)"),
+        (read_dimacs, "c ids 1..3\np sp 3 3\na 1 2 1.0\na 3 3 1.0\na 2 3 1.0\n", 4, "self loop at vertex 2"),
+        (read_dimacs, "p sp 3 2\na 1 2 1.0\na 2 3 0\n", 3, r"weight 0\.0 is not positive and finite"),
+        (read_dimacs, "p sp 3 3\na 1 2 1.0\na 2 3 1.0\nc reversed\na 2 1 1.0\n", 5, r"duplicate edge \(0, 1\)"),
+    ],
+    ids=["edge_list-range", "edge_list-loop", "edge_list-weight", "edge_list-duplicate", "dimacs-loop", "dimacs-weight", "dimacs-duplicate"],
+)
+def test_a_constructor_rule_names_the_line_of_the_edge_that_breaks_it(reader, text, line, message):
+    with pytest.raises(GraphFormatError, match=rf"^line {line}: {message}") as err:
+        reader(io.StringIO(text))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "reader, text, line, n",
+    [(read_edge_list, "0\n", 1, 0), (read_edge_list, "# none\n-3\n", 2, -3), (read_dimacs, "p sp 0 0\n", 1, 0)],
+    ids=["edge_list-0", "edge_list-negative", "dimacs-0"],
+)
+def test_a_header_without_vertices_is_a_format_error(reader, text, line, n):
+    with pytest.raises(GraphFormatError, match=f"^line {line}: graph needs at least one vertex, got n={n}$"):
+        reader(io.StringIO(text))
+
+
+def test_both_readers_build_through_the_constructor(monkeypatch):
+    built = []
+    init = WeightedGraph.__init__
+
+    def spy(self, n, edges, labels=None):
+        init(self, n, edges, labels)
+        built.append(self)
+
+    monkeypatch.setattr(WeightedGraph, "__init__", spy)
+    g = loads_edge_list("3\n1 0 0.5\n1 2 2.0\n")
+    h = read_dimacs(io.StringIO("p sp 3 2\na 20 10 0.5\na 20 30 2.0\n"))
+    assert len(built) == 2 and built[0] is g and built[1] is h
+    assert h.labels == (10, 20, 30)
+
+
 @given(
     st.one_of(connected_graphs(), connected_graphs(weights=coarse_weights)),
     st.randoms(use_true_random=False),
 )
 def test_a_read_graph_is_the_constructed_graph(g, rnd):
-    # the readers skip the constructor's checks, so their graphs must equal
-    # its graphs for edges in any order and orientation
+    # a reader's graph equals the constructor's for edges in any order and
+    # orientation, labels and rows included
     edges = [(v, u, w) if rnd.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
     rnd.shuffle(edges)
     want = WeightedGraph(g.n, edges)

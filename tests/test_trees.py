@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lightspanner import trees
 from lightspanner.generate import generate_graph
 from lightspanner.graph import WeightedGraph, left_sum
-from lightspanner.trees import SpanningTree, mst, slt, slt_forest
+from lightspanner.trees import SpanningTree, mst, slt_forest
 from lightspanner.verify import verify_slt
 
 from .conftest import coarse_weights, connected_graphs, random_connected_graph
@@ -42,7 +42,7 @@ def test_mst_deterministic_under_ties():
 @given(connected_graphs(), st.sampled_from([0.1, 0.5, 1.0, 2.0]), st.integers(0, 10_000))
 def test_slt_satisfies_both_guarantees(g, eps, pick):
     root = pick % g.n
-    report = verify_slt(g, slt(g, root, eps), root, eps)
+    report = verify_slt(g, slt_forest(g, (root,), eps), root, eps)
     assert report.passed, report.violations[:3]
 
 
@@ -50,7 +50,7 @@ def test_slt_satisfies_both_guarantees(g, eps, pick):
 def test_slt_distance_bound_directly(g, pick):
     root = pick % g.n
     eps = 0.25
-    tree = slt(g, root, eps)
+    tree = slt_forest(g, (root,), eps)
     sub = WeightedGraph(g.n, tree.edges)
     in_tree = dijkstra(sub, root).dist
     in_g = dijkstra(g, root).dist
@@ -60,7 +60,7 @@ def test_slt_distance_bound_directly(g, pick):
 
 def test_slt_on_path_is_the_path():
     g = generate_graph("path", 12, seed=5)
-    tree = slt(g, 0, 0.1)
+    tree = slt_forest(g, (0,), 0.1)
     assert tree.edges == g.edges
 
 
@@ -68,19 +68,19 @@ def test_slt_weight_never_below_mst():
     g = generate_graph("geometric_unit_square", 80, seed=2)
     base = mst(g).total_weight
     for eps in (0.05, 0.5, 4.0):
-        assert slt(g, 0, eps).total_weight >= base - 1e-12
+        assert slt_forest(g, (0,), eps).total_weight >= base - 1e-12
 
 
 def test_slt_large_eps_approaches_mst():
     # with a huge slack budget the splice never fires, leaving the MST tour order
     g = generate_graph("erdos_renyi", 40, seed=9, p=0.3)
-    tree = slt(g, 0, 1e9)
+    tree = slt_forest(g, (0,), 1e9)
     assert tree.total_weight == pytest.approx(mst(g).total_weight)
 
 
 def test_slt_small_eps_approaches_spt():
     g = generate_graph("erdos_renyi", 40, seed=9, p=0.3)
-    tree = slt(g, 0, 1e-9)
+    tree = slt_forest(g, (0,), 1e-9)
     sub = WeightedGraph(g.n, tree.edges)
     spt = dijkstra(g, 0).dist
     got = dijkstra(sub, 0).dist
@@ -91,14 +91,14 @@ def test_slt_small_eps_approaches_spt():
 def test_slt_validation():
     g = WeightedGraph(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError, match="root"):
-        slt(g, 5, 0.5)
+        slt_forest(g, (5,), 0.5)
     with pytest.raises(ValueError, match="eps"):
-        slt(g, 0, 0.0)
+        slt_forest(g, (0,), 0.0)
 
 
 def test_slt_deterministic():
     g = generate_graph("geometric_unit_square", 100, seed=13)
-    assert slt(g, 3, 0.07) == slt(g, 3, 0.07)
+    assert slt_forest(g, (3,), 0.07) == slt_forest(g, (3,), 0.07)
 
 
 @settings(max_examples=40)
@@ -142,13 +142,6 @@ def test_forest_weight_within_mst_factor(g, data):
     assert len(forest.edges) == g.n - len(roots)
 
 
-def test_forest_single_root_matches_slt():
-    g = generate_graph("geometric_unit_square", 70, seed=21)
-    forest = slt_forest(g, [4], 0.3)
-    tree = slt(g, 4, 0.3)
-    assert forest.edges == tree.edges
-
-
 def test_forest_all_roots_is_empty():
     g = generate_graph("path", 6, seed=0)
     forest = slt_forest(g, range(6), 0.5)
@@ -166,8 +159,8 @@ def test_forest_validation():
 
 
 def test_spanning_tree_is_plain_value_object():
-    t = SpanningTree(2, None, ((0, 1, 1.0),), 1.0)
-    assert t.n == 2 and t.root is None
+    t = SpanningTree(2, ((0, 1, 1.0),), 1.0)
+    assert t.n == 2 and t.edges == ((0, 1, 1.0),) and t.total_weight == 1.0
 
 
 # ------------------------------------------------------ the MST, once
@@ -192,7 +185,6 @@ def test_mst_is_computed_once_per_graph(kruskal_sizes):
     g = generate_graph("geometric_unit_square", 60, seed=2)
     first = mst(g)
     assert mst(g) is first
-    slt(g, 3, 0.5)
     slt_forest(g, [0, 7, 30], 0.5)
     slt_forest(g, [5], 0.2)
     # one sort of all m edges; each forest sorts n - 1 tree edges plus its roots
@@ -218,7 +210,7 @@ def test_a_scaled_copy_carries_the_tree_kruskal_picks_on_it(g, factor):
     gs = g.scaled(factor)
     trees.carry_mst(g, gs)
     picked = trees._kruskal(gs.n, gs.edges)
-    assert mst(gs) == SpanningTree(gs.n, None, tuple(picked), left_sum(w for _, _, w in picked))
+    assert mst(gs) == SpanningTree(gs.n, tuple(picked), left_sum(w for _, _, w in picked))
 
 
 def test_a_scaling_that_merges_two_weights_falls_back_to_kruskal():

@@ -15,7 +15,7 @@ from lightspanner.spanner import (
     build_wmax_spanner,
     spanner_from_json_dict,
 )
-from lightspanner.trees import SpanningTree, mst, slt
+from lightspanner.trees import SpanningTree, mst, slt_forest
 from lightspanner.verify import (
     WITNESS_CAP,
     LemmaResult,
@@ -331,6 +331,14 @@ def test_verify_net_brute_cross_validation():
             assert {(a, b) for a, b, _ in report.packing_violations} == pack
 
 
+@pytest.mark.parametrize("members", [(0, 6), (-1,), (2, -1)], ids=["n", "minus-one", "minus-one-last"])
+def test_verify_net_rejects_a_member_outside_the_graph(members):
+    # a member of n used to index past the tables, and -1 to scan from vertex n - 1
+    g = generate_graph("path", 6, seed=0)
+    with pytest.raises(ValueError, match=rf"net member {members[-1]} outside 0\.\.5"):
+        verify_net(g, DeltaNet(1.0, members))
+
+
 # ---------------------------------------------------------------- slt
 
 
@@ -339,7 +347,7 @@ def test_verify_slt_flags_deep_tree():
     cyc = [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)]
     g = WeightedGraph(n, cyc)
     spine = tuple((i, i + 1, 1.0) for i in range(n - 1))
-    deep = SpanningTree(n, 0, spine, float(n - 1))
+    deep = SpanningTree(n, spine, float(n - 1))
     report = verify_slt(g, deep, 0, eps=0.1)
     assert not report.passed
     assert report.worst_root_stretch == pytest.approx(9.0)
@@ -349,7 +357,7 @@ def test_verify_slt_flags_deep_tree():
 
 def test_verify_slt_rejects_foreign_edges():
     g = generate_graph("path", 6, seed=0)
-    fake = SpanningTree(6, 0, ((0, 5, 1.0),) + g.edges[:4], 5.0)
+    fake = SpanningTree(6, ((0, 5, 1.0),) + g.edges[:4], 5.0)
     with pytest.raises(SpannerError, match="not a graph edge"):
         verify_slt(g, fake, 0, eps=0.5)
 
@@ -357,15 +365,27 @@ def test_verify_slt_rejects_foreign_edges():
 def test_verify_slt_rejects_wrong_weight():
     g = generate_graph("path", 6, seed=0)
     u, v, w = g.edges[0]
-    fake = SpanningTree(6, 0, ((u, v, w * 2),) + g.edges[1:], 0.0)
+    fake = SpanningTree(6, ((u, v, w * 2),) + g.edges[1:], 0.0)
     with pytest.raises(SpannerError, match="not a graph edge"):
         verify_slt(g, fake, 0, eps=0.5)
+
+
+@pytest.mark.parametrize(
+    "root, eps, message",
+    [(-1, 0.5, r"root -1 outside 0\.\.5"), (6, 0.5, r"root 6 outside 0\.\.5"), (0, 0.0, "eps > 0"), (0, -1.0, "eps > 0"), (0, math.nan, "eps > 0")],
+)
+def test_verify_slt_rejects_a_bad_root_or_eps(root, eps, message):
+    # a root of -1 used to divide by the zero distance of vertex n - 1, a root
+    # of n to index past the tables, and an eps of 0 to divide by zero
+    g = generate_graph("path", 6, seed=0)
+    with pytest.raises(ValueError, match=message):
+        verify_slt(g, mst(g), root, eps)
 
 
 def test_verify_slt_weight_ratio_gate(medium_geometric):
     # a legitimate SLT passes at its own eps but a near-zero eps makes alpha
     # unreachable for any tree that is not the exact SPT
-    tree = slt(medium_geometric, 0, 0.3)
+    tree = slt_forest(medium_geometric, (0,), 0.3)
     assert verify_slt(medium_geometric, tree, 0, 0.3).passed
     report = verify_slt(medium_geometric, tree, 0, 1e-12)
     assert report.gamma > 1e11
@@ -485,7 +505,7 @@ def one_report_of_each_type(medium_geometric):
         verify_stretch(g, sp),
         verify_lightness(g, sp),
         verify_net(g, greedy_delta_net(g, 0.2)),
-        verify_slt(g, slt(g, 0, 0.5), 0, 0.5),
+        verify_slt(g, slt_forest(g, (0,), 0.5), 0, 0.5),
         suite.results[0],
         suite,
     ]

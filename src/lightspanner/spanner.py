@@ -36,7 +36,7 @@ from .errors import SamplingError, SpannerError
 from .graph import BallScanner, WeightedGraph, distances, edges_connect, scan, subgraph_adjacency
 from .graph import tag_forest_path, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
-from .trees import carry_mst, mst, slt_forest
+from .trees import mst, slt_forest
 
 PHASE_H0 = "H0"
 PHASE_P2_REP = "P2_REP"
@@ -49,14 +49,11 @@ SAMPLING_RETRIES = 32
 
 
 def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
-    """Scale weights so the MST weighs exactly n; returns (graph, scale), the
-    graph with its MST memoised (see ``trees.carry_mst``)."""
+    """Scale weights so the MST weighs exactly n; returns (graph, scale)."""
     if not g.edges:
         raise ValueError("graph has no edges")
     scale = g.n / mst(g).total_weight
-    gn = g.scaled(scale)
-    carry_mst(g, gn)
-    return gn, scale
+    return g.scaled(scale), scale
 
 
 def scale_index(d: float, eps: float) -> int:
@@ -108,12 +105,21 @@ def _is_int(x) -> bool:
 
 
 def _check_k_seed(k, seed) -> None:
-    """Reject a k or seed that spanner_from_json_dict would refuse to load:
-    each must be a plain int (not a bool or a float), and k >= 1."""
+    """The hierarchical build's rule for k and seed: each a plain int (not a
+    bool or a float), and k >= 1."""
     if not (_is_int(k) and k >= 1):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        raise ValueError(f"k must be an integer k >= 1, got {k!r}")
     if not _is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+        raise ValueError(f"seed must be an integer seed, got {seed!r}")
+
+
+def _is_real(x) -> bool:
+    """A finite int or float (a float subclass too, a bool not); an int too
+    large for a float is not one."""
+    try:
+        return (type(x) is int or isinstance(x, float)) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAMPLING_RETRIES) -> LevelSampling:
@@ -182,10 +188,26 @@ class BuildInternals:
 
 @dataclass(frozen=True)
 class SpannerParams:
+    """The parameters spanner.json records, checked on construction: both
+    builders and ``spanner_from_json_dict`` make one, so a build accepts
+    exactly the parameters its file can be loaded with."""
+
     eps: float
     k: int | None
     seed: int | None
     kind: str  # "hierarchical" or "wmax"
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("hierarchical", "wmax"):
+            raise ValueError(f"unknown spanner kind {self.kind!r}")
+        if not (_is_real(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be a positive number, got {self.eps!r}")
+        if self.kind == "hierarchical":
+            if not self.eps < 1:
+                raise ValueError(f"hierarchical spanner needs eps < 1, got {self.eps!r}")
+            _check_k_seed(self.k, self.seed)
+        elif self.k is not None or self.seed is not None:
+            raise ValueError(f"wmax spanner needs null k and seed, got k={self.k!r}, seed={self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -255,22 +277,14 @@ class Spanner:
 _REQUIRED_KEYS = ("kind", "eps", "k", "seed", "scale", "n", "edges")
 
 
-def _is_real(x) -> bool:
-    """A finite JSON number; an int too large for a float is not one."""
-    try:
-        return (type(x) is int or type(x) is float) and math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
     """Spanner from the dict ``Spanner.to_json_dict`` writes, checked against ``host``.
 
-    Every schema problem raises SpannerError: a missing key, a value of the
-    wrong type or out of range, a kind that disagrees with k and seed
-    (hierarchical needs integers, wmax nulls), and edges that are malformed,
-    duplicated, or not host edges of the recorded weight. A malformed file
-    is therefore an error, never a spanner that fails verification. A row
+    Every schema problem raises SpannerError: a missing key, parameters
+    ``SpannerParams`` refuses (with its message), a scale or n of the wrong
+    type or out of range, and edges that are malformed, duplicated, or not
+    host edges of the recorded weight. A malformed file is therefore an
+    error, never a spanner that fails verification. A row
     that passes keeps no object of the payload: its key holds ids from one
     list of n ints made per load, and its tag is the ``PHASES`` constant.
     """
@@ -282,19 +296,10 @@ def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
     if missing:
         raise SpannerError(f"spanner is missing {', '.join(missing)}")
     kind, eps, k, seed, scale, n, edges = (payload[key] for key in _REQUIRED_KEYS)
-    if kind not in ("hierarchical", "wmax"):
-        raise SpannerError(f"unknown spanner kind {kind!r}")
-    if not (_is_real(eps) and eps > 0):
-        raise SpannerError(f"eps must be a positive number, got {eps!r}")
-    if kind == "hierarchical":
-        if not eps < 1:
-            raise SpannerError(f"hierarchical spanner needs eps < 1, got {eps!r}")
-        if not (_is_int(k) and k >= 1):
-            raise SpannerError(f"hierarchical spanner needs an integer k >= 1, got {k!r}")
-        if not _is_int(seed):
-            raise SpannerError(f"hierarchical spanner needs an integer seed, got {seed!r}")
-    elif k is not None or seed is not None:
-        raise SpannerError(f"wmax spanner needs null k and seed, got k={k!r}, seed={seed!r}")
+    try:
+        params = SpannerParams(eps=eps, k=k, seed=seed, kind=kind)
+    except ValueError as err:
+        raise SpannerError(str(err)) from None
     if not (_is_real(scale) and scale > 0):
         raise SpannerError(f"scale must be a positive number, got {scale!r}")
     if not _is_int(n) or n != host.n:
@@ -321,7 +326,6 @@ def spanner_from_json_dict(payload, host: WeightedGraph) -> Spanner:
         if tag not in PHASES:
             raise SpannerError(f"unknown phase tag {tag!r} on edge ({u}, {v})")
         tags[ids[key[0]], ids[key[1]]] = PHASES[PHASES.index(tag)]
-    params = SpannerParams(eps=eps, k=k, seed=seed, kind=kind)
     return Spanner(host=host, phase_tag=tags, params=params, scale=scale)
 
 
@@ -422,7 +426,7 @@ def build_spanner(
     keep_internals: bool = True,
 ) -> Spanner:
     """Hierarchical near-additive spanner of the host graph g."""
-    _check_k_seed(k, seed)
+    params = SpannerParams(eps=eps, k=k, seed=seed, kind="hierarchical")
     check_eps(eps, unsafe_eps)
     gn, scale = normalize(g)
     hierarchy = build_net_hierarchy(gn, eps, unsafe_eps=unsafe_eps)
@@ -449,7 +453,7 @@ def build_spanner(
     return Spanner(
         host=g,
         phase_tag=tags,
-        params=SpannerParams(eps=eps, k=k, seed=seed, kind="hierarchical"),
+        params=params,
         scale=scale,
         internals=internals,
     )
@@ -462,8 +466,7 @@ def build_wmax_spanner(g: WeightedGraph, eps: float) -> Spanner:
     in that regime the additive error 2 * (1 + eps) * W_max absorbs the
     hop to the nearest net member.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    params = SpannerParams(eps=eps, k=None, seed=None, kind="wmax")
     gn, scale = normalize(g)
     w_max = max(w for _, _, w in gn.edges)
     threshold = math.sqrt(g.n)
@@ -482,6 +485,6 @@ def build_wmax_spanner(g: WeightedGraph, eps: float) -> Spanner:
     return Spanner(
         host=g,
         phase_tag=tags,
-        params=SpannerParams(eps=eps, k=None, seed=None, kind="wmax"),
+        params=params,
         scale=scale,
     )

@@ -74,21 +74,6 @@ def mst(g: WeightedGraph) -> SpanningTree:
     return tree
 
 
-def carry_mst(g: WeightedGraph, gs: WeightedGraph) -> None:
-    """Memoise on ``gs``, a ``g.scaled`` copy, the tree ``mst(gs)`` would compute.
-
-    Kruskal reads only the (w, u, v) order. Rounding is monotone, so scaling
-    keeps that order unless it rounds two distinct weights to one, which
-    leaves gs fewer distinct weights than g. Then gs keeps no memo and ``mst``
-    runs Kruskal on it; else MST(gs) is mst(g)'s edges with gs's weights,
-    summed in the same (u, v) order.
-    """
-    if len({w for _, _, w in g.edges}) == len({w for _, _, w in gs.edges}):
-        wt = gs.weight_of
-        edges = tuple((u, v, wt(u, v)) for u, v, _ in mst(g).edges)
-        gs._mst = SpanningTree(gs.n, edges, left_sum(w for _, _, w in edges))
-
-
 def _last_parents(
     n: int,
     tree_adj: Sequence[Sequence[tuple[int, float]]],

@@ -171,12 +171,10 @@ def verify_stretch(
         alpha = 1.0 + 2.0 * eps
         bound_const = additive_stretch_constant(eps, sp.params.k)
         w_fixed = None
-    elif kind == "wmax":
+    else:
         alpha = 1.0 + eps
         bound_const = 2.0 * (1.0 + eps)
         w_fixed = max(w for _, _, w in g.edges)
-    else:
-        raise SpannerError(f"unknown spanner kind {kind!r}")
 
     if mode == "all_pairs":
         sources: Sequence[int] = range(n)

@@ -1,11 +1,13 @@
 import io
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lightspanner.errors import SamplingError
+from lightspanner.errors import SamplingError, SpannerError
 from lightspanner.generate import generate_graph
 from lightspanner import spanner, verify
 from lightspanner.graph import WeightedGraph, subgraph_adjacency
@@ -463,6 +465,41 @@ def test_wmax_rejects_light_instances():
 def test_wmax_rejects_bad_eps():
     with pytest.raises(ValueError, match="eps"):
         build_wmax_spanner(_heavy_star(), eps=0.0)
+
+
+class _Float(float):
+    """A float subclass, as numpy.float64 is."""
+
+
+def _build(kind, eps):
+    if kind == "wmax":
+        return build_wmax_spanner(_heavy_star(), eps)
+    return build_spanner(generate_graph("path", 10, seed=0), eps, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "kind, eps",
+    [("wmax", True), ("wmax", 10**400), ("hierarchical", Fraction(1, 20)), ("hierarchical", Decimal("0.05"))],
+    ids=["bool", "huge-int", "fraction", "decimal"],
+)
+def test_build_rejects_an_eps_the_loader_refuses(monkeypatch, kind, eps):
+    sp = _build(kind, 0.05)
+    monkeypatch.setattr(spanner, "normalize", lambda g: pytest.fail("normalized before the check"))
+    with pytest.raises(ValueError) as built:
+        _build(kind, eps)
+    if isinstance(eps, int):  # JSON holds a bool or a huge int, not a Fraction or a Decimal
+        payload = json.loads(json.dumps({**sp.to_json_dict(), "eps": eps}))
+        with pytest.raises(SpannerError) as loaded:
+            spanner_from_json_dict(payload, sp.host)
+        assert str(loaded.value) == str(built.value)
+
+
+@pytest.mark.parametrize("kind", ["hierarchical", "wmax"])
+def test_a_float_subclass_eps_builds_the_file_a_float_builds(kind):
+    sp = _build(kind, 0.05)
+    text = json.dumps(_build(kind, _Float(0.05)).to_json_dict())
+    assert text == json.dumps(sp.to_json_dict())
+    assert spanner_from_json_dict(json.loads(text), sp.host).params == sp.params
 
 
 def test_wmax_size_stays_quadratic_root():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lightspanner import trees
 from lightspanner.generate import generate_graph
-from lightspanner.graph import WeightedGraph, left_sum
+from lightspanner.graph import WeightedGraph
 from lightspanner.trees import SpanningTree, mst, slt_forest
 from lightspanner.verify import verify_slt
 
@@ -191,40 +191,15 @@ def test_mst_is_computed_once_per_graph(kruskal_sizes):
     assert kruskal_sizes == [g.m, g.n - 1 + 3, g.n - 1 + 1]
 
 
-def test_build_sorts_all_edges_once(kruskal_sizes):
+def test_build_sorts_all_edges_once_per_graph(kruskal_sizes):
     from lightspanner.spanner import build_spanner
 
     g = generate_graph("erdos_renyi", 80, seed=1, p=0.1)
     levels = build_spanner(g, 0.05, 2, 0).internals.sampling.levels
-    # normalize sorts all m edges of g and carries the tree to its scaled
-    # copy; each sampled level's forest sorts n - 1 tree edges plus its roots
-    assert kruskal_sizes == [g.m, g.n - 1 + len(levels[1]), g.n - 1 + len(levels[2])]
-
-
-@settings(max_examples=60)
-@given(
-    st.one_of(connected_graphs(max_n=12, max_extra=16), connected_graphs(max_n=12, max_extra=16, weights=coarse_weights)),
-    st.sampled_from([0.703, 1 / 3, 3.0, 1e-3, 7.77, 1.0]),
-)
-def test_a_scaled_copy_carries_the_tree_kruskal_picks_on_it(g, factor):
-    gs = g.scaled(factor)
-    trees.carry_mst(g, gs)
-    picked = trees._kruskal(gs.n, gs.edges)
-    assert mst(gs) == SpanningTree(gs.n, tuple(picked), left_sum(w for _, _, w in picked))
-
-
-def test_a_scaling_that_merges_two_weights_falls_back_to_kruskal():
-    x = 1.5
-    y = math.nextafter(x, 2.0)
-    s = 0.703
-    assert x * s == y * s  # two distinct weights of g become one
-    # (0, 2) is lighter than (0, 1) in g; scaled, they tie and (0, 1) wins
-    g = WeightedGraph(3, [(0, 1, y), (0, 2, x), (1, 2, 0.5)])
-    assert mst(g).edges == ((0, 2, x), (1, 2, 0.5))
-    gs = g.scaled(s)
-    trees.carry_mst(g, gs)
-    assert gs._mst is None
-    assert list(mst(gs).edges) == trees._kruskal(gs.n, gs.edges) == [(0, 1, y * s), (1, 2, 0.5 * s)]
+    # normalize sorts all m edges of g, and its scaled copy sorts its own m
+    # edges on first use; each sampled level's forest sorts n - 1 tree edges
+    # plus its roots
+    assert kruskal_sizes == [g.m, g.m, g.n - 1 + len(levels[1]), g.n - 1 + len(levels[2])]
 
 
 @settings(max_examples=60)

@@ -205,9 +205,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     payload: dict = {}
     if args.input:
         g = read_graph(args.input, args.format)
-        if not g.edges:
+        if not g.m:
             raise ValueError("graph has no edges")
-        weights = [w for _, _, w in g.edges]
+        weights = [w for _, _, w in g.iter_edges()]
         payload["graph"] = {
             "n": g.n,
             "m": g.m,
@@ -370,7 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spanner", default=None, help="spanner.json to read")
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("sweep", help="build+verify a parameter grid, appending CSV rows")
+    p = sub.add_parser(
+        "sweep",
+        help="build+verify a parameter grid, writing sweep.csv",
+        description="Build and verify every cell of a parameter grid and write one row per cell "
+        "to sweep.csv in --output-dir, replacing the file a previous sweep wrote there.",
+    )
     p.add_argument("--families", nargs="+", choices=FAMILIES, required=True)
     p.add_argument("--ns", nargs="+", type=int, required=True)
     p.add_argument("--ks", nargs="+", type=int, required=True)

@@ -6,14 +6,22 @@ included: they parse and hand it their edges. The one other way in is
 only its new weights.
 
 Graphs are immutable once constructed: n, edges, adjacency, labels and
-weights never change. A graph stores each edge once, as a (u, v, w) tuple
-of its ``edges``, sorted by (u, v) with u < v, and its rows when built;
-``weight_of`` and ``has_edge`` bisect ``edges``, and no per-edge table
-outlives construction. Two slots are memos filled on first use: ``_mst``
-with the tree the edges determine (by ``trees.mst``) and ``_adj`` with their
-rows (by a read of ``adj``), so a graph that is never scanned builds no rows.
-No caller can observe either write except as a faster second call; threads
-racing on a first read build equal values, and one of them is kept.
+weights never change. A graph holds one per-edge structure at a time. Until
+its rows are read it keeps each edge as a (u, v, w) tuple of ``_edges``,
+sorted by (u, v) with u < v: 96 bytes per edge on 64-bit CPython, with the
+float and the tuple's slot. The first read of ``adj`` builds the rows
+(``adjacency_from_edges``) and then releases that tuple, so a scanned graph
+keeps two row entries (v, w) and one float per edge, 152 bytes, where both
+structures would take 224; a graph that is never scanned builds no rows.
+Every reader takes whichever structure is there: ``weight_of`` and
+``has_edge`` bisect the tuple or row u, ``iter_edges`` walks either in (u, v)
+order, and ``edges`` returns the tuple or builds an equal one from the rows.
+No per-edge table outlives construction. ``_mst`` is a memo too, filled on
+first use with the tree the edges determine (by ``trees.mst``). No caller
+can observe these writes except as a faster second call, or as less memory.
+Threads racing on a first read build equal values, and one of them is kept;
+``_adj`` is assigned before ``_edges`` is released, and readers look at
+``_edges`` first, so no reader meets a graph that holds neither.
 ``scan`` and the distance kernels allocate their own state, so shared
 graphs are safe to query concurrently and a caller may keep one scan's
 result while running the next. Two exceptions serve one caller: ``scan``
@@ -39,9 +47,9 @@ hierarchy's H_0 paths and phase 2's connection paths both go through it.
 Full scans that read only distances, or distances and bottlenecks from one
 source, go through ``distances`` and ``distances_and_bottlenecks``. They key
 the heap on (distance, vertex), keep no parent, origin or order, and return
-the very dist (and bottleneck) tables a full ``scan`` returns. Graphs get
-their rows from ``adjacency_from_edges``; spanners and the verifier's
-subgraphs from ``subgraph_adjacency``, whose rows share the host's entries.
+the very dist (and bottleneck) tables a full ``scan`` returns. Spanners and
+the verifier's subgraphs get their rows from ``subgraph_adjacency``, whose
+rows share the host's entries.
 """
 from __future__ import annotations
 
@@ -100,7 +108,7 @@ class WeightedGraph:
     remembers original external ids for formats that are not 0-based.
     """
 
-    __slots__ = ("n", "edges", "_adj", "labels", "_mst")
+    __slots__ = ("n", "m", "_edges", "_adj", "labels", "_mst")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None):
         """Check and keep n vertices and the (u, v, w) ``edges``, given in any
@@ -143,60 +151,89 @@ class WeightedGraph:
         u < v, and sorted by (u, v).
 
         Every reader relies on that order: each adjacency row ascends (see
-        ``adjacency_from_edges``), and ``weight_of`` and ``has_edge`` find
-        the edge (u, v, w) by bisecting for (u, v), which sorts just before
-        it. adj holds the very float objects of ``edges``.
+        ``adjacency_from_edges``), ``iter_edges`` yields the edges in it
+        from the tuple or the rows alike, and ``weight_of`` and ``has_edge``
+        find the edge (u, v, w) by bisecting for (u, v), which sorts just
+        before it, in the tuple, or for (v,) in row u. adj holds the very
+        float objects of ``edges``.
         """
         self.n = n
-        self.edges = edges
+        self.m = len(edges)
+        self._edges = edges
         self.labels = labels
         self._adj = self._mst = None
 
     @property
     def adj(self) -> list[list[tuple[int, float]]]:
-        """Adjacency rows, ascending, built on first read (see the module docstring)."""
-        if self._adj is None:
-            self._adj = adjacency_from_edges(self.n, self.edges)
-        return self._adj
+        """Adjacency rows, ascending, built on first read, which then
+        releases the edge tuple (see the module docstring)."""
+        adj = self._adj
+        if adj is None:
+            edges = self._edges
+            if edges is None:  # another thread built the rows and released the tuple
+                return self._adj
+            adj = self._adj = adjacency_from_edges(self.n, edges)
+            self._edges = None
+        return adj
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[Edge, ...]:
+        """The (u, v, w) edges, u < v, sorted by (u, v): the kept tuple, or
+        a new one built from the rows once they exist."""
+        edges = self._edges
+        return edges if edges is not None else tuple(_upper_entries(self._adj))
+
+    def iter_edges(self) -> Iterator[Edge]:
+        """The values of ``edges`` in their order, without building a tuple
+        once the rows exist: the walk every ordered reader takes."""
+        edges = self._edges
+        return iter(edges) if edges is not None else _upper_entries(self._adj)
 
     def total_weight(self) -> float:
-        return left_sum(w for _, _, w in self.edges)
+        return left_sum(w for _, _, w in self.iter_edges())
 
-    def _find(self, u: int, v: int) -> Edge | None:
-        """The edge joining u and v, in either orientation, or None; O(log m)."""
+    def _weight(self, u: int, v: int) -> float | None:
+        """The weight of the edge joining u and v, in either orientation, or
+        None; a bisect of the tuple, or of row u once the tuple is gone."""
         if v < u:
             u, v = v, u
-        edges = self.edges
-        i = bisect_left(edges, (u, v))
-        if i < len(edges):
-            e = edges[i]
-            if e[0] == u and e[1] == v:
-                return e
+        edges = self._edges
+        if edges is not None:
+            i = bisect_left(edges, (u, v))
+            if i < len(edges):
+                e = edges[i]
+                if e[0] == u and e[1] == v:
+                    return e[2]
+            return None
+        if u < 0 or v >= self.n:
+            return None
+        row = self._adj[u]
+        i = bisect_left(row, (v,))
+        if i < len(row):
+            x, w = row[i]
+            if x == v:
+                return w
         return None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._find(u, v) is not None
+        return self._weight(u, v) is not None
 
     def weight_of(self, u: int, v: int) -> float:
-        e = self._find(u, v)
-        if e is None:
+        w = self._weight(u, v)
+        if w is None:
             raise ValueError(f"no edge ({u}, {v})")
-        return e[2]
+        return w
 
     def edges_in(self, tags: Mapping[tuple[int, int], str]) -> Iterator[tuple[int, int, float, str]]:
         """(u, v, w, tags[u, v]) for each edge whose (u, v) is a key of
-        ``tags``, in ascending (u, v): one walk of ``edges``, no lookup.
+        ``tags``, in ascending (u, v): one walk of the edges, no lookup.
 
         Once the walk ends, a key left over, one that is no edge (u, v) with
         u < v, raises ValueError.
         """
         found = 0
         get = tags.get
-        for u, v, w in self.edges:
+        for u, v, w in self.iter_edges():
             tag = get((u, v))
             if tag is not None:
                 found += 1
@@ -207,7 +244,7 @@ class WeightedGraph:
             raise ValueError(f"no edge ({stray[0]}, {stray[1]})")
 
     def scaled(self, factor: float) -> "WeightedGraph":
-        """The same graph with every weight multiplied by ``factor``.
+        """The same graph, without rows, with every weight multiplied by ``factor``.
 
         Scaling keeps ids, uniqueness, connectivity and the (u, v) order of
         the edges, so only the new weights are checked: an underflow to 0 or
@@ -218,7 +255,7 @@ class WeightedGraph:
         if not (factor > 0):
             raise ValueError(f"scale factor must be positive, got {factor}")
         edges = []
-        for u, v, w in self.edges:
+        for u, v, w in self.iter_edges():
             w *= factor
             if not (w > 0 and math.isfinite(w)):
                 raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
@@ -230,13 +267,28 @@ class WeightedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        if self is other:
+            return True
+        return (
+            self.n == other.n
+            and self.m == other.m
+            and all(a == b for a, b in zip(self.iter_edges(), other.iter_edges()))
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        # equal graphs walk equal edges in one order, so they sum to one weight
+        return hash((self.n, self.m, self.total_weight()))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def _upper_entries(adj) -> Iterator[Edge]:
+    """(u, v, w) for each entry (v, w) of row u with u < v, in (u, v) order:
+    a row ascends, so its entries above u follow the bisect for (u,)."""
+    for u, row in enumerate(adj):
+        for v, w in row[bisect_left(row, (u,)):]:
+            yield u, v, w
 
 
 def adjacency_from_edges(n: int, edges: Iterable[Edge]) -> list[list[tuple[int, float]]]:

@@ -13,14 +13,16 @@ The readers only parse: each hands its edges, as a generator, to
 connectivity, one edge at a time as it takes it. A ValueError it raises
 is raised again as a GraphFormatError naming the line of the edge yielded
 last. The dimacs reader parses the whole file before it can relabel, so
-it checks the header's n and m first. The edge_list reader yields one int
-object per vertex id, which the edges and rows share; neither reader
-sizes a table by the header's n.
+it checks the header's n and m first; it holds each arc as one (u, v, w)
+tuple, with its line number in an array, and frees the tuple as the graph
+takes it. Each reader yields one int object per vertex id, which the edges
+and rows share; neither reader sizes a table by the header's n.
 """
 from __future__ import annotations
 
 import io
 import os
+from array import array
 from contextlib import contextmanager
 from typing import IO, Iterable, Iterator
 
@@ -90,14 +92,15 @@ def edge_list_lines(n: int, edges: Iterable[Edge]) -> Iterator[str]:
 
 def write_edge_list(g: WeightedGraph, dest) -> None:
     with _opened(dest, "w") as stream:
-        stream.writelines(edge_list_lines(g.n, g.edges))
+        stream.writelines(edge_list_lines(g.n, g.iter_edges()))
 
 
 def read_dimacs(source) -> WeightedGraph:
     with _opened(source, "r") as stream:
         n = m = None
-        raw_edges: list[tuple[int, int, float, int]] = []
-        ids: set[int] = set()
+        raw_edges: list[Edge] = []  # (u, v, w) with the file's ids
+        arc_lines = array("q")  # the line of each arc, kept out of its tuple
+        ids: dict[int, int] = {}  # one int object per id seen, shared by every arc it ends
         for lineno, line in _meaningful_lines(stream, ("c",)):
             parts = line.split()
             if parts[0] == "p":
@@ -121,9 +124,8 @@ def read_dimacs(source) -> WeightedGraph:
                     raise GraphFormatError(f"could not parse arc {line!r}", lineno) from None
                 if u < 1 or v < 1:
                     raise GraphFormatError(f"dimacs ids must be >= 1 in {line!r}", lineno)
-                raw_edges.append((u, v, w, lineno))
-                ids.add(u)
-                ids.add(v)
+                raw_edges.append((ids.setdefault(u, u), ids.setdefault(v, v), w))
+                arc_lines.append(lineno)
             else:
                 raise GraphFormatError(f"unrecognized line {line!r}", lineno)
     if n is None:
@@ -141,7 +143,12 @@ def read_dimacs(source) -> WeightedGraph:
 
     def relabelled() -> Iterator[Edge]:
         nonlocal lineno
-        for u, v, w, lineno in raw_edges:
+        # popped from the end, each arc's tuple is freed as the graph takes it
+        raw_edges.reverse()
+        arc_lines.reverse()
+        while raw_edges:
+            u, v, w = raw_edges.pop()
+            lineno = arc_lines.pop()
             yield index[u], index[v], w
 
     try:
@@ -154,7 +161,7 @@ def write_dimacs(g: WeightedGraph, dest) -> None:
     labels = g.labels if g.labels is not None else tuple(range(1, g.n + 1))
     with _opened(dest, "w") as stream:
         stream.write(f"p sp {g.n} {g.m}\n")
-        for u, v, w in g.edges:
+        for u, v, w in g.iter_edges():
             stream.write(f"a {labels[u]} {labels[v]} {w!r}\n")
 
 

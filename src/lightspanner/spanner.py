@@ -50,7 +50,7 @@ SAMPLING_RETRIES = 32
 
 def normalize(g: WeightedGraph) -> tuple[WeightedGraph, float]:
     """Scale weights so the MST weighs exactly n; returns (graph, scale)."""
-    if not g.edges:
+    if not g.m:
         raise ValueError("graph has no edges")
     scale = g.n / mst(g).total_weight
     return g.scaled(scale), scale
@@ -468,7 +468,7 @@ def build_wmax_spanner(g: WeightedGraph, eps: float) -> Spanner:
     """
     params = SpannerParams(eps=eps, k=None, seed=None, kind="wmax")
     gn, scale = normalize(g)
-    w_max = max(w for _, _, w in gn.edges)
+    w_max = max(w for _, _, w in gn.iter_edges())
     threshold = math.sqrt(g.n)
     if w_max < threshold:
         raise ValueError(

@@ -35,15 +35,19 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError
-from .graph import Edge, WeightedGraph, adjacency_from_edges, left_sum, scan, spanning_forest, walk_parents
+from .graph import Edge, WeightedGraph, left_sum, scan, spanning_forest, walk_parents
 
 INF = math.inf
 
 
 def _kruskal(n: int, edges: Iterable[Edge]) -> list[Edge]:
-    # a stable sort on w of edges sorted by (u, v) gives the (w, u, v) order,
-    # and float keys compare faster than tuples
-    picked = list(islice(spanning_forest(n, sorted(sorted(edges), key=itemgetter(2))), n - 1))
+    """The MST's n - 1 edges, ties broken in (w, u, v) order, sorted by (u, v).
+
+    ``edges`` must come in (u, v) order among those of equal weight, as a
+    graph's ``iter_edges`` gives them: a stable sort on w then gives the
+    (w, u, v) order, and float keys compare faster than tuples.
+    """
+    picked = list(islice(spanning_forest(n, sorted(edges, key=itemgetter(2))), n - 1))
     if len(picked) != n - 1:
         raise DisconnectedGraphError("cannot span a disconnected graph")
     picked.sort()
@@ -68,15 +72,27 @@ def mst(g: WeightedGraph) -> SpanningTree:
     """
     tree = g._mst
     if tree is None:
-        picked = _kruskal(g.n, g.edges)
+        picked = _kruskal(g.n, g.iter_edges())
         tree = SpanningTree(g.n, tuple(picked), left_sum(w for _, _, w in picked))
         g._mst = tree
     return tree
 
 
+def _tour_rows(n: int, edges: Iterable[Edge]) -> list[list[Edge]]:
+    """Each vertex's tree edges, the (u, v, w) tuples themselves, in the
+    order ``adjacency_from_edges`` gives its entries: ascending neighbour for
+    edges sorted by (u, v). The tour reads the neighbour off the tuple, so
+    it allocates no entry per edge."""
+    rows: list[list[Edge]] = [[] for _ in range(n)]
+    for e in edges:
+        rows[e[0]].append(e)
+        rows[e[1]].append(e)
+    return rows
+
+
 def _last_parents(
     n: int,
-    tree_adj: Sequence[Sequence[tuple[int, float]]],
+    tree_adj: Sequence[Sequence[Edge]],
     root: int,
     alpha: float,
     goal_dist: Sequence[float],
@@ -84,6 +100,9 @@ def _last_parents(
     edge_weight,
 ) -> list[int]:
     """Parent array of the shallow-light tree over an explicit MST + SPT.
+
+    ``tree_adj`` holds each vertex's tree edges as (u, v, w) tuples, as
+    ``_tour_rows`` gives them; the tour visits children in their row order.
 
     Tentative distances only ever decrease, so the budget check fires at
     most once per vertex and checking on first arrival is equivalent to
@@ -109,7 +128,8 @@ def _last_parents(
     while stack:
         u, tree_parent, w_up, children = stack[-1]
         advanced = False
-        for v, w in children:
+        for a, b, w in children:
+            v = b if a == u else a
             if v == tree_parent:
                 continue
             nd = d[u] + w
@@ -181,6 +201,7 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
     # edge back to it and g's rows serve as they are
     aug_adj = g.adj + [[(r, 0.0) for r in root_list]]
 
+    # both parts ascend in (u, v), and the root edges alone weigh 0
     aug_edges = list(mst(g).edges) + [(r, virtual, 0.0) for r in root_list]
     tree_edges = _kruskal(n_aug, aug_edges)
     dist, parent_spt, _, _, _, _ = scan(n_aug, aug_adj, (virtual,))
@@ -188,7 +209,7 @@ def slt_forest(g: WeightedGraph, roots: Iterable[int], eps: float) -> SltForest:
     def aug_weight(a: int, b: int) -> float:
         return 0.0 if virtual in (a, b) else g.weight_of(a, b)
 
-    tree_adj = adjacency_from_edges(n_aug, tree_edges)
+    tree_adj = _tour_rows(n_aug, tree_edges)
     parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
     edges = _parent_edges(g, parents)
     return SltForest(g.n, frozenset(root_list), edges, left_sum(w for _, _, w in edges))

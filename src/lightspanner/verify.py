@@ -174,7 +174,7 @@ def verify_stretch(
     else:
         alpha = 1.0 + eps
         bound_const = 2.0 * (1.0 + eps)
-        w_fixed = max(w for _, _, w in g.edges)
+        w_fixed = max(w for _, _, w in g.iter_edges())
 
     if mode == "all_pairs":
         sources: Sequence[int] = range(n)
@@ -268,7 +268,7 @@ class LightnessReport(_Report):
 def verify_lightness(g: WeightedGraph, sp: Spanner) -> LightnessReport:
     """Exact per-phase weight accounting; lightness = w(H) / w(MST)."""
     _check_host(g, sp)
-    if not g.edges:
+    if not g.m:
         raise ValueError("graph has no edges")
     mst_weight = mst(g).total_weight
     buckets: dict[str, list[float]] = {}
@@ -333,7 +333,7 @@ def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
     packing: list[tuple[int, int, float]] = []
     if delta > 0 and len(members) >= 2:
         suspects: set[int] = set()
-        for u, v, w in g.edges:
+        for u, v, w in g.iter_edges():
             if origin[u] != origin[v] and dist[u] + w + dist[v] <= delta * (1.0 + REL_TOL):
                 suspects.add(origin[u])
                 suspects.add(origin[v])

@@ -311,12 +311,13 @@ def slt_forest_reference(g: WeightedGraph, roots, eps: float) -> SltForest:
     def aug_weight(a, b):
         return 0.0 if virtual in (a, b) else g.weight_of(a, b)
 
+    # the tour reads each vertex's tree edges as (u, v, w) tuples, by ascending neighbour
     tree_adj = [[] for _ in range(n_aug)]
-    for u, v, w in tree_edges:
-        tree_adj[u].append((v, w))
-        tree_adj[v].append((u, w))
-    for row in tree_adj:
-        row.sort()
+    for e in tree_edges:
+        tree_adj[e[0]].append(e)
+        tree_adj[e[1]].append(e)
+    for x, row in enumerate(tree_adj):
+        row.sort(key=lambda e: e[0] + e[1] - x)
     parents = _last_parents(n_aug, tree_adj, virtual, 1.0 + eps, dist, parent_spt, aug_weight)
     edges = sorted(
         (min(v, p), max(v, p), g.weight_of(v, p)) for v, p in enumerate(parents[: g.n]) if p != virtual

@@ -765,6 +765,23 @@ def test_sweep_writes_csv(workdir, capsys):
         assert int(r["size"]) >= 39
 
 
+def test_a_second_sweep_replaces_the_first_ones_csv(workdir, capsys):
+    def sweep(family, seeds):
+        argv = ["sweep", "--families", family, "--ns", "30", "--ks", "1", "--epss", "0.05"]
+        assert main(argv + ["--seeds", *seeds, "--sample-size", "8", "--output-dir", str(workdir)]) == 0
+        with open(workdir / "sweep.csv", newline="") as fh:
+            return [(r["family"], r["seed"]) for r in csv.DictReader(fh)]
+
+    assert sweep("erdos_renyi", ["0", "1", "2"]) == [("erdos_renyi", "0"), ("erdos_renyi", "1"), ("erdos_renyi", "2")]
+    assert sweep("path", ["5"]) == [("path", "5")]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "sweep               build+verify a parameter grid, writing sweep.csv" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "replacing the file a previous sweep wrote there" in " ".join(capsys.readouterr().out.split())
+
+
 def test_run_sweep_rows_carry_extras(workdir):
     rows = run_sweep(
         families=["path"],

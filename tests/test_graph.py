@@ -2,14 +2,16 @@ import io
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lightspanner import graph
 from lightspanner.errors import DisconnectedGraphError
-from lightspanner.generate import generate_graph
-from lightspanner.graphio import read_dimacs, read_edge_list, read_graph, write_graph
+from lightspanner.generate import FAMILIES, generate_graph
+from lightspanner.graphio import read_dimacs, read_edge_list, read_graph, write_dimacs, write_edge_list, write_graph
 from lightspanner.graph import (
     INF,
     BallScanner,
@@ -20,6 +22,7 @@ from lightspanner.graph import (
     scan,
     tag_forest_path,
 )
+from lightspanner.trees import mst
 
 from .conftest import coarse_weights, connected_graphs
 from . import oracles
@@ -402,6 +405,118 @@ def test_weight_lookups_match_a_dict_of_the_input_edges(base, source, rng):
             else:
                 with pytest.raises(ValueError, match=rf"no edge \({u}, {v}\)"):
                     g.weight_of(u, v)
+
+
+# ---------------------------------------------------------------- before and after the rows
+
+
+def _answer(query, *args):
+    """A query's value, or the type and text of the ValueError it raises."""
+    try:
+        return "value", query(*args)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+def _written(write, g):
+    buf = io.StringIO()
+    write(g, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(FAMILIES), st.integers(2, 40), st.integers(0, 1000), st.randoms())
+def test_queries_agree_before_and_after_the_rows_exist(family, n, seed, rng):
+    plain = generate_graph(family, n, seed=seed)
+    scanned = generate_graph(family, n, seed=seed)
+    assert scanned.adj and scanned.edges == plain.edges
+    # the first read of the rows released the tuple; ``plain`` never read them
+    assert plain._adj is None and plain._edges is not None and scanned._edges is None
+    for u in range(-2, n + 2):
+        for v in [*range(-2, n + 2), 10**20]:
+            assert plain.has_edge(u, v) is scanned.has_edge(u, v)
+            assert _answer(plain.weight_of, u, v) == _answer(scanned.weight_of, u, v)
+    tags = {(u, v): rng.choice("ab") for u, v, _ in plain.edges if rng.random() < 0.5}
+    for stray in [None, (1, 0), (0, n), (-1, 0)]:
+        keyed = dict(tags)
+        if stray is not None:
+            keyed[stray] = "c"
+        assert _answer(lambda g: list(g.edges_in(keyed)), plain) == _answer(lambda g: list(g.edges_in(keyed)), scanned)
+    assert mst(plain) == mst(scanned)
+    assert plain.total_weight() == scanned.total_weight() and plain.m == scanned.m
+    assert list(scanned.iter_edges()) == list(plain.edges)
+    assert plain == scanned and scanned == plain and hash(plain) == hash(scanned)
+    assert scanned == generate_graph(family, n, seed=seed) and scanned == scanned
+    assert (plain != plain.scaled(2.0)) and (scanned != scanned.scaled(2.0))
+    for write in (write_edge_list, write_dimacs):
+        assert _written(write, plain) == _written(write, scanned)
+    # a scaled copy is edges-only whether or not its host has rows
+    copy = scanned.scaled(0.7)
+    assert copy._adj is None and copy.edges == plain.scaled(0.7).edges
+    assert copy == plain.scaled(0.7) and copy.adj == plain.scaled(0.7).adj
+
+
+def test_an_edgeless_graph_answers_the_same_with_its_row():
+    plain, scanned = WeightedGraph(1, []), WeightedGraph(1, [])
+    assert scanned.adj == [[]] and scanned._edges is None
+    assert scanned.edges == plain.edges == () and scanned.m == 0 and scanned.total_weight() == 0
+    assert not scanned.has_edge(0, 0) and _answer(scanned.weight_of, 0, 1) == (ValueError, "no edge (0, 1)")
+    assert scanned == plain and hash(scanned) == hash(plain)
+    assert _written(write_edge_list, scanned) == _written(write_edge_list, plain) == "1\n"
+
+
+def test_readers_see_one_structure_while_another_thread_builds_the_rows():
+    expected = generate_graph("geometric_unit_square", 1500, seed=5)
+    pairs = [(u, v) for u, v, _ in expected.edges[::7]] + [(v, u) for u, v, _ in expected.edges[3::11]]
+    weights = [expected.weight_of(u, v) for u, v in pairs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            g = generate_graph("geometric_unit_square", 1500, seed=5)
+            start = threading.Barrier(4)
+            done = threading.Event()
+            failures = []
+
+            def read_rows():
+                start.wait()
+                rows = g.adj
+                done.set()
+                if rows != expected.adj:
+                    failures.append("rows")
+
+            def read_weights():
+                start.wait()
+                while True:
+                    finished = done.is_set()
+                    try:
+                        if [g.weight_of(u, v) for u, v in pairs] != weights:
+                            failures.append("weight_of")
+                    except Exception as err:  # noqa: BLE001 - any error is a failure here
+                        failures.append(repr(err))
+                    if finished:
+                        return
+
+            def read_edges():
+                start.wait()
+                while True:
+                    finished = done.is_set()
+                    try:
+                        if g.edges != expected.edges or g.total_weight() != expected.total_weight():
+                            failures.append("edges")
+                    except Exception as err:  # noqa: BLE001
+                        failures.append(repr(err))
+                    if finished:
+                        return
+
+            threads = [threading.Thread(target=f) for f in (read_rows, read_rows, read_weights, read_edges)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert failures == [] and g._edges is None and g.adj == expected.adj
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------- scaled

@@ -18,6 +18,8 @@ from lightspanner.graphio import (
     write_graph,
 )
 
+from lightspanner.spanner import build_spanner
+
 from .conftest import coarse_weights, connected_graphs
 
 
@@ -289,6 +291,61 @@ def test_a_graph_retains_one_tuple_and_one_float_per_edge():
     assert gn.m == g.m > 10_000
     assert (loaded - start) / g.m <= 130
     assert (scaled - loaded) / g.m <= 110
+
+
+def test_a_scanned_graph_retains_two_row_entries_and_one_float_per_edge():
+    # a row entry (v, w) takes 56 bytes and its list slot 8, a float 24, so an
+    # edge keeps 152 bytes plus its share of the per-vertex lists, about 172
+    # here; the (u, v, w) tuple of ``edges`` and its slot would add 72 more
+    buf = io.StringIO()
+    write_edge_list(generate_graph("geometric_unit_square", 2048, seed=3), buf)
+    text = buf.getvalue()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = loads_edge_list(text)
+        g.adj
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.m > 10_000 and g._edges is None
+    assert (kept - start) / g.m <= 185
+
+
+def test_a_build_peaks_below_a_bound_per_edge():
+    # the normalized copy keeps only its rows once it scans, and the shallow-
+    # light tree's tour reads the tree's own edge tuples: about 380 bytes per
+    # edge here, against about 470 with the copy's tuples and the tour's rows
+    g = generate_graph("geometric_unit_square", 2048, seed=3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        build_spanner(g, 0.05, 2, 1, keep_internals=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m > 10_000 and g._adj is None
+    assert (peak - start) / g.m <= 420
+
+
+def test_the_dimacs_reader_peaks_near_the_edge_list_reader():
+    # each arc is one (u, v, w) tuple over shared id ints, its line is kept in
+    # an array and its tuple is freed as the graph takes it: about 215 bytes
+    # per edge against 195 for edge_list; a (u, v, w, line) tuple per arc that
+    # lives through construction took 375
+    g = generate_graph("geometric_unit_square", 2048, seed=3)
+    buf = io.StringIO()
+    write_dimacs(g, buf)
+    stream = io.StringIO(buf.getvalue())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        h = read_dimacs(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == g
+    assert (peak - start) / g.m <= 260
 
 
 def test_a_huge_header_with_one_edge_allocates_nothing_of_its_size(tmp_path):

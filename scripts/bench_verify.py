@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Time each check of the lemma suite in-process and record it as JSON.
+
+    python3 scripts/bench_verify.py --out BENCH_verify.run.json
+    python3 scripts/bench_verify.py --n 128 --repeat 1 --out /tmp/small.json
+    python3 scripts/bench_verify.py --src ../other-checkout/src --out other.json
+
+For each n (default 2048 and 8192) it generates one geometric_unit_square
+graph (graph seed GRAPH_SEED), builds its spanner with eps 0.05, k 2 and
+build seed BUILD_SEED, and runs ``verify_lemma_suite`` on it ``--repeat``
+times. Each check is timed where the suite calls it, so it shares the
+suite's pivot-ball cache: the half-bunch check scans the balls and
+paths-intersect reuses them. A check's time is the median of its repeats;
+``checked`` and the report's sha256 must repeat exactly. Each n also
+records whether the suite's median fits ``BUDGET_S``.
+
+``--src`` names the package directory to import, so the same script times
+another checkout's code. Standard library only; it is not run in CI.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+
+EPS = 0.05
+K = 2
+GRAPH_SEED = 1
+BUILD_SEED = 0
+FAMILY = "geometric_unit_square"
+# the check functions verify_lemma_suite calls, by the name of the result each returns
+CHECKS = {
+    "representative": "_check_representative",
+    "distance_in_bunch": "_check_distance_in_bunch",
+    "half_bunch_containment": "_check_half_bunch_containment",
+    "paths_intersect": "_check_paths_intersect",
+}
+# seconds the whole suite may take at each n, on the 2-vCPU host BENCH_verify.json was recorded on
+BUDGET_S = {2048: 2.0, 8192: 20.0}
+
+
+@contextmanager
+def timed_checks(verify, spent: dict[str, float]):
+    """Make verify_lemma_suite add each check's wall time to spent[name]."""
+    originals = {name: getattr(verify, fn) for name, fn in CHECKS.items()}
+
+    def wrap(name, check):
+        def timed(*args):
+            start = time.perf_counter()
+            result = check(*args)
+            spent[name] = time.perf_counter() - start
+            return result
+
+        return timed
+
+    for name, fn in CHECKS.items():
+        setattr(verify, fn, wrap(name, originals[name]))
+    try:
+        yield
+    finally:
+        for name, fn in CHECKS.items():
+            setattr(verify, fn, originals[name])
+
+
+def measure(n: int, repeat: int) -> dict:
+    from lightspanner import verify
+    from lightspanner.generate import generate_graph
+    from lightspanner.spanner import build_spanner
+
+    g = generate_graph(FAMILY, n, seed=GRAPH_SEED)
+    start = time.perf_counter()
+    sp = build_spanner(g, EPS, K, BUILD_SEED, keep_internals=True)
+    build_s = time.perf_counter() - start
+    suites, per_check, digests = [], {name: [] for name in CHECKS}, set()
+    for _ in range(repeat):
+        spent: dict[str, float] = {}
+        with timed_checks(verify, spent):
+            start = time.perf_counter()
+            report = verify.verify_lemma_suite(g, sp)
+            suites.append(time.perf_counter() - start)
+        for name in CHECKS:
+            per_check[name].append(spent[name])
+        payload = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+        digests.add(hashlib.sha256(payload).hexdigest())
+    if len(digests) != 1:
+        raise SystemExit(f"n={n}: the suite's report changed between repeats")
+    suite_s = statistics.median(suites)
+    return {
+        "n": n,
+        "m": g.m,
+        "build_s": round(build_s, 3),
+        "suite_s": round(suite_s, 3),
+        "suite_runs_s": [round(s, 3) for s in suites],
+        "budget_s": BUDGET_S.get(n),
+        "within_budget": None if n not in BUDGET_S else suite_s <= BUDGET_S[n],
+        "passed": report.passed,
+        "report_sha256": digests.pop(),
+        "checks": {
+            r.name: {"s": round(statistics.median(per_check[r.name]), 3), "checked": r.checked}
+            for r in report.results
+        },
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--n", type=int, nargs="+", default=sorted(BUDGET_S))
+    ap.add_argument("--repeat", type=int, default=3, help="suite runs per graph (default 3)")
+    ap.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    sys.path.insert(0, os.path.abspath(args.src))
+    runs = [measure(n, args.repeat) for n in args.n]
+    out = {
+        "schema": "bench_verify/v1",
+        "params": {"family": FAMILY, "eps": EPS, "k": K, "graph_seed": GRAPH_SEED, "build_seed": BUILD_SEED},
+        "python": platform.python_version(),
+        "repeat": args.repeat,
+        "runs": runs,
+    }
+    with open(args.out, "w", encoding="utf-8") as f:
+        json.dump(out, f, indent=2)
+        f.write("\n")
+    for run in runs:
+        checks = ", ".join(f"{name} {c['s']} s" for name, c in run["checks"].items())
+        print(f"n={run['n']}: suite {run['suite_s']} s ({checks})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,9 +23,10 @@ scans run only from top-level centers and to supply a violator's witness
 distance. Each check runs its truncated scans on its own
 ``graph.BallScanner``, whose O(n) tables are reused from ball to ball, so
 memory is O(n) per check plus the cached pivot balls, not O(n^2). The
-paths-intersect check enumerates its pairs per connection record, from the
-records that share a vertex with it; its time is the sum over records of
-their partner counts, and it builds no global set of pairs.
+paths-intersect check counts each record's partners, the records that
+share a vertex with it, as C-level set unions, and tests all pairs through
+a shared vertex with one subset test per record; only where that test fails
+does it walk pairs one at a time. It builds no global set of pairs.
 
 Distance comparisons allow 1e-9 relative slack on the bound side; the
 subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
@@ -44,6 +45,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import ClassVar, Sequence
 
 from .errors import SpannerError
@@ -328,7 +330,8 @@ def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
         raise ValueError(f"net member {stray} outside 0..{n - 1}")
 
     dist, _, _, origin, _, _ = scan(n, g.adj, members)
-    covering = [(v, dist[v]) for v in range(n) if not _within(dist[v], delta)]
+    uncovered = ((v, dist[v]) for v in range(n) if not _within(dist[v], delta))
+    covering = tuple(islice(uncovered, WITNESS_CAP))
 
     packing: list[tuple[int, int, float]] = []
     if delta > 0 and len(members) >= 2:
@@ -358,7 +361,7 @@ def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
     return NetReport(
         delta=delta,
         size=len(members),
-        covering_violations=tuple(covering[:WITNESS_CAP]),
+        covering_violations=covering,
         packing_violations=tuple(packing[:WITNESS_CAP]),
         mst_bound_ok=mst_ok,
     )
@@ -412,7 +415,7 @@ def verify_slt(g: WeightedGraph, tree: SltForest | SpanningTree, root: int, eps:
         ratio = dist_t[v] / dist_g[v]
         if ratio > worst:
             worst = ratio
-        if not _within(dist_t[v], alpha * dist_g[v]):
+        if not _within(dist_t[v], alpha * dist_g[v]) and len(violations) < WITNESS_CAP:
             violations.append((v, dist_t[v], dist_g[v]))
     mst_weight = mst(g).total_weight
     return SltReport(
@@ -423,7 +426,7 @@ def verify_slt(g: WeightedGraph, tree: SltForest | SpanningTree, root: int, eps:
         tree_weight=tree.total_weight,
         mst_weight=mst_weight,
         weight_ratio=tree.total_weight / mst_weight,
-        violations=tuple(violations[:WITNESS_CAP]),
+        violations=tuple(violations),
     )
 
 
@@ -574,9 +577,9 @@ def _check_distance_in_bunch(
         for v in members:
             checked += 1
             dh = dist_h[v]
-            if not _within(dh, (1.0 + eps) * dist_g[v]):
+            if not _within(dh, (1.0 + eps) * dist_g[v]) and len(witnesses) < WITNESS_CAP:
                 witnesses.append((u, v, dist_g[v], dh))
-    return LemmaResult("distance_in_bunch", checked, tuple(witnesses[:WITNESS_CAP]))
+    return LemmaResult("distance_in_bunch", checked, tuple(witnesses))
 
 
 def _check_half_bunch_containment(internals: BuildInternals, balls: _PivotBalls) -> LemmaResult:
@@ -616,6 +619,32 @@ def _check_half_bunch_containment(internals: BuildInternals, balls: _PivotBalls)
     return LemmaResult("half_bunch_containment", checked, tuple(witnesses))
 
 
+def _failing_pairs(a, partners, center, target, dist_target, ball):
+    """The pair rule for record a against each of its partners b, in the
+    given order: yields (center, target) of a and of b for every pair that
+    fails both tests. Records with a's own (center, target) are skipped.
+
+    The first center is the one whose target is farther (a's on a tie); the
+    other center's ball is asked for only when the first test fails.
+    """
+    ca, ta, da = center[a], target[a], dist_target[a]
+    for b in partners:
+        cb, tb = center[b], target[b]
+        if cb == ca and tb == ta:
+            continue
+        if dist_target[b] > da:
+            x, tx, y, ty = cb, tb, ca, ta
+        else:
+            x, tx, y, ty = ca, ta, cb, tb
+        s = ball(x)
+        if tx in s and y in s and ty in s:
+            continue
+        s = ball(y)
+        if ty in s and x in s and tx in s:
+            continue
+        yield ca, ta, cb, tb
+
+
 def _check_paths_intersect(internals: BuildInternals, balls: _PivotBalls) -> LemmaResult:
     """If two same-level connection paths share a vertex, one of the two
     centers has all four endpoints within its pivot radius.
@@ -626,14 +655,28 @@ def _check_paths_intersect(internals: BuildInternals, balls: _PivotBalls) -> Lem
     _PivotBalls). Top-level pairs are skipped (no next pivot, so the radius
     is unbounded and the claim is vacuous).
 
-    Pairs are enumerated per record: record a's partners are the union of
-    the records on each vertex of its path, and a is paired with each
-    partner b > a in ascending order, skipping records with a's own
-    (center, target). That is every intersecting pair once, in (a, b)
-    order, with no global pair set; time is the sum over records of their
-    partner counts. Each pair first asks for the ball of the center whose
-    target is farther (the lower index on a tie), and for the other
-    center's ball only when the first misses a point.
+    The pairs are the records a < b whose paths share a vertex, less those
+    with a's own (center, target); ``_failing_pairs`` holds the rule for
+    one pair. Its first test, that the first center's ball holds its own
+    target and the other record's center and target, runs for all pairs
+    through a vertex at once. With the records through the vertex in the
+    rule's order, (-dist_target, index), a record passes against every
+    record after it when its target and their centers and targets lie in
+    its ball: one subset test, walking from the last record back. If a
+    record fails, every record through the vertex is marked. A pair that
+    fails the first test fails it at every vertex the two paths share, so
+    its lower record is marked, and ``_failing_pairs`` runs only from
+    marked records, in (a, b) order: the witnesses are the ones the rule
+    finds pair by pair, in its order. A record's ball is asked for only when
+    a record after it has another (center, target), so the suite scans the
+    balls the pair-by-pair rule asks for.
+
+    ``checked`` sums each record's partners: the union of the records after
+    it on each vertex of its path, less those with its own (center,
+    target), which are all partners since every path starts at its center.
+    Time is the partner sets' C-level unions plus one subset test per record
+    and shared vertex, plus the pair walk of the marked records; no global
+    set of pairs is built.
     """
     k = internals.sampling.k
     checked = 0
@@ -647,34 +690,48 @@ def _check_paths_intersect(internals: BuildInternals, balls: _PivotBalls) -> Lem
         center = [r.center for r in recs]
         target = [r.target for r in recs]
         dist_target = [r.dist_target for r in recs]
-        got: dict[int, frozenset[int]] = {}  # this level's balls, read without a method call
+        key = list(zip(center, target))
+        rank = [0] * len(recs)  # place in the rule's order; reverse keeps ties in index order
+        for pos, idx in enumerate(sorted(range(len(recs)), key=dist_target.__getitem__, reverse=True)):
+            rank[idx] = pos
+        got: dict[int, frozenset[int]] = {}  # this level's balls, read without a (level, center) key
+
+        def ball(c: int) -> frozenset[int]:
+            s = got.get(c)
+            if s is None:
+                s = got[c] = balls.ball(level, c)
+            return s
+
+        marked: set[int] = set()
+        for through in on_vertex.values():
+            if len(through) < 2:
+                continue
+            points: set[int] = set()  # centers and targets of the records after r
+            keys: set[tuple[int, int]] = set()  # and their (center, target)s
+            for r in sorted(through, key=rank.__getitem__, reverse=True):
+                kr = key[r]
+                if len(keys) > (kr in keys):  # a record after r has another key
+                    s = ball(center[r])
+                    if target[r] not in s or not points <= s:
+                        marked.update(through)
+                        break
+                keys.add(kr)
+                points.update(kr)
+        same_after = [0] * len(recs)  # records after a with a's (center, target)
+        seen: dict[tuple[int, int], int] = {}
+        for a in range(len(recs) - 1, -1, -1):
+            same_after[a] = seen.get(key[a], 0)
+            seen[key[a]] = same_after[a] + 1
         for a, ra in enumerate(recs):
             partners: set[int] = set()
             for w in ra.path:
                 idxs = on_vertex[w]
                 partners.update(idxs[bisect_right(idxs, a):])
-            ca, ta, da = center[a], target[a], dist_target[a]
-            for b in sorted(partners):
-                cb, tb = center[b], target[b]
-                if cb == ca and tb == ta:
-                    continue
-                checked += 1
-                if dist_target[b] > da:
-                    x, tx, y, ty = cb, tb, ca, ta
-                else:
-                    x, tx, y, ty = ca, ta, cb, tb
-                s = got.get(x)
-                if s is None:
-                    s = got[x] = balls.ball(level, x)
-                if tx in s and y in s and ty in s:
-                    continue
-                s = got.get(y)
-                if s is None:
-                    s = got[y] = balls.ball(level, y)
-                if ty in s and x in s and tx in s:
-                    continue
-                if len(witnesses) < WITNESS_CAP:
-                    witnesses.append((level, ca, ta, cb, tb))
+            checked += len(partners) - same_after[a]
+            if a in marked:
+                for pair in _failing_pairs(a, sorted(partners), center, target, dist_target, ball):
+                    if len(witnesses) < WITNESS_CAP:
+                        witnesses.append((level, *pair))
     return LemmaResult("paths_intersect", checked, tuple(witnesses))
 
 

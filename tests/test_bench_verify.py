@@ -1,0 +1,34 @@
+"""scripts/bench_verify.py runs end to end and writes the keys BENCH_verify.json is read by."""
+import json
+import pathlib
+import subprocess
+import sys
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_verify.py"
+CHECKS = {"representative", "distance_in_bunch", "half_bunch_containment", "paths_intersect"}
+
+
+def test_bench_verify_writes_each_checks_time_and_count(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [sys.executable, str(SCRIPT), "--n", "128", "--repeat", "2", "--out", str(out)],
+        check=True,
+        capture_output=True,
+        timeout=60,
+    )
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["schema"] == "bench_verify/v1"
+    assert set(data["params"]) == {"family", "eps", "k", "graph_seed", "build_seed"}
+    assert data["repeat"] == 2
+    (run,) = data["runs"]
+    assert set(run) == {
+        "n", "m", "build_s", "suite_s", "suite_runs_s", "budget_s", "within_budget",
+        "passed", "report_sha256", "checks",
+    }
+    assert run["n"] == 128 and run["passed"] and len(run["suite_runs_s"]) == 2
+    # no budget is set at this size
+    assert run["budget_s"] is None and run["within_budget"] is None
+    assert set(run["checks"]) == CHECKS
+    for check in run["checks"].values():
+        assert set(check) == {"s", "checked"}
+        assert check["s"] >= 0 and check["checked"] > 0

@@ -6,6 +6,7 @@ must agree to the byte, witnesses and fact counts included, whether the
 internals are genuine or tampered so that a check fails.
 """
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from lightspanner import verify
 from lightspanner.generate import generate_graph
 from lightspanner.graph import adjacency_from_edges, distances, scan
-from lightspanner.spanner import PHASE_P2_DIRECT, PHASE_P2_REP, PHASE_P2_TOP, build_spanner
+from lightspanner.spanner import PHASE_H0, PHASE_P2_DIRECT, PHASE_P2_REP, PHASE_P2_TOP, build_spanner
+from lightspanner.trees import mst
 from lightspanner.verify import WITNESS_CAP, verify_lemma_suite, verify_stretch
 
 from . import oracles
@@ -236,3 +238,154 @@ def test_suite_scans_the_pivot_balls_the_lazy_order_asks_for(built, monkeypatch,
     verify_lemma_suite(built.host, built, internals)
     (balls,) = made
     assert set(balls._balls) == pivot_ball_keys_reference(internals)
+
+
+def _shrunken_pivots_of_some_centers(internals, share, seed=0):
+    """Level-1 and level-2 pivot distances shrunk 1000-fold for a seeded
+    share of the centers, so some shared vertices certify and others fall
+    back to the pair-by-pair rule."""
+    rng = random.Random(seed)
+
+    def shrink(row):
+        row[:] = [d * 1e-3 if rng.random() < share else d for d in row]
+
+    for level in (1, 2):
+        internals = _with_pivot_dist(internals, level, shrink)
+    return internals
+
+
+def _count_pair_walks(monkeypatch):
+    """Record a for every record a that _check_paths_intersect walks pair by pair."""
+    walked = []
+    failing_pairs = verify._failing_pairs
+
+    def counting(a, *rest):
+        walked.append(a)
+        return failing_pairs(a, *rest)
+
+    monkeypatch.setattr(verify, "_failing_pairs", counting)
+    return walked
+
+
+def _paths_intersect_and_balls(sp, internals, monkeypatch):
+    made = []
+
+    class RecordingBalls(verify._PivotBalls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "_PivotBalls", RecordingBalls)
+    got = verify_lemma_suite(sp.host, sp, internals).result("paths_intersect")
+    (balls,) = made
+    return got, set(balls._balls)
+
+
+@pytest.mark.parametrize("share", [0.02, 0.1, 0.5])
+def test_partly_shrunken_pivots_match_the_pair_by_pair_reference(built, share, monkeypatch):
+    tampered = _shrunken_pivots_of_some_centers(built.internals, share)
+    got, keys = _paths_intersect_and_balls(built, tampered, monkeypatch)
+    assert got == lemma_suite_reference(built, tampered).result("paths_intersect")
+    assert keys == pivot_ball_keys_reference(tampered)
+
+
+def test_partly_shrunken_pivots_fall_back_only_where_the_bulk_test_fails(monkeypatch):
+    # on this build a 2% share leaves witnesses below the cap and a 10%
+    # share reaches it; either way only some records are walked pair by pair
+    sp = BUILDS["geometric"]()
+    records = sum(r.center_level < sp.internals.sampling.k for r in sp.internals.records)
+    walked = _count_pair_walks(monkeypatch)
+    counts = []
+    for share in (0.02, 0.1):
+        walked.clear()
+        tampered = _shrunken_pivots_of_some_centers(sp.internals, share)
+        got = verify_lemma_suite(sp.host, sp, tampered).result("paths_intersect")
+        assert got == lemma_suite_reference(sp, tampered).result("paths_intersect")
+        assert 0 < len(walked) < records
+        counts.append(len(got.witnesses))
+    assert 0 < counts[0] < WITNESS_CAP == counts[1]
+
+
+def test_genuine_builds_walk_no_pair_one_at_a_time(built, monkeypatch):
+    walked = _count_pair_walks(monkeypatch)
+    got = verify_lemma_suite(built.host, built).result("paths_intersect")
+    assert got.passed and got == lemma_suite_reference(built).result("paths_intersect")
+    assert walked == []
+
+
+def _own_target_outside_the_ball(internals):
+    """Internals where one center's pivot radius lies between its own target
+    and every endpoint of the records after it at a shared vertex, all of
+    another (center, target): the subset test there fails on the target alone."""
+    gn = internals.normalized
+    for level in range(internals.sampling.k):
+        recs = [r for r in internals.records if r.center_level == level]
+        on_vertex = {}
+        for i, r in enumerate(recs):
+            for w in r.path:
+                on_vertex.setdefault(w, []).append(i)
+        for through in on_vertex.values():
+            order = sorted(through, key=lambda i: (-recs[i].dist_target, i))
+            for pos, i in enumerate(order):
+                r, after = recs[i], [recs[j] for j in order[pos + 1 :]]
+                if not after or any((s.center, s.target) == (r.center, r.target) for s in after):
+                    continue
+                row = distances(gn.n, gn.adj, (r.center,))
+                far = max(row[p] for s in after for p in (s.center, s.target))
+                if far < row[r.target]:
+
+                    def update(pivots, c=r.center, radius=(far + row[r.target]) / 2):
+                        pivots[c] = radius
+
+                    return _with_pivot_dist(internals, level + 1, update)
+    raise AssertionError("no record's own target is its farthest point")
+
+
+def test_a_pivot_ball_missing_only_its_own_target_falls_back(built, monkeypatch):
+    tampered = _own_target_outside_the_ball(built.internals)
+    got, keys = _paths_intersect_and_balls(built, tampered, monkeypatch)
+    assert got == lemma_suite_reference(built, tampered).result("paths_intersect")
+    assert keys == pivot_ball_keys_reference(tampered)
+
+
+def test_records_of_one_key_ask_for_no_ball_of_their_own(monkeypatch):
+    # two records of center c with one target t, and the record of another
+    # center reaching t from farther at the same scale, off c's paths: the
+    # pair rule asks only for the other center's ball, since the first
+    # test passes there, and c's records meet only their own key at c
+    sp = BUILDS["shared_targets"]()
+    recs = [r for r in sp.internals.records if r.center_level < sp.internals.sampling.k]
+    by_key = {}
+    for r in recs:
+        by_key.setdefault((r.center, r.target), []).append(r)
+    same, other = next(
+        (same, r)
+        for same in by_key.values()
+        if len(same) >= 2
+        for r in recs
+        if r.center != same[0].center
+        and (r.center_level, r.scale, r.target) == (same[0].center_level, same[0].scale, same[0].target)
+        and r.dist_target > same[0].dist_target
+        and same[0].center not in r.path
+    )
+    tampered = dataclasses.replace(sp.internals, records=(*same, other))
+    got, keys = _paths_intersect_and_balls(sp, tampered, monkeypatch)
+    assert got == lemma_suite_reference(sp, tampered).result("paths_intersect")
+    assert keys == pivot_ball_keys_reference(tampered) == {(other.center_level, other.center)}
+
+
+def test_bare_mst_spanner_keeps_the_first_distance_in_bunch_witnesses(monkeypatch):
+    # the internals stay genuine; the spanner is only the graph's MST, which
+    # misses far more bunch distances than the report keeps
+    sp = BUILDS["geometric"]()
+    tree = {(min(u, v), max(u, v)) for u, v, _ in mst(sp.host).edges}
+    bare = dataclasses.replace(sp, phase_tag={e: PHASE_H0 for e in tree})
+    got = verify_lemma_suite(bare.host, bare, sp.internals).result("distance_in_bunch")
+    want = lemma_suite_reference(bare, sp.internals).result("distance_in_bunch")
+    assert got == want
+    assert len(got.witnesses) == WITNESS_CAP
+    monkeypatch.setattr(oracles, "WITNESS_CAP", 10**9)
+    uncapped = lemma_suite_reference(bare, sp.internals).result("distance_in_bunch")
+    assert len(uncapped.witnesses) > WITNESS_CAP
+    assert uncapped.witnesses[:WITNESS_CAP] == got.witnesses
+    assert uncapped.checked == got.checked

@@ -286,6 +286,13 @@ def test_verify_net_covering_witnesses():
         assert d == float(v)
 
 
+def test_verify_net_keeps_the_first_covering_witnesses_past_the_cap():
+    g = generate_graph("path", 300, seed=0, weight_range=(1.0, 1.0))
+    report = verify_net(g, DeltaNet(2.0, (0,)))
+    # vertices 3..299 are uncovered; the report keeps the first ones in vertex order
+    assert report.covering_violations == tuple((v, float(v)) for v in range(3, 3 + WITNESS_CAP))
+
+
 def test_verify_net_packing_witnesses():
     g = generate_graph("path", 10, seed=0, weight_range=(1.0, 1.0))
     report = verify_net(g, DeltaNet(2.0, tuple(range(10))))
@@ -353,6 +360,20 @@ def test_verify_slt_flags_deep_tree():
     assert report.worst_root_stretch == pytest.approx(9.0)
     assert report.violations  # vertex 9 at least
     assert report.weight_ratio == pytest.approx(1.0)
+
+
+def test_verify_slt_keeps_the_first_violations_past_the_cap():
+    n = 400
+    cyc = [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)]
+    g = WeightedGraph(n, cyc)
+    deep = SpanningTree(n, tuple((i, i + 1, 1.0) for i in range(n - 1)), float(n - 1))
+    report = verify_slt(g, deep, 0, eps=0.1)
+    # vertex v sits at tree depth v and graph distance n - v past the middle;
+    # 190 of them break the bound, and the worst stretch still sees the last
+    violators = [v for v in range(1, n) if v > 1.1 * (n - v)]
+    assert len(violators) > WITNESS_CAP
+    assert report.violations == tuple((v, float(v), float(n - v)) for v in violators[:WITNESS_CAP])
+    assert report.worst_root_stretch == float(n - 1)
 
 
 def test_verify_slt_rejects_foreign_edges():

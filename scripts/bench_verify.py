@@ -8,11 +8,18 @@
 For each n (default 2048 and 8192) it generates one geometric_unit_square
 graph (graph seed GRAPH_SEED), builds its spanner with eps 0.05, k 2 and
 build seed BUILD_SEED, and runs ``verify_lemma_suite`` on it ``--repeat``
-times. Each check is timed where the suite calls it, so it shares the
-suite's pivot-ball cache: the half-bunch check scans the balls and
-paths-intersect reuses them. A check's time is the median of its repeats;
-``checked`` and the report's sha256 must repeat exactly. Each n also
-records whether the suite's median fits ``BUDGET_S``.
+times. Each check is timed where the suite calls it, and so is the shared
+pass that sums the weights along every record's path (``path_sums_s``;
+null for a package without it), so the times add up to the suite's. The
+half-bunch and paths-intersect checks scan a center's pivot ball only
+where the paths' sums do not certify it. A check's time is the median of
+its repeats; ``checked`` and the report's sha256 must repeat exactly. Each
+n also records whether the suite's median fits ``BUDGET_S``.
+
+One more, untimed run per n counts the pivot balls those two checks scan
+(``pivot_balls``, the truncated scans they start) and reads the suite's
+peak traced memory (``peak_mb``, tracemalloc's peak in MB, the records and
+graphs excluded since they exist before the suite starts).
 
 ``--src`` names the package directory to import, so the same script times
 another checkout's code. Standard library only; it is not run in CI.
@@ -27,6 +34,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 EPS = 0.05
@@ -41,31 +49,80 @@ CHECKS = {
     "half_bunch_containment": "_check_half_bunch_containment",
     "paths_intersect": "_check_paths_intersect",
 }
+# the pass over the records' paths whose sums the checks share, when the package has one
+PATH_SUMS = "_path_sums"
+# the checks whose truncated scans are all pivot balls
+PIVOT_BALL_CHECKS = ("_check_half_bunch_containment", "_check_paths_intersect")
 # seconds the whole suite may take at each n, on the 2-vCPU host BENCH_verify.json was recorded on
 BUDGET_S = {2048: 2.0, 8192: 20.0}
 
 
 @contextmanager
-def timed_checks(verify, spent: dict[str, float]):
-    """Make verify_lemma_suite add each check's wall time to spent[name]."""
-    originals = {name: getattr(verify, fn) for name, fn in CHECKS.items()}
-
-    def wrap(name, check):
-        def timed(*args):
-            start = time.perf_counter()
-            result = check(*args)
-            spent[name] = time.perf_counter() - start
-            return result
-
-        return timed
-
-    for name, fn in CHECKS.items():
-        setattr(verify, fn, wrap(name, originals[name]))
+def patched(owner, wrappers: dict):
+    """Replace owner.<name> by wrappers[name](original) while the block runs."""
+    originals = {name: getattr(owner, name) for name in wrappers}
+    for name, wrap in wrappers.items():
+        setattr(owner, name, wrap(originals[name]))
     try:
         yield
     finally:
-        for name, fn in CHECKS.items():
-            setattr(verify, fn, originals[name])
+        for name, original in originals.items():
+            setattr(owner, name, original)
+
+
+def timed_checks(verify, spent: dict[str, float]):
+    """Make verify_lemma_suite add each check's wall time to spent[fn name]."""
+
+    def wrap(fn):
+        def make(check):
+            def timed(*args):
+                start = time.perf_counter()
+                result = check(*args)
+                spent[fn] = time.perf_counter() - start
+                return result
+
+            return timed
+
+        return make
+
+    names = [*CHECKS.values(), *([PATH_SUMS] if hasattr(verify, PATH_SUMS) else [])]
+    return patched(verify, {fn: wrap(fn) for fn in names})
+
+
+def pivot_balls_and_peak(verify, g, sp) -> tuple[int, float]:
+    """One untimed suite run: the truncated scans the pivot-ball checks start,
+    and tracemalloc's peak over the run in MB."""
+    scans = 0
+    inside = False
+
+    def counting(ball):
+        def counted(self, *args):
+            nonlocal scans
+            if inside:
+                scans += 1
+            return ball(self, *args)
+
+        return counted
+
+    def marking(check):
+        def marked(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return check(*args)
+            finally:
+                inside = False
+
+        return marked
+
+    with patched(verify.BallScanner, {"ball": counting}), patched(verify, dict.fromkeys(PIVOT_BALL_CHECKS, marking)):
+        tracemalloc.start()
+        try:
+            verify.verify_lemma_suite(g, sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return scans, peak / 1e6
 
 
 def measure(n: int, repeat: int) -> dict:
@@ -77,19 +134,23 @@ def measure(n: int, repeat: int) -> dict:
     start = time.perf_counter()
     sp = build_spanner(g, EPS, K, BUILD_SEED, keep_internals=True)
     build_s = time.perf_counter() - start
-    suites, per_check, digests = [], {name: [] for name in CHECKS}, set()
+    suites, per_check, digests = [], {fn: [] for fn in CHECKS.values()}, set()
+    sums_s = []
     for _ in range(repeat):
         spent: dict[str, float] = {}
         with timed_checks(verify, spent):
             start = time.perf_counter()
             report = verify.verify_lemma_suite(g, sp)
             suites.append(time.perf_counter() - start)
-        for name in CHECKS:
-            per_check[name].append(spent[name])
+        for fn in CHECKS.values():
+            per_check[fn].append(spent[fn])
+        if PATH_SUMS in spent:
+            sums_s.append(spent[PATH_SUMS])
         payload = json.dumps(report.to_json_dict(), sort_keys=True).encode()
         digests.add(hashlib.sha256(payload).hexdigest())
     if len(digests) != 1:
         raise SystemExit(f"n={n}: the suite's report changed between repeats")
+    pivot_balls, peak_mb = pivot_balls_and_peak(verify, g, sp)
     suite_s = statistics.median(suites)
     return {
         "n": n,
@@ -101,8 +162,11 @@ def measure(n: int, repeat: int) -> dict:
         "within_budget": None if n not in BUDGET_S else suite_s <= BUDGET_S[n],
         "passed": report.passed,
         "report_sha256": digests.pop(),
+        "path_sums_s": round(statistics.median(sums_s), 3) if sums_s else None,
+        "pivot_balls": pivot_balls,
+        "peak_mb": round(peak_mb, 1),
         "checks": {
-            r.name: {"s": round(statistics.median(per_check[r.name]), 3), "checked": r.checked}
+            r.name: {"s": round(statistics.median(per_check[CHECKS[r.name]]), 3), "checked": r.checked}
             for r in report.results
         },
     }
@@ -131,7 +195,10 @@ def main(argv: list[str] | None = None) -> int:
         f.write("\n")
     for run in runs:
         checks = ", ".join(f"{name} {c['s']} s" for name, c in run["checks"].items())
-        print(f"n={run['n']}: suite {run['suite_s']} s ({checks})")
+        print(
+            f"n={run['n']}: suite {run['suite_s']} s (path sums {run['path_sums_s']} s, {checks}); "
+            f"{run['pivot_balls']} pivot balls, peak {run['peak_mb']} MB"
+        )
     return 0
 
 

@@ -12,21 +12,29 @@ come in three tiers:
     containment of intersecting connection paths) against retained internals;
     distances the spanner must provide are measured inside it.
 
-Each lemma names one ball around one vertex, and its check scans only that
-ball: the representative check runs one truncated H0 scan of radius
-(1+2eps)*2^i from each level-i representative, the bunch checks one
-truncated scan of the center's (shrunken or pivot) radius, and the
-half-bunch and paths-intersect checks share one cached pivot ball per
-center. A truncated scan settles every vertex within its radius with the
-full scan's distances, so every verdict is the one a full scan gives; full
-scans run only from top-level centers and to supply a violator's witness
-distance. Each check runs its truncated scans on its own
-``graph.BallScanner``, whose O(n) tables are reused from ball to ball, so
-memory is O(n) per check plus the cached pivot balls, not O(n^2). The
-paths-intersect check counts each record's partners, the records that
-share a vertex with it, as C-level set unions, and tests all pairs through
-a shared vertex with one subset test per record; only where that test fails
-does it walk pairs one at a time. It builds no global set of pairs.
+Each lemma names one ball around one vertex, and its check scans at most
+that ball: the representative check runs one truncated H0 scan of radius
+(1+2eps)*2^i from each level-i representative, and the bunch check one
+truncated scan of the center's shrunken radius. A truncated scan settles
+every vertex within its radius with the full scan's distances, so every
+verdict is the one a full scan gives; full scans run only from top-level
+centers and to supply a violator's witness distance.
+
+The builder's records carry a graph path per connection, and one pass sums
+the weights along each (``_path_sums``, from the graph's rows, never from
+the builder's distances). A path's sum bounds the distance it spans, so
+the half-bunch and paths-intersect checks certify from the sums, and the
+bunch check certifies the spanner side from paths that lie in H. Only what
+the sums leave uncertified falls back to a scan: a pivot ball, or the
+bunch check's H ball. On a genuine build no pivot ball is scanned. Each
+check runs its truncated scans on its own ``graph.BallScanner``, whose O(n)
+tables are reused from ball to ball, and keeps a fallback's pivot ball only
+while the fallback needs it, so memory is O(n) per check plus the path sums
+(16 bytes per path vertex and per record), not O(n^2). The paths-intersect
+check counts each record's partners, the records that share a vertex with
+it, as C-level set unions, and certifies all pairs through a shared vertex
+with O(1) work per record; only where that fails does it walk pairs one at
+a time. It builds no global set of pairs.
 
 Distance comparisons allow 1e-9 relative slack on the bound side; the
 subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
@@ -43,10 +51,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from itertools import islice
-from typing import ClassVar, Sequence
+from itertools import accumulate, islice, repeat
+from typing import ClassVar, NamedTuple, Sequence
 
 from .errors import SpannerError
 from .graph import INF, BallScanner, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
@@ -462,34 +471,89 @@ class LemmaSuiteReport(_Report):
         raise KeyError(name)
 
 
-class _PivotBalls:
-    """Pivot balls of the normalized graph, one per (level, center), kept for
-    one suite run.
+class _PathSums(NamedTuple):
+    """Weight sums along every record's path, read off the normalized
+    graph's rows; see _path_sums.
 
-    ball(level, c) is the frozenset of vertices x with
-    d(c, x) < pivot_dist[level + 1][c] * (1 + REL_TOL), read off one
-    truncated scan of that radius from c. A truncated scan settles every
-    vertex within its radius with the full scan's distances, so membership
-    answers exactly what comparing a full row against the radius would.
-    Memory is the sum of the cached balls plus one scanner's tables, not a
-    row of n per center.
+    Record i's path vertices sit at positions start[i] .. start[i + 1] - 1.
+    At each, pre is the path's weight from its center to that vertex, summed
+    left to right, and suf its weight from the target back to it, summed
+    from the target's end. total[i] is the whole path's left-to-right sum.
     """
 
-    def __init__(self, gn: WeightedGraph, sampling):
-        self.gn = gn
-        self.sampling = sampling
-        self._balls: dict[tuple[int, int], frozenset[int]] = {}
-        self._scanner = BallScanner(gn.n)
+    start: array
+    pre: array
+    suf: array
+    total: array
 
-    def ball(self, level: int, center: int) -> frozenset[int]:
-        key = (level, center)
-        cached = self._balls.get(key)
-        if cached is None:
-            radius = self.sampling.pivot_dist[level + 1][center] * (1.0 + REL_TOL)
-            dist = self._scanner.dist
-            cached = frozenset(x for x in self._scanner.ball(self.gn.adj, center, radius) if dist[x] < radius)
-            self._balls[key] = cached
-        return cached
+
+def _path_sums(gn: WeightedGraph, records: Sequence) -> _PathSums:
+    """One pass over every record's path, bisecting row ``a`` of the
+    normalized graph for each step (a, b).
+
+    A record whose path does not run from its center to its target, or
+    takes a step that is no edge of the graph, gets INF at every position
+    and as its total: it bounds no distance, so it certifies nothing. The
+    builder's ``dist_member`` and ``dist_target`` are never read.
+
+    The sums are upper bounds on float distances. Dijkstra's float distance
+    from c is at most the left-to-right float sum of any path from c, since
+    fl(a + w) does not fall as a grows; so d(center, x) <= pre at x and
+    d(center, target) <= total, exactly. A bound that joins two sums, such
+    as pre of one path plus suf of another at a shared vertex, is the weight
+    of a walk summed in another order: a float sum of m nonnegative weights
+    lies within about m * 2**-53 relative of the exact one, so the joined
+    bound is within about n * 2**-51 relative of the walk's float sum for
+    paths of at most n vertices, below REL_TOL for any n under a million. The checks
+    that join sums certify only a bound strictly below a pivot distance pd,
+    while the pivot ball holds every vertex closer than pd * (1 + REL_TOL),
+    so rounding cannot certify a vertex the ball would leave out.
+
+    Memory is 16 bytes per path vertex and 16 per record, freed with the
+    suite.
+    """
+    adj = gn.adj
+    start, pre, suf, total = array("q", [0]), array("d"), array("d"), array("d")
+    for r in records:
+        path = r.path
+        weights: list[float] | None = []
+        if not path or path[0] != r.center or path[-1] != r.target:
+            weights = None
+        else:
+            for a, b in zip(path, path[1:]):
+                row = adj[a]
+                j = bisect_left(row, (b,))
+                if j == len(row) or row[j][0] != b:
+                    weights = None
+                    break
+                weights.append(row[j][1])
+        if weights is None:
+            pre.extend(repeat(INF, len(path)))
+            suf.extend(repeat(INF, len(path)))
+            total.append(INF)
+        else:
+            pre.extend(accumulate(weights, initial=0.0))
+            total.append(pre[-1])
+            tail = list(accumulate(reversed(weights), initial=0.0))
+            tail.reverse()
+            suf.extend(tail)
+        start.append(len(pre))
+    return _PathSums(start, pre, suf, total)
+
+
+def _pivot_ball(scanner: BallScanner, gn: WeightedGraph, sampling, level: int, center: int) -> frozenset[int]:
+    """The vertices x with d(center, x) < pivot_dist[level + 1][center] *
+    (1 + REL_TOL), read off one truncated scan of that radius on
+    ``scanner``.
+
+    A truncated scan settles every vertex within its radius with the full
+    scan's distances, so membership answers exactly what comparing a full
+    row against the radius would. The caller keeps the ball only as long as
+    its fallback needs it.
+    """
+    radius = sampling.pivot_dist[level + 1][center] * (1.0 + REL_TOL)
+    dist = scanner.dist
+    return frozenset(x for x in scanner.ball(gn.adj, center, radius) if dist[x] < radius)
 
 
 def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildInternals) -> LemmaResult:
@@ -543,17 +607,43 @@ def _check_distance_in_bunch(
     gn: WeightedGraph,
     sp: Spanner,
     internals: BuildInternals,
+    sums: _PathSums,
 ) -> LemmaResult:
     """d_H(u, v) <= (1 + eps) * d(u, v) for every v in u's shrunken bunch.
 
     A top-level center runs one full scan of the graph (each is used once);
     every other center runs a truncated scan of its shrunken bunch radius.
-    The spanner side is a truncated scan reaching the farthest member.
+    The members and their distances d(u, v) are this scan's own.
+
+    The spanner side is certified from the records where it can be. A
+    record from u to target v whose path is a path of H gives d_H(u, v) <=
+    its left-to-right sum (see _path_sums), with no rounding slack, since
+    that is how a scan from u on H sums it. So when every member v has such
+    a record with sum <= (1 + eps) * d(u, v), every member passes, and the
+    H scan is skipped. Otherwise u runs a truncated scan on H reaching its
+    farthest member, as without the records.
     """
     sampling = internals.sampling
     eps = internals.hierarchy.eps
     n = gn.n
-    h_adj = subgraph_adjacency(gn.adj, sp.edges)
+    h_edges = sp.edges
+    h_adj = subgraph_adjacency(gn.adj, h_edges)
+    in_h: dict[int, dict[int, float]] = {}  # center -> target -> lightest record path inside H
+    for r, w in zip(internals.records, sums.total):
+        if w == INF:
+            continue
+        path = r.path
+        a = path[0]
+        for b in path[1:]:
+            if ((a, b) if a < b else (b, a)) not in h_edges:
+                break
+            a = b
+        else:
+            lightest = in_h.get(r.center)
+            if lightest is None:
+                lightest = in_h[r.center] = {}
+            if w < lightest.get(r.target, INF):
+                lightest[r.target] = w
     delta = 0.5 * (1.0 - eps)
     checked = 0
     witnesses = []
@@ -572,45 +662,64 @@ def _check_distance_in_bunch(
             members = sorted(v for v in order if v != u and dist_g[v] < radius and v in level)
         if not members:
             continue
+        checked += len(members)
+        lightest = in_h.get(u, {})
+        if all(v in lightest and lightest[v] <= (1.0 + eps) * dist_g[v] for v in members):
+            continue
         reach = (1.0 + eps) * max(dist_g[v] for v in members) * (1.0 + REL_TOL)
         h_scanner.ball(h_adj, u, reach)
         for v in members:
-            checked += 1
             dh = dist_h[v]
             if not _within(dh, (1.0 + eps) * dist_g[v]) and len(witnesses) < WITNESS_CAP:
                 witnesses.append((u, v, dist_g[v], dh))
     return LemmaResult("distance_in_bunch", checked, tuple(witnesses))
 
 
-def _check_half_bunch_containment(internals: BuildInternals, balls: _PivotBalls) -> LemmaResult:
+def _check_half_bunch_containment(internals: BuildInternals, sums: _PathSums) -> LemmaResult:
     """Centers sharing a representative all sit inside the unshrunken bunch of
     the member farthest from that representative.
 
-    The unshrunken bunch is read as the star's pivot ball (see _PivotBalls),
-    so each star costs one truncated scan of its pivot radius, shared with
-    _check_paths_intersect. A violator's witness distance comes from one
-    full scan from the star.
+    The unshrunken bunch is read as the star's pivot ball (see _pivot_ball).
+    The records of a group share their target t, so d(star, u) <= w(P_star)
+    + w(P_u), the star's path to t and u's path back, each the lightest of
+    its center's records in the group. A center u whose bound lies strictly
+    below the star's pivot distance is in the ball (see _path_sums for the
+    rounding). Only an uncertified center asks for the star's ball, scanned
+    once per group and dropped with it; a violator's witness distance comes
+    from one full scan from the star.
     """
     sampling = internals.sampling
     gn = internals.normalized
+    records = internals.records
+    total = sums.total
     k = sampling.k
-    groups: dict[tuple[int, int, int], list] = {}
-    for r in internals.records:
-        groups.setdefault((r.center_level, r.scale, r.target), []).append(r)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for idx, r in enumerate(records):
+        groups.setdefault((r.center_level, r.scale, r.target), []).append(idx)
     checked = 0
     witnesses = []
-    for (level, scale, target), recs in sorted(groups.items()):
-        centers = sorted({(r.center, r.dist_target) for r in recs})
+    scanner = BallScanner(gn.n)
+    for (level, scale, target), idxs in sorted(groups.items()):
+        centers = sorted({(records[idx].center, records[idx].dist_target) for idx in idxs})
         if level == k:
             # top-level bunches are the whole level; containment is definitional
             checked += len(centers)
             continue
         star = max(centers, key=lambda cd: (cd[1], -cd[0]))[0]
         pd = sampling.pivot_dist[level + 1][star]
-        ball = balls.ball(level, star)
-        row = None
+        lightest: dict[int, float] = {}
+        for idx in idxs:
+            c = records[idx].center
+            if total[idx] < lightest.get(c, INF):
+                lightest[c] = total[idx]
+        via_star = lightest.get(star, INF)
+        ball = row = None
         for u, _ in centers:
             checked += 1
+            if via_star + lightest.get(u, INF) < pd:
+                continue
+            if ball is None:
+                ball = _pivot_ball(scanner, gn, sampling, level, star)
             if u in ball or len(witnesses) == WITNESS_CAP:
                 continue
             if row is None:
@@ -645,44 +754,61 @@ def _failing_pairs(a, partners, center, target, dist_target, ball):
         yield ca, ta, cb, tb
 
 
-def _check_paths_intersect(internals: BuildInternals, balls: _PivotBalls) -> LemmaResult:
+def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaResult:
     """If two same-level connection paths share a vertex, one of the two
     centers has all four endpoints within its pivot radius.
 
     Representatives need not belong to the sampled level, so the check reads
     the bunch as a ball: every endpoint strictly closer to the center than
     its next-level pivot, i.e. inside the center's pivot ball (see
-    _PivotBalls). Top-level pairs are skipped (no next pivot, so the radius
+    _pivot_ball). Top-level pairs are skipped (no next pivot, so the radius
     is unbounded and the claim is vacuous).
 
     The pairs are the records a < b whose paths share a vertex, less those
     with a's own (center, target); ``_failing_pairs`` holds the rule for
     one pair. Its first test, that the first center's ball holds its own
     target and the other record's center and target, runs for all pairs
-    through a vertex at once. With the records through the vertex in the
-    rule's order, (-dist_target, index), a record passes against every
-    record after it when its target and their centers and targets lie in
-    its ball: one subset test, walking from the last record back. If a
-    record fails, every record through the vertex is marked. A pair that
-    fails the first test fails it at every vertex the two paths share, so
-    its lower record is marked, and ``_failing_pairs`` runs only from
-    marked records, in (a, b) order: the witnesses are the ones the rule
-    finds pair by pair, in its order. A record's ball is asked for only when
-    a record after it has another (center, target), so the suite scans the
-    balls the pair-by-pair rule asks for.
+    through a vertex x at once, with the records through x in the rule's
+    order, (-dist_target, index), walked from the last back.
+
+    The paths' sums certify a record r against every record s after it at
+    x: d(c_r, t_r) <= w(P_r), d(c_r, c_s) <= p_r(x) + p_s(x) and d(c_r, t_s)
+    <= p_r(x) + q_s(x), where p is a path's weight up to x and q its weight
+    after x (see _path_sums). So r passes when w(P_r) and p_r(x) plus the
+    largest max(p_s(x), q_s(x)) over the records after it both lie strictly
+    below r's pivot distance. Only where that bound fails does r's ball
+    decide, by one subset test of their centers and targets. If a record
+    fails it, every record through x is marked. A pair that fails the first
+    test fails it at every vertex the two paths share, so its lower record
+    is marked, and ``_failing_pairs`` runs only from marked records, in
+    (a, b) order: the witnesses are the ones the rule finds pair by pair,
+    in its order. A record's bound or ball is asked for only when a record
+    after it has another (center, target). Balls are kept for the level
+    that asked for them.
 
     ``checked`` sums each record's partners: the union of the records after
     it on each vertex of its path, less those with its own (center,
     target), which are all partners since every path starts at its center.
-    Time is the partner sets' C-level unions plus one subset test per record
-    and shared vertex, plus the pair walk of the marked records; no global
-    set of pairs is built.
+    Time is the partner sets' C-level unions plus O(1) per record and shared
+    vertex, plus the balls and pair walks of the fallbacks; no global set
+    of pairs is built.
     """
-    k = internals.sampling.k
+    sampling = internals.sampling
+    gn = internals.normalized
+    pre, suf = sums.pre, sums.suf
+    scanner = BallScanner(gn.n)
     checked = 0
     witnesses = []
-    for level in range(k):
-        recs = [r for r in internals.records if r.center_level == level]
+    for level in range(sampling.k):
+        pivot = sampling.pivot_dist[level + 1]
+        # the level's records, the position of each path's first vertex, and
+        # whether the path's sum certifies the record's own target
+        recs, first, short = [], [], []
+        for r, at, w in zip(internals.records, sums.start, sums.total):
+            if r.center_level == level:
+                recs.append(r)
+                first.append(at)
+                short.append(w < pivot[r.center])
         on_vertex: dict[int, list[int]] = {}
         for idx, r in enumerate(recs):
             for w in r.path:
@@ -694,29 +820,45 @@ def _check_paths_intersect(internals: BuildInternals, balls: _PivotBalls) -> Lem
         rank = [0] * len(recs)  # place in the rule's order; reverse keeps ties in index order
         for pos, idx in enumerate(sorted(range(len(recs)), key=dist_target.__getitem__, reverse=True)):
             rank[idx] = pos
+        pd = [pivot[c] for c in center]
+        paths = [r.path for r in recs]
         got: dict[int, frozenset[int]] = {}  # this level's balls, read without a (level, center) key
 
         def ball(c: int) -> frozenset[int]:
             s = got.get(c)
             if s is None:
-                s = got[c] = balls.ball(level, c)
+                s = got[c] = _pivot_ball(scanner, gn, sampling, level, c)
             return s
 
         marked: set[int] = set()
-        for through in on_vertex.values():
+        for x, through in on_vertex.items():
             if len(through) < 2:
                 continue
-            points: set[int] = set()  # centers and targets of the records after r
-            keys: set[tuple[int, int]] = set()  # and their (center, target)s
-            for r in sorted(through, key=rank.__getitem__, reverse=True):
-                kr = key[r]
-                if len(keys) > (kr in keys):  # a record after r has another key
+            walk = sorted(through, key=rank.__getitem__, reverse=True)
+            first_key = key[walk[0]]
+            # whether r and the records after it have two (center, target)s,
+            # that is, whether a record after r has another one than r
+            mixed = False
+            reach = 0.0  # the largest max(p_s(x), q_s(x)) over the records after r
+            points: set[int] = set()  # their centers and targets, filled only for a fallback
+            filled = 0  # points holds those of walk[:filled]
+            for pos, r in enumerate(walk):
+                at = first[r] + paths[r].index(x)
+                p = pre[at]
+                if key[r] != first_key:
+                    mixed = True
+                if mixed and not (short[r] and p + reach < pd[r]):
                     s = ball(center[r])
+                    for b in walk[filled:pos]:
+                        points.update(key[b])
+                    filled = pos
                     if target[r] not in s or not points <= s:
                         marked.update(through)
                         break
-                keys.add(kr)
-                points.update(kr)
+                q = suf[at]
+                far = p if p > q else q
+                if far > reach:
+                    reach = far
         same_after = [0] * len(recs)  # records after a with a's (center, target)
         seen: dict[tuple[int, int], int] = {}
         for a in range(len(recs) - 1, -1, -1):
@@ -752,11 +894,11 @@ def verify_lemma_suite(
             "rebuild with keep_internals=True"
         )
     gn = internals.normalized
-    balls = _PivotBalls(gn, internals.sampling)
+    sums = _path_sums(gn, internals.records)
     results = (
         _check_representative(gn, sp, internals),
-        _check_distance_in_bunch(gn, sp, internals),
-        _check_half_bunch_containment(internals, balls),
-        _check_paths_intersect(internals, balls),
+        _check_distance_in_bunch(gn, sp, internals, sums),
+        _check_half_bunch_containment(internals, sums),
+        _check_paths_intersect(internals, sums),
     )
     return LemmaSuiteReport(results=results)

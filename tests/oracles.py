@@ -10,7 +10,10 @@ comparison can demand equality instead of tolerance.
 lemma_suite_reference replays verify_lemma_suite's four checks with a full
 scan wherever a distance is read, so the library's truncated scans can be
 compared against it witness for witness; pivot_ball_keys_reference names
-the pivot balls those checks consult.
+the pivot balls those checks consult pair by pair, and
+uncertified_pivot_ball_keys_reference the ones the suite scans: those its
+records' path sums, taken here by plain ``weight_of`` sums
+(path_sums_reference), leave uncertified.
 
 stretch_reference is verify_stretch as it was before its scans dropped
 parent, origin and bottleneck heap keys: two full ``scan`` calls per
@@ -476,6 +479,114 @@ def pivot_ball_keys_reference(internals) -> set[tuple[int, int]]:
     asked: set[tuple[int, int]] = set()
     _half_bunch_reference(internals, g_rows, asked)
     _paths_intersect_reference(internals, g_rows, asked)
+    return asked
+
+
+def path_sums_reference(gn: WeightedGraph, record) -> tuple[list[float], list[float]] | None:
+    """(prefix, suffix) sums of the record's path, by one ``weight_of`` per
+    step: prefix[j] sums the weights from the center to path[j], left to
+    right, and suffix[j] those from the target back to path[j], from the
+    target's end. None when the path does not run from the record's center
+    to its target, or takes a step that is no edge of gn."""
+    path = record.path
+    if not path or path[0] != record.center or path[-1] != record.target:
+        return None
+    steps = list(zip(path, path[1:]))
+    if not all(gn.has_edge(a, b) for a, b in steps):
+        return None
+    prefix = [0.0]
+    for a, b in steps:
+        prefix.append(prefix[-1] + gn.weight_of(a, b))
+    suffix = [0.0]
+    for a, b in reversed(steps):
+        suffix.append(suffix[-1] + gn.weight_of(a, b))
+    suffix.reverse()
+    return prefix, suffix
+
+
+def uncertified_pivot_ball_keys_reference(internals) -> set[tuple[int, int]]:
+    """The (level, center) pivot balls the suite scans: those the records'
+    path sums leave uncertified.
+
+    Half-bunch: the star's ball, when some center u of its group has
+    w(P_star) + w(P_u) >= the star's pivot distance (each the lightest path
+    of its center in the group). Paths-intersect, at each shared vertex x,
+    walking the records in the rule's order from the last back: record r's
+    ball, when a record after it has another (center, target) and r's path,
+    or its prefix to x plus the larger part of a later path, is not strictly
+    below r's pivot distance. If the ball then misses a point, every record
+    through x is marked and the walk at x stops; the pair rule then runs
+    from the marked records as in ``pivot_ball_keys_reference``. Ball
+    contents come from full rows.
+    """
+    gn = internals.normalized
+    sampling = internals.sampling
+    records = internals.records
+    g_rows = _FullRows(gn.n, gn.adj)
+    sums = [path_sums_reference(gn, r) for r in records]
+    weight = [INF if s is None else s[0][-1] for s in sums]
+    asked: set[tuple[int, int]] = set()
+
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, r in enumerate(records):
+        groups.setdefault((r.center_level, r.scale, r.target), []).append(i)
+    for (level, _, _), idxs in groups.items():
+        if level == sampling.k:
+            continue
+        star = max((records[i] for i in idxs), key=lambda r: (r.dist_target, -r.center)).center
+        pd = sampling.pivot_dist[level + 1][star]
+        lightest = {records[i].center: INF for i in idxs}
+        for i in idxs:
+            lightest[records[i].center] = min(lightest[records[i].center], weight[i])
+        if any(not (lightest[star] + w < pd) for w in lightest.values()):
+            asked.add((level, star))
+
+    def sums_at(i, x):
+        """(prefix, suffix) of record i's path at its first visit of x, INF for no path."""
+        if sums[i] is None:
+            return INF, INF
+        j = records[i].path.index(x)
+        return sums[i][0][j], sums[i][1][j]
+
+    for level in range(sampling.k):
+        ids = [i for i, r in enumerate(records) if r.center_level == level]
+        pivot = sampling.pivot_dist[level + 1]
+
+        def key(i):
+            return records[i].center, records[i].target
+
+        def holds(c, points) -> bool:
+            asked.add((level, c))
+            row = g_rows.row(c)
+            return all(row[p] < pivot[c] * (1.0 + REL_TOL) for p in points)
+
+        on_vertex: dict[int, list[int]] = {}
+        for i in ids:
+            for x in records[i].path:
+                on_vertex.setdefault(x, []).append(i)
+        marked: set[int] = set()
+        for x, through in on_vertex.items():
+            order = sorted(through, key=lambda i: (-records[i].dist_target, i))
+            for pos in range(len(order) - 1, -1, -1):
+                r, after = order[pos], order[pos + 1 :]
+                if all(key(s) == key(r) for s in after):
+                    continue
+                p_r = sums_at(r, x)[0]
+                if weight[r] < pivot[records[r].center] and all(
+                    p_r + max(sums_at(s, x)) < pivot[records[r].center] for s in after
+                ):
+                    continue
+                if not holds(records[r].center, [records[r].target, *(p for s in after for p in key(s))]):
+                    marked.update(through)
+                    break
+        for a in sorted(marked):
+            partners = sorted({b for x in records[a].path for b in on_vertex[x] if b > a})
+            for b in partners:
+                if key(a) == key(b):
+                    continue
+                first, second = (b, a) if records[b].dist_target > records[a].dist_target else (a, b)
+                if not holds(records[first].center, (records[first].target, *key(second))):
+                    holds(records[second].center, (records[second].target, *key(first)))
     return asked
 
 

@@ -23,9 +23,11 @@ def test_bench_verify_writes_each_checks_time_and_count(tmp_path):
     (run,) = data["runs"]
     assert set(run) == {
         "n", "m", "build_s", "suite_s", "suite_runs_s", "budget_s", "within_budget",
-        "passed", "report_sha256", "checks",
+        "passed", "report_sha256", "path_sums_s", "pivot_balls", "peak_mb", "checks",
     }
     assert run["n"] == 128 and run["passed"] and len(run["suite_runs_s"]) == 2
+    # a genuine build's path sums certify every pivot ball the suite could scan
+    assert run["path_sums_s"] >= 0 and run["pivot_balls"] == 0 and run["peak_mb"] > 0
     # no budget is set at this size
     assert run["budget_s"] is None and run["within_budget"] is None
     assert set(run["checks"]) == CHECKS

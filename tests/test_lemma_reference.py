@@ -1,11 +1,15 @@
 """verify_lemma_suite against its full-scan reference, on real and tampered builds.
 
-The suite answers every claim with scans truncated to the radius the claim
-names; tests/oracles.py replays the same four checks with full scans. Both
-must agree to the byte, witnesses and fact counts included, whether the
+The suite answers every claim with the records' path sums where they
+certify it and with scans truncated to the radius the claim names where
+they do not; tests/oracles.py replays the same four checks with full scans.
+Both must agree to the byte, witnesses and fact counts included, whether the
 internals are genuine or tampered so that a check fails.
 """
 import dataclasses
+import hashlib
+import json
+import math
 import random
 from collections import Counter
 
@@ -20,7 +24,12 @@ from lightspanner.verify import WITNESS_CAP, verify_lemma_suite, verify_stretch
 
 from . import oracles
 from .conftest import random_connected_graph
-from .oracles import lemma_suite_reference, pivot_ball_keys_reference
+from .oracles import (
+    lemma_suite_reference,
+    path_sums_reference,
+    pivot_ball_keys_reference,
+    uncertified_pivot_ball_keys_reference,
+)
 
 BUILDS = {
     "path": lambda: build_spanner(generate_graph("path", 200, seed=3), eps=0.09, k=2, seed=3),
@@ -224,20 +233,29 @@ def test_paths_intersect_witnesses_past_the_cap_match_reference(monkeypatch):
     assert uncapped.witnesses[:WITNESS_CAP] == got.witnesses
 
 
+def _scanned_pivot_balls(monkeypatch):
+    """Record (level, center) for every pivot ball the suite scans, in order."""
+    scanned = []
+    pivot_ball = verify._pivot_ball
+
+    def recording(scanner, gn, sampling, level, center):
+        scanned.append((level, center))
+        return pivot_ball(scanner, gn, sampling, level, center)
+
+    monkeypatch.setattr(verify, "_pivot_ball", recording)
+    return scanned
+
+
 @pytest.mark.parametrize("shrink", [1.0, 0.25])
 def test_suite_scans_the_pivot_balls_the_lazy_order_asks_for(built, monkeypatch, shrink):
+    # of the balls the pair-by-pair rule asks for, the suite scans only those
+    # the records' path sums leave uncertified: none on a genuine build
     internals = _shrunken_level_one_pivots(built.internals, shrink)
-    made = []
-
-    class RecordingBalls(verify._PivotBalls):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(verify, "_PivotBalls", RecordingBalls)
+    scanned = _scanned_pivot_balls(monkeypatch)
     verify_lemma_suite(built.host, built, internals)
-    (balls,) = made
-    assert set(balls._balls) == pivot_ball_keys_reference(internals)
+    assert set(scanned) == uncertified_pivot_ball_keys_reference(internals) <= pivot_ball_keys_reference(internals)
+    if shrink == 1.0:
+        assert scanned == []
 
 
 def _shrunken_pivots_of_some_centers(internals, share, seed=0):
@@ -268,17 +286,9 @@ def _count_pair_walks(monkeypatch):
 
 
 def _paths_intersect_and_balls(sp, internals, monkeypatch):
-    made = []
-
-    class RecordingBalls(verify._PivotBalls):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(verify, "_PivotBalls", RecordingBalls)
+    scanned = _scanned_pivot_balls(monkeypatch)
     got = verify_lemma_suite(sp.host, sp, internals).result("paths_intersect")
-    (balls,) = made
-    return got, set(balls._balls)
+    return got, set(scanned)
 
 
 @pytest.mark.parametrize("share", [0.02, 0.1, 0.5])
@@ -286,7 +296,7 @@ def test_partly_shrunken_pivots_match_the_pair_by_pair_reference(built, share, m
     tampered = _shrunken_pivots_of_some_centers(built.internals, share)
     got, keys = _paths_intersect_and_balls(built, tampered, monkeypatch)
     assert got == lemma_suite_reference(built, tampered).result("paths_intersect")
-    assert keys == pivot_ball_keys_reference(tampered)
+    assert keys == uncertified_pivot_ball_keys_reference(tampered)
 
 
 def test_partly_shrunken_pivots_fall_back_only_where_the_bulk_test_fails(monkeypatch):
@@ -337,15 +347,18 @@ def _own_target_outside_the_ball(internals):
                     def update(pivots, c=r.center, radius=(far + row[r.target]) / 2):
                         pivots[c] = radius
 
-                    return _with_pivot_dist(internals, level + 1, update)
+                    return _with_pivot_dist(internals, level + 1, update), (level, r.center)
     raise AssertionError("no record's own target is its farthest point")
 
 
 def test_a_pivot_ball_missing_only_its_own_target_falls_back(built, monkeypatch):
-    tampered = _own_target_outside_the_ball(built.internals)
+    # the record's own path is longer than its pivot distance, so its bound
+    # cannot certify it and its ball decides
+    tampered, ball = _own_target_outside_the_ball(built.internals)
     got, keys = _paths_intersect_and_balls(built, tampered, monkeypatch)
     assert got == lemma_suite_reference(built, tampered).result("paths_intersect")
-    assert keys == pivot_ball_keys_reference(tampered)
+    assert keys == uncertified_pivot_ball_keys_reference(tampered)
+    assert ball in keys
 
 
 def test_records_of_one_key_ask_for_no_ball_of_their_own(monkeypatch):
@@ -371,7 +384,9 @@ def test_records_of_one_key_ask_for_no_ball_of_their_own(monkeypatch):
     tampered = dataclasses.replace(sp.internals, records=(*same, other))
     got, keys = _paths_intersect_and_balls(sp, tampered, monkeypatch)
     assert got == lemma_suite_reference(sp, tampered).result("paths_intersect")
-    assert keys == pivot_ball_keys_reference(tampered) == {(other.center_level, other.center)}
+    # the paths' sums certify even the other center, so no ball is scanned
+    assert keys == uncertified_pivot_ball_keys_reference(tampered) == set()
+    assert pivot_ball_keys_reference(tampered) == {(other.center_level, other.center)}
 
 
 def test_bare_mst_spanner_keeps_the_first_distance_in_bunch_witnesses(monkeypatch):
@@ -389,3 +404,234 @@ def test_bare_mst_spanner_keeps_the_first_distance_in_bunch_witnesses(monkeypatc
     assert len(uncapped.witnesses) > WITNESS_CAP
     assert uncapped.witnesses[:WITNESS_CAP] == got.witnesses
     assert uncapped.checked == got.checked
+
+
+# ---------------------------------------------------------------------------
+# what the records' path sums may certify
+
+
+def _records_below_top(internals):
+    k = internals.sampling.k
+    return [i for i, r in enumerate(internals.records) if r.center_level < k]
+
+
+def _assert_never_certified(sp, monkeypatch, retrace):
+    """Give the first record below the top level with a step the path that
+    retrace(record) returns, and check that the suite neither certifies it
+    nor differs from the reference."""
+    internals = sp.internals
+    gn = internals.normalized
+    records = list(internals.records)
+    i = next(i for i in _records_below_top(internals) if len(records[i].path) >= 2)
+    records[i] = dataclasses.replace(records[i], path=retrace(records[i]))
+    tampered = dataclasses.replace(internals, records=tuple(records))
+    assert path_sums_reference(gn, records[i]) is None
+    sums = verify._path_sums(gn, tampered.records)
+    positions = range(sums.start[i], sums.start[i + 1])
+    assert sums.total[i] == math.inf and all(sums.pre[j] == sums.suf[j] == math.inf for j in positions)
+    scanned = _scanned_pivot_balls(monkeypatch)
+    got, want = _suite_and_reference(sp, tampered)
+    assert got == want
+    # the genuine records certify everything, so every scan is the tampered record's doing
+    assert set(scanned) == uncertified_pivot_ball_keys_reference(tampered) != set()
+
+
+def test_a_path_through_a_non_edge_is_never_certified(built, monkeypatch):
+    # the path takes a detour through a vertex z that shares no edge with its center
+    gn = built.internals.normalized
+
+    def detour(r):
+        z = next(z for z in range(gn.n) if z not in (r.center, r.target) and not gn.has_edge(r.center, z))
+        return (r.center, z, *r.path[1:])
+
+    _assert_never_certified(built, monkeypatch, detour)
+
+
+def test_a_path_short_of_its_target_is_never_certified(built, monkeypatch):
+    # every step is an edge, but the path stops one vertex before its target
+    _assert_never_certified(built, monkeypatch, lambda r: r.path[:-1])
+
+
+def _h_ball_sources(monkeypatch):
+    """Record the source of every truncated scan the suite runs on H's rows,
+    the rows distance_in_bunch builds from the spanner's own edge set."""
+    h_rows, sources = [], []
+    subgraph_adjacency = verify.subgraph_adjacency
+    ball = verify.BallScanner.ball
+
+    def recording_rows(adj, pairs):
+        rows = subgraph_adjacency(adj, pairs)
+        if type(pairs) is type({}.keys()):
+            h_rows.append(rows)
+        return rows
+
+    def recording_ball(self, adj, source, radius):
+        if any(adj is rows for rows in h_rows):
+            sources.append(source)
+        return ball(self, adj, source, radius)
+
+    monkeypatch.setattr(verify, "subgraph_adjacency", recording_rows)
+    monkeypatch.setattr(verify.BallScanner, "ball", recording_ball)
+    return sources
+
+
+def test_a_path_through_an_edge_deleted_from_h_is_never_certified(built, monkeypatch):
+    # the internals stay genuine; the spanner loses the last edge of a direct
+    # record whose center the records certify, so a scan on H must decide
+    internals = built.internals
+    sources = _h_ball_sources(monkeypatch)
+    verify_lemma_suite(built.host, built)
+    r = next(
+        internals.records[i]
+        for i in _records_below_top(internals)
+        if internals.records[i].target == internals.records[i].member
+        and len(internals.records[i].path) >= 2
+        and internals.records[i].center not in sources
+    )
+    a, b = r.path[-2:]
+    broken = dataclasses.replace(
+        built, phase_tag={e: tag for e, tag in built.phase_tag.items() if e != (min(a, b), max(a, b))}
+    )
+    assert len(broken.phase_tag) == len(built.phase_tag) - 1
+    sources.clear()
+    got, want = _suite_and_reference(broken, internals)
+    assert got == want
+    assert r.center in sources
+
+
+def _star_bound(internals):
+    """A group below the top level with two centers or more whose star heads
+    no other group of its level: (level, star, bound), where bound is the
+    largest w(P_star) + w(P_u) over the group's centers u, each path the
+    lightest of its center's records in the group, summed by weight_of."""
+    gn = internals.normalized
+    records = internals.records
+    groups, stars = {}, Counter()
+    for i in _records_below_top(internals):
+        r = records[i]
+        groups.setdefault((r.center_level, r.scale, r.target), []).append(r)
+    star_of = {
+        key: max(recs, key=lambda r: (r.dist_target, -r.center)).center for key, recs in groups.items()
+    }
+    stars.update((key[0], star) for key, star in star_of.items())
+    for key, recs in sorted(groups.items()):
+        star = star_of[key]
+        if len({r.center for r in recs}) < 2 or stars[key[0], star] > 1:
+            continue
+        lightest = {}
+        for r in recs:
+            w = path_sums_reference(gn, r)[0][-1]
+            lightest[r.center] = min(w, lightest.get(r.center, math.inf))
+        return key[0], star, max(lightest[star] + w for w in lightest.values())
+    raise AssertionError("no star heads a single group of two centers")
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_a_star_pivot_at_the_path_bound_matches_reference(built, monkeypatch, ulps):
+    # only a bound strictly below the pivot distance certifies; at it, and
+    # one ulp below, the star's ball decides
+    level, star, bound = _star_bound(built.internals)
+    pd = bound if ulps == 0 else math.nextafter(bound, math.copysign(math.inf, ulps))
+
+    def update(pivots):
+        pivots[star] = pd
+
+    tampered = _with_pivot_dist(built.internals, level + 1, update)
+    got, want = _suite_and_reference(built, tampered)
+    assert got == want
+    scanned = _scanned_pivot_balls(monkeypatch)
+    sums = verify._path_sums(tampered.normalized, tampered.records)
+    half = verify._check_half_bunch_containment(tampered, sums)
+    assert half.to_json_dict() == _result(want, "half_bunch_containment")
+    assert ((level, star) in scanned) == (ulps <= 0)
+
+
+def _paths_intersect_bound(internals, level):
+    """The least center c the paths-intersect check tests at the level, and
+    the largest bound it tests for c: over c's records r and the vertices x
+    where a record after r, in the rule's order, has another (center,
+    target), the larger of w(P_r) and p_r(x) + max(p_s(x), q_s(x)) over the
+    records s after r, summed by weight_of."""
+    gn = internals.normalized
+    records = [r for r in internals.records if r.center_level == level]
+    sums = [path_sums_reference(gn, r) for r in records]
+    on_vertex = {}
+    for i, r in enumerate(records):
+        for x in r.path:
+            on_vertex.setdefault(x, []).append(i)
+    bounds = {}
+    for x, through in on_vertex.items():
+        order = sorted(through, key=lambda i: (-records[i].dist_target, i))
+        for pos, i in enumerate(order):
+            r, after = records[i], order[pos + 1 :]
+            if all((records[s].center, records[s].target) == (r.center, r.target) for s in after):
+                continue
+            prefix, _ = sums[i]
+            far = max(max(sums[s][0][records[s].path.index(x)], sums[s][1][records[s].path.index(x)]) for s in after)
+            bounds[r.center] = max(bounds.get(r.center, 0.0), prefix[-1], prefix[r.path.index(x)] + far)
+    c = min(bounds)
+    return c, bounds[c]
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_a_center_pivot_at_the_paths_intersect_bound_matches_reference(built, monkeypatch, ulps):
+    # as for the star: at the bound, and one ulp below, the center's ball decides
+    c, bound = _paths_intersect_bound(built.internals, 0)
+    pd = bound if ulps == 0 else math.nextafter(bound, math.copysign(math.inf, ulps))
+
+    def update(pivots):
+        pivots[c] = pd
+
+    tampered = _with_pivot_dist(built.internals, 1, update)
+    got, want = _suite_and_reference(built, tampered)
+    assert got == want
+    scanned = _scanned_pivot_balls(monkeypatch)
+    sums = verify._path_sums(tampered.normalized, tampered.records)
+    paths = verify._check_paths_intersect(tampered, sums)
+    assert paths.to_json_dict() == _result(want, "paths_intersect")
+    assert ((0, c) in scanned) == (ulps <= 0)
+
+
+# sha256 of verify_lemma_suite(...).to_json_dict(), keys sorted, for each
+# build and pivot variant; recorded before the suite certified from path sums
+SUITE_SHA256 = {
+    ("dyadic", "genuine"): "aeb601cdabba6042708eb5157fb52713f134be8a9ec5517a46eb55b5d298b7b5",
+    ("dyadic", "level_one_x0.25"): "708cda394335c6931b74dab6354c234a640fe1717bb22a8196027dfab3a0774f",
+    ("dyadic", "some_centers_0.1"): "08592fc8b0fe2290c389b7589938d5f5c09968f15dcb8dfb46b6deb3b3fb5c45",
+    ("dyadic", "some_centers_0.5"): "3bc83fce80dd037ba4dd16805d78558cbda5c5c46c2651ce69aab23de544443c",
+    ("geometric", "genuine"): "29c931420fbea93664176feb983c64c7be66628175da01de217fddcc345cb71a",
+    ("geometric", "level_one_x0.25"): "83224ea4e704ec6be23cd9834672a9a16b89f071c6f4472ea35ba6f4ae296212",
+    ("geometric", "some_centers_0.1"): "268897ee49d4fd7f143fa3bbf613c297c1875deb4c4e99dd0d20ebde08f6e5dd",
+    ("geometric", "some_centers_0.5"): "5b87558f5bfde703edf047413e3f92b81ef754f4e31cf0a5738b367c2fb5d866",
+    ("gnp", "genuine"): "223fe70e35e58490f76010c7416b91a5d0244aa1cdb8e3b658d98250bedafa24",
+    ("gnp", "level_one_x0.25"): "8d8363a40772e6a73cd8fb8d372bb3df2c612b66db58e1e952bdd408da055814",
+    ("gnp", "some_centers_0.1"): "03cf6ce32de7e879aa0d69917dcd59b7ee4ed0d3d66b88cd4a5b028b0716cd4b",
+    ("gnp", "some_centers_0.5"): "1c818e06242e962c773e8d6141e11b04dd6fa4cc0df69f45a0302512e2143ccc",
+    ("grid", "genuine"): "9c58f392a38dfb9319063975025ddd26fe0888ff92ff7c09d9a6106bcc38dd68",
+    ("grid", "level_one_x0.25"): "d86702dd9ec5c89425351b313811a855315f83e137656a4aeb7dd8c0ba60c1b9",
+    ("grid", "some_centers_0.1"): "f52492f2582a0c375782ca6bd36dc9b715575c9c7d0eee020932a5558004f326",
+    ("grid", "some_centers_0.5"): "ee327d7fb68d22ba7068cbf7e79748b66313253ac82a6dc8b87c7aadcdfb228d",
+    ("path", "genuine"): "ee2ffe0262033cdc635bc766014144d5d4349e61385773e552f4e8a53780f25b",
+    ("path", "level_one_x0.25"): "0bc93181e88751ffcff5055d7cb4768b2d7d2cf2fdfc3b655d47a57a060d5ef6",
+    ("path", "some_centers_0.1"): "683962a8bb11b5f663ade1afb52b98a1c6a08481861bf1294cf363a0e89660a6",
+    ("path", "some_centers_0.5"): "5c00b2a18c7a8a6299f94bdd34aeee5f7b8eb6b023038bfbc86a4f9a12eb9bda",
+    ("shared_targets", "genuine"): "c9657674aa4b4f378129b3ceec51fe6bc720ffe19e9edc263f5352eec8132ab1",
+    ("shared_targets", "level_one_x0.25"): "23bc3a83ac7d6b33d3035eeec034574ae29a76df7fcd4f510526bc04043374ab",
+    ("shared_targets", "some_centers_0.1"): "e3751c6c0c4aa02fb78e5ab10101ae47eb7e771a9e2932565e3f31ff681732f5",
+    ("shared_targets", "some_centers_0.5"): "bf14f791c373abb27dee74e3c7f9d66009cf9309e824bdf52440a5b92a953ef6",
+}
+PIVOT_VARIANTS = {
+    "genuine": lambda internals: internals,
+    "level_one_x0.25": lambda internals: _shrunken_level_one_pivots(internals, 0.25),
+    "some_centers_0.1": lambda internals: _shrunken_pivots_of_some_centers(internals, 0.1),
+    "some_centers_0.5": lambda internals: _shrunken_pivots_of_some_centers(internals, 0.5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILDS))
+def test_suite_report_bytes_are_pinned(family):
+    sp = BUILDS[family]()
+    for variant, tamper in PIVOT_VARIANTS.items():
+        report = verify_lemma_suite(sp.host, sp, tamper(sp.internals)).to_json_dict()
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == SUITE_SHA256[family, variant], variant

@@ -133,7 +133,6 @@ def generate_graph(
     rows: int | None = None,
     cols: int | None = None,
     weight_range: tuple[float, float] = (1.0, 2.0),
-    max_retries: int = _MAX_RETRIES,
 ) -> WeightedGraph:
     """Build one graph from a named family, deterministically from the seed.
 
@@ -152,7 +151,7 @@ def generate_graph(
             raise ValueError(f"grid needs rows, cols >= 1 and rows * cols >= 2, got rows={rows}, cols={cols}")
         n = rows * cols
 
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         rng = random.Random(seed + attempt)
         if family == "path":
             edges = _path_edges(n, rng, weight_range)
@@ -172,5 +171,5 @@ def generate_graph(
             continue
 
     raise GenerationError(
-        f"family {family!r} with n={n}, seed={seed} stayed disconnected after {max_retries} retries"
+        f"family {family!r} with n={n}, seed={seed} stayed disconnected after {_MAX_RETRIES} retries"
     )

@@ -86,9 +86,6 @@ class LevelSampling:
     seed: int
     effective_seed: int
 
-    def members(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(self.levels[i]))
-
 
 def _sample_levels_once(n: int, k: int, p: float, rng: random.Random) -> list[list[int]]:
     """One promotion pass, no nonemptiness guarantee. Kept separate so its
@@ -122,7 +119,7 @@ def _is_real(x) -> bool:
         return False
 
 
-def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAMPLING_RETRIES) -> LevelSampling:
+def sample_levels(g: WeightedGraph, k: int, seed: int) -> LevelSampling:
     _check_k_seed(k, seed)
     n = g.n
     if k > math.log2(max(n, 2)):
@@ -130,7 +127,7 @@ def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAM
     p = n ** (-1.0 / k)
     levels: list[list[int]] | None = None
     effective = seed
-    for attempt in range(max_retries):
+    for attempt in range(SAMPLING_RETRIES):
         effective = seed + attempt
         candidate = _sample_levels_once(n, k, p, random.Random(effective))
         if all(candidate[i] for i in range(1, k + 1)):
@@ -138,7 +135,7 @@ def sample_levels(g: WeightedGraph, k: int, seed: int, *, max_retries: int = SAM
             break
     if levels is None:
         raise SamplingError(
-            f"levels stayed empty after {max_retries} retries (n={n}, k={k}, seed={seed})"
+            f"levels stayed empty after {SAMPLING_RETRIES} retries (n={n}, k={k}, seed={seed})"
         )
 
     level_of = [0] * n

@@ -15,10 +15,10 @@ come in three tiers:
 Each lemma names one ball around one vertex, and its check scans at most
 that ball: the representative check runs one truncated H0 scan of radius
 (1+2eps)*2^i from each level-i representative, and the bunch check one
-truncated scan of the center's shrunken radius. A truncated scan settles
-every vertex within its radius with the full scan's distances, so every
-verdict is the one a full scan gives; full scans run only from top-level
-centers and to supply a violator's witness distance.
+truncated scan of the center's shrunken radius (unbounded at the top
+level). A truncated scan settles every vertex within its radius with the
+full scan's distances, so every verdict is the one a full scan gives; full
+scans run only to supply a violator's witness distance.
 
 The builder's records carry a graph path per connection, and one pass sums
 the weights along each (``_path_sums``, from the graph's rows, never from
@@ -33,8 +33,9 @@ while the fallback needs it, so memory is O(n) per check plus the path sums
 (16 bytes per path vertex and per record), not O(n^2). The paths-intersect
 check counts each record's partners, the records that share a vertex with
 it, as C-level set unions, and certifies all pairs through a shared vertex
-with O(1) work per record; only where that fails does it walk pairs one at
-a time. It builds no global set of pairs.
+with O(1) work per record; where the sums do not certify a record, the
+pair rule decides each of its pairs there. It builds no global set of
+pairs, and keeps at most 2 * WITNESS_CAP failing ones.
 
 Distance comparisons allow 1e-9 relative slack on the bound side; the
 subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
@@ -611,9 +612,9 @@ def _check_distance_in_bunch(
 ) -> LemmaResult:
     """d_H(u, v) <= (1 + eps) * d(u, v) for every v in u's shrunken bunch.
 
-    A top-level center runs one full scan of the graph (each is used once);
-    every other center runs a truncated scan of its shrunken bunch radius.
-    The members and their distances d(u, v) are this scan's own.
+    Every center runs a truncated scan of its shrunken bunch radius, an
+    unbounded one at the top level, whose bunch is the whole level. The
+    members and their distances d(u, v) are this scan's own.
 
     The spanner side is certified from the records where it can be. A
     record from u to target v whose path is a path of H gives d_H(u, v) <=
@@ -648,18 +649,13 @@ def _check_distance_in_bunch(
     checked = 0
     witnesses = []
     g_scanner, h_scanner = BallScanner(n), BallScanner(n)
-    dist_h = h_scanner.dist  # INF outside the ball, as for an unreached vertex
+    dist_g, dist_h = g_scanner.dist, h_scanner.dist  # INF outside the ball, as for an unreached vertex
     for u in range(n):
         i = sampling.level_of[u]
-        if i == sampling.k:
-            members = [v for v in sampling.members(sampling.k) if v != u]
-            dist_g = distances(n, gn.adj, (u,))
-        else:
-            radius = delta * sampling.pivot_dist[i + 1][u]
-            order = g_scanner.ball(gn.adj, u, radius)
-            dist_g = g_scanner.dist
-            level = sampling.levels[i]
-            members = sorted(v for v in order if v != u and dist_g[v] < radius and v in level)
+        radius = INF if i == sampling.k else delta * sampling.pivot_dist[i + 1][u]
+        order = g_scanner.ball(gn.adj, u, radius)
+        level = sampling.levels[i]
+        members = sorted(v for v in order if v != u and dist_g[v] < radius and v in level)
         if not members:
             continue
         checked += len(members)
@@ -728,32 +724,6 @@ def _check_half_bunch_containment(internals: BuildInternals, sums: _PathSums) ->
     return LemmaResult("half_bunch_containment", checked, tuple(witnesses))
 
 
-def _failing_pairs(a, partners, center, target, dist_target, ball):
-    """The pair rule for record a against each of its partners b, in the
-    given order: yields (center, target) of a and of b for every pair that
-    fails both tests. Records with a's own (center, target) are skipped.
-
-    The first center is the one whose target is farther (a's on a tie); the
-    other center's ball is asked for only when the first test fails.
-    """
-    ca, ta, da = center[a], target[a], dist_target[a]
-    for b in partners:
-        cb, tb = center[b], target[b]
-        if cb == ca and tb == ta:
-            continue
-        if dist_target[b] > da:
-            x, tx, y, ty = cb, tb, ca, ta
-        else:
-            x, tx, y, ty = ca, ta, cb, tb
-        s = ball(x)
-        if tx in s and y in s and ty in s:
-            continue
-        s = ball(y)
-        if ty in s and x in s and tx in s:
-            continue
-        yield ca, ta, cb, tb
-
-
 def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaResult:
     """If two same-level connection paths share a vertex, one of the two
     centers has all four endpoints within its pivot radius.
@@ -765,33 +735,33 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
     is unbounded and the claim is vacuous).
 
     The pairs are the records a < b whose paths share a vertex, less those
-    with a's own (center, target); ``_failing_pairs`` holds the rule for
-    one pair. Its first test, that the first center's ball holds its own
-    target and the other record's center and target, runs for all pairs
-    through a vertex x at once, with the records through x in the rule's
-    order, (-dist_target, index), walked from the last back.
+    with a's own (center, target). The rule for one pair: the first center,
+    the one whose target is farther (a's on a tie), has its own target and
+    the other record's center and target in its ball; failing that, the
+    other center has the same for its own. A pair that fails both is a
+    witness, (level, a's center and target, b's), in (a, b) order.
 
-    The paths' sums certify a record r against every record s after it at
-    x: d(c_r, t_r) <= w(P_r), d(c_r, c_s) <= p_r(x) + p_s(x) and d(c_r, t_s)
-    <= p_r(x) + q_s(x), where p is a path's weight up to x and q its weight
-    after x (see _path_sums). So r passes when w(P_r) and p_r(x) plus the
-    largest max(p_s(x), q_s(x)) over the records after it both lie strictly
-    below r's pivot distance. Only where that bound fails does r's ball
-    decide, by one subset test of their centers and targets. If a record
-    fails it, every record through x is marked. A pair that fails the first
-    test fails it at every vertex the two paths share, so its lower record
-    is marked, and ``_failing_pairs`` runs only from marked records, in
-    (a, b) order: the witnesses are the ones the rule finds pair by pair,
-    in its order. A record's bound or ball is asked for only when a record
-    after it has another (center, target). Balls are kept for the level
-    that asked for them.
+    At each shared vertex x the records through x are walked from the last
+    back in the rule's order, (-dist_target, index), so a record r is the
+    first center of its pair with each record s after it, which the walk
+    has passed. The sums certify r against all of them: d(c_r, t_r) <=
+    w(P_r), d(c_r, c_s) <= p_r(x) + p_s(x) and d(c_r, t_s) <= p_r(x) +
+    q_s(x), where p is a path's weight up to x and q its weight after x
+    (see _path_sums). So r passes when w(P_r) and p_r(x) plus the largest
+    max(p_s(x), q_s(x)) over the records after it both lie strictly below
+    r's pivot distance; otherwise the rule decides each pair of r with a
+    record after it. A failing pair fails its first test, which the sums
+    would have passed, so it is decided at every vertex its paths share.
+    Failing pairs are kept as the WITNESS_CAP smallest distinct ones, so
+    the witnesses are the rule's, in its order. Balls are kept for the
+    level that asked for them.
 
     ``checked`` sums each record's partners: the union of the records after
     it on each vertex of its path, less those with its own (center,
     target), which are all partners since every path starts at its center.
     Time is the partner sets' C-level unions plus O(1) per record and shared
-    vertex, plus the balls and pair walks of the fallbacks; no global set
-    of pairs is built.
+    vertex where the sums certify, and the balls and pair tests where they
+    do not; no global set of pairs is built.
     """
     sampling = internals.sampling
     gn = internals.normalized
@@ -815,46 +785,36 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
                 on_vertex.setdefault(w, []).append(idx)
         center = [r.center for r in recs]
         target = [r.target for r in recs]
-        dist_target = [r.dist_target for r in recs]
         key = list(zip(center, target))
         rank = [0] * len(recs)  # place in the rule's order; reverse keeps ties in index order
-        for pos, idx in enumerate(sorted(range(len(recs)), key=dist_target.__getitem__, reverse=True)):
+        for pos, idx in enumerate(sorted(range(len(recs)), key=lambda i: recs[i].dist_target, reverse=True)):
             rank[idx] = pos
         pd = [pivot[c] for c in center]
         paths = [r.path for r in recs]
         got: dict[int, frozenset[int]] = {}  # this level's balls, read without a (level, center) key
 
-        def ball(c: int) -> frozenset[int]:
-            s = got.get(c)
+        def holds(a: int, b: int) -> bool:
+            """The pair rule's test with a's center first."""
+            s = got.get(center[a])
             if s is None:
-                s = got[c] = _pivot_ball(scanner, gn, sampling, level, c)
-            return s
+                s = got[center[a]] = _pivot_ball(scanner, gn, sampling, level, center[a])
+            return target[a] in s and center[b] in s and target[b] in s
 
-        marked: set[int] = set()
+        failing: list[tuple[int, int]] = []  # trimmed to the WITNESS_CAP smallest distinct pairs
         for x, through in on_vertex.items():
             if len(through) < 2:
                 continue
             walk = sorted(through, key=rank.__getitem__, reverse=True)
-            first_key = key[walk[0]]
-            # whether r and the records after it have two (center, target)s,
-            # that is, whether a record after r has another one than r
-            mixed = False
             reach = 0.0  # the largest max(p_s(x), q_s(x)) over the records after r
-            points: set[int] = set()  # their centers and targets, filled only for a fallback
-            filled = 0  # points holds those of walk[:filled]
             for pos, r in enumerate(walk):
                 at = first[r] + paths[r].index(x)
                 p = pre[at]
-                if key[r] != first_key:
-                    mixed = True
-                if mixed and not (short[r] and p + reach < pd[r]):
-                    s = ball(center[r])
-                    for b in walk[filled:pos]:
-                        points.update(key[b])
-                    filled = pos
-                    if target[r] not in s or not points <= s:
-                        marked.update(through)
-                        break
+                if not (short[r] and p + reach < pd[r]):
+                    for s in walk[:pos]:
+                        if key[s] != key[r] and not (holds(r, s) or holds(s, r)):
+                            failing.append((r, s) if r < s else (s, r))
+                            if len(failing) > 2 * WITNESS_CAP:
+                                failing = sorted(set(failing))[:WITNESS_CAP]
                 q = suf[at]
                 far = p if p > q else q
                 if far > reach:
@@ -870,10 +830,8 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
                 idxs = on_vertex[w]
                 partners.update(idxs[bisect_right(idxs, a):])
             checked += len(partners) - same_after[a]
-            if a in marked:
-                for pair in _failing_pairs(a, sorted(partners), center, target, dist_target, ball):
-                    if len(witnesses) < WITNESS_CAP:
-                        witnesses.append((level, *pair))
+        for a, b in sorted(set(failing))[: WITNESS_CAP - len(witnesses)]:
+            witnesses.append((level, *key[a], *key[b]))
     return LemmaResult("paths_intersect", checked, tuple(witnesses))
 
 

@@ -375,7 +375,7 @@ def _distance_in_bunch_reference(gn, sp, internals, g_rows) -> LemmaResult:
         i = sampling.level_of[u]
         dist_g = g_rows.row(u)
         if i == sampling.k:
-            members = [v for v in sampling.members(sampling.k) if v != u]
+            members = [v for v in sorted(sampling.levels[sampling.k]) if v != u]
         else:
             radius = delta * sampling.pivot_dist[i + 1][u]
             members = [v for v in sorted(sampling.levels[i]) if v != u and dist_g[v] < radius]
@@ -511,12 +511,11 @@ def uncertified_pivot_ball_keys_reference(internals) -> set[tuple[int, int]]:
     Half-bunch: the star's ball, when some center u of its group has
     w(P_star) + w(P_u) >= the star's pivot distance (each the lightest path
     of its center in the group). Paths-intersect, at each shared vertex x,
-    walking the records in the rule's order from the last back: record r's
-    ball, when a record after it has another (center, target) and r's path,
-    or its prefix to x plus the larger part of a later path, is not strictly
-    below r's pivot distance. If the ball then misses a point, every record
-    through x is marked and the walk at x stops; the pair rule then runs
-    from the marked records as in ``pivot_ball_keys_reference``. Ball
+    with the records in the rule's order: where record r's path, or its
+    prefix to x plus the larger part of a later path, is not strictly below
+    r's pivot distance, the pair rule runs for r and each record after it
+    with another (center, target), as in ``pivot_ball_keys_reference``:
+    r's ball, and the other center's where r's misses a point. Ball
     contents come from full rows.
     """
     gn = internals.normalized
@@ -564,29 +563,18 @@ def uncertified_pivot_ball_keys_reference(internals) -> set[tuple[int, int]]:
         for i in ids:
             for x in records[i].path:
                 on_vertex.setdefault(x, []).append(i)
-        marked: set[int] = set()
         for x, through in on_vertex.items():
             order = sorted(through, key=lambda i: (-records[i].dist_target, i))
-            for pos in range(len(order) - 1, -1, -1):
-                r, after = order[pos], order[pos + 1 :]
-                if all(key(s) == key(r) for s in after):
-                    continue
+            for pos, r in enumerate(order):
+                after = order[pos + 1 :]
                 p_r = sums_at(r, x)[0]
                 if weight[r] < pivot[records[r].center] and all(
                     p_r + max(sums_at(s, x)) < pivot[records[r].center] for s in after
                 ):
                     continue
-                if not holds(records[r].center, [records[r].target, *(p for s in after for p in key(s))]):
-                    marked.update(through)
-                    break
-        for a in sorted(marked):
-            partners = sorted({b for x in records[a].path for b in on_vertex[x] if b > a})
-            for b in partners:
-                if key(a) == key(b):
-                    continue
-                first, second = (b, a) if records[b].dist_target > records[a].dist_target else (a, b)
-                if not holds(records[first].center, (records[first].target, *key(second))):
-                    holds(records[second].center, (records[second].target, *key(first)))
+                for s in after:
+                    if key(s) != key(r) and not holds(records[r].center, (records[r].target, *key(s))):
+                        holds(records[s].center, (records[s].target, *key(r)))
     return asked
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lightspanner import generate
 from lightspanner.errors import GenerationError
 from lightspanner.generate import FAMILIES, default_geometric_radius, generate_graph
 
@@ -114,8 +115,9 @@ def test_a_disconnected_draw_is_redrawn_from_the_next_seed():
     assert retried
 
 
-def test_sparse_random_graph_retries_then_gives_up():
+def test_sparse_random_graph_retries_then_gives_up(monkeypatch):
     # p far below the connectivity threshold: every retry draws a
     # disconnected graph and the generator must say so rather than loop.
-    with pytest.raises(GenerationError, match="connected"):
-        generate_graph("erdos_renyi", 200, seed=0, p=0.001, max_retries=3)
+    monkeypatch.setattr(generate, "_MAX_RETRIES", 3)
+    with pytest.raises(GenerationError, match="after 3 retries"):
+        generate_graph("erdos_renyi", 200, seed=0, p=0.001)

@@ -68,7 +68,7 @@ def test_suite_matches_reference(built):
     assert got["passed"]
 
 
-def test_passing_suite_runs_full_scans_only_from_top_level_centers(built, monkeypatch):
+def test_passing_suite_runs_no_full_scan(built, monkeypatch):
     full_rows = []
     full_scans = []
 
@@ -83,9 +83,7 @@ def test_passing_suite_runs_full_scans_only_from_top_level_centers(built, monkey
     monkeypatch.setattr(verify, "distances", recording_distances)
     monkeypatch.setattr(verify, "scan", recording_scan)
     assert verify_lemma_suite(built.host, built).passed
-    top = built.internals.sampling.levels[built.internals.sampling.k]
-    assert sorted(full_rows) == sorted((u,) for u in top)
-    assert full_scans == []
+    assert full_rows == full_scans == []
 
 
 def _far_vertex_in_h0(internals, v):
@@ -272,19 +270,6 @@ def _shrunken_pivots_of_some_centers(internals, share, seed=0):
     return internals
 
 
-def _count_pair_walks(monkeypatch):
-    """Record a for every record a that _check_paths_intersect walks pair by pair."""
-    walked = []
-    failing_pairs = verify._failing_pairs
-
-    def counting(a, *rest):
-        walked.append(a)
-        return failing_pairs(a, *rest)
-
-    monkeypatch.setattr(verify, "_failing_pairs", counting)
-    return walked
-
-
 def _paths_intersect_and_balls(sp, internals, monkeypatch):
     scanned = _scanned_pivot_balls(monkeypatch)
     got = verify_lemma_suite(sp.host, sp, internals).result("paths_intersect")
@@ -299,28 +284,58 @@ def test_partly_shrunken_pivots_match_the_pair_by_pair_reference(built, share, m
     assert keys == uncertified_pivot_ball_keys_reference(tampered)
 
 
-def test_partly_shrunken_pivots_fall_back_only_where_the_bulk_test_fails(monkeypatch):
+@pytest.mark.parametrize("share, capped", [(0.02, False), (0.1, True)])
+def test_partly_shrunken_pivots_scan_only_some_of_the_balls_the_rule_asks_for(monkeypatch, share, capped):
     # on this build a 2% share leaves witnesses below the cap and a 10%
-    # share reaches it; either way only some records are walked pair by pair
+    # share reaches it; either way the sums certify some of the centers
     sp = BUILDS["geometric"]()
-    records = sum(r.center_level < sp.internals.sampling.k for r in sp.internals.records)
-    walked = _count_pair_walks(monkeypatch)
-    counts = []
-    for share in (0.02, 0.1):
-        walked.clear()
-        tampered = _shrunken_pivots_of_some_centers(sp.internals, share)
-        got = verify_lemma_suite(sp.host, sp, tampered).result("paths_intersect")
-        assert got == lemma_suite_reference(sp, tampered).result("paths_intersect")
-        assert 0 < len(walked) < records
-        counts.append(len(got.witnesses))
-    assert 0 < counts[0] < WITNESS_CAP == counts[1]
+    tampered = _shrunken_pivots_of_some_centers(sp.internals, share)
+    got, keys = _paths_intersect_and_balls(sp, tampered, monkeypatch)
+    assert got == lemma_suite_reference(sp, tampered).result("paths_intersect")
+    assert keys == uncertified_pivot_ball_keys_reference(tampered)
+    assert 0 < len(keys) < len(pivot_ball_keys_reference(tampered))
+    assert 0 < len(got.witnesses) <= WITNESS_CAP
+    assert (len(got.witnesses) == WITNESS_CAP) == capped
 
 
-def test_genuine_builds_walk_no_pair_one_at_a_time(built, monkeypatch):
-    walked = _count_pair_walks(monkeypatch)
-    got = verify_lemma_suite(built.host, built).result("paths_intersect")
-    assert got.passed and got == lemma_suite_reference(built).result("paths_intersect")
-    assert walked == []
+def _first_meeting(internals, level):
+    """For each pair a < b of the level's records whose paths share a
+    vertex, the place of the first such vertex in the order the check walks
+    the vertices: by first visit along the records' paths, in record order."""
+    paths = [set(r.path) for r in internals.records if r.center_level == level]
+    place = {}
+    for r in internals.records:
+        if r.center_level == level:
+            for x in r.path:
+                place.setdefault(x, len(place))
+    return {
+        (a, b): min(place[x] for x in paths[a] & paths[b])
+        for a in range(len(paths))
+        for b in range(a + 1, len(paths))
+        if paths[a] & paths[b]
+    }
+
+
+@pytest.mark.parametrize(
+    "family, variant",
+    [("geometric", "some_centers_0.1"), ("path", "some_centers_0.1"), ("path", "level_one_x0.25")],
+)
+def test_a_small_witness_cap_keeps_the_first_failing_pairs_in_pair_order(monkeypatch, family, variant):
+    # the check meets the failing pairs vertex by vertex, out of (a, b)
+    # order, so the pairs it keeps are trimmed to the smallest many times
+    sp = BUILDS[family]()
+    tampered = PIVOT_VARIANTS[variant](sp.internals)
+    monkeypatch.setattr(oracles, "WITNESS_CAP", 10**9)
+    want = lemma_suite_reference(sp, tampered).result("paths_intersect").witnesses
+    recs = [r for r in tampered.records if r.center_level == 0]
+    index = {(r.center, r.target): i for i, r in enumerate(recs)}
+    assert len(index) == len(recs) and want[0][0] == 0
+    failing = [(index[tuple(w[1:3])], index[tuple(w[3:5])]) for w in want if w[0] == 0]
+    meeting = _first_meeting(tampered, 0)
+    assert min(meeting[pair] for pair in failing[3:]) < max(meeting[pair] for pair in failing[:3])
+    monkeypatch.setattr(verify, "WITNESS_CAP", 3)
+    got = verify_lemma_suite(sp.host, sp, tampered).result("paths_intersect")
+    assert got.witnesses == want[:3]
 
 
 def _own_target_outside_the_ball(internals):

@@ -128,15 +128,17 @@ def test_sampling_warns_on_oversized_k():
         sample_levels(g, 5, seed=0)
 
 
-def test_sampling_resamples_until_nonempty():
+def test_sampling_resamples_until_nonempty(monkeypatch):
     g = generate_graph("path", 2, seed=0)
     # hunt down a seed whose first draw leaves A_1 empty; the wrapper must
     # either retry past it (effective_seed > seed) or give up when capped
     bad = next(
         s for s in range(1000) if not _sample_levels_once(2, 1, 2 ** -0.5, random.Random(s))[1]
     )
-    with pytest.raises(SamplingError, match="stayed empty"):
-        sample_levels(g, 1, seed=bad, max_retries=1)
+    with monkeypatch.context() as m:
+        m.setattr(spanner, "SAMPLING_RETRIES", 1)
+        with pytest.raises(SamplingError, match="stayed empty"):
+            sample_levels(g, 1, seed=bad)
     ok = sample_levels(g, 1, seed=bad)
     assert ok.effective_seed > bad
     assert ok.levels[1]
@@ -171,7 +173,7 @@ def test_phase2_connects_every_center_to_exactly_its_bunch(family, n):
     for u in range(n):
         i = s.level_of[u]
         if i == s.k:
-            bunch = s.members(s.k)
+            bunch = sorted(s.levels[s.k])
         else:
             dist = oracles.dijkstra(gn, u).dist
             radius = 0.5 * (1.0 - eps) * s.pivot_dist[i + 1][u]

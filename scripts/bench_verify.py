@@ -16,10 +16,14 @@ where the paths' sums do not certify it. A check's time is the median of
 its repeats; ``checked`` and the report's sha256 must repeat exactly. Each
 n also records whether the suite's median fits ``BUDGET_S``.
 
-One more, untimed run per n counts the pivot balls those two checks scan
-(``pivot_balls``, the truncated scans they start) and reads the suite's
-peak traced memory (``peak_mb``, tracemalloc's peak in MB, the records and
-graphs excluded since they exist before the suite starts).
+One more, untimed run per n counts, for each check, the truncated scans it
+starts (``balls``) and the vertices they settle (``settled``), through
+whichever truncated kernel ``verify`` imports (``DistanceBalls``, or
+``BallScanner`` in older checkouts). ``pivot_balls`` sums the balls of the
+half-bunch and paths-intersect checks, which scan only pivot balls. The
+same run reads the suite's peak traced memory (``peak_mb``, tracemalloc's
+peak in MB, the records and graphs excluded since they exist before the
+suite starts).
 
 ``--src`` names the package directory to import, so the same script times
 another checkout's code. Standard library only; it is not run in CI.
@@ -53,6 +57,8 @@ CHECKS = {
 PATH_SUMS = "_path_sums"
 # the checks whose truncated scans are all pivot balls
 PIVOT_BALL_CHECKS = ("_check_half_bunch_containment", "_check_paths_intersect")
+# the truncated ball kernels verify has imported, newest first
+KERNELS = ("DistanceBalls", "BallScanner")
 # seconds the whole suite may take at each n, on the 2-vCPU host BENCH_verify.json was recorded on
 BUDGET_S = {2048: 2.0, 8192: 20.0}
 
@@ -89,40 +95,45 @@ def timed_checks(verify, spent: dict[str, float]):
     return patched(verify, {fn: wrap(fn) for fn in names})
 
 
-def pivot_balls_and_peak(verify, g, sp) -> tuple[int, float]:
-    """One untimed suite run: the truncated scans the pivot-ball checks start,
-    and tracemalloc's peak over the run in MB."""
-    scans = 0
-    inside = False
+def balls_and_peak(verify, g, sp) -> tuple[dict[str, list[int]], float]:
+    """One untimed suite run: [balls, settled vertices] of each check's
+    truncated scans by check function name, and tracemalloc's peak in MB."""
+    kernel = next(getattr(verify, name) for name in KERNELS if hasattr(verify, name))
+    counts = {fn: [0, 0] for fn in CHECKS.values()}
+    current = None
 
     def counting(ball):
-        def counted(self, *args):
-            nonlocal scans
-            if inside:
-                scans += 1
-            return ball(self, *args)
+        def counted(self, *args, **kwargs):
+            order = ball(self, *args, **kwargs)
+            if current is not None:
+                counts[current][0] += 1
+                counts[current][1] += len(order)
+            return order
 
         return counted
 
-    def marking(check):
-        def marked(*args):
-            nonlocal inside
-            inside = True
-            try:
-                return check(*args)
-            finally:
-                inside = False
+    def marking(fn):
+        def make(check):
+            def marked(*args):
+                nonlocal current
+                current = fn
+                try:
+                    return check(*args)
+                finally:
+                    current = None
 
-        return marked
+            return marked
 
-    with patched(verify.BallScanner, {"ball": counting}), patched(verify, dict.fromkeys(PIVOT_BALL_CHECKS, marking)):
+        return make
+
+    with patched(kernel, {"ball": counting}), patched(verify, {fn: marking(fn) for fn in CHECKS.values()}):
         tracemalloc.start()
         try:
             verify.verify_lemma_suite(g, sp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    return scans, peak / 1e6
+    return counts, peak / 1e6
 
 
 def measure(n: int, repeat: int) -> dict:
@@ -150,7 +161,7 @@ def measure(n: int, repeat: int) -> dict:
         digests.add(hashlib.sha256(payload).hexdigest())
     if len(digests) != 1:
         raise SystemExit(f"n={n}: the suite's report changed between repeats")
-    pivot_balls, peak_mb = pivot_balls_and_peak(verify, g, sp)
+    balls, peak_mb = balls_and_peak(verify, g, sp)
     suite_s = statistics.median(suites)
     return {
         "n": n,
@@ -163,10 +174,15 @@ def measure(n: int, repeat: int) -> dict:
         "passed": report.passed,
         "report_sha256": digests.pop(),
         "path_sums_s": round(statistics.median(sums_s), 3) if sums_s else None,
-        "pivot_balls": pivot_balls,
+        "pivot_balls": sum(balls[fn][0] for fn in PIVOT_BALL_CHECKS),
         "peak_mb": round(peak_mb, 1),
         "checks": {
-            r.name: {"s": round(statistics.median(per_check[CHECKS[r.name]]), 3), "checked": r.checked}
+            r.name: {
+                "s": round(statistics.median(per_check[CHECKS[r.name]]), 3),
+                "checked": r.checked,
+                "balls": balls[CHECKS[r.name]][0],
+                "settled": balls[CHECKS[r.name]][1],
+            }
             for r in report.results
         },
     }
@@ -194,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(out, f, indent=2)
         f.write("\n")
     for run in runs:
-        checks = ", ".join(f"{name} {c['s']} s" for name, c in run["checks"].items())
+        checks = ", ".join(f"{name} {c['s']} s, {c['settled']} settled" for name, c in run["checks"].items())
         print(
             f"n={run['n']}: suite {run['suite_s']} s (path sums {run['path_sums_s']} s, {checks}); "
             f"{run['pivot_balls']} pivot balls, peak {run['peak_mb']} MB"

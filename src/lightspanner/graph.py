@@ -25,8 +25,8 @@ Threads racing on a first read build equal values, and one of them is kept;
 ``scan`` and the distance kernels allocate their own state, so shared
 graphs are safe to query concurrently and a caller may keep one scan's
 result while running the next. Two exceptions serve one caller: ``scan``
-handed an earlier scan's tables lowers them in place, and ``BallScanner``'s
-tables serve scan after scan.
+handed an earlier scan's tables lowers them in place, and the tables of
+``BallScanner`` and ``DistanceBalls`` serve ball after ball.
 
 Determinism contract: shortest-path ties are resolved lexicographically.
 Each vertex is labelled with a key (distance, origin, bottleneck) where
@@ -47,7 +47,11 @@ hierarchy's H_0 paths and phase 2's connection paths both go through it.
 Full scans that read only distances, or distances and bottlenecks from one
 source, go through ``distances`` and ``distances_and_bottlenecks``. They key
 the heap on (distance, vertex), keep no parent, origin or order, and return
-the very dist (and bottleneck) tables a full ``scan`` returns. Spanners and
+the very dist (and bottleneck) tables a full ``scan`` returns. Truncated
+scans that read only distances, the verifier's balls, go through
+``DistanceBalls``: the same loop, cut at a radius, on one reused n-length
+dist table, and able to stop once given targets have settled;
+``BallScanner`` serves phase 2, which reads parents. Spanners and
 the verifier's subgraphs get their rows from ``subgraph_adjacency``, whose
 rows share the host's entries.
 """
@@ -451,6 +455,69 @@ class BallScanner:
                     push(heap, (nd, nb, v))
                 elif nb == bottleneck[v] and u < parent[v]:
                     parent[v] = u
+        return order
+
+
+class DistanceBalls:
+    """Single-source balls truncated at a radius that keep distances only.
+
+    ``dist`` has one entry per vertex and is allocated once, by the
+    constructor. ``ball(adj, source, radius)`` settles exactly the vertices
+    within ``radius`` of the source, at the distances ``distances`` gives
+    them, and returns them in settlement order; every other entry of
+    ``dist`` reads INF. Like ``distances`` it keys the heap on (d, v),
+    pushes a vertex only when its distance strictly falls within the
+    radius, and skips a pop above the vertex's distance, so it keeps no
+    parent, bottleneck or settled flag. ``adj`` may change between calls
+    but has at most n rows.
+
+    Given ``targets``, the ball stops right after the last of them settles,
+    before that vertex's edges are read. Its settled vertices hold their
+    final distances, and the vertices still on the heap tentative ones, no
+    smaller than any settled distance. A target outside the radius never
+    settles, so the ball runs to its end, as it does without targets. Each
+    call first resets the entries the previous one wrote: every such vertex
+    was settled or is still on the previous heap, so a ball costs O(ball),
+    not O(n).
+
+    An instance is one caller's working memory: callers that keep two balls
+    at once, or run on two threads, each need their own.
+    """
+
+    __slots__ = ("dist", "order", "heap")
+
+    def __init__(self, n: int):
+        self.dist = [INF] * n
+        self.order: list[int] = []
+        self.heap: list[tuple[float, int]] = []
+
+    def ball(self, adj, source: int, radius: float, targets: Iterable[int] | None = None) -> list[int]:
+        dist = self.dist
+        for v in self.order:
+            dist[v] = INF
+        for _, v in self.heap:
+            dist[v] = INF
+        order = self.order = []
+        visit = order.append
+        left = () if targets is None else set(targets)
+        push, pop = heapq.heappush, heapq.heappop
+        dist[source] = 0.0
+        heap = self.heap = [(0.0, source)]
+        while heap:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue
+            visit(u)
+            if u in left:
+                left.remove(u)
+                if not left:
+                    break
+            for v, w in adj[u]:
+                nd = d + w
+                # tested before it touches any state, so only the ball is written
+                if nd < dist[v] and nd <= radius:
+                    dist[v] = nd
+                    push(heap, (nd, v))
         return order
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import WeightedGraph, scan, tag_forest_path
 from .trees import mst
@@ -85,6 +85,11 @@ def _greedy_extension(adj, tables, delta: float) -> list[int]:
     return added
 
 
+def climb_step(eps: float) -> int:
+    """t = ceil(log2(1/eps)), the levels one H_0 climb spans."""
+    return math.ceil(math.log2(1.0 / eps))
+
+
 def max_level(n: int) -> int:
     """ceil(log2 n) computed exactly on the integer."""
     return max(1, (n - 1).bit_length())
@@ -96,7 +101,7 @@ class NetHierarchy:
 
     levels[i] for i in -1 .. i_max; nearest[j][v] is v's closest member of
     level j >= 0. Representatives are not stored: rep(v, i) climbs the
-    nearest-member tables on demand.
+    nearest-member tables on demand, ``step`` levels at a time.
     """
 
     eps: float
@@ -104,13 +109,17 @@ class NetHierarchy:
     levels: dict[int, DeltaNet]
     nearest: tuple[tuple[int, ...], ...]
     h0_edges: frozenset[tuple[int, int]]
+    step: int = field(init=False, repr=False, compare=False)  # climb_step(eps)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "step", climb_step(self.eps))
 
     def rep(self, v: int, i: int) -> int:
         """v's level-i representative: its nearest member of level i mod t,
-        then nearest members t levels up at a time, t = ceil(log2(1/eps))."""
+        then nearest members t levels up at a time, t = ``step``."""
         if i < 0:
             return v
-        t = math.ceil(math.log2(1.0 / self.eps))
+        t = self.step
         nearest = self.nearest
         j = i % t
         x = nearest[j][v]
@@ -134,7 +143,7 @@ def build_net_hierarchy(g: WeightedGraph, eps: float, *, unsafe_eps: bool = Fals
     _require_normalized(g)
     n = g.n
     i_max = max_level(n)
-    t = math.ceil(math.log2(1.0 / eps))
+    t = climb_step(eps)
 
     # rows[j] = (parent, origin) of level j's tables. The top net is a single
     # vertex: 2^i_max is at least the diameter, so any one vertex covers all.

@@ -13,12 +13,14 @@ come in three tiers:
     distances the spanner must provide are measured inside it.
 
 Each lemma names one ball around one vertex, and its check scans at most
-that ball: the representative check runs one truncated H0 scan of radius
-(1+2eps)*2^i from each level-i representative, and the bunch check one
-truncated scan of the center's shrunken radius (unbounded at the top
-level). A truncated scan settles every vertex within its radius with the
-full scan's distances, so every verdict is the one a full scan gives; full
-scans run only to supply a violator's witness distance.
+that ball: the representative check runs one truncated H0 scan from each
+distinct representative, of radius (1+2eps)*2^i for the highest level i it
+represents, stopped once the vertices it represents are settled, and the
+bunch check one truncated scan of the center's shrunken radius (unbounded
+at the top level). A truncated scan settles every vertex within its radius
+with the full scan's distances, whatever the radius, so every verdict is
+the one a full scan gives; full scans run only to supply a violator's
+witness distance.
 
 The builder's records carry a graph path per connection, and one pass sums
 the weights along each (``_path_sums``, from the graph's rows, never from
@@ -27,15 +29,15 @@ the half-bunch and paths-intersect checks certify from the sums, and the
 bunch check certifies the spanner side from paths that lie in H. Only what
 the sums leave uncertified falls back to a scan: a pivot ball, or the
 bunch check's H ball. On a genuine build no pivot ball is scanned. Each
-check runs its truncated scans on its own ``graph.BallScanner``, whose O(n)
-tables are reused from ball to ball, and keeps a fallback's pivot ball only
-while the fallback needs it, so memory is O(n) per check plus the path sums
-(16 bytes per path vertex and per record), not O(n^2). The paths-intersect
-check counts each record's partners, the records that share a vertex with
-it, as C-level set unions, and certifies all pairs through a shared vertex
-with O(1) work per record; where the sums do not certify a record, the
-pair rule decides each of its pairs there. It builds no global set of
-pairs, and keeps at most 2 * WITNESS_CAP failing ones.
+check runs its truncated scans on its own ``graph.DistanceBalls``, whose
+O(n) dist table is reused from ball to ball, and keeps a fallback's pivot
+ball only while the fallback needs it, so memory is O(n) per check plus
+the path sums (16 bytes per path vertex and per record), not O(n^2). The
+paths-intersect check counts each record's partners, the records that
+share a vertex with it, as C-level set unions, and certifies all pairs
+through a shared vertex with O(1) work per record; where the sums do not
+certify a record, the pair rule decides each of its pairs there. It builds
+no global set of pairs, and keeps at most 2 * WITNESS_CAP failing ones.
 
 Distance comparisons allow 1e-9 relative slack on the bound side; the
 subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
@@ -43,10 +45,11 @@ its float sum appears verbatim among the graph's candidate sums). Reports are
 frozen dataclasses that serialize from their fields (see ``_Report``) and are
 deterministic given (graph, spanner, mode, seed).
 
-The stretch check, verify_slt and the lemma suite's full rows read only
-distances (and, for stretch, the graph's bottlenecks), so they run graph's
-distance-only kernels; ``BallScanner`` serves the truncated balls and
-``scan`` the multi-source scan of verify_net, which reads origins.
+Every scan here reads only distances (and, for stretch, the graph's
+bottlenecks), except verify_net's multi-source ``scan``, which reads
+origins: the stretch check, verify_slt and the lemma suite's full rows run
+graph's distance-only full kernels, and every truncated ball, the packing
+check's included, runs on ``DistanceBalls``.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ from itertools import accumulate, islice, repeat
 from typing import ClassVar, NamedTuple, Sequence
 
 from .errors import SpannerError
-from .graph import INF, BallScanner, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
+from .graph import INF, DistanceBalls, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
 from .graph import subgraph_adjacency
 from .nets import DeltaNet
 from .spanner import BuildInternals, Spanner
@@ -352,10 +355,10 @@ def verify_net(g: WeightedGraph, net: DeltaNet) -> NetReport:
                 suspects.add(origin[v])
         member_set = set(members)
         seen: set[tuple[int, int]] = set()
-        scanner = BallScanner(n)
-        d_a = scanner.dist
+        balls = DistanceBalls(n)
+        d_a = balls.dist
         for a in sorted(suspects):
-            scanner.ball(g.adj, a, delta * (1.0 + REL_TOL))
+            balls.ball(g.adj, a, delta * (1.0 + REL_TOL))
             for b in members:
                 # d_a[b] is INF for a b outside the ball
                 if b == a or d_a[b] > delta:
@@ -542,10 +545,10 @@ def _path_sums(gn: WeightedGraph, records: Sequence) -> _PathSums:
     return _PathSums(start, pre, suf, total)
 
 
-def _pivot_ball(scanner: BallScanner, gn: WeightedGraph, sampling, level: int, center: int) -> frozenset[int]:
+def _pivot_ball(balls: DistanceBalls, gn: WeightedGraph, sampling, level: int, center: int) -> frozenset[int]:
     """The vertices x with d(center, x) < pivot_dist[level + 1][center] *
     (1 + REL_TOL), read off one truncated scan of that radius on
-    ``scanner``.
+    ``balls``.
 
     A truncated scan settles every vertex within its radius with the full
     scan's distances, so membership answers exactly what comparing a full
@@ -553,43 +556,49 @@ def _pivot_ball(scanner: BallScanner, gn: WeightedGraph, sampling, level: int, c
     its fallback needs it.
     """
     radius = sampling.pivot_dist[level + 1][center] * (1.0 + REL_TOL)
-    dist = scanner.dist
-    return frozenset(x for x in scanner.ball(gn.adj, center, radius) if dist[x] < radius)
+    dist = balls.dist
+    return frozenset(x for x in balls.ball(gn.adj, center, radius) if dist[x] < radius)
 
 
 def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildInternals) -> LemmaResult:
     """d_{H0}(v, rep(v, i)) <= (1 + 2*eps) * 2**i for every vertex and level,
     measured inside H0 intersected with H, so a spanner missing H0 edges fails.
 
-    Per level i, the vertices are grouped by x = rep(v, i) and one truncated
-    H0 scan of radius bound * (1 + REL_TOL) runs from each x; H0 is
-    undirected, so v passes when that scan settles it within the bound.
-    Scans from v and from x sum a path's weights in opposite orders, so in
-    floating point they agree only to within about n * 2**-52 relative,
-    below REL_TOL for any n under 4 million. Hence only a vertex the scan leaves unsettled, or
-    settles inside the tolerance band, is a suspect, and a full H0 scan
-    from v decides it and supplies the witness, exactly as a full scan from
-    every vertex would (in (v, i) order, stopping at WITNESS_CAP). Time is
-    the sum of the H0 balls around the level-i representatives plus the
-    suspects' full scans; memory is one scanner's tables or one row plus
-    O(n) grouping.
+    Every (v, i) is grouped by x = rep(v, i), across all levels, and one
+    truncated H0 scan runs from each distinct x, of radius bound * (1 +
+    REL_TOL) for the largest level in x's group, stopped once the group's
+    vertices are settled; H0 is undirected, so (v, i) passes when that scan
+    settles v within its own level's bound. A scan's distances inside its
+    radius do not depend on the radius, and it stops only after every
+    vertex of the group has settled, so each verdict is the one a scan of
+    v's own level's radius gives. Scans from v and from x sum a path's
+    weights in opposite orders, so in floating point they agree only to
+    within about n * 2**-52 relative, below REL_TOL for any n under 4
+    million. Hence only a vertex the scan leaves unsettled, or settles
+    inside the tolerance band, is a suspect, and a full H0 scan from v
+    decides it and supplies the witness, exactly as a full scan from every
+    vertex would (in (v, i) order, stopping at WITNESS_CAP). Time is the
+    sum of the H0 balls around the representatives, each scanned once, plus
+    the suspects' full scans; memory is one ball's table or one row plus
+    O(n * levels) grouping.
     """
     h = internals.hierarchy
     n = gn.n
     h0_adj = subgraph_adjacency(gn.adj, h.h0_edges & sp.edges)
-    factor = 1.0 + 2.0 * h.eps
-    suspects = []
-    scanner = BallScanner(n)
-    dist = scanner.dist
+    bounds = [(1.0 + 2.0 * h.eps) * 2.0**i for i in range(h.i_max + 1)]
+    groups: dict[int, list[tuple[int, int]]] = {}  # x -> its (v, i), levels ascending
     for i in range(h.i_max + 1):
-        bound = factor * 2.0**i
-        by_rep: dict[int, list[int]] = {}
         for v in range(n):
-            by_rep.setdefault(h.rep(v, i), []).append(v)
-        for x, group in by_rep.items():
-            scanner.ball(h0_adj, x, bound * (1.0 + REL_TOL))
-            # dist is INF for a vertex the scan leaves unsettled
-            suspects.extend((v, i) for v in group if dist[v] > bound)
+            groups.setdefault(h.rep(v, i), []).append((v, i))
+    suspects = []
+    balls = DistanceBalls(n)
+    dist = balls.dist
+    for x, group in groups.items():
+        top = group[-1][1]
+        balls.ball(h0_adj, x, bounds[top] * (1.0 + REL_TOL), [v for v, _ in group])
+        # dist is INF for a vertex the scan leaves unsettled; a stopped scan
+        # has settled every vertex of the group
+        suspects.extend((v, i) for v, i in group if dist[v] > bounds[i])
     witnesses = []
     row_of = -1
     for v, i in sorted(suspects):
@@ -599,8 +608,8 @@ def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildIntern
             row = distances(n, h0_adj, (v,))
             row_of = v
         x = h.rep(v, i)
-        if not _within(row[x], factor * 2.0**i):
-            witnesses.append((v, i, x, row[x], factor * 2.0**i))
+        if not _within(row[x], bounds[i]):
+            witnesses.append((v, i, x, row[x], bounds[i]))
     return LemmaResult("representative", n * (h.i_max + 1), tuple(witnesses))
 
 
@@ -648,12 +657,12 @@ def _check_distance_in_bunch(
     delta = 0.5 * (1.0 - eps)
     checked = 0
     witnesses = []
-    g_scanner, h_scanner = BallScanner(n), BallScanner(n)
-    dist_g, dist_h = g_scanner.dist, h_scanner.dist  # INF outside the ball, as for an unreached vertex
+    g_balls, h_balls = DistanceBalls(n), DistanceBalls(n)
+    dist_g, dist_h = g_balls.dist, h_balls.dist  # INF outside the ball, as for an unreached vertex
     for u in range(n):
         i = sampling.level_of[u]
         radius = INF if i == sampling.k else delta * sampling.pivot_dist[i + 1][u]
-        order = g_scanner.ball(gn.adj, u, radius)
+        order = g_balls.ball(gn.adj, u, radius)
         level = sampling.levels[i]
         members = sorted(v for v in order if v != u and dist_g[v] < radius and v in level)
         if not members:
@@ -663,7 +672,7 @@ def _check_distance_in_bunch(
         if all(v in lightest and lightest[v] <= (1.0 + eps) * dist_g[v] for v in members):
             continue
         reach = (1.0 + eps) * max(dist_g[v] for v in members) * (1.0 + REL_TOL)
-        h_scanner.ball(h_adj, u, reach)
+        h_balls.ball(h_adj, u, reach)
         for v in members:
             dh = dist_h[v]
             if not _within(dh, (1.0 + eps) * dist_g[v]) and len(witnesses) < WITNESS_CAP:
@@ -694,7 +703,7 @@ def _check_half_bunch_containment(internals: BuildInternals, sums: _PathSums) ->
         groups.setdefault((r.center_level, r.scale, r.target), []).append(idx)
     checked = 0
     witnesses = []
-    scanner = BallScanner(gn.n)
+    balls = DistanceBalls(gn.n)
     for (level, scale, target), idxs in sorted(groups.items()):
         centers = sorted({(records[idx].center, records[idx].dist_target) for idx in idxs})
         if level == k:
@@ -715,7 +724,7 @@ def _check_half_bunch_containment(internals: BuildInternals, sums: _PathSums) ->
             if via_star + lightest.get(u, INF) < pd:
                 continue
             if ball is None:
-                ball = _pivot_ball(scanner, gn, sampling, level, star)
+                ball = _pivot_ball(balls, gn, sampling, level, star)
             if u in ball or len(witnesses) == WITNESS_CAP:
                 continue
             if row is None:
@@ -766,7 +775,7 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
     sampling = internals.sampling
     gn = internals.normalized
     pre, suf = sums.pre, sums.suf
-    scanner = BallScanner(gn.n)
+    balls = DistanceBalls(gn.n)
     checked = 0
     witnesses = []
     for level in range(sampling.k):
@@ -797,7 +806,7 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
             """The pair rule's test with a's center first."""
             s = got.get(center[a])
             if s is None:
-                s = got[center[a]] = _pivot_ball(scanner, gn, sampling, level, center[a])
+                s = got[center[a]] = _pivot_ball(balls, gn, sampling, level, center[a])
             return target[a] in s and center[b] in s and target[b] in s
 
         failing: list[tuple[int, int]] = []  # trimmed to the WITNESS_CAP smallest distinct pairs

@@ -32,5 +32,9 @@ def test_bench_verify_writes_each_checks_time_and_count(tmp_path):
     assert run["budget_s"] is None and run["within_budget"] is None
     assert set(run["checks"]) == CHECKS
     for check in run["checks"].values():
-        assert set(check) == {"s", "checked"}
+        assert set(check) == {"s", "checked", "balls", "settled"}
         assert check["s"] >= 0 and check["checked"] > 0
+        assert check["settled"] >= check["balls"] >= 0
+    # the representative check scans H0 balls; pivot_balls counts the other two checks' balls
+    assert run["checks"]["representative"]["balls"] > 0
+    assert run["pivot_balls"] == run["checks"]["half_bunch_containment"]["balls"] + run["checks"]["paths_intersect"]["balls"]

@@ -15,6 +15,7 @@ from lightspanner.graphio import read_dimacs, read_edge_list, read_graph, write_
 from lightspanner.graph import (
     INF,
     BallScanner,
+    DistanceBalls,
     WeightedGraph,
     adjacency_from_edges,
     distances,
@@ -174,18 +175,24 @@ def _draw_sources(g, data, max_size):
     return sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=size, max_size=size)))
 
 
+BALL_TABLES = ("dist", "parent", "bottleneck", "settled")
+
+
 def _assert_is_ball(scanner, order, full, radius):
     """The scanner holds the ball of ``radius`` from the full scan ``full``
-    of the same source, with full's entries inside and unreached ones outside."""
+    of the same source, with full's entries inside and unreached ones outside,
+    in each of the tables it keeps (a ``DistanceBalls`` keeps only dist)."""
     full_dist, full_parent, full_btl = full[:3]
     n = len(full_dist)
-    ball = {v for v in range(n) if full_dist[v] <= radius}
+    ball = {v for v in range(n) if full_dist[v] <= radius and full_dist[v] < INF}
     assert sorted(order) == sorted(ball) and len(order) == len(ball)
     assert order is scanner.order
     assert all(scanner.dist[a] <= scanner.dist[b] for a, b in zip(order, order[1:]))
+    kept = [k for k in BALL_TABLES if hasattr(scanner, k)]
     for v in range(n):
-        got = (scanner.dist[v], scanner.parent[v], scanner.bottleneck[v], scanner.settled[v])
-        assert got == ((full_dist[v], full_parent[v], full_btl[v], 1) if v in ball else (INF, -1, 0.0, 0))
+        inside = (full_dist[v], full_parent[v], full_btl[v], 1) if v in ball else (INF, -1, 0.0, 0)
+        got = tuple(getattr(scanner, k)[v] for k in kept)
+        assert got == tuple(x for k, x in zip(BALL_TABLES, inside) if k in kept)
 
 
 def _radii(full_dist):
@@ -335,6 +342,85 @@ def test_ball_scanner_matches_scan_on_families(name):
         # 0, a radius on the distance of a vertex, and one between two distances
         for radius in (0.0, reached[mid // 2], (reached[mid] + reached[mid + 1]) / 2):
             _assert_is_ball(scanner, scanner.ball(g.adj, s, radius), full, radius)
+
+
+@given(tie_heavy_graphs, st.data())
+def test_distance_balls_match_the_ball_scanner_and_distances(g, data):
+    # a second adjacency on the same vertices, which need not be connected
+    adjs = [g.adj, adjacency_from_edges(g.n, g.edges[::2])]
+    balls, scanner = DistanceBalls(g.n), BallScanner(g.n)
+    for _ in range(4):
+        adj = data.draw(st.sampled_from(adjs))
+        s = data.draw(st.integers(0, g.n - 1))
+        full = scan(g.n, adj, (s,))
+        radius = data.draw(st.one_of(_radii(full[0]), st.just(INF)))
+        order = balls.ball(adj, s, radius)
+        _assert_is_ball(balls, order, full, radius)
+        assert sorted(order) == sorted(scanner.ball(adj, s, radius))
+        assert all(balls.dist[v] == scanner.dist[v] for v in range(g.n))
+        if radius == INF:
+            assert balls.dist == distances(g.n, adj, (s,))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_distance_balls_match_scan_on_families(name):
+    g = KERNEL_GRAPHS[name]()
+    balls = DistanceBalls(g.n)
+    for s in range(0, g.n, 3):
+        full = scan(g.n, g.adj, (s,))
+        reached = sorted(full[0])
+        # 0, a radius on the distance of a vertex, one between two distances, and no bound
+        for radius in (0.0, reached[len(reached) // 4], (reached[1] + reached[2]) / 2, INF):
+            _assert_is_ball(balls, balls.ball(g.adj, s, radius), full, radius)
+        assert balls.dist == distances(g.n, g.adj, (s,))
+
+
+def test_distance_balls_touch_and_reset_only_their_entries():
+    n = 100_000
+    adj = adjacency_from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+    balls = DistanceBalls(n)
+    written = set()
+    balls.dist = _logged(balls.dist, written)
+    assert balls.ball(adj, 50_000, 2.0) == [50_000, 49_999, 50_001, 49_998, 50_002]
+    assert written == set(range(49_998, 50_003))
+    written.clear()
+    # stopped at its target, the ball leaves 8 on the heap at a tentative distance
+    assert balls.ball(adj, 10, 5.0, targets=[11]) == [10, 9, 11]
+    assert written == set(range(49_998, 50_003)) | {8, 9, 10, 11}
+    assert balls.heap == [(2.0, 8)] and balls.dist[8] == 2.0
+    written.clear()
+    assert balls.ball(adj, 70_000, 0.5) == [70_000]
+    # the reset reaches the stopped ball's heap as well as its settled vertices
+    assert written == {8, 9, 10, 11, 70_000}
+    fresh = DistanceBalls(n)
+    fresh.ball(adj, 70_000, 0.5)
+    assert balls.dist == fresh.dist
+
+
+@given(tie_heavy_graphs, st.data())
+def test_a_ball_stops_right_after_its_last_target_settles(g, data):
+    adjs = [g.adj, adjacency_from_edges(g.n, g.edges[::2])]
+    balls = DistanceBalls(g.n)
+    for _ in range(3):
+        adj = data.draw(st.sampled_from(adjs))
+        s = data.draw(st.integers(0, g.n - 1))
+        full = scan(g.n, adj, (s,))
+        radius = data.draw(st.one_of(_radii(full[0]), st.just(INF)))
+        targets = _draw_sources(g, data, 4)
+        whole = list(DistanceBalls(g.n).ball(adj, s, radius))
+        order = balls.ball(adj, s, radius, targets)
+        # the stopped ball is the whole ball's prefix up to its last target
+        inside = [t for t in targets if full[0][t] <= radius and full[0][t] < INF]
+        stop = max(whole.index(t) for t in inside) + 1 if len(inside) == len(targets) else len(whole)
+        assert order == whole[:stop]
+        for t in inside:
+            assert balls.dist[t] == full[0][t]
+        # the next ball on the same instance is a fresh instance's ball
+        s = data.draw(st.integers(0, g.n - 1))
+        radius = data.draw(st.one_of(_radii(full[0]), st.just(INF)))
+        fresh = DistanceBalls(g.n)
+        assert balls.ball(adj, s, radius) == fresh.ball(adj, s, radius)
+        assert balls.dist == fresh.dist
 
 
 @given(tie_heavy_graphs, st.data())

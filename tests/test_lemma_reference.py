@@ -236,9 +236,9 @@ def _scanned_pivot_balls(monkeypatch):
     scanned = []
     pivot_ball = verify._pivot_ball
 
-    def recording(scanner, gn, sampling, level, center):
+    def recording(balls, gn, sampling, level, center):
         scanned.append((level, center))
-        return pivot_ball(scanner, gn, sampling, level, center)
+        return pivot_ball(balls, gn, sampling, level, center)
 
     monkeypatch.setattr(verify, "_pivot_ball", recording)
     return scanned
@@ -467,27 +467,43 @@ def test_a_path_short_of_its_target_is_never_certified(built, monkeypatch):
     _assert_never_certified(built, monkeypatch, lambda r: r.path[:-1])
 
 
-def _h_ball_sources(monkeypatch):
-    """Record the source of every truncated scan the suite runs on H's rows,
-    the rows distance_in_bunch builds from the spanner's own edge set."""
-    h_rows, sources = [], []
+def _ball_sources(monkeypatch, picks):
+    """Record the source of every truncated scan the suite runs on rows that
+    ``subgraph_adjacency`` builds from an edge set ``picks`` accepts."""
+    picked, sources = [], []
     subgraph_adjacency = verify.subgraph_adjacency
-    ball = verify.BallScanner.ball
+    ball = verify.DistanceBalls.ball
 
     def recording_rows(adj, pairs):
         rows = subgraph_adjacency(adj, pairs)
-        if type(pairs) is type({}.keys()):
-            h_rows.append(rows)
+        if picks(pairs):
+            picked.append(rows)
         return rows
 
-    def recording_ball(self, adj, source, radius):
-        if any(adj is rows for rows in h_rows):
+    def recording_ball(self, adj, source, radius, targets=None):
+        if any(adj is rows for rows in picked):
             sources.append(source)
-        return ball(self, adj, source, radius)
+        return ball(self, adj, source, radius, targets)
 
     monkeypatch.setattr(verify, "subgraph_adjacency", recording_rows)
-    monkeypatch.setattr(verify.BallScanner, "ball", recording_ball)
+    monkeypatch.setattr(verify.DistanceBalls, "ball", recording_ball)
     return sources
+
+
+def _h_ball_sources(monkeypatch):
+    """The sources of the suite's scans on H's rows, the rows
+    distance_in_bunch builds from the spanner's own edge set."""
+    return _ball_sources(monkeypatch, lambda pairs: type(pairs) is type({}.keys()))
+
+
+def test_the_representative_check_scans_each_representative_once(built, monkeypatch):
+    h = built.internals.hierarchy
+    h0 = h.h0_edges & built.edges
+    # H0's rows: the representative check's edge set, not the spanner's own
+    sources = _ball_sources(monkeypatch, lambda pairs: type(pairs) is not type({}.keys()) and pairs == h0)
+    assert verify_lemma_suite(built.host, built).passed
+    reps = {h.rep(v, i) for v in range(built.host.n) for i in range(h.i_max + 1)}
+    assert sorted(sources) == sorted(reps)
 
 
 def test_a_path_through_an_edge_deleted_from_h_is_never_certified(built, monkeypatch):

@@ -9,24 +9,25 @@ For each n (default 2048 and 8192) it generates one geometric_unit_square
 graph (graph seed GRAPH_SEED), builds its spanner with eps 0.05, k 2 and
 build seed BUILD_SEED, and runs ``verify_lemma_suite`` on it ``--repeat``
 times. Each check is timed where the suite calls it, and so is the shared
-pass that sums the weights along every record's path (``path_sums_s``;
-null for a package without it), so the times add up to the suite's. The
-half-bunch and paths-intersect checks scan a center's pivot ball only
-where the paths' sums do not certify it. A check's time is the median of
-its repeats; ``checked`` and the report's sha256 must repeat exactly. Each
-n also records whether the suite's median fits ``BUDGET_S``.
+pass that sums the weights along every record's path (``path_sums_s``),
+so the times add up to the suite's. The half-bunch and paths-intersect
+checks scan a center's pivot ball only where the paths' sums do not
+certify it. A check's time is the median of its repeats; ``checked`` and
+the report's sha256 must repeat exactly. Each n also records whether the
+suite's median fits ``BUDGET_S``.
 
 One more, untimed run per n counts, for each check, the truncated scans it
 starts (``balls``) and the vertices they settle (``settled``), through
-whichever truncated kernel ``verify`` imports (``DistanceBalls``, or
-``BallScanner`` in older checkouts). ``pivot_balls`` sums the balls of the
-half-bunch and paths-intersect checks, which scan only pivot balls. The
-same run reads the suite's peak traced memory (``peak_mb``, tracemalloc's
-peak in MB, the records and graphs excluded since they exist before the
-suite starts).
+the truncated kernel ``verify`` imports, ``DistanceBalls``.
+``pivot_balls`` sums the balls of the half-bunch and paths-intersect
+checks, which scan only pivot balls. The same run reads the suite's peak
+traced memory (``peak_mb``, tracemalloc's peak in MB, the records and
+graphs excluded since they exist before the suite starts).
 
 ``--src`` names the package directory to import, so the same script times
-another checkout's code. Standard library only; it is not run in CI.
+another checkout's code, which must have ``DistanceBalls`` and
+``_path_sums``. Standard library only; CI runs it at n=128 so that a
+rename in ``verify`` shows there.
 """
 from __future__ import annotations
 
@@ -53,12 +54,12 @@ CHECKS = {
     "half_bunch_containment": "_check_half_bunch_containment",
     "paths_intersect": "_check_paths_intersect",
 }
-# the pass over the records' paths whose sums the checks share, when the package has one
+# the pass over the records' paths whose sums the checks share
 PATH_SUMS = "_path_sums"
+# every function timed where the suite calls it
+TIMED = (*CHECKS.values(), PATH_SUMS)
 # the checks whose truncated scans are all pivot balls
 PIVOT_BALL_CHECKS = ("_check_half_bunch_containment", "_check_paths_intersect")
-# the truncated ball kernels verify has imported, newest first
-KERNELS = ("DistanceBalls", "BallScanner")
 # seconds the whole suite may take at each n, on the 2-vCPU host BENCH_verify.json was recorded on
 BUDGET_S = {2048: 2.0, 8192: 20.0}
 
@@ -91,14 +92,12 @@ def timed_checks(verify, spent: dict[str, float]):
 
         return make
 
-    names = [*CHECKS.values(), *([PATH_SUMS] if hasattr(verify, PATH_SUMS) else [])]
-    return patched(verify, {fn: wrap(fn) for fn in names})
+    return patched(verify, {fn: wrap(fn) for fn in TIMED})
 
 
 def balls_and_peak(verify, g, sp) -> tuple[dict[str, list[int]], float]:
     """One untimed suite run: [balls, settled vertices] of each check's
     truncated scans by check function name, and tracemalloc's peak in MB."""
-    kernel = next(getattr(verify, name) for name in KERNELS if hasattr(verify, name))
     counts = {fn: [0, 0] for fn in CHECKS.values()}
     current = None
 
@@ -126,7 +125,8 @@ def balls_and_peak(verify, g, sp) -> tuple[dict[str, list[int]], float]:
 
         return make
 
-    with patched(kernel, {"ball": counting}), patched(verify, {fn: marking(fn) for fn in CHECKS.values()}):
+    marked = {fn: marking(fn) for fn in CHECKS.values()}
+    with patched(verify.DistanceBalls, {"ball": counting}), patched(verify, marked):
         tracemalloc.start()
         try:
             verify.verify_lemma_suite(g, sp)
@@ -145,18 +145,15 @@ def measure(n: int, repeat: int) -> dict:
     start = time.perf_counter()
     sp = build_spanner(g, EPS, K, BUILD_SEED, keep_internals=True)
     build_s = time.perf_counter() - start
-    suites, per_check, digests = [], {fn: [] for fn in CHECKS.values()}, set()
-    sums_s = []
+    suites, per_check, digests = [], {fn: [] for fn in TIMED}, set()
     for _ in range(repeat):
         spent: dict[str, float] = {}
         with timed_checks(verify, spent):
             start = time.perf_counter()
             report = verify.verify_lemma_suite(g, sp)
             suites.append(time.perf_counter() - start)
-        for fn in CHECKS.values():
+        for fn in TIMED:
             per_check[fn].append(spent[fn])
-        if PATH_SUMS in spent:
-            sums_s.append(spent[PATH_SUMS])
         payload = json.dumps(report.to_json_dict(), sort_keys=True).encode()
         digests.add(hashlib.sha256(payload).hexdigest())
     if len(digests) != 1:
@@ -173,7 +170,7 @@ def measure(n: int, repeat: int) -> dict:
         "within_budget": None if n not in BUDGET_S else suite_s <= BUDGET_S[n],
         "passed": report.passed,
         "report_sha256": digests.pop(),
-        "path_sums_s": round(statistics.median(sums_s), 3) if sums_s else None,
+        "path_sums_s": round(statistics.median(per_check[PATH_SUMS]), 3),
         "pivot_balls": sum(balls[fn][0] for fn in PIVOT_BALL_CHECKS),
         "peak_mb": round(peak_mb, 1),
         "checks": {

@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SpannerError
 from .generate import FAMILIES, generate_graph
@@ -236,18 +236,16 @@ def run_sweep(
     seeds: Sequence[int],
     mode: str = "sampled",
     sample_size: int = 64,
-    out_path: str | None = None,
     unsafe_eps: bool = False,
-    progress: Callable[[str], None] | None = None,
-) -> list[dict]:
-    """Build and verify every grid cell; returns one row dict per cell.
+) -> Iterator[dict]:
+    """Build and verify every grid cell, yielding one row dict per cell.
 
     Cells run in a fixed nested order (family, n, k, eps, seed) so CSV
     output is deterministic. The row's runtime_ms measures construction
     only; verification cost depends on the mode and is not the artifact
-    under test.
+    under test. A cell whose stretch check fails raises SpannerError
+    instead of yielding its row.
     """
-    rows: list[dict] = []
     for family, n, k, eps, seed in itertools.product(families, ns, ks, epss, seeds):
         g = generate_graph(family, n, seed=seed)
         start = time.perf_counter()
@@ -259,7 +257,7 @@ def run_sweep(
             raise SpannerError(
                 f"stretch violation in sweep cell (family={family} n={n} k={k} eps={eps} seed={seed})"
             )
-        row = {
+        yield {
             "n": n,
             "k": k,
             "eps": eps,
@@ -275,24 +273,16 @@ def run_sweep(
             "h0_weight": lightness.per_phase.get("H0", (0, 0.0))[1],
             "mst_weight": lightness.mst_weight,
         }
-        rows.append(row)
-        if progress is not None:
-            progress(
-                f"cell family={family} n={n} k={k} eps={eps} seed={seed}: "
-                f"size={sp.size} lightness={lightness.lightness:.3f} ({runtime_ms:.0f} ms)"
-            )
-    if out_path is not None:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SWEEP_HEADER, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-        _atomic_write(out_path, (buf.getvalue(),))
-    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out_path = os.path.join(args.output_dir, "sweep.csv")
-    rows = run_sweep(
+    """Print each cell's line as its row arrives, then write sweep.csv; a
+    failing cell stops the sweep before the CSV is written."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=SWEEP_HEADER, extrasaction="ignore")
+    writer.writeheader()
+    cells = 0
+    for row in run_sweep(
         families=args.families,
         ns=args.ns,
         ks=args.ks,
@@ -300,11 +290,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seeds=args.seeds,
         mode=args.mode,
         sample_size=args.sample_size,
-        out_path=out_path,
         unsafe_eps=args.unsafe_eps,
-        progress=_say,
-    )
-    _say(f"wrote {out_path}: {len(rows)} cells")
+    ):
+        writer.writerow(row)
+        cells += 1
+        _say(
+            f"cell family={row['family']} n={row['n']} k={row['k']} eps={row['eps']} seed={row['seed']}: "
+            f"size={row['size']} lightness={row['lightness']:.3f} ({row['runtime_ms']:.0f} ms)"
+        )
+    out_path = os.path.join(args.output_dir, "sweep.csv")
+    _atomic_write(out_path, (buf.getvalue(),))
+    _say(f"wrote {out_path}: {cells} cells")
     return 0
 
 

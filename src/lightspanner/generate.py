@@ -33,18 +33,6 @@ def _uniform_weights(rng: random.Random, count: int, weight_range: tuple[float, 
     return [rng.uniform(lo, hi) for _ in range(count)]
 
 
-def _path_edges(n, rng, weight_range):
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    ws = _uniform_weights(rng, len(pairs), weight_range)
-    return [(u, v, w) for (u, v), w in zip(pairs, ws)]
-
-
-def _star_edges(n, rng, weight_range):
-    pairs = [(0, i) for i in range(1, n)]
-    ws = _uniform_weights(rng, len(pairs), weight_range)
-    return [(u, v, w) for (u, v), w in zip(pairs, ws)]
-
-
 def _grid_shape(n: int, rows: int | None, cols: int | None) -> tuple[int, int]:
     if rows is not None and cols is not None:
         return rows, cols
@@ -58,39 +46,34 @@ def _grid_shape(n: int, rows: int | None, cols: int | None) -> tuple[int, int]:
     return r, n // r
 
 
-def _grid_edges(rows, cols, rng, weight_range):
-    def vid(r, c):
-        return r * cols + c
-
+def _grid_pairs(rows, cols):
     pairs = []
     for r in range(rows):
         for c in range(cols):
+            v = r * cols + c
             if c + 1 < cols:
-                pairs.append((vid(r, c), vid(r, c + 1)))
+                pairs.append((v, v + 1))
             if r + 1 < rows:
-                pairs.append((vid(r, c), vid(r + 1, c)))
-    ws = _uniform_weights(rng, len(pairs), weight_range)
-    return [(u, v, w) for (u, v), w in zip(pairs, ws)]
+                pairs.append((v, v + cols))
+    return pairs
 
 
-def _erdos_renyi_edges(n, p, rng, weight_range):
+def _erdos_renyi_pairs(n, p, rng):
     if not (0 < p <= 1):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
-    pairs = []
     if p == 1.0:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        # geometric skips within each row of the i<j pair triangle: O(n + m)
-        log_q = math.log1p(-p)
-        for i in range(n - 1):
-            j = i
-            while True:
-                j += 1 + int(math.log(1.0 - rng.random()) / log_q)
-                if j >= n:
-                    break
-                pairs.append((i, j))
-    ws = _uniform_weights(rng, len(pairs), weight_range)
-    return [(u, v, w) for (u, v), w in zip(pairs, ws)]
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # geometric skips within each row of the i<j pair triangle: O(n + m)
+    pairs = []
+    log_q = math.log1p(-p)
+    for i in range(n - 1):
+        j = i
+        while True:
+            j += 1 + int(math.log(1.0 - rng.random()) / log_q)
+            if j >= n:
+                break
+            pairs.append((i, j))
+    return pairs
 
 
 def default_geometric_radius(n: int) -> float:
@@ -153,18 +136,21 @@ def generate_graph(
 
     for attempt in range(_MAX_RETRIES):
         rng = random.Random(seed + attempt)
-        if family == "path":
-            edges = _path_edges(n, rng, weight_range)
-        elif family == "star":
-            edges = _star_edges(n, rng, weight_range)
-        elif family == "grid":
-            edges = _grid_edges(rows, cols, rng, weight_range)
-        elif family == "erdos_renyi":
-            prob = p if p is not None else min(1.0, 2.0 * math.log(n) / n)
-            edges = _erdos_renyi_edges(n, prob, rng, weight_range)
-        else:
+        if family == "geometric_unit_square":
             rad = radius if radius is not None else default_geometric_radius(n)
             edges = _geometric_edges(n, rad, rng)
+        else:
+            if family == "path":
+                pairs = [(i, i + 1) for i in range(n - 1)]
+            elif family == "star":
+                pairs = [(0, i) for i in range(1, n)]
+            elif family == "grid":
+                pairs = _grid_pairs(rows, cols)
+            else:
+                prob = p if p is not None else min(1.0, 2.0 * math.log(n) / n)
+                pairs = _erdos_renyi_pairs(n, prob, rng)
+            ws = _uniform_weights(rng, len(pairs), weight_range)
+            edges = [(u, v, w) for (u, v), w in zip(pairs, ws)]
         try:
             return WeightedGraph(n, edges)
         except DisconnectedGraphError:

@@ -161,14 +161,14 @@ def sample_levels(g: WeightedGraph, k: int, seed: int) -> LevelSampling:
 @dataclass(frozen=True)
 class RepPathRecord:
     """One phase-2 connection: center u reached target (= rep of member at
-    the recorded scale, or the member itself when scale < 0)."""
+    the recorded scale, or the member itself when scale < 0) at scan
+    distance dist_target, along path (center first, target last)."""
 
     center: int
     center_level: int
     member: int
     scale: int
     target: int
-    dist_member: float
     dist_target: float
     path: tuple[int, ...]
 
@@ -380,11 +380,7 @@ def phase2_paths(
                 tag = PHASE_P2_TOP
             tag_forest_path(parent, target, covered, tags, tag)
             if keep_records:
-                records.append(
-                    RepPathRecord(
-                        u, i, v, j, target, d_uv, dist[target], tuple(walk_parents(parent, target))
-                    )
-                )
+                records.append(RepPathRecord(u, i, v, j, target, dist[target], tuple(walk_parents(parent, target))))
 
     scanner = BallScanner(n)
     dist, parent, settled = scanner.dist, scanner.parent, scanner.settled

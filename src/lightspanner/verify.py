@@ -9,18 +9,19 @@ come in three tiers:
   * verify_net / verify_slt certify the building blocks in isolation,
   * verify_lemma_suite replays the construction-level facts (representative
     distances, bunch distances, containment of rep-sharing centers, ball
-    containment of intersecting connection paths) against retained internals;
-    distances the spanner must provide are measured inside it.
+    containment of intersecting connection paths) against the internals the
+    spanner retains; distances the spanner must provide are measured inside it.
 
 Each lemma names one ball around one vertex, and its check scans at most
 that ball: the representative check runs one truncated H0 scan from each
-distinct representative, of radius (1+2eps)*2^i for the highest level i it
-represents, stopped once the vertices it represents are settled, and the
-bunch check one truncated scan of the center's shrunken radius (unbounded
-at the top level). A truncated scan settles every vertex within its radius
-with the full scan's distances, whatever the radius, so every verdict is
-the one a full scan gives; full scans run only to supply a violator's
-witness distance.
+distinct representative of a vertex other than itself, of radius
+(1+2eps)*2^i for the highest level i it represents, stopped once the
+vertices it represents are settled (a vertex that represents itself is at
+distance 0 and needs no scan), and the bunch check one truncated scan of
+the center's shrunken radius (unbounded at the top level). A truncated
+scan settles every vertex within its radius with the full scan's
+distances, whatever the radius, so every verdict is the one a full scan
+gives; full scans run only to supply a violator's witness distance.
 
 The builder's records carry a graph path per connection, and one pass sums
 the weights along each (``_path_sums``, from the graph's rows, never from
@@ -28,11 +29,12 @@ the builder's distances). A path's sum bounds the distance it spans, so
 the half-bunch and paths-intersect checks certify from the sums, and the
 bunch check certifies the spanner side from paths that lie in H. Only what
 the sums leave uncertified falls back to a scan: a pivot ball, or the
-bunch check's H ball. On a genuine build no pivot ball is scanned. Each
-check runs its truncated scans on its own ``graph.DistanceBalls``, whose
-O(n) dist table is reused from ball to ball, and keeps a fallback's pivot
-ball only while the fallback needs it, so memory is O(n) per check plus
-the path sums (16 bytes per path vertex and per record), not O(n^2). The
+bunch check's H ball, whose rows it builds only for the first center that
+needs one. On a genuine build no pivot ball is scanned. Each check runs
+its truncated scans on its own ``graph.DistanceBalls``, whose O(n) dist
+table is reused from ball to ball, and keeps a fallback's pivot ball only
+while the fallback needs it, so memory is O(n) per check plus the path
+sums (16 bytes per path vertex and per record), not O(n^2). The
 paths-intersect check counts each record's partners, the records that
 share a vertex with it, as C-level set unions, and certifies all pairs
 through a shared vertex with O(1) work per record; where the sums do not
@@ -498,7 +500,7 @@ def _path_sums(gn: WeightedGraph, records: Sequence) -> _PathSums:
     A record whose path does not run from its center to its target, or
     takes a step that is no edge of the graph, gets INF at every position
     and as its total: it bounds no distance, so it certifies nothing. The
-    builder's ``dist_member`` and ``dist_target`` are never read.
+    builder's ``dist_target`` is never read.
 
     The sums are upper bounds on float distances. Dijkstra's float distance
     from c is at most the left-to-right float sum of any path from c, since
@@ -564,23 +566,25 @@ def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildIntern
     """d_{H0}(v, rep(v, i)) <= (1 + 2*eps) * 2**i for every vertex and level,
     measured inside H0 intersected with H, so a spanner missing H0 edges fails.
 
-    Every (v, i) is grouped by x = rep(v, i), across all levels, and one
-    truncated H0 scan runs from each distinct x, of radius bound * (1 +
-    REL_TOL) for the largest level in x's group, stopped once the group's
-    vertices are settled; H0 is undirected, so (v, i) passes when that scan
-    settles v within its own level's bound. A scan's distances inside its
-    radius do not depend on the radius, and it stops only after every
-    vertex of the group has settled, so each verdict is the one a scan of
-    v's own level's radius gives. Scans from v and from x sum a path's
-    weights in opposite orders, so in floating point they agree only to
-    within about n * 2**-52 relative, below REL_TOL for any n under 4
-    million. Hence only a vertex the scan leaves unsettled, or settles
-    inside the tolerance band, is a suspect, and a full H0 scan from v
-    decides it and supplies the witness, exactly as a full scan from every
-    vertex would (in (v, i) order, stopping at WITNESS_CAP). Time is the
-    sum of the H0 balls around the representatives, each scanned once, plus
-    the suspects' full scans; memory is one ball's table or one row plus
-    O(n * levels) grouping.
+    A (v, i) with rep(v, i) = v is at distance 0 and passes unscanned,
+    though ``checked`` counts it. Every other (v, i) is grouped by x =
+    rep(v, i), across all levels, and one truncated H0 scan runs from each
+    distinct x, of radius bound * (1 + REL_TOL) for the largest level in
+    x's group, stopped once the group's vertices are settled; H0 is
+    undirected, so (v, i) passes when that scan settles v within its own
+    level's bound. A scan's distances inside its radius do not depend on
+    the radius, and it stops only after every vertex of the group has
+    settled, so each verdict is the one a scan of v's own level's radius
+    gives. Scans from v and from x sum a path's weights in opposite orders,
+    so in floating point they agree only to within about n * 2**-52
+    relative, below REL_TOL for any n under 4 million. Hence only a vertex
+    the scan leaves unsettled, or settles inside the tolerance band, is a
+    suspect, and a full H0 scan from v decides it and supplies the witness,
+    exactly as a full scan from every vertex would (in (v, i) order,
+    stopping at WITNESS_CAP). Time is the
+    sum of the H0 balls around the representatives of other vertices, each
+    scanned once, plus the suspects' full scans; memory is one ball's table
+    or one row plus O(n * levels) grouping.
     """
     h = internals.hierarchy
     n = gn.n
@@ -589,7 +593,9 @@ def _check_representative(gn: WeightedGraph, sp: Spanner, internals: BuildIntern
     groups: dict[int, list[tuple[int, int]]] = {}  # x -> its (v, i), levels ascending
     for i in range(h.i_max + 1):
         for v in range(n):
-            groups.setdefault(h.rep(v, i), []).append((v, i))
+            x = h.rep(v, i)
+            if x != v:  # d(v, v) = 0 passes every bound
+                groups.setdefault(x, []).append((v, i))
     suspects = []
     balls = DistanceBalls(n)
     dist = balls.dist
@@ -631,13 +637,15 @@ def _check_distance_in_bunch(
     that is how a scan from u on H sums it. So when every member v has such
     a record with sum <= (1 + eps) * d(u, v), every member passes, and the
     H scan is skipped. Otherwise u runs a truncated scan on H reaching its
-    farthest member, as without the records.
+    farthest member, as without the records. H's rows are built for the
+    first such center, so a suite whose records certify every center never
+    builds them.
     """
     sampling = internals.sampling
     eps = internals.hierarchy.eps
     n = gn.n
     h_edges = sp.edges
-    h_adj = subgraph_adjacency(gn.adj, h_edges)
+    h_adj = None  # H's rows, built for the first center the records leave uncertified
     in_h: dict[int, dict[int, float]] = {}  # center -> target -> lightest record path inside H
     for r, w in zip(internals.records, sums.total):
         if w == INF:
@@ -671,6 +679,8 @@ def _check_distance_in_bunch(
         lightest = in_h.get(u, {})
         if all(v in lightest and lightest[v] <= (1.0 + eps) * dist_g[v] for v in members):
             continue
+        if h_adj is None:
+            h_adj = subgraph_adjacency(gn.adj, h_edges)
         reach = (1.0 + eps) * max(dist_g[v] for v in members) * (1.0 + REL_TOL)
         h_balls.ball(h_adj, u, reach)
         for v in members:
@@ -844,17 +854,16 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
     return LemmaResult("paths_intersect", checked, tuple(witnesses))
 
 
-def verify_lemma_suite(
-    g: WeightedGraph, sp: Spanner, internals: BuildInternals | None = None
-) -> LemmaSuiteReport:
-    """Replay the construction-level facts against retained internals.
+def verify_lemma_suite(g: WeightedGraph, sp: Spanner) -> LemmaSuiteReport:
+    """Replay the construction-level facts against ``sp.internals``.
 
     Requires a hierarchical spanner built with keep_internals=True (the
     records and tables are not serialized, so this runs in-process only).
+    To check other internals against a spanner's edges, pass
+    ``dataclasses.replace(sp, internals=...)``.
     """
     _check_host(g, sp)
-    if internals is None:
-        internals = sp.internals  # type: ignore[assignment]
+    internals = sp.internals
     if not isinstance(internals, BuildInternals):
         raise SpannerError(
             "lemma suite needs hierarchical construction internals; "

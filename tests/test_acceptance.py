@@ -194,14 +194,16 @@ def test_criterion_05_full_stretch():
 
 @pytest.fixture(scope="module")
 def trend_rows():
-    return run_sweep(
-        families=["geometric_unit_square"],
-        ns=[256, 1024, 4096],
-        ks=[2],
-        epss=[0.05],
-        seeds=[0, 1, 2, 3, 4],
-        mode="sampled",
-        sample_size=64,
+    return list(
+        run_sweep(
+            families=["geometric_unit_square"],
+            ns=[256, 1024, 4096],
+            ks=[2],
+            epss=[0.05],
+            seeds=[0, 1, 2, 3, 4],
+            mode="sampled",
+            sample_size=64,
+        )
     )
 
 

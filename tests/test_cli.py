@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -783,14 +784,16 @@ def test_a_second_sweep_replaces_the_first_ones_csv(workdir, capsys):
 
 
 def test_run_sweep_rows_carry_extras(workdir):
-    rows = run_sweep(
-        families=["path"],
-        ns=[30],
-        ks=[1],
-        epss=[0.05],
-        seeds=[0],
-        mode="sampled",
-        sample_size=8,
+    rows = list(
+        run_sweep(
+            families=["path"],
+            ns=[30],
+            ks=[1],
+            epss=[0.05],
+            seeds=[0],
+            mode="sampled",
+            sample_size=8,
+        )
     )
     assert len(rows) == 1
     assert rows[0]["h0_weight"] <= rows[0]["size"] * 2.0
@@ -800,17 +803,34 @@ def test_run_sweep_rows_carry_extras(workdir):
 
 def test_run_sweep_rejects_an_empty_sample(workdir):
     with pytest.raises(ValueError, match="sample_size >= 1"):
-        run_sweep(families=["path"], ns=[30], ks=[1], epss=[0.05], seeds=[0], mode="sampled", sample_size=0)
+        list(run_sweep(families=["path"], ns=[30], ks=[1], epss=[0.05], seeds=[0], mode="sampled", sample_size=0))
+
+
+def test_a_stretch_violation_stops_the_sweep_before_its_csv(workdir, capsys, monkeypatch):
+    # the second cell's stretch report fails: the first cell's line is
+    # printed as its row arrives, and no sweep.csv is written
+    verify_stretch = cli.verify_stretch
+    reports = []
+
+    def failing_second_cell(g, sp, **kwargs):
+        reports.append(verify_stretch(g, sp, **kwargs))
+        return dataclasses.replace(reports[-1], violation_count=len(reports) - 1)
+
+    monkeypatch.setattr(cli, "verify_stretch", failing_second_cell)
+    argv = ["sweep", "--families", "path", "--ns", "30", "--ks", "1", "--epss", "0.05", "--seeds", "0", "1"]
+    assert main(argv + ["--sample-size", "8", "--output-dir", str(workdir)]) == 2
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in out.splitlines()] == ["cell family=path n=30 k=1 eps=0.05 seed=0"]
+    assert "stretch violation in sweep cell (family=path n=30 k=1 eps=0.05 seed=1)" in err
+    assert not (workdir / "sweep.csv").exists()
 
 
 def test_sweep_csv_deterministic(workdir):
-    args = dict(
-        families=["path"], ns=[25], ks=[1], epss=[0.05], seeds=[3], sample_size=8
-    )
-    run_sweep(out_path=str(workdir / "a.csv"), **args)
-    run_sweep(out_path=str(workdir / "b.csv"), **args)
-    a = _read(workdir / "a.csv")
-    b = _read(workdir / "b.csv")
+    argv = ["sweep", "--families", "path", "--ns", "25", "--ks", "1", "--epss", "0.05", "--seeds", "3"]
+    for out in ("a", "b"):
+        assert main(argv + ["--sample-size", "8", "--output-dir", str(workdir / out)]) == 0
+    a = _read(workdir / "a" / "sweep.csv")
+    b = _read(workdir / "b" / "sweep.csv")
     # runtime_ms is wall-clock and may differ; strip that column before comparing
     strip = lambda blob: [line.rsplit(b",", 1)[0] for line in blob.splitlines()]
     assert strip(a) == strip(b)

@@ -102,13 +102,18 @@ def test_n_too_small():
 
 
 def test_a_disconnected_draw_is_redrawn_from_the_next_seed():
-    from lightspanner.generate import _erdos_renyi_edges
+    from lightspanner.generate import _erdos_renyi_pairs
     from lightspanner.graph import WeightedGraph, edges_connect
+
+    def draw(rng):
+        # the pairs first, then one weight per pair
+        pairs = _erdos_renyi_pairs(30, 0.1, rng)
+        return [(u, v, rng.uniform(1.0, 2.0)) for u, v in pairs]
 
     retried = 0
     for seed in range(20):
         g = generate_graph("erdos_renyi", 30, seed=seed, p=0.1)
-        draws = (_erdos_renyi_edges(30, 0.1, random.Random(seed + a), (1.0, 2.0)) for a in range(64))
+        draws = (draw(random.Random(seed + a)) for a in range(64))
         first, edges = next((a, e) for a, e in enumerate(draws) if edges_connect(30, e))
         retried += first > 0
         assert g == WeightedGraph(30, edges)

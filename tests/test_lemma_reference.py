@@ -53,7 +53,7 @@ def built(request):
 
 
 def _suite_and_reference(sp, internals):
-    got = verify_lemma_suite(sp.host, sp, internals).to_json_dict()
+    got = verify_lemma_suite(sp.host, dataclasses.replace(sp, internals=internals)).to_json_dict()
     want = lemma_suite_reference(sp, internals).to_json_dict()
     return got, want
 
@@ -221,7 +221,7 @@ def test_records_sharing_center_and_target_are_never_paired():
 def test_paths_intersect_witnesses_past_the_cap_match_reference(monkeypatch):
     sp = BUILDS["geometric"]()
     tampered = _shrunken_level_one_pivots(sp.internals, 1e-3)
-    got = verify_lemma_suite(sp.host, sp, tampered).result("paths_intersect")
+    got = verify_lemma_suite(sp.host, dataclasses.replace(sp, internals=tampered)).result("paths_intersect")
     want = lemma_suite_reference(sp, tampered).result("paths_intersect")
     assert got == want
     assert len(got.witnesses) == WITNESS_CAP
@@ -250,7 +250,7 @@ def test_suite_scans_the_pivot_balls_the_lazy_order_asks_for(built, monkeypatch,
     # the records' path sums leave uncertified: none on a genuine build
     internals = _shrunken_level_one_pivots(built.internals, shrink)
     scanned = _scanned_pivot_balls(monkeypatch)
-    verify_lemma_suite(built.host, built, internals)
+    verify_lemma_suite(built.host, dataclasses.replace(built, internals=internals))
     assert set(scanned) == uncertified_pivot_ball_keys_reference(internals) <= pivot_ball_keys_reference(internals)
     if shrink == 1.0:
         assert scanned == []
@@ -272,7 +272,7 @@ def _shrunken_pivots_of_some_centers(internals, share, seed=0):
 
 def _paths_intersect_and_balls(sp, internals, monkeypatch):
     scanned = _scanned_pivot_balls(monkeypatch)
-    got = verify_lemma_suite(sp.host, sp, internals).result("paths_intersect")
+    got = verify_lemma_suite(sp.host, dataclasses.replace(sp, internals=internals)).result("paths_intersect")
     return got, set(scanned)
 
 
@@ -334,7 +334,7 @@ def test_a_small_witness_cap_keeps_the_first_failing_pairs_in_pair_order(monkeyp
     meeting = _first_meeting(tampered, 0)
     assert min(meeting[pair] for pair in failing[3:]) < max(meeting[pair] for pair in failing[:3])
     monkeypatch.setattr(verify, "WITNESS_CAP", 3)
-    got = verify_lemma_suite(sp.host, sp, tampered).result("paths_intersect")
+    got = verify_lemma_suite(sp.host, dataclasses.replace(sp, internals=tampered)).result("paths_intersect")
     assert got.witnesses == want[:3]
 
 
@@ -410,7 +410,7 @@ def test_bare_mst_spanner_keeps_the_first_distance_in_bunch_witnesses(monkeypatc
     sp = BUILDS["geometric"]()
     tree = {(min(u, v), max(u, v)) for u, v, _ in mst(sp.host).edges}
     bare = dataclasses.replace(sp, phase_tag={e: PHASE_H0 for e in tree})
-    got = verify_lemma_suite(bare.host, bare, sp.internals).result("distance_in_bunch")
+    got = verify_lemma_suite(bare.host, bare).result("distance_in_bunch")
     want = lemma_suite_reference(bare, sp.internals).result("distance_in_bunch")
     assert got == want
     assert len(got.witnesses) == WITNESS_CAP
@@ -502,7 +502,8 @@ def test_the_representative_check_scans_each_representative_once(built, monkeypa
     # H0's rows: the representative check's edge set, not the spanner's own
     sources = _ball_sources(monkeypatch, lambda pairs: type(pairs) is not type({}.keys()) and pairs == h0)
     assert verify_lemma_suite(built.host, built).passed
-    reps = {h.rep(v, i) for v in range(built.host.n) for i in range(h.i_max + 1)}
+    # a vertex is at distance 0 from itself, so one that represents only itself gets no ball
+    reps = {h.rep(v, i) for v in range(built.host.n) for i in range(h.i_max + 1) if h.rep(v, i) != v}
     assert sorted(sources) == sorted(reps)
 
 
@@ -663,6 +664,6 @@ PIVOT_VARIANTS = {
 def test_suite_report_bytes_are_pinned(family):
     sp = BUILDS[family]()
     for variant, tamper in PIVOT_VARIANTS.items():
-        report = verify_lemma_suite(sp.host, sp, tamper(sp.internals)).to_json_dict()
+        report = verify_lemma_suite(sp.host, dataclasses.replace(sp, internals=tamper(sp.internals))).to_json_dict()
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == SUITE_SHA256[family, variant], variant

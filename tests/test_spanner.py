@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -255,8 +256,12 @@ def _record_checks(sp: Spanner):
     hierarchy = internals.hierarchy
     eps = sp.params.eps
     delta = 0.5 * (1.0 - eps)
+    rows = {}  # center -> its distances in the normalized graph, one scan each
     for rec in internals.records:
         assert rec.path[0] == rec.center and rec.path[-1] == rec.target
+        if rec.center not in rows:
+            rows[rec.center] = oracles.dijkstra(gn, rec.center).dist
+        dist_member = rows[rec.center][rec.member]
         total = 0.0
         for a, b in zip(rec.path, rec.path[1:]):
             total += gn.weight_of(a, b)
@@ -264,13 +269,13 @@ def _record_checks(sp: Spanner):
         assert total == rec.dist_target
         if rec.scale < 0:
             assert rec.target == rec.member
-            assert rec.dist_member <= 4.0 / eps
+            assert dist_member <= 4.0 / eps
         else:
             assert rec.target == hierarchy.rep(rec.member, rec.scale)
-            assert rec.dist_member > 4.0 / eps * (1 - 1e-12)
+            assert dist_member > 4.0 / eps * (1 - 1e-12)
         if rec.center_level < sampling.k:
             pd = sampling.pivot_dist[rec.center_level + 1][rec.center]
-            assert rec.dist_member < delta * pd
+            assert dist_member < delta * pd
             assert rec.dist_target <= (1.0 + 0.5 * eps) * delta * pd
 
 
@@ -326,10 +331,20 @@ def test_lemma_suite_subgraph_rows_share_the_normalized_entries(geo_spanner, mon
         return rows
 
     monkeypatch.setattr(verify, "subgraph_adjacency", recording)
-    assert verify.verify_lemma_suite(geo_spanner.host, geo_spanner).passed
     gn = geo_spanner.internals.normalized
     h0 = geo_spanner.internals.hierarchy.h0_edges
-    assert [pairs for _, pairs, _ in built] == [set(h0 & geo_spanner.edges), set(geo_spanner.edges)]
+    # the records certify every bunch distance, so H's rows are never built
+    assert verify.verify_lemma_suite(geo_spanner.host, geo_spanner).passed
+    assert [pairs for _, pairs, _ in built] == [set(h0 & geo_spanner.edges)]
+    # without the last edge of a direct record's path, its center needs a scan on H
+    rec = next(r for r in geo_spanner.internals.records if r.target == r.member and len(r.path) >= 2)
+    a, b = rec.path[-2:]
+    broken = dataclasses.replace(
+        geo_spanner, phase_tag={e: t for e, t in geo_spanner.phase_tag.items() if e != (min(a, b), max(a, b))}
+    )
+    built.clear()
+    verify.verify_lemma_suite(broken.host, broken)
+    assert [pairs for _, pairs, _ in built] == [set(h0 & broken.edges), set(broken.edges)]
     for adj, pairs, rows in built:
         assert adj is gn.adj
         _assert_rows_share_host_entries(rows, gn, pairs)

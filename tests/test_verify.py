@@ -548,7 +548,7 @@ def test_lemma_suite_json_nests_each_result_with_its_passed():
     g = generate_graph("path", 60, seed=0)
     sp = build_spanner(g, eps=0.05, k=2, seed=0)
     bare = dataclasses.replace(sp, phase_tag={e: PHASE_H0 for e in list(sp.phase_tag)[::2]})
-    suite = verify_lemma_suite(g, bare, sp.internals)
+    suite = verify_lemma_suite(g, bare)
     payload = suite.to_json_dict()
     assert payload["passed"] is False
     assert payload["results"] == [r.to_json_dict() for r in suite.results]

@@ -54,6 +54,22 @@ dist table, and able to stop once given targets have settled;
 ``BallScanner`` serves phase 2, which reads parents. Spanners and
 the verifier's subgraphs get their rows from ``subgraph_adjacency``, whose
 rows share the host's entries.
+
+``ring_distances`` and ``ring_distances_and_bottlenecks`` return the tables
+of ``distances`` from one source and of ``distances_and_bottlenecks`` on
+Dial's bucket queue instead of a heap: int(max_w / delta) + 2 slots of width
+delta, half the lightest edge, reused cyclically. A vertex is appended to
+slot int(d * (1 / delta)) on each strict improvement and settles when the
+cursor reaches that slot; a stale entry is skipped. Every vertex u with
+dist[u] + w <= dist[v] lies in an earlier slot than v, so both tables equal
+the heap kernels' bit for bit. A scan stops once all n vertices have
+settled. A slot walked or made costs about what one heap push and pop cost,
+so the ring pays when a scan's walk and its ring together come to at most
+one slot per vertex: ``ring_pays`` checks that from one scan's eccentricity
+and the heaviest edge, so one heavy edge keeps the heap. Measured on
+the stretch check's first source, G(n,p) n=4096 has 280-350 vertices per
+slot, and its G and H scans fell from 22-24 to 14-15 ms per source;
+geometric graphs (n=512 and 8192) have 0.1-0.4 and keep the heap.
 """
 from __future__ import annotations
 
@@ -323,9 +339,16 @@ def subgraph_adjacency(adj, pairs) -> list[list[tuple[int, float]]]:
 
     Kept entries are the host rows' own tuples, in the host's order, so a
     graph's rows give those ``adjacency_from_edges`` builds from the sorted
-    pairs. Like it, this checks nothing and needs no connectivity.
+    pairs. Like it, this checks nothing and needs no connectivity. Each
+    vertex's kept neighbours go into a set first, so a row entry costs one
+    int lookup, not a (u, v) key made and looked up: few pairs, such as
+    H0's, cost little more than the walk of the rows.
     """
-    return [[e for e in row if ((u, e[0]) if u < e[0] else (e[0], u)) in pairs] for u, row in enumerate(adj)]
+    kept: list[set[int]] = [set() for _ in adj]
+    for u, v in pairs:
+        kept[u].add(v)
+        kept[v].add(u)
+    return [[e for e in row if e[0] in near] for row, near in zip(adj, kept)]
 
 
 def scan(n, adj, sources, tables=None):
@@ -584,6 +607,139 @@ def distances_and_bottlenecks(n, adj, source):
                     nb = b if b >= w else w
                     if nb < btl[v]:
                         btl[v] = nb
+    return dist, btl
+
+
+def ring_pays(n: int, delta: float, max_weight: float, dist: Sequence[float]) -> bool:
+    """Whether the ring kernels, with slots of width ``delta`` on a graph
+    whose heaviest edge weighs ``max_weight``, beat the heap for full scans
+    from any source of a graph whose scan from one source gave ``dist``.
+
+    Each of those scans meets distances up to 2 * max(dist) (through that
+    source, by the triangle inequality), so its cursor walks at most that
+    over delta slots, plus one: it stops at the slot of the last vertex
+    it settles. It also makes the int(max_weight / delta) + 2 slots of its
+    ring. The ring pays when those two counts together are at most n, at
+    least one vertex per slot made or walked on average: a slot costs
+    about what one heap push and pop cost. So one heavy edge, even one no
+    shortest path uses, says no, as does an unreached vertex (INF). The
+    rule also keeps every distance below n * delta, so for n under about
+    2**40 no float rounding of a distance or a slot index can reach a
+    slot's width (see ``ring_distances``).
+    """
+    return 2.0 * max(dist) / delta + int(max_weight / delta) + 2 <= n
+
+
+def ring_distances(n, adj, source, delta, max_weight):
+    """``distances(n, adj, (source,))`` on Dial's ring of distance slots
+    instead of a heap.
+
+    Slot k holds the vertices whose distance d has int(d * (1 / delta))
+    == k, and a vertex is appended to its slot on each strict improvement,
+    so pushing costs one list append. A cursor empties the slots in order
+    and settles each vertex it meets unsettled; a stale entry, one whose
+    vertex has settled, is skipped. Every weight lies in [2 * delta,
+    max_weight], so a relaxation moves a vertex at least one slot ahead,
+    even after the float rounding that ``ring_pays`` keeps far below a
+    slot, and at most int(max_weight / delta) + 1 slots ahead, or one more
+    with rounding. So int(max_weight / delta) + 2 slots, reused cyclically,
+    hold every pending entry: the farthest lands on the slot the cursor
+    has just emptied, one lap later, which is its own slot. The walk ends
+    once all n vertices have settled, or, on a graph the source does not
+    span, after a full lap of empty slots.
+
+    Every vertex u with dist[u] + w <= dist[v] lies in an earlier slot
+    than v, so it has settled and relaxed v before v's slot comes up, and
+    no vertex of v's slot can lower dist[v]. Each vertex thus settles once,
+    at its final distance, as in the heap. In both kernels dist[v] ends as
+    the least float sum dist[u] + w over v's edges, from final dist[u]s,
+    so by induction in distance order the tables agree bit for bit.
+    """
+    dist = [INF] * n
+    done = bytearray(n)
+    dist[source] = 0.0
+    inv = 1.0 / delta
+    slots = int(max_weight * inv) + 2
+    ring = [[] for _ in range(slots)]
+    ring[0].append(source)
+    at = idle = 0
+    left = n  # vertices not yet settled
+    while idle < slots:
+        bucket = ring[at]
+        if bucket:
+            ring[at] = []
+            idle = 0
+            for u in bucket:
+                if done[u]:
+                    continue
+                done[u] = 1
+                left -= 1
+                d = dist[u]
+                for v, w in adj[u]:
+                    nd = d + w
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        ring[int(nd * inv) % slots].append(v)
+            if not left:
+                break
+        else:
+            idle += 1
+        at += 1
+        if at == slots:
+            at = 0
+    return dist
+
+
+def ring_distances_and_bottlenecks(n, adj, source, delta, max_weight):
+    """``distances_and_bottlenecks(n, adj, source)`` on the ring of
+    ``ring_distances``, with that kernel's conditions on the weights.
+
+    The bottleneck rule is the heap kernel's. Every u that ties v, with
+    dist[u] + w == dist[v], lies in an earlier slot than v, so it settles
+    and offers max(btl[u], w) before v settles, and ``btl[v]`` is final
+    when v's slot comes up: the same table as the heap's.
+    """
+    dist = [INF] * n
+    btl = [0.0] * n
+    done = bytearray(n)
+    dist[source] = 0.0
+    inv = 1.0 / delta
+    slots = int(max_weight * inv) + 2
+    ring = [[] for _ in range(slots)]
+    ring[0].append(source)
+    at = idle = 0
+    left = n
+    while idle < slots:
+        bucket = ring[at]
+        if bucket:
+            ring[at] = []
+            idle = 0
+            for u in bucket:
+                if done[u]:
+                    continue
+                done[u] = 1
+                left -= 1
+                d = dist[u]
+                b = btl[u]
+                for v, w in adj[u]:
+                    nd = d + w
+                    dv = dist[v]
+                    if nd <= dv:
+                        if nd < dv:
+                            dist[v] = nd
+                            btl[v] = b if b >= w else w
+                            ring[int(nd * inv) % slots].append(v)
+                        elif not done[v]:
+                            nb = b if b >= w else w
+                            if nb < btl[v]:
+                                btl[v] = nb
+            if not left:
+                break
+        else:
+            idle += 1
+        at += 1
+        if at == slots:
+            at = 0
     return dist, btl
 
 

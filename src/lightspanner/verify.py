@@ -39,7 +39,8 @@ paths-intersect check counts each record's partners, the records that
 share a vertex with it, as C-level set unions, and certifies all pairs
 through a shared vertex with O(1) work per record; where the sums do not
 certify a record, the pair rule decides each of its pairs there. It builds
-no global set of pairs, and keeps at most 2 * WITNESS_CAP failing ones.
+no global set of pairs, keeps at most WITNESS_CAP failing ones, and tests
+no pair that could no longer be a witness.
 
 Distance comparisons allow 1e-9 relative slack on the bound side; the
 subgraph lower bound d_H >= d_G is exact (a spanner path is a graph path, so
@@ -50,8 +51,9 @@ deterministic given (graph, spanner, mode, seed).
 Every scan here reads only distances (and, for stretch, the graph's
 bottlenecks), except verify_net's multi-source ``scan``, which reads
 origins: the stretch check, verify_slt and the lemma suite's full rows run
-graph's distance-only full kernels, and every truncated ball, the packing
-check's included, runs on ``DistanceBalls``.
+graph's distance-only full kernels, the stretch check on the ring kernels
+where its input's weights let the ring pay, and every truncated ball, the
+packing check's included, runs on ``DistanceBalls``.
 """
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ from typing import ClassVar, NamedTuple, Sequence
 
 from .errors import SpannerError
 from .graph import INF, DistanceBalls, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
-from .graph import subgraph_adjacency
+from .graph import ring_distances, ring_distances_and_bottlenecks, ring_pays, subgraph_adjacency
 from .nets import DeltaNet
 from .spanner import BuildInternals, Spanner
 from .trees import SltForest, SpanningTree, mst
@@ -179,6 +181,25 @@ def verify_stretch(
     heap key. A pair with d_H <= alpha*d_G has slack <= 0 and is within
     the bound, so W, the slack and the bound are read only for a pair
     above that line.
+
+    The queue is picked once per call, from the input. The first source
+    runs on those heap kernels. The others run on the ring kernels
+    (``ring_distances_and_bottlenecks`` and ``ring_distances``, slots of
+    width delta, half G's lightest edge) when ``ring_pays``: the first H
+    scan reached all n vertices and 2 * ecc_H(x0) / delta plus the ring's
+    int(max_w / delta) + 2 slots is at most n. Every distance either later
+    scan meets is at most 2 * ecc_H(x0), since d_G <= d_H, by the triangle
+    inequality through x0, and a scan stops at the slot of its last
+    settled vertex; so the rule is the cost model's break-even, at least
+    one vertex per slot walked or made (a slot costs about one heap push
+    and pop), and it keeps every weight far above a distance's rounding.
+    One heavy edge makes the ring too long, so such an input keeps the
+    heap, even when no shortest path uses the edge. Every vertex that
+    lowers or ties v's distance then lies in an earlier slot than v, so
+    the ring kernels return the heap kernels' tables bit for bit and the
+    report does not depend on the queue. G(n,p), grid and star inputs take the ring
+    (G(n,p) n=4096: 280-350 vertices per slot); geometric inputs (0.1-0.4
+    at n=512 and 8192) and long paths keep the heap.
     """
     _check_host(g, sp)
     n = g.n
@@ -210,9 +231,20 @@ def verify_stretch(
     violation_count = 0
     tol = 1.0 + REL_TOL
 
+    ring = None  # (delta, heaviest weight) once the first source shows the ring pays
     for x in sources:
-        dist_g, btl_g = distances_and_bottlenecks(n, g.adj, x)
-        dist_h = distances(n, h_adj, (x,))
+        if ring:
+            dist_g, btl_g = ring_distances_and_bottlenecks(n, g.adj, x, *ring)
+            dist_h = ring_distances(n, h_adj, x, *ring)
+        else:
+            dist_g, btl_g = distances_and_bottlenecks(n, g.adj, x)
+            dist_h = distances(n, h_adj, (x,))
+            if x == sources[0] and len(sources) > 1:
+                weights = [w for _, _, w in g.iter_edges()]
+                delta = 0.5 * min(weights)
+                heaviest = max(weights)
+                if ring_pays(n, delta, heaviest, dist_h):
+                    ring = (delta, heaviest)
         if mode == "all_pairs":
             lo = x + 1
             pairs += n - lo
@@ -769,11 +801,13 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
     (see _path_sums). So r passes when w(P_r) and p_r(x) plus the largest
     max(p_s(x), q_s(x)) over the records after it both lie strictly below
     r's pivot distance; otherwise the rule decides each pair of r with a
-    record after it. A failing pair fails its first test, which the sums
-    would have passed, so it is decided at every vertex its paths share.
-    Failing pairs are kept as the WITNESS_CAP smallest distinct ones, so
-    the witnesses are the rule's, in its order. Balls are kept for the
-    level that asked for them.
+    record after it. Failing pairs are kept, ascending, as the smallest
+    distinct ones up to the WITNESS_CAP the earlier levels leave, so the
+    witnesses are the rule's, in its order. A kept pair is not tested
+    again at the other vertices its paths share, and once that many are
+    kept, a pair not below the largest of them cannot be a witness and is
+    not tested either, so on input where most pairs fail the tests soon
+    stop. Balls are kept for the level that asked for them.
 
     ``checked`` sums each record's partners: the union of the records after
     it on each vertex of its path, less those with its own (center,
@@ -819,7 +853,12 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
                 s = got[center[a]] = _pivot_ball(balls, gn, sampling, level, center[a])
             return target[a] in s and center[b] in s and target[b] in s
 
-        failing: list[tuple[int, int]] = []  # trimmed to the WITNESS_CAP smallest distinct pairs
+        cap = WITNESS_CAP - len(witnesses)
+        failing: list[tuple[int, int]] = []  # the cap smallest distinct failing pairs, ascending
+        # once failing holds cap pairs, a pair not below its largest cannot
+        # be a witness and is not tested; (INF,) is above every pair, (-1,)
+        # below every one
+        cut = (INF,) if cap else (-1,)
         for x, through in on_vertex.items():
             if len(through) < 2:
                 continue
@@ -830,10 +869,18 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
                 p = pre[at]
                 if not (short[r] and p + reach < pd[r]):
                     for s in walk[:pos]:
-                        if key[s] != key[r] and not (holds(r, s) or holds(s, r)):
-                            failing.append((r, s) if r < s else (s, r))
-                            if len(failing) > 2 * WITNESS_CAP:
-                                failing = sorted(set(failing))[:WITNESS_CAP]
+                        if key[s] == key[r]:
+                            continue
+                        pair = (r, s) if r < s else (s, r)
+                        if not pair < cut:
+                            continue
+                        i = bisect_left(failing, pair)
+                        if (i == len(failing) or failing[i] != pair) and not (holds(r, s) or holds(s, r)):
+                            failing.insert(i, pair)
+                            if len(failing) > cap:
+                                failing.pop()
+                            if len(failing) == cap:
+                                cut = failing[-1]
                 q = suf[at]
                 far = p if p > q else q
                 if far > reach:
@@ -849,7 +896,7 @@ def _check_paths_intersect(internals: BuildInternals, sums: _PathSums) -> LemmaR
                 idxs = on_vertex[w]
                 partners.update(idxs[bisect_right(idxs, a):])
             checked += len(partners) - same_after[a]
-        for a, b in sorted(set(failing))[: WITNESS_CAP - len(witnesses)]:
+        for a, b in failing:
             witnesses.append((level, *key[a], *key[b]))
     return LemmaResult("paths_intersect", checked, tuple(witnesses))
 

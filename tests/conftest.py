@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from lightspanner.generate import generate_graph
 from lightspanner.graph import WeightedGraph
 
 settings.register_profile(
@@ -57,8 +59,14 @@ def random_connected_graph(n: int, m_extra: int, seed: int) -> WeightedGraph:
     return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
 
 
+def erdos_renyi_with_a_heavy_edge(n: int, seed: int, weight: float) -> WeightedGraph:
+    """A G(n,p) graph plus one edge of ``weight`` between the first two
+    vertices it does not join; at 1e6 no shortest path uses that edge."""
+    g = generate_graph("erdos_renyi", n, seed=seed)
+    u, v = next((u, v) for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v))
+    return WeightedGraph(n, [*g.iter_edges(), (u, v, weight)])
+
+
 @pytest.fixture(scope="session")
 def medium_geometric():
-    from lightspanner.generate import generate_graph
-
     return generate_graph("geometric_unit_square", 150, seed=11)

@@ -20,12 +20,15 @@ from lightspanner.graph import (
     adjacency_from_edges,
     distances,
     distances_and_bottlenecks,
+    ring_distances,
+    ring_distances_and_bottlenecks,
+    ring_pays,
     scan,
     tag_forest_path,
 )
 from lightspanner.trees import mst
 
-from .conftest import coarse_weights, connected_graphs
+from .conftest import coarse_weights, connected_graphs, erdos_renyi_with_a_heavy_edge
 from . import oracles
 from .oracles import dijkstra, multi_source_dijkstra, shortest_path
 
@@ -443,6 +446,114 @@ def test_distance_kernels_leave_unreached_vertices_at_inf():
     assert distances(6, adj, (0,)) == [0.0, 1.0, 3.0, INF, INF, INF]
     assert distances_and_bottlenecks(6, adj, 4) == ([INF, INF, INF, 3.0, 0.0, INF], [0.0, 0.0, 0.0, 3.0, 0.0, 0.0])
     assert distances(6, adj, (2, 3)) == [3.0, 2.0, 0.0, 0.0, 3.0, INF]
+
+
+@st.composite
+def ring_graphs(draw):
+    """Connected graphs that pass ``ring_pays`` by construction: every
+    vertex lies at most 3 edges from vertex 0, weights lie within a ratio
+    of 2, and n >= 30, so 2 * ecc(0) / delta <= 12 * max_w / min_w <= 24,
+    the ring's int(max_w / delta) + 2 slots are at most 6, and the two
+    together are at most n (delta = min_w / 2).
+
+    Integer weights 2..4 tie paths exactly, so the bottleneck tie branch
+    runs, and repeat the lightest weight; dyadic weights in [1, 2) give
+    distinct sums."""
+    weights = draw(
+        st.sampled_from(
+            [st.integers(2, 4).map(float), st.integers(64, 127).map(lambda k: k / 64.0)]
+        )
+    )
+    n = draw(st.integers(30, 48))
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, min(v, 3) - 1)), v)] = draw(weights)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        a, b = sorted((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+        if a != b and (a, b) not in edges:
+            edges[(a, b)] = draw(weights)
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def _ring_width(g):
+    weights = [w for _, _, w in g.iter_edges()]
+    return 0.5 * min(weights), max(weights)
+
+
+@settings(max_examples=60)
+@given(ring_graphs(), st.data())
+def test_ring_kernels_return_the_heap_kernels_tables(g, data):
+    delta, heaviest = _ring_width(g)
+    assert ring_pays(g.n, delta, heaviest, distances(g.n, g.adj, (0,)))
+    s = data.draw(st.integers(0, g.n - 1))
+    assert ring_distances(g.n, g.adj, s, delta, heaviest) == distances(g.n, g.adj, (s,))
+    assert ring_distances_and_bottlenecks(g.n, g.adj, s, delta, heaviest) == distances_and_bottlenecks(g.n, g.adj, s)
+
+
+@pytest.mark.parametrize("name", ["unit-grid", "grid-1-2", "gnp"])
+def test_ring_kernels_match_scan_on_families(name):
+    g = KERNEL_GRAPHS[name]()
+    delta, heaviest = _ring_width(g)
+    for s in range(g.n):
+        dist, bottleneck = _scan_dist_btl(g.n, g.adj, (s,))
+        assert ring_distances(g.n, g.adj, s, delta, heaviest) == dist
+        assert ring_distances_and_bottlenecks(g.n, g.adj, s, delta, heaviest) == (dist, bottleneck)
+
+
+def test_ring_kernels_leave_unreached_vertices_at_inf():
+    adj = adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
+    for s in range(6):
+        assert ring_distances(6, adj, s, 0.5, 3.0) == distances(6, adj, (s,))
+        assert ring_distances_and_bottlenecks(6, adj, s, 0.5, 3.0) == distances_and_bottlenecks(6, adj, s)
+    assert not ring_pays(6, 0.5, 3.0, distances(6, adj, (0,)))
+
+
+@pytest.mark.parametrize(
+    "family, n, ring",
+    [
+        ("erdos_renyi", 60, True),
+        ("erdos_renyi", 200, True),
+        ("grid", 100, True),
+        ("grid", 400, True),
+        ("star", 20, True),
+        ("star", 100, True),
+        ("geometric_unit_square", 200, False),
+        ("geometric_unit_square", 512, False),
+        ("path", 50, False),
+        ("path", 200, False),
+    ],
+)
+def test_the_ring_rule_picks_the_ring_where_it_pays(family, n, ring):
+    for seed in (1, 2, 3):
+        g = generate_graph(family, n, seed=seed)
+        assert ring_pays(n, *_ring_width(g), distances(n, g.adj, (0,))) is ring
+
+
+def test_one_heavy_edge_keeps_the_heap():
+    # the eccentricity alone would pass; the ring of about 2e6 slots does not
+    g = erdos_renyi_with_a_heavy_edge(400, 1, 1e6)
+    delta, heaviest = _ring_width(g)
+    dist = distances(g.n, g.adj, (0,))
+    assert 2.0 * max(dist) / delta <= g.n
+    assert not ring_pays(g.n, delta, heaviest, dist)
+
+
+def test_ring_kernels_match_the_heap_across_a_heavy_edge():
+    # 2 002 slots for 3 vertices: the heavy edge's stale entry lies far
+    # ahead when the scan has settled every vertex
+    adj = adjacency_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1000.0)])
+    for s in range(3):
+        assert ring_distances(3, adj, s, 0.5, 1000.0) == distances(3, adj, (s,))
+        assert ring_distances_and_bottlenecks(3, adj, s, 0.5, 1000.0) == distances_and_bottlenecks(3, adj, s)
+
+
+@given(tie_heavy_graphs, st.randoms())
+def test_subgraph_rows_keep_the_host_entries_of_the_pairs(g, rng):
+    share = rng.choice([0.0, 0.3, 1.0])
+    pairs = {(u, v) for u, v, _ in g.edges if rng.random() < share}
+    rows = graph.subgraph_adjacency(g.adj, pairs)
+    assert rows == oracles.subgraph_rows_reference(g, pairs)
+    assert all(any(e is f for f in g.adj[u]) for u, row in enumerate(rows) for e in row)
 
 
 def test_adjacency_from_edges_allows_disconnected():

@@ -249,11 +249,11 @@ def test_suite_scans_the_pivot_balls_the_lazy_order_asks_for(built, monkeypatch,
     # of the balls the pair-by-pair rule asks for, the suite scans only those
     # the records' path sums leave uncertified: none on a genuine build
     internals = _shrunken_level_one_pivots(built.internals, shrink)
-    scanned = _scanned_pivot_balls(monkeypatch)
-    verify_lemma_suite(built.host, dataclasses.replace(built, internals=internals))
-    assert set(scanned) == uncertified_pivot_ball_keys_reference(internals) <= pivot_ball_keys_reference(internals)
+    got, keys = _paths_intersect_and_balls(built, internals, monkeypatch)
+    _assert_scans_the_uncertified_balls(keys, internals, got)
+    assert uncertified_pivot_ball_keys_reference(internals) <= pivot_ball_keys_reference(internals)
     if shrink == 1.0:
-        assert scanned == []
+        assert keys == set()
 
 
 def _shrunken_pivots_of_some_centers(internals, share, seed=0):
@@ -276,12 +276,23 @@ def _paths_intersect_and_balls(sp, internals, monkeypatch):
     return got, set(scanned)
 
 
+def _assert_scans_the_uncertified_balls(keys, internals, paths_intersect):
+    """The suite scans the pivot balls the sums leave uncertified. Once
+    paths-intersect holds WITNESS_CAP failing pairs it tests no pair above
+    them, so a run that reaches the cap scans only some of those balls."""
+    want = uncertified_pivot_ball_keys_reference(internals)
+    if len(paths_intersect.witnesses) < WITNESS_CAP:
+        assert keys == want
+    else:
+        assert keys <= want
+
+
 @pytest.mark.parametrize("share", [0.02, 0.1, 0.5])
 def test_partly_shrunken_pivots_match_the_pair_by_pair_reference(built, share, monkeypatch):
     tampered = _shrunken_pivots_of_some_centers(built.internals, share)
     got, keys = _paths_intersect_and_balls(built, tampered, monkeypatch)
     assert got == lemma_suite_reference(built, tampered).result("paths_intersect")
-    assert keys == uncertified_pivot_ball_keys_reference(tampered)
+    _assert_scans_the_uncertified_balls(keys, tampered, got)
 
 
 @pytest.mark.parametrize("share, capped", [(0.02, False), (0.1, True)])
@@ -292,10 +303,12 @@ def test_partly_shrunken_pivots_scan_only_some_of_the_balls_the_rule_asks_for(mo
     tampered = _shrunken_pivots_of_some_centers(sp.internals, share)
     got, keys = _paths_intersect_and_balls(sp, tampered, monkeypatch)
     assert got == lemma_suite_reference(sp, tampered).result("paths_intersect")
-    assert keys == uncertified_pivot_ball_keys_reference(tampered)
+    _assert_scans_the_uncertified_balls(keys, tampered, got)
     assert 0 < len(keys) < len(pivot_ball_keys_reference(tampered))
     assert 0 < len(got.witnesses) <= WITNESS_CAP
     assert (len(got.witnesses) == WITNESS_CAP) == capped
+    # past the cap the pairs left untested need some of those balls
+    assert (keys != uncertified_pivot_ball_keys_reference(tampered)) == capped
 
 
 def _first_meeting(internals, level):

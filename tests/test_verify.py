@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from lightspanner.spanner import (
     spanner_from_json_dict,
 )
 from lightspanner.trees import SpanningTree, mst, slt_forest
+from lightspanner import verify as verify_module
 from lightspanner.verify import (
     WITNESS_CAP,
     LemmaResult,
@@ -34,6 +36,7 @@ from lightspanner.verify import (
 )
 
 from . import oracles
+from .conftest import erdos_renyi_with_a_heavy_edge
 
 
 def _identity_spanner(g, eps=0.05, k=2):
@@ -149,6 +152,42 @@ def test_stretch_report_matches_the_full_scan_reference(stretch_cases, case, mod
     if case == "wmax-cut" and mode == "all_pairs":
         assert got.violation_count > WITNESS_CAP
         assert len(got.violations) == WITNESS_CAP
+
+
+@pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
+@pytest.mark.parametrize(
+    "family, n, ring", [("path", 40, False), ("star", 60, True), ("grid", 100, True), ("erdos_renyi", 120, True)]
+)
+def test_stretch_on_either_queue_matches_the_full_scan_reference(monkeypatch, family, n, ring, mode):
+    g = generate_graph(family, n, seed=3)
+    sp = build_spanner(g, eps=0.05, k=2, seed=0)
+    ring_sources = []
+    ring_kernel = verify_module.ring_distances
+
+    def counted(n, adj, source, *width):
+        ring_sources.append(source)
+        return ring_kernel(n, adj, source, *width)
+
+    monkeypatch.setattr(verify_module, "ring_distances", counted)
+    got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
+    assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
+    # the first source runs on the heap and decides for the others
+    sources = range(n) if mode == "all_pairs" else sorted(random.Random(4).sample(range(n), 17))
+    assert ring_sources == (list(sources)[1:] if ring else [])
+
+
+@pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
+def test_stretch_with_one_heavy_edge_keeps_the_heap_and_matches_the_reference(monkeypatch, mode):
+    g = erdos_renyi_with_a_heavy_edge(120, 3, 1e6)
+    sp = build_spanner(g, eps=0.05, k=2, seed=0)
+
+    def refused(*args):
+        raise AssertionError("a ring of about 2e6 slots ran")
+
+    monkeypatch.setattr(verify_module, "ring_distances", refused)
+    monkeypatch.setattr(verify_module, "ring_distances_and_bottlenecks", refused)
+    got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
+    assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
 
 
 def test_sampled_mode_is_deterministic(medium_geometric):

@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Time each check of the lemma suite in-process and record it as JSON.
+"""Time each check of the lemma suite and the stretch check in-process and record it as JSON.
 
     python3 scripts/bench_verify.py --out BENCH_verify.run.json
     python3 scripts/bench_verify.py --n 128 --repeat 1 --out /tmp/small.json
     python3 scripts/bench_verify.py --src ../other-checkout/src --out other.json
 
-For each n (default 2048 and 8192) it generates one geometric_unit_square
-graph (graph seed GRAPH_SEED), builds its spanner with eps 0.05, k 2 and
-build seed BUILD_SEED, and runs ``verify_lemma_suite`` on it ``--repeat``
-times. Each check is timed where the suite calls it, and so is the shared
-pass that sums the weights along every record's path (``path_sums_s``),
-so the times add up to the suite's. The half-bunch and paths-intersect
-checks scan a center's pivot ball only where the paths' sums do not
-certify it. A check's time is the median of its repeats; ``checked`` and
-the report's sha256 must repeat exactly. Each n also records whether the
-suite's median fits ``BUDGET_S``.
+For each n (default 2048, 4096 and 8192) it generates one
+geometric_unit_square graph (graph seed GRAPH_SEED), builds its spanner
+with eps 0.05, k 2 and build seed BUILD_SEED, and runs
+``verify_lemma_suite`` on it ``--repeat`` times. Each check is timed where
+the suite calls it, and so is the shared pass that sums the weights along
+every record's path (``path_sums_s``), so the times add up to the suite's.
+The half-bunch and paths-intersect checks scan a center's pivot ball only
+where the paths' sums do not certify it. A check's time is the median of
+its repeats; ``checked`` and the report's sha256 must repeat exactly. Each
+n also records whether the suite's median fits ``BUDGET_S``.
 
 One more, untimed run per n counts, for each check, the truncated scans it
 starts (``balls``) and the vertices they settle (``settled``), through
@@ -23,6 +23,15 @@ the truncated kernel ``verify`` imports, ``DistanceBalls``.
 checks, which scan only pivot balls. The same run reads the suite's peak
 traced memory (``peak_mb``, tracemalloc's peak in MB, the records and
 graphs excluded since they exist before the suite starts).
+
+``stretch`` holds one row per ``verify_stretch`` mode the n gets: all
+pairs where n <= ALL_PAIRS_MAX_N, and STRETCH_SAMPLE sampled sources at
+every n, each run ``--repeat`` times. A row records the median time, the
+report's sha256 (which must repeat exactly), its pairs, whether the
+median fits ``STRETCH_BUDGET_S``, and ``repaired_share``: over one more,
+untimed run, the vertices whose G distance the repair of the H scan
+(``repaired_distances``) settles, as a share of n per source, or null
+where no repair ran.
 
 ``--src`` names the package directory to import, so the same script times
 another checkout's code, which must have ``DistanceBalls`` and
@@ -62,6 +71,12 @@ TIMED = (*CHECKS.values(), PATH_SUMS)
 PIVOT_BALL_CHECKS = ("_check_half_bunch_containment", "_check_paths_intersect")
 # seconds the whole suite may take at each n, on the 2-vCPU host BENCH_verify.json was recorded on
 BUDGET_S = {2048: 2.0, 8192: 20.0}
+DEFAULT_N = (2048, 4096, 8192)
+# the stretch check runs all pairs up to this n, and from STRETCH_SAMPLE sampled sources at every n
+ALL_PAIRS_MAX_N = 4096
+STRETCH_SAMPLE = 64
+# seconds the all-pairs stretch check may take at each n, on the same host
+STRETCH_BUDGET_S = {4096: 120.0}
 
 
 @contextmanager
@@ -136,6 +151,53 @@ def balls_and_peak(verify, g, sp) -> tuple[dict[str, list[int]], float]:
     return counts, peak / 1e6
 
 
+def repaired_share(verify, g, sp, mode: str) -> float | None:
+    """One untimed verify_stretch run: the vertices whose distance the
+    repair lowers, and so settles, per vertex and source; None where no
+    repair ran or ``verify`` has none."""
+    counts = [0, 0]  # vertices settled, vertices scanned
+
+    def counting(repair):
+        def counted(adj, extra, dist_h):
+            dist = repair(adj, extra, dist_h)
+            counts[0] += sum(1 for d, dh in zip(dist, dist_h) if d < dh)
+            counts[1] += len(dist)
+            return dist
+
+        return counted
+
+    if not hasattr(verify, "repaired_distances"):
+        return None
+    with patched(verify, {"repaired_distances": counting}):
+        verify.verify_stretch(g, sp, mode=mode, sample_size=STRETCH_SAMPLE)
+    return round(counts[0] / counts[1], 4) if counts[1] else None
+
+
+def measure_stretch(verify, g, sp, mode: str, repeat: int) -> dict:
+    runs, digests = [], set()
+    for _ in range(repeat):
+        start = time.perf_counter()
+        report = verify.verify_stretch(g, sp, mode=mode, sample_size=STRETCH_SAMPLE)
+        runs.append(time.perf_counter() - start)
+        payload = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+        digests.add(hashlib.sha256(payload).hexdigest())
+    if len(digests) != 1:
+        raise SystemExit(f"n={g.n}: the {mode} stretch report changed between repeats")
+    s = statistics.median(runs)
+    budget = STRETCH_BUDGET_S.get(g.n) if mode == "all_pairs" else None
+    return {
+        "mode": mode,
+        "pairs": report.pairs_checked,
+        "s": round(s, 3),
+        "runs_s": [round(t, 3) for t in runs],
+        "budget_s": budget,
+        "within_budget": None if budget is None else s <= budget,
+        "passed": report.passed,
+        "report_sha256": digests.pop(),
+        "repaired_share": repaired_share(verify, g, sp, mode),
+    }
+
+
 def measure(n: int, repeat: int) -> dict:
     from lightspanner import verify
     from lightspanner.generate import generate_graph
@@ -160,6 +222,8 @@ def measure(n: int, repeat: int) -> dict:
         raise SystemExit(f"n={n}: the suite's report changed between repeats")
     balls, peak_mb = balls_and_peak(verify, g, sp)
     suite_s = statistics.median(suites)
+    modes = ("all_pairs", "sampled") if n <= ALL_PAIRS_MAX_N else ("sampled",)
+    stretch = [measure_stretch(verify, g, sp, mode, repeat) for mode in modes]
     return {
         "n": n,
         "m": g.m,
@@ -182,12 +246,13 @@ def measure(n: int, repeat: int) -> dict:
             }
             for r in report.results
         },
+        "stretch": stretch,
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, nargs="+", default=sorted(BUDGET_S))
+    ap.add_argument("--n", type=int, nargs="+", default=list(DEFAULT_N))
     ap.add_argument("--repeat", type=int, default=3, help="suite runs per graph (default 3)")
     ap.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -212,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
             f"n={run['n']}: suite {run['suite_s']} s (path sums {run['path_sums_s']} s, {checks}); "
             f"{run['pivot_balls']} pivot balls, peak {run['peak_mb']} MB"
         )
+        for row in run["stretch"]:
+            print(f"n={run['n']}: stretch {row['mode']} {row['s']} s, repaired share {row['repaired_share']}")
     return 0
 
 

@@ -70,6 +70,16 @@ and the heaviest edge, so one heavy edge keeps the heap. Measured on
 the stretch check's first source, G(n,p) n=4096 has 280-350 vertices per
 slot, and its G and H scans fell from 22-24 to 14-15 ms per source;
 geometric graphs (n=512 and 8192) have 0.1-0.4 and keep the heap.
+
+``repaired_distances`` gives ``distances``'s table on a graph from the
+table of one of its subgraphs H: it relaxes the edges H lacks and settles
+only the vertices they bring closer, so where H keeps most edges it
+settles a fraction of the vertices a fresh scan settles.
+``TightBottlenecks`` reads ``distances_and_bottlenecks``'s bottleneck
+table one entry at a time from the distances alone, walking back over
+strictly closer tight predecessors; it holds where no weight vanishes in
+a distance's rounding. On geometric inputs the stretch check gets G's
+tables from these two, H's scan and a W read only above the alpha line.
 """
 from __future__ import annotations
 
@@ -557,6 +567,14 @@ def distances(n, adj, sources):
     for s in sorted(set(sources)):
         dist[s] = 0.0
         heap.append((0.0, s))
+    return _lowered(adj, dist, heap)
+
+
+def _lowered(adj, dist, heap):
+    """``dist`` once the (distance, vertex) ``heap`` is settled over
+    ``adj``: the loop of ``distances`` and ``repaired_distances``. The heap
+    holds an entry (dist[v], v) for each vertex v whose edges are still to
+    be relaxed; an entry above its vertex's distance is stale."""
     push, pop = heapq.heappush, heapq.heappop
     while heap:
         d, u = pop(heap)
@@ -608,6 +626,106 @@ def distances_and_bottlenecks(n, adj, source):
                     if nb < btl[v]:
                         btl[v] = nb
     return dist, btl
+
+
+def repaired_distances(adj, extra, dist_h):
+    """``distances(n, adj, (x,))`` from ``dist_h``, the table ``distances``
+    gives from x on a subgraph H of ``adj``, whose edges keep their weights.
+
+    ``extra`` holds the (u, v, w) edges of ``adj`` that H lacks. Each
+    relaxes its nearer end's H distance across it, and only the vertices
+    whose distance strictly falls are pushed on a (distance, vertex) heap,
+    which then runs ``distances``'s loop (``_lowered``) over all of
+    ``adj``'s rows. A vertex whose distance does not fall is never popped:
+    every H edge it has already holds in ``dist_h``, and every other edge
+    was relaxed from it first. So the scan settles exactly the vertices
+    whose distance falls, each once, at its final distance.
+
+    Every label is the left-to-right float sum along a graph path from x,
+    each the least over H's paths at the start, and the loop lowers a
+    label only to such a sum. Float addition is monotone, so the labels
+    that settle are the least such sums over the graph's paths, as in
+    ``distances``: the two tables agree bit for bit.
+    """
+    dist = list(dist_h)
+    heap = []
+    for u, v, w in extra:
+        du = dist_h[u]
+        dv = dist_h[v]
+        if du < dv:
+            nd = du + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heap.append((nd, v))
+        elif dv < du:
+            nd = dv + w
+            if nd < dist[u]:
+                dist[u] = nd
+                heap.append((nd, u))
+    heapq.heapify(heap)
+    return _lowered(adj, dist, heap)
+
+
+class TightBottlenecks:
+    """The bottleneck table of ``distances_and_bottlenecks(n, adj, source)``,
+    read one entry at a time from its distance table ``dist``.
+
+    ``self[y]`` is 0.0 at the source and elsewhere the least max(self[u],
+    w) over y's tight predecessors, the entries (u, w) of row y with
+    dist[u] < dist[y] and dist[u] + w == dist[y]. It walks back over them
+    on an explicit stack and keeps each value it works out, so an entry is
+    worked out once per instance and only where it is read.
+
+    That is the heap kernel's table wherever no weight vanishes in the
+    rounding of a distance, that is dist[u] + w > dist[u] for every
+    distance and weight: then every u that ties y is strictly closer,
+    settles before y and offers max(btl[u], w), and nothing else sets
+    btl[y]. Where a weight can vanish, a vertex at y's own distance can
+    tie it and the table need not be this one; callers rule that out
+    (``verify.verify_stretch`` compares G's lightest edge with the
+    distances it meets). A vertex ``dist`` leaves at INF has no tight
+    predecessor and reads INF, where the heap kernel's table holds 0.0;
+    a ``WeightedGraph`` is connected, so its scans reach every vertex.
+    """
+
+    __slots__ = ("adj", "dist", "known")
+
+    def __init__(self, adj, dist: Sequence[float], source: int):
+        self.adj = adj
+        self.dist = dist
+        self.known = {source: 0.0}
+
+    def __getitem__(self, y: int) -> float:
+        known = self.known
+        b = known.get(y)
+        if b is not None:
+            return b
+        adj, dist = self.adj, self.dist
+        stack = [y]
+        while stack:
+            v = stack[-1]
+            if v in known:
+                stack.pop()
+                continue
+            dv = dist[v]
+            best = INF
+            waiting = False
+            for u, w in adj[v]:
+                du = dist[u]
+                if du < dv and du + w == dv:
+                    b = known.get(u)
+                    if b is None:
+                        stack.append(u)
+                        waiting = True
+                    elif not waiting:
+                        if b < w:
+                            b = w
+                        if b < best:
+                            best = b
+            if not waiting:
+                known[v] = best
+                stack.pop()
+        return known[y]
 
 
 def ring_pays(n: int, delta: float, max_weight: float, dist: Sequence[float]) -> bool:

@@ -20,7 +20,6 @@ and rows share; neither reader sizes a table by the header's n.
 """
 from __future__ import annotations
 
-import io
 import os
 from array import array
 from contextlib import contextmanager
@@ -176,6 +175,3 @@ def write_graph(g: WeightedGraph, path, fmt: str = "edge_list") -> None:
         raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
     (write_edge_list if fmt == "edge_list" else write_dimacs)(g, path)
 
-
-def loads_edge_list(text: str) -> WeightedGraph:
-    return read_edge_list(io.StringIO(text))

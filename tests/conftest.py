@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from lightspanner.generate import generate_graph
 from lightspanner.graph import WeightedGraph
+from lightspanner.graphio import read_edge_list
 
 settings.register_profile(
     "default",
@@ -57,6 +59,11 @@ def random_connected_graph(n: int, m_extra: int, seed: int) -> WeightedGraph:
         if key not in edges:
             edges[key] = rng.randint(1, 128) / 64.0
     return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def loads_edge_list(text: str) -> WeightedGraph:
+    """The graph an edge_list file holding ``text`` gives."""
+    return read_edge_list(io.StringIO(text))
 
 
 def erdos_renyi_with_a_heavy_edge(n: int, seed: int, weight: float) -> WeightedGraph:

@@ -23,7 +23,7 @@ def test_bench_verify_writes_each_checks_time_and_count(tmp_path):
     (run,) = data["runs"]
     assert set(run) == {
         "n", "m", "build_s", "suite_s", "suite_runs_s", "budget_s", "within_budget",
-        "passed", "report_sha256", "path_sums_s", "pivot_balls", "peak_mb", "checks",
+        "passed", "report_sha256", "path_sums_s", "pivot_balls", "peak_mb", "checks", "stretch",
     }
     assert run["n"] == 128 and run["passed"] and len(run["suite_runs_s"]) == 2
     # a genuine build's path sums certify every pivot ball the suite could scan
@@ -38,3 +38,13 @@ def test_bench_verify_writes_each_checks_time_and_count(tmp_path):
     # the representative check scans H0 balls; pivot_balls counts the other two checks' balls
     assert run["checks"]["representative"]["balls"] > 0
     assert run["pivot_balls"] == run["checks"]["half_bunch_containment"]["balls"] + run["checks"]["paths_intersect"]["balls"]
+    # n=128 gets both stretch rows; a geometric input's scans run on the repair
+    assert [row["mode"] for row in run["stretch"]] == ["all_pairs", "sampled"]
+    for row in run["stretch"]:
+        assert set(row) == {
+            "mode", "pairs", "s", "runs_s", "budget_s", "within_budget", "passed", "report_sha256", "repaired_share",
+        }
+        assert row["passed"] and row["s"] >= 0 and len(row["runs_s"]) == 2 and len(row["report_sha256"]) == 64
+        assert row["budget_s"] is None and row["within_budget"] is None
+        assert 0 < row["repaired_share"] < 1
+    assert run["stretch"][0]["pairs"] == 128 * 127 // 2

@@ -16,10 +16,12 @@ from lightspanner.graph import (
     INF,
     BallScanner,
     DistanceBalls,
+    TightBottlenecks,
     WeightedGraph,
     adjacency_from_edges,
     distances,
     distances_and_bottlenecks,
+    repaired_distances,
     ring_distances,
     ring_distances_and_bottlenecks,
     ring_pays,
@@ -545,6 +547,41 @@ def test_ring_kernels_match_the_heap_across_a_heavy_edge():
     for s in range(3):
         assert ring_distances(3, adj, s, 0.5, 1000.0) == distances(3, adj, (s,))
         assert ring_distances_and_bottlenecks(3, adj, s, 0.5, 1000.0) == distances_and_bottlenecks(3, adj, s)
+
+
+def _random_subgraph(g, rng):
+    """Rows of a random edge subset of g, connected or not, and the (u, v, w)
+    edges of g it lacks."""
+    share = rng.choice([0.0, 0.5, 0.9, 1.0])
+    pairs = {(u, v) for u, v, _ in g.edges if rng.random() < share}
+    return graph.subgraph_adjacency(g.adj, pairs), [e for e in g.edges if (e[0], e[1]) not in pairs]
+
+
+@given(tie_heavy_graphs, st.randoms())
+def test_repaired_distances_equal_a_fresh_scan(g, rng):
+    h_adj, extra = _random_subgraph(g, rng)
+    for s in range(g.n):
+        dist_h = distances(g.n, h_adj, (s,))
+        assert repaired_distances(g.adj, extra, dist_h) == distances(g.n, g.adj, (s,))
+
+
+@given(tie_heavy_graphs, st.randoms())
+def test_tight_bottlenecks_equal_the_heap_kernels_table(g, rng):
+    h_adj, extra = _random_subgraph(g, rng)
+    for s in range(g.n):
+        dist, btl = distances_and_bottlenecks(g.n, g.adj, s)
+        walk = TightBottlenecks(g.adj, repaired_distances(g.adj, extra, distances(g.n, h_adj, (s,))), s)
+        # read in a random order: a value worked out on one walk serves the next
+        ys = list(range(g.n))
+        rng.shuffle(ys)
+        assert {y: walk[y] for y in ys} == dict(enumerate(btl))
+
+
+def test_tight_bottlenecks_walk_a_long_path_without_recursion():
+    n = 5000
+    adj = adjacency_from_edges(n, [(v, v + 1, 1.0 + (v % 3)) for v in range(n - 1)])
+    walk = TightBottlenecks(adj, distances(n, adj, (0,)), 0)
+    assert walk[n - 1] == 3.0 and walk[1] == 1.0 and walk[0] == 0.0
 
 
 @given(tie_heavy_graphs, st.randoms())

@@ -9,7 +9,6 @@ from lightspanner.errors import DisconnectedGraphError, GraphFormatError
 from lightspanner.generate import generate_graph
 from lightspanner.graph import WeightedGraph
 from lightspanner.graphio import (
-    loads_edge_list,
     read_dimacs,
     read_edge_list,
     read_graph,
@@ -20,7 +19,7 @@ from lightspanner.graphio import (
 
 from lightspanner.spanner import build_spanner
 
-from .conftest import coarse_weights, connected_graphs
+from .conftest import coarse_weights, connected_graphs, loads_edge_list
 
 
 @given(connected_graphs())

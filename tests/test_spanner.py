@@ -12,7 +12,7 @@ from lightspanner.errors import SamplingError, SpannerError
 from lightspanner.generate import generate_graph
 from lightspanner import spanner, verify
 from lightspanner.graph import WeightedGraph, subgraph_adjacency
-from lightspanner.graphio import loads_edge_list, write_graph
+from lightspanner.graphio import write_graph
 from lightspanner.nets import greedy_delta_net
 from lightspanner.spanner import (
     PHASE_H0,
@@ -30,7 +30,7 @@ from lightspanner.spanner import (
 from lightspanner.trees import mst
 
 from . import oracles
-from .conftest import random_connected_graph
+from .conftest import loads_edge_list, random_connected_graph
 
 import random
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import random
 
@@ -6,7 +8,7 @@ import pytest
 
 from lightspanner.errors import SpannerError
 from lightspanner.generate import generate_graph
-from lightspanner.graph import WeightedGraph
+from lightspanner.graph import WeightedGraph, edges_connect
 from lightspanner.nets import DeltaNet, greedy_delta_net
 from lightspanner.spanner import (
     PHASE_H0,
@@ -188,6 +190,85 @@ def test_stretch_with_one_heavy_edge_keeps_the_heap_and_matches_the_reference(mo
     monkeypatch.setattr(verify_module, "ring_distances_and_bottlenecks", refused)
     got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
     assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
+
+
+@pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
+@pytest.mark.parametrize("family, n", [("geometric_unit_square", 150), ("path", 40)])
+def test_stretch_on_heap_inputs_repairs_the_spanner_scan(monkeypatch, family, n, mode):
+    g = generate_graph(family, n, seed=3)
+    sp = build_spanner(g, eps=0.05, k=2, seed=0)
+
+    def refused(*args):
+        raise AssertionError("a second full scan of G ran")
+
+    monkeypatch.setattr(verify_module, "distances_and_bottlenecks", refused)
+    got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
+    assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
+
+
+def _absorbed_weight_case(seed, cut):
+    """n=40, 80 edges, weights 1e16 (two in five) or 0.5, 1, 2, 3: a light
+    weight vanishes in the rounding of a distance past a heavy edge. ``cut``
+    removes up to a quarter of H's edges, each only if H stays connected, so
+    the first H scan reaches every vertex and only the weights decide the
+    queue."""
+    rng = random.Random(seed)
+    n = 40
+
+    def weight():
+        return 1e16 if rng.random() < 0.4 else rng.choice((0.5, 1.0, 2.0, 3.0))
+
+    edges = {}
+    for v in range(1, n):
+        edges[(rng.randrange(v), v)] = weight()
+    while len(edges) < 2 * n:
+        a, b = rng.sample(range(n), 2)
+        edges.setdefault((min(a, b), max(a, b)), weight())
+    g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+    sp = build_spanner(g, eps=0.05, k=2, seed=0)
+    if cut:
+        kept = dict(sp.phase_tag)
+        order = sorted(kept)
+        random.Random(seed).shuffle(order)
+        goal = len(kept) - len(kept) // 4
+        for e in order:
+            if len(kept) == goal:
+                break
+            if edges_connect(n, [f for f in kept if f != e]):
+                del kept[e]
+        sp = dataclasses.replace(sp, phase_tag=kept)
+    return g, sp
+
+
+# sha256 of the all-pairs stretch report's json.dumps(..., sort_keys=True),
+# recorded before the repaired scans existed; on (52, intact) a bottleneck
+# walk run where weights vanish in distances gives another worst slack
+ABSORBED_WEIGHT_REPORTS = {
+    (0, False): "1f615759586da6920e77c725cbe50b81ebfeb5b40073dd8d8c61d605b816f6b2",
+    (0, True): "01a45600f9e109416e7af5a704fe4551fa4a6ec4a29ca49aa70c17e96493bc42",
+    (1, False): "2e37584586ab70a5609cc03232262f171ea223c38509b4291e02c64d5a20dfaf",
+    (1, True): "f8486b350724940844cd18ca62eb9b93af4f7059f2a6ac3cd92d4967c0fe5385",
+    (4, False): "e3c0d67ba9555010ab6745ce50221c36ab10981df4813c5e56f83f5e75ce5be8",
+    (4, True): "759598bd328fb14b1234c496f3d4a5b42e3beced5683cffbaa3d019cb673ab59",
+    (6, False): "2908ebb4c709bb4243c35f450b097cc1eae25af0b0c6b2e2c57b0ec884840352",
+    (6, True): "f2db5a055de32d9d346fbe557b2adb98f93f460bf7e524e267b628976e46d796",
+    (52, False): "26273705b07418d10fda87061c65f70eb87e75732d676f3b0c13f7fcc1a9cfc9",
+    (52, True): "7506c6d14bdd7de91cc608db35bd962507c5682e3b4fd3f6e8dbf26a49a0d58f",
+}
+
+
+@pytest.mark.parametrize("seed, cut", sorted(ABSORBED_WEIGHT_REPORTS))
+def test_stretch_where_weights_vanish_in_distances_keeps_the_heap(monkeypatch, seed, cut):
+    g, sp = _absorbed_weight_case(seed, cut)
+
+    def refused(*args):
+        raise AssertionError("the repaired scan ran where a weight vanishes in a distance")
+
+    monkeypatch.setattr(verify_module, "repaired_distances", refused)
+    report = verify_stretch(g, sp, mode="all_pairs").to_json_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == ABSORBED_WEIGHT_REPORTS[seed, cut]
+    assert report == oracles.stretch_reference(g, sp).to_json_dict()
 
 
 def test_sampled_mode_is_deterministic(medium_geometric):

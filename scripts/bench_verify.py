@@ -5,6 +5,12 @@
     python3 scripts/bench_verify.py --n 128 --repeat 1 --out /tmp/small.json
     python3 scripts/bench_verify.py --src ../other-checkout/src --out other.json
 
+The process pins itself to one CPU, and every time is a wall time rescaled
+to a reference machine speed as ``perfbench/run.py`` rescales its steps:
+that script's ``reference_seconds`` workload runs on the same CPU right
+before and right after each timed run, and the run's wall time is
+multiplied by ``REF_NOMINAL_S`` over their mean (``speed_factors``).
+
 For each n (default 2048, 4096 and 8192) it generates one
 geometric_unit_square graph (graph seed GRAPH_SEED), builds its spanner
 with eps 0.05, k 2 and build seed BUILD_SEED, and runs
@@ -27,9 +33,14 @@ graphs excluded since they exist before the suite starts).
 ``stretch`` holds one row per ``verify_stretch`` mode the n gets: all
 pairs where n <= ALL_PAIRS_MAX_N, and STRETCH_SAMPLE sampled sources at
 every n, each run ``--repeat`` times. A row records the median time, the
-report's sha256 (which must repeat exactly), its pairs, whether the
-median fits ``STRETCH_BUDGET_S``, and ``repaired_share``: over one more,
-untimed run, the vertices whose G distance the repair of the H scan
+report's sha256 (which must repeat exactly), its pairs and whether the
+median fits ``STRETCH_BUDGET_S``. One more, untimed run records which
+per-source kernels ``verify`` called and how often (``kernel_calls``,
+by name, for each name in STRETCH_KERNELS the checkout has); over the
+scans on bucket tables, H's and the repair's, the scans, the slots their
+walks pass (``slots_walked``) and their re-settles (``resettled``), null
+where the checkout has no ``bucket_lowered``; and ``repaired_share``, the
+vertices whose G distance the repair of the H scan
 (``repaired_distances``) settles, as a share of n per source, or null
 where no repair ran.
 
@@ -41,7 +52,9 @@ rename in ``verify`` shows there.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -49,7 +62,7 @@ import statistics
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 EPS = 0.05
 K = 2
@@ -77,6 +90,42 @@ ALL_PAIRS_MAX_N = 4096
 STRETCH_SAMPLE = 64
 # seconds the all-pairs stretch check may take at each n, on the same host
 STRETCH_BUDGET_S = {4096: 120.0}
+# the per-source kernels verify_stretch may call, counted where the checkout has them
+STRETCH_KERNELS = (
+    "distances",
+    "bucket_lowered",
+    "ring_distances",
+    "ring_distances_and_bottlenecks",
+    "repaired_distances",
+    "distances_and_bottlenecks",
+)
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+
+
+@functools.cache
+def _perfbench_run():
+    """perfbench/run.py as a module, for its reference workload."""
+    sys.path.insert(0, PERFBENCH)  # run.py imports its neighbours
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(PERFBENCH, "run.py"))
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(PERFBENCH)
+    return module
+
+
+def at_reference_speed(fn):
+    """fn()'s result, its wall time at the reference speed, and the speed
+    factor: REF_NOMINAL_S over the mean of the reference times right before
+    and right after it."""
+    bench = _perfbench_run()
+    before = bench.reference_seconds()
+    start = time.perf_counter()
+    result = fn()
+    wall = time.perf_counter() - start
+    factor = bench.REF_NOMINAL_S / ((before + bench.reference_seconds()) / 2.0)
+    return result, wall * factor, factor
 
 
 @contextmanager
@@ -151,34 +200,69 @@ def balls_and_peak(verify, g, sp) -> tuple[dict[str, list[int]], float]:
     return counts, peak / 1e6
 
 
-def repaired_share(verify, g, sp, mode: str) -> float | None:
-    """One untimed verify_stretch run: the vertices whose distance the
-    repair lowers, and so settles, per vertex and source; None where no
-    repair ran or ``verify`` has none."""
-    counts = [0, 0]  # vertices settled, vertices scanned
+def stretch_counts(verify, graph, g, sp, mode: str) -> dict:
+    """One untimed verify_stretch run: how often verify called each
+    per-source kernel, the bucket scans' count, slots and re-settles, and
+    the vertices whose distance the repair lowers, and so settles, per
+    vertex and source (None where no repair ran)."""
+    calls = {name: 0 for name in STRETCH_KERNELS if hasattr(verify, name)}
+    buckets = [0, 0, 0]  # scans, slots walked, re-settles
+    lowered = [0, 0]  # vertices settled by the repair, vertices scanned
 
-    def counting(repair):
-        def counted(adj, extra, dist_h):
-            dist = repair(adj, extra, dist_h)
-            counts[0] += sum(1 for d, dh in zip(dist, dist_h) if d < dh)
-            counts[1] += len(dist)
+    def counting(name):
+        def make(kernel):
+            def counted(*args):
+                calls[name] += 1
+                return kernel(*args)
+
+            return counted
+
+        return make
+
+    def walking(kernel):
+        def walked(adj, dist, pending, width, slots):
+            again = kernel(adj, dist, pending, width, slots)
+            buckets[0] += 1
+            buckets[1] += slots
+            buckets[2] += again
+            return again
+
+        return walked
+
+    def repairing(kernel):
+        def repaired(adj, extra, dist_h, *table):
+            dist = kernel(adj, extra, dist_h, *table)
+            lowered[0] += sum(1 for d, dh in zip(dist, dist_h) if d < dh)
+            lowered[1] += len(dist)
             return dist
 
-        return counted
+        return repaired
 
-    if not hasattr(verify, "repaired_distances"):
-        return None
-    with patched(verify, {"repaired_distances": counting}):
+    has_buckets = hasattr(graph, "bucket_lowered")
+    with ExitStack() as stack:
+        stack.enter_context(patched(verify, {name: counting(name) for name in calls}))
+        if "repaired_distances" in calls:
+            stack.enter_context(patched(verify, {"repaired_distances": repairing}))
+        if has_buckets:
+            # verify's H scans and the repair in graph each call their own binding
+            stack.enter_context(patched(verify, {"bucket_lowered": walking}))
+            stack.enter_context(patched(graph, {"bucket_lowered": walking}))
         verify.verify_stretch(g, sp, mode=mode, sample_size=STRETCH_SAMPLE)
-    return round(counts[0] / counts[1], 4) if counts[1] else None
+    return {
+        "kernel_calls": calls,
+        "bucket_scans": buckets[0] if has_buckets else None,
+        "slots_walked": buckets[1] if has_buckets else None,
+        "resettled": buckets[2] if has_buckets else None,
+        "repaired_share": round(lowered[0] / lowered[1], 4) if lowered[1] else None,
+    }
 
 
-def measure_stretch(verify, g, sp, mode: str, repeat: int) -> dict:
-    runs, digests = [], set()
+def measure_stretch(verify, graph, g, sp, mode: str, repeat: int) -> dict:
+    runs, factors, digests = [], [], set()
     for _ in range(repeat):
-        start = time.perf_counter()
-        report = verify.verify_stretch(g, sp, mode=mode, sample_size=STRETCH_SAMPLE)
-        runs.append(time.perf_counter() - start)
+        report, s, factor = at_reference_speed(lambda: verify.verify_stretch(g, sp, mode=mode, sample_size=STRETCH_SAMPLE))
+        runs.append(s)
+        factors.append(factor)
         payload = json.dumps(report.to_json_dict(), sort_keys=True).encode()
         digests.add(hashlib.sha256(payload).hexdigest())
     if len(digests) != 1:
@@ -190,32 +274,31 @@ def measure_stretch(verify, g, sp, mode: str, repeat: int) -> dict:
         "pairs": report.pairs_checked,
         "s": round(s, 3),
         "runs_s": [round(t, 3) for t in runs],
+        "speed_factors": [round(f, 3) for f in factors],
         "budget_s": budget,
         "within_budget": None if budget is None else s <= budget,
         "passed": report.passed,
         "report_sha256": digests.pop(),
-        "repaired_share": repaired_share(verify, g, sp, mode),
+        **stretch_counts(verify, graph, g, sp, mode),
     }
 
 
 def measure(n: int, repeat: int) -> dict:
-    from lightspanner import verify
+    from lightspanner import graph, verify
     from lightspanner.generate import generate_graph
     from lightspanner.spanner import build_spanner
 
     g = generate_graph(FAMILY, n, seed=GRAPH_SEED)
-    start = time.perf_counter()
-    sp = build_spanner(g, EPS, K, BUILD_SEED, keep_internals=True)
-    build_s = time.perf_counter() - start
-    suites, per_check, digests = [], {fn: [] for fn in TIMED}, set()
+    sp, build_s, _ = at_reference_speed(lambda: build_spanner(g, EPS, K, BUILD_SEED, keep_internals=True))
+    suites, factors, per_check, digests = [], [], {fn: [] for fn in TIMED}, set()
     for _ in range(repeat):
         spent: dict[str, float] = {}
         with timed_checks(verify, spent):
-            start = time.perf_counter()
-            report = verify.verify_lemma_suite(g, sp)
-            suites.append(time.perf_counter() - start)
+            report, suite_s, factor = at_reference_speed(lambda: verify.verify_lemma_suite(g, sp))
+        suites.append(suite_s)
+        factors.append(factor)
         for fn in TIMED:
-            per_check[fn].append(spent[fn])
+            per_check[fn].append(spent[fn] * factor)
         payload = json.dumps(report.to_json_dict(), sort_keys=True).encode()
         digests.add(hashlib.sha256(payload).hexdigest())
     if len(digests) != 1:
@@ -223,13 +306,14 @@ def measure(n: int, repeat: int) -> dict:
     balls, peak_mb = balls_and_peak(verify, g, sp)
     suite_s = statistics.median(suites)
     modes = ("all_pairs", "sampled") if n <= ALL_PAIRS_MAX_N else ("sampled",)
-    stretch = [measure_stretch(verify, g, sp, mode, repeat) for mode in modes]
+    stretch = [measure_stretch(verify, graph, g, sp, mode, repeat) for mode in modes]
     return {
         "n": n,
         "m": g.m,
         "build_s": round(build_s, 3),
         "suite_s": round(suite_s, 3),
         "suite_runs_s": [round(s, 3) for s in suites],
+        "speed_factors": [round(f, 3) for f in factors],
         "budget_s": BUDGET_S.get(n),
         "within_budget": None if n not in BUDGET_S else suite_s <= BUDGET_S[n],
         "passed": report.passed,
@@ -260,11 +344,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     sys.path.insert(0, os.path.abspath(args.src))
-    runs = [measure(n, args.repeat) for n in args.n]
+    cpus = os.sched_getaffinity(0)
+    # the reference workload and the timed runs share one CPU, so one speed factor covers both
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        runs = [measure(n, args.repeat) for n in args.n]
+    finally:
+        os.sched_setaffinity(0, cpus)
     out = {
         "schema": "bench_verify/v1",
         "params": {"family": FAMILY, "eps": EPS, "k": K, "graph_seed": GRAPH_SEED, "build_seed": BUILD_SEED},
         "python": platform.python_version(),
+        "ref_nominal_s": _perfbench_run().REF_NOMINAL_S,
         "repeat": args.repeat,
         "runs": runs,
     }
@@ -278,7 +369,11 @@ def main(argv: list[str] | None = None) -> int:
             f"{run['pivot_balls']} pivot balls, peak {run['peak_mb']} MB"
         )
         for row in run["stretch"]:
-            print(f"n={run['n']}: stretch {row['mode']} {row['s']} s, repaired share {row['repaired_share']}")
+            print(
+                f"n={run['n']}: stretch {row['mode']} {row['s']} s, kernels {row['kernel_calls']}, "
+                f"{row['slots_walked']} slots walked, {row['resettled']} re-settles, "
+                f"repaired share {row['repaired_share']}"
+            )
     return 0
 
 

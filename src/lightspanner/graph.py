@@ -55,26 +55,36 @@ dist table, and able to stop once given targets have settled;
 the verifier's subgraphs get their rows from ``subgraph_adjacency``, whose
 rows share the host's entries.
 
-``ring_distances`` and ``ring_distances_and_bottlenecks`` return the tables
-of ``distances`` from one source and of ``distances_and_bottlenecks`` on
-Dial's bucket queue instead of a heap: int(max_w / delta) + 2 slots of width
-delta, half the lightest edge, reused cyclically. A vertex is appended to
-slot int(d * (1 / delta)) on each strict improvement and settles when the
-cursor reaches that slot; a stale entry is skipped. Every vertex u with
-dist[u] + w <= dist[v] lies in an earlier slot than v, so both tables equal
-the heap kernels' bit for bit. A scan stops once all n vertices have
-settled. A slot walked or made costs about what one heap push and pop cost,
-so the ring pays when a scan's walk and its ring together come to at most
-one slot per vertex: ``ring_pays`` checks that from one scan's eccentricity
-and the heaviest edge, so one heavy edge keeps the heap. Measured on
-the stretch check's first source, G(n,p) n=4096 has 280-350 vertices per
-slot, and its G and H scans fell from 22-24 to 14-15 ms per source;
-geometric graphs (n=512 and 8192) have 0.1-0.4 and keep the heap.
+``bucket_lowered`` lowers a table to the one ``distances`` settles, on a
+table of distance slots instead of a heap: a vertex is appended to slot
+int(d * (1 / width)) when its label d strictly falls, and the slots are
+drained in order, each until it is stable. Slots may be wider than the
+lightest edge, so a vertex lowered after it ran is run again (a
+re-settle); a scan that re-settles more than n vertices hands the rest to
+the heap. The table is not reused cyclically: ``bucket_table`` sizes it
+from one scan, up to a ceiling above every distance a scan from any
+vertex meets, which also stands for "not reached yet", so no heavy edge
+lengthens it. Its width is max(half the lightest edge, 16 * ecc / n):
+Dial's on G(n,p) inputs, and on geometric ones, whose lightest edge is
+far below the median, a walk of at most n / 8 slots. Every label is the
+left-to-right float sum along a walk, and the table ends where no edge
+lowers it, so it equals the heap's bit for bit.
+``ring_distances_and_bottlenecks`` returns ``distances_and_bottlenecks``'s
+tables on Dial's bucket queue: int(max_w / delta) + 2 slots of width
+delta, half the lightest edge, reused cyclically, where every vertex u
+with dist[u] + w <= dist[v] lies in an earlier slot than v. A slot walked
+or made costs about what one heap push and pop cost, so the ring pays
+when a scan's walk and its ring together come to at most one slot per
+vertex: ``ring_pays`` checks that from one scan's eccentricity and the
+heaviest edge, so one heavy edge keeps the heap. Measured on the stretch
+check's first source, G(n,p) n=4096 has 280-350 vertices per slot, and
+its G and H scans fell from 22-24 to 14-15 ms per source; geometric
+graphs (n=512 and 8192) have 0.1-0.4 and keep G off the ring.
 
 ``repaired_distances`` gives ``distances``'s table on a graph from the
-table of one of its subgraphs H: it relaxes the edges H lacks and settles
-only the vertices they bring closer, so where H keeps most edges it
-settles a fraction of the vertices a fresh scan settles.
+table of one of its subgraphs H: it relaxes the edges H lacks and settles,
+on a bucket table, only the vertices they bring closer, so where H keeps
+most edges it settles a fraction of the vertices a fresh scan settles.
 ``TightBottlenecks`` reads ``distances_and_bottlenecks``'s bottleneck
 table one entry at a time from the distances alone, walking back over
 strictly closer tight predecessors; it holds where no weight vanishes in
@@ -170,8 +180,15 @@ class WeightedGraph:
             raise DisconnectedGraphError(
                 f"graph on {n} vertices is not connected: {len(pair_weight)} edges are fewer than n - 1"
             )
-        canon = sorted((u, v, w) for (u, v), w in pair_weight.items())
+        # each pair's key tuple is freed as its edge tuple is made, so the
+        # two sets of tuples are never alive together
+        canon = []
+        take, keep = pair_weight.popitem, canon.append
+        for _ in range(len(pair_weight)):
+            (u, v), w = take()
+            keep((u, v, w))
         del pair_weight
+        canon.sort()
         if n > 1 and not edges_connect(n, canon):
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
         self._assemble(n, tuple(canon), tuple(labels) if labels is not None else None)
@@ -572,9 +589,9 @@ def distances(n, adj, sources):
 
 def _lowered(adj, dist, heap):
     """``dist`` once the (distance, vertex) ``heap`` is settled over
-    ``adj``: the loop of ``distances`` and ``repaired_distances``. The heap
-    holds an entry (dist[v], v) for each vertex v whose edges are still to
-    be relaxed; an entry above its vertex's distance is stale."""
+    ``adj``: the loop of ``distances``, where ``bucket_lowered`` hands over
+    too. The heap holds an entry (dist[v], v) for each vertex v whose edges
+    are still to be relaxed; an entry above its vertex's distance is stale."""
     push, pop = heapq.heappush, heapq.heappop
     while heap:
         d, u = pop(heap)
@@ -628,18 +645,115 @@ def distances_and_bottlenecks(n, adj, source):
     return dist, btl
 
 
-def repaired_distances(adj, extra, dist_h):
+# bucket_table's width is at least BUCKET_SPREAD * ecc / n, so a walk up to
+# 2 * ecc passes at most 2 * n / BUCKET_SPREAD slots
+BUCKET_SPREAD = 16
+
+
+def bucket_table(n: int, delta: float, dist: Sequence[float]) -> tuple[float, int, float] | None:
+    """The (width, slots, ceiling) of ``bucket_lowered`` scans from any
+    vertex on a graph H of n vertices, or on a graph that contains H,
+    whose lightest edge weighs 2 * ``delta``, given ``dist``, the
+    ``distances`` table of H from one vertex x0; None where that scan
+    missed a vertex.
+
+    The width is max(delta, BUCKET_SPREAD * ecc / n), ecc = max(dist):
+    Dial's where weights lie within a bounded ratio, and otherwise wide
+    enough that the walk passes at most 2 * n / BUCKET_SPREAD slots, so a
+    few very light edges cannot stretch it.
+
+    The ceiling, 2 * ecc * (1 + 2**-20), lies above every distance those
+    scans settle, so it can stand for "not reached yet". A scan from x
+    reaches y along the walk from x back to x0 and on to y in H, and its
+    distance is at most that walk's left-to-right float sum (see
+    ``bucket_lowered``). The two halves' exact sums are at most their
+    float sums in ``dist``, each at most ecc, times (1 - u)**-n, and the
+    walk's float sum is at most its exact sum times (1 + u)**(2n), for
+    u = 2**-53; for n below 2**30 that is below the ceiling. A graph that
+    contains H has no longer distances. The slots are int(ceiling * (1 /
+    width)) + 1, which ``bucket_lowered`` computes from the same floats,
+    so any label up to the ceiling has a slot, and there are at most
+    n / 8 + 1 of them.
+    """
+    ecc = max(dist)
+    if ecc == INF:
+        return None
+    width = max(delta, BUCKET_SPREAD * ecc / n)
+    ceiling = 2.0 * ecc * (1.0 + 2.0**-20)
+    return width, int(ceiling * (1.0 / width)) + 1, ceiling
+
+
+def bucket_lowered(adj, dist, pending, width, slots) -> int:
+    """Lower ``dist`` in place to the table a heap would settle from it
+    over ``adj``, where ``pending`` lists the vertices whose edges are still
+    to be relaxed; returns the number of re-settles.
+
+    Slot k of a table of ``slots`` (not reused cyclically) holds the
+    vertices whose label d has int(d * (1 / width)) == k, so every entry
+    of ``dist``, a ceiling that stands for "not reached yet" included, must
+    fall in one (see ``bucket_table``). A vertex is appended to its slot
+    when its label strictly falls. The slots are drained in order, each
+    until it is stable: a vertex met with its ``done`` flag clear is
+    processed at its current label, relaxing its edges, and an entry met
+    with the flag set is stale. Slots may be wider than the lightest edge,
+    so a vertex can be lowered after it was processed; its flag is then
+    cleared and it is processed again, a re-settle. Float addition and
+    multiplication are monotone, so a processed label's slot is the one
+    being drained and no label falls into a slot already passed. Once more
+    than len(dist) re-settles have run, the remaining entries finish on
+    ``distances``'s heap loop (``_lowered``), so the re-settles of a slot
+    crowded with light edges add at most about one scan's work.
+
+    Every label set is the left-to-right float sum along a walk from a
+    starting label, and every vertex lowered or pending has relaxed its
+    edges from its final label. So no such edge lowers the final table,
+    and by induction along the heap's shortest paths each final label is
+    at most the heap's, and as such a sum at least the heap's: the two
+    tables agree bit for bit wherever the heap's lie below the ceiling.
+    """
+    inv = 1.0 / width
+    table = [[] for _ in range(slots)]
+    for v in pending:
+        table[int(dist[v] * inv)].append(v)
+    done = bytearray(len(dist))
+    again = 0
+    for bucket in table:
+        # entries appended to this slot while it drains are met here too
+        for u in bucket:
+            if done[u]:
+                continue
+            done[u] = 1
+            d = dist[u]
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    table[int(nd * inv)].append(v)
+                    if done[v]:
+                        done[v] = 0
+                        again += 1
+                        if again > len(dist):
+                            done[u] = 0  # u's row was cut short
+                            heap = [(dist[y], y) for entries in table for y in entries if not done[y]]
+                            heapq.heapify(heap)
+                            _lowered(adj, dist, heap)
+                            return again
+    return again
+
+
+def repaired_distances(adj, extra, dist_h, width, slots):
     """``distances(n, adj, (x,))`` from ``dist_h``, the table ``distances``
-    gives from x on a subgraph H of ``adj``, whose edges keep their weights.
+    gives from x on a subgraph H of ``adj``, whose edges keep their weights,
+    with a ceiling in place of INF where there is one.
 
     ``extra`` holds the (u, v, w) edges of ``adj`` that H lacks. Each
     relaxes its nearer end's H distance across it, and only the vertices
-    whose distance strictly falls are pushed on a (distance, vertex) heap,
-    which then runs ``distances``'s loop (``_lowered``) over all of
-    ``adj``'s rows. A vertex whose distance does not fall is never popped:
-    every H edge it has already holds in ``dist_h``, and every other edge
-    was relaxed from it first. So the scan settles exactly the vertices
-    whose distance falls, each once, at its final distance.
+    whose distance strictly falls go to ``bucket_lowered``, on a table of
+    ``slots`` slots of ``width`` that holds every entry of ``dist_h``. A
+    vertex whose distance does not fall is never processed: every H edge
+    it has already holds in ``dist_h``, and every other edge was relaxed
+    from it first. So the scan settles only the vertices whose distance
+    falls.
 
     Every label is the left-to-right float sum along a graph path from x,
     each the least over H's paths at the start, and the loop lowers a
@@ -648,7 +762,7 @@ def repaired_distances(adj, extra, dist_h):
     ``distances``: the two tables agree bit for bit.
     """
     dist = list(dist_h)
-    heap = []
+    lowered = []
     for u, v, w in extra:
         du = dist_h[u]
         dv = dist_h[v]
@@ -656,14 +770,14 @@ def repaired_distances(adj, extra, dist_h):
             nd = du + w
             if nd < dist[v]:
                 dist[v] = nd
-                heap.append((nd, v))
+                lowered.append(v)
         elif dv < du:
             nd = dv + w
             if nd < dist[u]:
                 dist[u] = nd
-                heap.append((nd, u))
-    heapq.heapify(heap)
-    return _lowered(adj, dist, heap)
+                lowered.append(u)
+    bucket_lowered(adj, dist, lowered, width, slots)
+    return dist
 
 
 class TightBottlenecks:
@@ -729,7 +843,7 @@ class TightBottlenecks:
 
 
 def ring_pays(n: int, delta: float, max_weight: float, dist: Sequence[float]) -> bool:
-    """Whether the ring kernels, with slots of width ``delta`` on a graph
+    """Whether the ring kernel, with slots of width ``delta`` on a graph
     whose heaviest edge weighs ``max_weight``, beat the heap for full scans
     from any source of a graph whose scan from one source gave ``dist``.
 
@@ -743,14 +857,14 @@ def ring_pays(n: int, delta: float, max_weight: float, dist: Sequence[float]) ->
     shortest path uses, says no, as does an unreached vertex (INF). The
     rule also keeps every distance below n * delta, so for n under about
     2**40 no float rounding of a distance or a slot index can reach a
-    slot's width (see ``ring_distances``).
+    slot's width (see ``ring_distances_and_bottlenecks``).
     """
     return 2.0 * max(dist) / delta + int(max_weight / delta) + 2 <= n
 
 
-def ring_distances(n, adj, source, delta, max_weight):
-    """``distances(n, adj, (source,))`` on Dial's ring of distance slots
-    instead of a heap.
+def ring_distances_and_bottlenecks(n, adj, source, delta, max_weight):
+    """``distances_and_bottlenecks(n, adj, source)`` on Dial's ring of
+    distance slots instead of a heap, where ``ring_pays``.
 
     Slot k holds the vertices whose distance d has int(d * (1 / delta))
     == k, and a vertex is appended to its slot on each strict improvement,
@@ -769,53 +883,10 @@ def ring_distances(n, adj, source, delta, max_weight):
     Every vertex u with dist[u] + w <= dist[v] lies in an earlier slot
     than v, so it has settled and relaxed v before v's slot comes up, and
     no vertex of v's slot can lower dist[v]. Each vertex thus settles once,
-    at its final distance, as in the heap. In both kernels dist[v] ends as
-    the least float sum dist[u] + w over v's edges, from final dist[u]s,
-    so by induction in distance order the tables agree bit for bit.
-    """
-    dist = [INF] * n
-    done = bytearray(n)
-    dist[source] = 0.0
-    inv = 1.0 / delta
-    slots = int(max_weight * inv) + 2
-    ring = [[] for _ in range(slots)]
-    ring[0].append(source)
-    at = idle = 0
-    left = n  # vertices not yet settled
-    while idle < slots:
-        bucket = ring[at]
-        if bucket:
-            ring[at] = []
-            idle = 0
-            for u in bucket:
-                if done[u]:
-                    continue
-                done[u] = 1
-                left -= 1
-                d = dist[u]
-                for v, w in adj[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        ring[int(nd * inv) % slots].append(v)
-            if not left:
-                break
-        else:
-            idle += 1
-        at += 1
-        if at == slots:
-            at = 0
-    return dist
-
-
-def ring_distances_and_bottlenecks(n, adj, source, delta, max_weight):
-    """``distances_and_bottlenecks(n, adj, source)`` on the ring of
-    ``ring_distances``, with that kernel's conditions on the weights.
-
-    The bottleneck rule is the heap kernel's. Every u that ties v, with
-    dist[u] + w == dist[v], lies in an earlier slot than v, so it settles
-    and offers max(btl[u], w) before v settles, and ``btl[v]`` is final
-    when v's slot comes up: the same table as the heap's.
+    at its final distance, as in the heap, and by induction in distance
+    order the dist tables agree bit for bit. The bottleneck rule is the
+    heap kernel's: every u that ties v settles and offers max(btl[u], w)
+    before v settles, so ``btl[v]`` is final when v's slot comes up.
     """
     dist = [INF] * n
     btl = [0.0] * n

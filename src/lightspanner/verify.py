@@ -51,9 +51,10 @@ deterministic given (graph, spanner, mode, seed).
 Every scan here reads only distances (and, for stretch, the graph's
 bottlenecks), except verify_net's multi-source ``scan``, which reads
 origins: the stretch check, verify_slt and the lemma suite's full rows run
-graph's distance-only full kernels, the stretch check on the ring kernels
-where its input's weights let the ring pay, and every truncated ball, the
-packing check's included, runs on ``DistanceBalls``.
+graph's distance-only full kernels, the stretch check on bucket tables of
+distance slots from its second source on, and on the ring for G where its
+input's weights let the ring pay, and every truncated ball, the packing
+check's included, runs on ``DistanceBalls``.
 """
 from __future__ import annotations
 
@@ -67,8 +68,8 @@ from typing import ClassVar, NamedTuple, Sequence
 
 from .errors import SpannerError
 from .graph import INF, DistanceBalls, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
-from .graph import TightBottlenecks, repaired_distances, ring_distances, ring_distances_and_bottlenecks, ring_pays
-from .graph import subgraph_adjacency
+from .graph import TightBottlenecks, bucket_lowered, bucket_table, repaired_distances, ring_distances_and_bottlenecks
+from .graph import ring_pays, subgraph_adjacency
 from .nets import DeltaNet
 from .spanner import BuildInternals, Spanner
 from .trees import SltForest, SpanningTree, mst
@@ -177,46 +178,48 @@ def verify_stretch(
     min(sample_size, n) sources; a sample_size below 1 is a ValueError,
     since a certification that checks no pair would pass vacuously.
 
-    Each source scans H in full with ``distances``, and G's distances
-    come from one of three kernels, picked once per call on the first
-    source, whose scans run on the heap (a call with one source keeps the
-    heap). None keeps a parent, origin or
-    bottleneck heap key. A pair with d_H <= alpha*d_G has slack <= 0 and
-    is within the bound, so W, the slack and the bound are read only for
-    a pair above that line.
+    The first source scans H with ``distances`` and, from that scan,
+    fixes the queue of the other sources' H scans and which of three
+    kernels gives every source's G distances (a call with one source
+    keeps the heap). None keeps a parent, origin or bottleneck heap key. A pair with d_H <= alpha*d_G
+    has slack <= 0 and is within the bound, so W, the slack and the bound
+    are read only for a pair above that line.
 
-    * The ring, when ``ring_pays``: the first H scan reached all n
-      vertices and 2 * ecc_H(x0) / delta plus the ring's int(max_w /
-      delta) + 2 slots is at most n, for slots of width delta, half G's
-      lightest edge. The other sources scan H with ``ring_distances`` and
-      G with ``ring_distances_and_bottlenecks``. Every distance either
-      scan meets is at most 2 * ecc_H(x0), since d_G <= d_H, by the
-      triangle inequality through x0, and a scan stops at the slot of its
-      last settled vertex; so the rule is the cost model's break-even, at
-      least one vertex per slot walked or made (a slot costs about one
-      heap push and pop), and it keeps every weight far above a
-      distance's rounding. One heavy edge makes the ring too long, so
-      such an input keeps the heap, even when no shortest path uses the
-      edge. G(n,p), grid and star inputs take the ring (G(n,p) n=4096:
-      280-350 vertices per slot).
-    * The repair, where the ring does not pay and delta > ecc_H(x0) *
-      2**-49: ``repaired_distances`` turns each source's H table into
-      G's, relaxing only G's edges that H lacks (listed once per call)
-      and settling only the vertices they bring closer, and
-      ``TightBottlenecks`` works out W for a pair above the line alone.
-      Every weight is then above 2**-49 of any distance a scan meets (at
-      most 2 * ecc_H(x0) again), at least eight of its ulps, so no weight
-      vanishes in a distance's rounding and the walk gives the heap
-      kernel's table. Geometric inputs (0.1-0.4 vertices per slot at
-      n=512 and 8192) and long paths take it; on geometric n=512 and
-      8192 spanners, which keep 81-88% of G's edges, the repair settles
-      50-62% of the vertices per source.
-    * The heap otherwise, for an H that misses a vertex or a weight that
-      can vanish in a distance (such as 0.5 next to 1e16): every source
-      runs ``distances_and_bottlenecks`` on G.
+    * H: where the first H scan reached all n vertices, the other sources
+      scan H on ``bucket_lowered``, on the table ``bucket_table`` sizes
+      from that scan: slots of width max(delta, 16 * ecc_H(x0) / n), for
+      delta half G's lightest edge, up to a ceiling above every distance
+      a later scan meets (at most 2 * ecc_H(x0), since d_G <= d_H, by the
+      triangle inequality through x0). That is Dial's width on G(n,p)
+      inputs; on geometric ones, whose lightest edge is far below the
+      median, it keeps the walk to at most n / 8 slots, and draining a
+      slot until it is stable re-settles a fraction of a percent of the
+      vertices.
+    * G on the ring, when ``ring_pays``: 2 * ecc_H(x0) / delta plus the
+      ring's int(max_w / delta) + 2 slots is at most n, so each source
+      runs ``ring_distances_and_bottlenecks``. The rule is the cost
+      model's break-even, at least one vertex per slot walked or made (a
+      slot costs about one heap push and pop), and it keeps every weight
+      far above a distance's rounding. One heavy edge makes the ring too
+      long, even when no shortest path uses the edge. G(n,p), grid and
+      star inputs take the ring (G(n,p) n=4096: 280-350 vertices per slot).
+    * G by repair, where the ring does not pay and delta > ecc_H(x0) *
+      2**-49: ``repaired_distances`` turns each source's H table into G's
+      on the same bucket table, relaxing only G's edges that H lacks
+      (listed once per call) and settling only the vertices they bring
+      closer, and ``TightBottlenecks`` works out W for a pair above the
+      line alone. Every weight is then above 2**-49 of any distance a scan
+      meets, at least eight of its ulps, so no weight vanishes in a
+      distance's rounding and the walk gives the heap kernel's table.
+      Geometric inputs and long paths take it; on geometric n=512 and 8192
+      spanners, which keep 81-88% of G's edges, the repair settles 50-62%
+      of the vertices per source.
+    * G on the heap otherwise, for an H that misses a vertex or a weight
+      that can vanish in a distance (such as 0.5 next to 1e16): every
+      source runs ``distances_and_bottlenecks``.
 
-    All three return the heap kernels' tables bit for bit, so the report
-    does not depend on the kernel.
+    Every kernel returns the heap kernels' tables bit for bit, so the
+    report does not depend on the kernel.
     """
     _check_host(g, sp)
     n = g.n
@@ -248,29 +251,34 @@ def verify_stretch(
     violation_count = 0
     tol = 1.0 + REL_TOL
 
-    # picked on the first source: the ring's (delta, heaviest weight), or the
-    # edges of G that H lacks, which the repair relaxes
-    ring = extra = None
+    # fixed on the first source: the bucket table of H's scans, and the
+    # ring's (delta, heaviest weight) or the edges of G that H lacks
+    bucket = ring = extra = None
     for x in sources:
-        if ring:
-            dist_g, btl_g = ring_distances_and_bottlenecks(n, g.adj, x, *ring)
-            dist_h = ring_distances(n, h_adj, x, *ring)
+        if bucket:
+            width, slots, ceiling = bucket
+            dist_h = [ceiling] * n
+            dist_h[x] = 0.0
+            bucket_lowered(h_adj, dist_h, (x,), width, slots)
         else:
             dist_h = distances(n, h_adj, (x,))
             if x == sources[0] and len(sources) > 1:
                 weights = [w for _, _, w in g.iter_edges()]
                 delta = 0.5 * min(weights)
                 heaviest = max(weights)
+                bucket = bucket_table(n, delta, dist_h)
                 if ring_pays(n, delta, heaviest, dist_h):
                     ring = (delta, heaviest)
                 elif delta > max(dist_h) * 2.0**-49:
                     tags = sp.phase_tag
                     extra = [e for e in g.iter_edges() if (e[0], e[1]) not in tags]
-            if extra is not None:
-                dist_g = repaired_distances(g.adj, extra, dist_h)
-                btl_g = TightBottlenecks(g.adj, dist_g, x)
-            else:
-                dist_g, btl_g = distances_and_bottlenecks(n, g.adj, x)
+        if ring:
+            dist_g, btl_g = ring_distances_and_bottlenecks(n, g.adj, x, *ring)
+        elif extra is not None:
+            dist_g = repaired_distances(g.adj, extra, dist_h, *bucket[:2])
+            btl_g = TightBottlenecks(g.adj, dist_g, x)
+        else:
+            dist_g, btl_g = distances_and_bottlenecks(n, g.adj, x)
         if mode == "all_pairs":
             lo = x + 1
             pairs += n - lo

@@ -74,6 +74,34 @@ def erdos_renyi_with_a_heavy_edge(n: int, seed: int, weight: float) -> WeightedG
     return WeightedGraph(n, [*g.iter_edges(), (u, v, weight)])
 
 
+def crowded_slot_graph(chains: int = 8, leaves: int = 200, heavy: int = 40) -> WeightedGraph:
+    """Mixed weights that crowd one bucket slot: ``heavy`` edges of weight 4
+    stretch the eccentricity from 0, so a slot is wider than the whole
+    cluster at 0. There hub 1 hangs off 0 by an edge of 1.0 and carries
+    ``leaves`` leaves by edges of 1/64, and chain j of j + 1 edges reaches
+    the hub from 0 at 1 - j/64: the longer the chain, the shorter, so each
+    chain lowers the hub after it and its leaves have run."""
+    edges = [(0, 1, 1.0)]
+    nxt = 2
+    for _ in range(leaves):
+        edges.append((1, nxt, 1.0 / 64))
+        nxt += 1
+    for j in range(1, chains + 1):
+        w = (1.0 - j / 64.0) / (j + 1)
+        prev = 0
+        for _ in range(j):
+            edges.append((prev, nxt, w))
+            prev = nxt
+            nxt += 1
+        edges.append((prev, 1, w))
+    prev = 0
+    for _ in range(heavy):
+        edges.append((prev, nxt, 4.0))
+        prev = nxt
+        nxt += 1
+    return WeightedGraph(nxt, edges)
+
+
 @pytest.fixture(scope="session")
 def medium_geometric():
     return generate_graph("geometric_unit_square", 150, seed=11)

@@ -19,10 +19,11 @@ from lightspanner.graph import (
     TightBottlenecks,
     WeightedGraph,
     adjacency_from_edges,
+    bucket_lowered,
+    bucket_table,
     distances,
     distances_and_bottlenecks,
     repaired_distances,
-    ring_distances,
     ring_distances_and_bottlenecks,
     ring_pays,
     scan,
@@ -30,7 +31,7 @@ from lightspanner.graph import (
 )
 from lightspanner.trees import mst
 
-from .conftest import coarse_weights, connected_graphs, erdos_renyi_with_a_heavy_edge
+from .conftest import coarse_weights, connected_graphs, crowded_slot_graph, erdos_renyi_with_a_heavy_edge
 from . import oracles
 from .oracles import dijkstra, multi_source_dijkstra, shortest_path
 
@@ -488,7 +489,6 @@ def test_ring_kernels_return_the_heap_kernels_tables(g, data):
     delta, heaviest = _ring_width(g)
     assert ring_pays(g.n, delta, heaviest, distances(g.n, g.adj, (0,)))
     s = data.draw(st.integers(0, g.n - 1))
-    assert ring_distances(g.n, g.adj, s, delta, heaviest) == distances(g.n, g.adj, (s,))
     assert ring_distances_and_bottlenecks(g.n, g.adj, s, delta, heaviest) == distances_and_bottlenecks(g.n, g.adj, s)
 
 
@@ -498,14 +498,12 @@ def test_ring_kernels_match_scan_on_families(name):
     delta, heaviest = _ring_width(g)
     for s in range(g.n):
         dist, bottleneck = _scan_dist_btl(g.n, g.adj, (s,))
-        assert ring_distances(g.n, g.adj, s, delta, heaviest) == dist
         assert ring_distances_and_bottlenecks(g.n, g.adj, s, delta, heaviest) == (dist, bottleneck)
 
 
 def test_ring_kernels_leave_unreached_vertices_at_inf():
     adj = adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
     for s in range(6):
-        assert ring_distances(6, adj, s, 0.5, 3.0) == distances(6, adj, (s,))
         assert ring_distances_and_bottlenecks(6, adj, s, 0.5, 3.0) == distances_and_bottlenecks(6, adj, s)
     assert not ring_pays(6, 0.5, 3.0, distances(6, adj, (0,)))
 
@@ -545,7 +543,6 @@ def test_ring_kernels_match_the_heap_across_a_heavy_edge():
     # ahead when the scan has settled every vertex
     adj = adjacency_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1000.0)])
     for s in range(3):
-        assert ring_distances(3, adj, s, 0.5, 1000.0) == distances(3, adj, (s,))
         assert ring_distances_and_bottlenecks(3, adj, s, 0.5, 1000.0) == distances_and_bottlenecks(3, adj, s)
 
 
@@ -557,24 +554,130 @@ def _random_subgraph(g, rng):
     return graph.subgraph_adjacency(g.adj, pairs), [e for e in g.edges if (e[0], e[1]) not in pairs]
 
 
+def _ceiling_table(g, scale=1.0):
+    """(width, slots, ceiling) for ``bucket_lowered`` scans of g and its
+    subgraphs: slots ``scale`` times Dial's width, half g's lightest edge,
+    up to a ceiling above every path's weight (dyadic weights sum exactly)."""
+    ceiling = 2.0 * g.total_weight() + 1.0
+    width = scale * 0.5 * min(w for _, _, w in g.iter_edges())
+    return width, int(ceiling * (1.0 / width)) + 1, ceiling
+
+
+def _below(dist, ceiling):
+    """A ``distances`` table with the ceiling in place of INF."""
+    return [min(d, ceiling) for d in dist]
+
+
 @given(tie_heavy_graphs, st.randoms())
 def test_repaired_distances_equal_a_fresh_scan(g, rng):
     h_adj, extra = _random_subgraph(g, rng)
+    width, slots, ceiling = _ceiling_table(g)
     for s in range(g.n):
-        dist_h = distances(g.n, h_adj, (s,))
-        assert repaired_distances(g.adj, extra, dist_h) == distances(g.n, g.adj, (s,))
+        dist_h = _below(distances(g.n, h_adj, (s,)), ceiling)
+        assert repaired_distances(g.adj, extra, dist_h, width, slots) == distances(g.n, g.adj, (s,))
 
 
 @given(tie_heavy_graphs, st.randoms())
 def test_tight_bottlenecks_equal_the_heap_kernels_table(g, rng):
     h_adj, extra = _random_subgraph(g, rng)
+    width, slots, ceiling = _ceiling_table(g)
     for s in range(g.n):
         dist, btl = distances_and_bottlenecks(g.n, g.adj, s)
-        walk = TightBottlenecks(g.adj, repaired_distances(g.adj, extra, distances(g.n, h_adj, (s,))), s)
+        dist_h = _below(distances(g.n, h_adj, (s,)), ceiling)
+        walk = TightBottlenecks(g.adj, repaired_distances(g.adj, extra, dist_h, width, slots), s)
         # read in a random order: a value worked out on one walk serves the next
         ys = list(range(g.n))
         rng.shuffle(ys)
         assert {y: walk[y] for y in ys} == dict(enumerate(btl))
+
+
+# source 0 reaches 1 at 0.75 and 2 at 0.25, both in one slot of width 2;
+# 1 runs first and is lowered to 0.5 by 2 after it
+RESETTLING_TRIANGLE = WeightedGraph(3, [(0, 1, 0.75), (0, 2, 0.25), (1, 2, 0.25)])
+
+
+@example(RESETTLING_TRIANGLE, 16.0, random.Random(0))
+@given(tie_heavy_graphs, st.sampled_from([1.0, 1.5, 4.0, 16.0, 1024.0]), st.randoms())
+def test_bucket_kernel_returns_the_heap_table(g, scale, rng):
+    # from Dial's width up to above the heaviest edge: dyadic weights lie
+    # within a ratio of 128, coarse ones of 4
+    h_adj, extra = _random_subgraph(g, rng)
+    width, slots, ceiling = _ceiling_table(g, scale)
+    for s in range(g.n):
+        dist = [ceiling] * g.n
+        dist[s] = 0.0
+        bucket_lowered(g.adj, dist, (s,), width, slots)
+        assert dist == distances(g.n, g.adj, (s,))
+        # on a subgraph that may miss vertices, the unreached keep the ceiling
+        dist_h = [ceiling] * g.n
+        dist_h[s] = 0.0
+        bucket_lowered(h_adj, dist_h, (s,), width, slots)
+        assert dist_h == _below(distances(g.n, h_adj, (s,)), ceiling)
+        assert repaired_distances(g.adj, extra, dist_h, width, slots) == dist
+
+
+def test_bucket_kernel_resettles_a_vertex_lowered_after_it_ran():
+    g = RESETTLING_TRIANGLE
+    dist = [10.0, 10.0, 10.0]
+    dist[0] = 0.0
+    assert bucket_lowered(g.adj, dist, (0,), 2.0, 6) == 1
+    assert dist == distances(3, g.adj, (0,)) == [0.0, 0.5, 0.25]
+
+
+def test_bucket_kernel_reaches_the_last_slot_of_its_table():
+    # from one end of a long path, the far end's label lies just below the
+    # ceiling and so in the last slot
+    n = 3000
+    adj = adjacency_from_edges(n, [(v, v + 1, 1.0 + (v % 3) / 4.0) for v in range(n - 1)])
+    heap = distances(n, adj, (0,))
+    ceiling = math.nextafter(heap[-1], INF)
+    width = 0.5
+    slots = int(ceiling * (1.0 / width)) + 1
+    assert int(heap[-1] * (1.0 / width)) == slots - 1
+    dist = [ceiling] * n
+    dist[0] = 0.0
+    assert bucket_lowered(adj, dist, (0,), width, slots) == 0
+    assert dist == heap
+
+
+@pytest.mark.parametrize("family, n", [("geometric_unit_square", 512), ("erdos_renyi", 300), ("path", 300), ("grid", 400)])
+def test_the_bucket_rule_keeps_the_walk_short(family, n):
+    g = generate_graph(family, n, seed=1)
+    delta = 0.5 * min(w for _, _, w in g.iter_edges())
+    dist = distances(n, g.adj, (0,))
+    width, slots, ceiling = bucket_table(n, delta, dist)
+    assert width == max(delta, graph.BUCKET_SPREAD * max(dist) / n)
+    assert ceiling > 2.0 * max(dist) and slots <= n // 8 + 1
+    # Dial's width where weights lie within a ratio of 2
+    assert (width == delta) is (family == "erdos_renyi")
+    for s in range(0, n, 37):
+        fresh = [ceiling] * n
+        fresh[s] = 0.0
+        bucket_lowered(g.adj, fresh, (s,), width, slots)
+        assert fresh == distances(n, g.adj, (s,))
+    assert bucket_table(6, 0.5, [0.0, 1.0, INF, 2.0, 2.0, 3.0]) is None
+
+
+def test_a_crowded_slot_hands_its_scan_to_the_heap(monkeypatch):
+    g = crowded_slot_graph()
+    delta = 0.5 * min(w for _, _, w in g.iter_edges())
+    heap = distances(g.n, g.adj, (0,))
+    width, slots, ceiling = bucket_table(g.n, delta, heap)
+    handed = []
+    lowered = graph._lowered
+
+    def counted(adj, dist, entries):
+        handed.append(len(entries))
+        return lowered(adj, dist, entries)
+
+    monkeypatch.setattr(graph, "_lowered", counted)
+    dist = [ceiling] * g.n
+    dist[0] = 0.0
+    # the slot of the hub re-settles it and its leaves once per feeder chain
+    # that lowers it, until more than n re-settles hand the rest to the heap
+    assert bucket_lowered(g.adj, dist, (0,), width, slots) == g.n + 1
+    assert len(handed) == 1 and handed[0] > 0
+    assert dist == heap
 
 
 def test_tight_bottlenecks_walk_a_long_path_without_recursion():

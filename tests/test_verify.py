@@ -19,6 +19,7 @@ from lightspanner.spanner import (
     spanner_from_json_dict,
 )
 from lightspanner.trees import SpanningTree, mst, slt_forest
+from lightspanner import graph as graph_module
 from lightspanner import verify as verify_module
 from lightspanner.verify import (
     WITNESS_CAP,
@@ -38,7 +39,7 @@ from lightspanner.verify import (
 )
 
 from . import oracles
-from .conftest import erdos_renyi_with_a_heavy_edge
+from .conftest import crowded_slot_graph, erdos_renyi_with_a_heavy_edge
 
 
 def _identity_spanner(g, eps=0.05, k=2):
@@ -156,6 +157,24 @@ def test_stretch_report_matches_the_full_scan_reference(stretch_cases, case, mod
         assert len(got.violations) == WITNESS_CAP
 
 
+def _sources(n, mode):
+    return list(range(n)) if mode == "all_pairs" else sorted(random.Random(4).sample(range(n), 17))
+
+
+def _calls(monkeypatch, owner, name):
+    """(arguments, result) of every call of owner.<name> from now on."""
+    calls = []
+    kernel = getattr(owner, name)
+
+    def counted(*args):
+        result = kernel(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
 @pytest.mark.parametrize(
     "family, n, ring", [("path", 40, False), ("star", 60, True), ("grid", 100, True), ("erdos_renyi", 120, True)]
@@ -163,33 +182,32 @@ def test_stretch_report_matches_the_full_scan_reference(stretch_cases, case, mod
 def test_stretch_on_either_queue_matches_the_full_scan_reference(monkeypatch, family, n, ring, mode):
     g = generate_graph(family, n, seed=3)
     sp = build_spanner(g, eps=0.05, k=2, seed=0)
-    ring_sources = []
-    ring_kernel = verify_module.ring_distances
-
-    def counted(n, adj, source, *width):
-        ring_sources.append(source)
-        return ring_kernel(n, adj, source, *width)
-
-    monkeypatch.setattr(verify_module, "ring_distances", counted)
+    h_scans = _calls(monkeypatch, verify_module, "bucket_lowered")
+    g_rings = _calls(monkeypatch, verify_module, "ring_distances_and_bottlenecks")
     got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
     assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
-    # the first source runs on the heap and decides for the others
-    sources = range(n) if mode == "all_pairs" else sorted(random.Random(4).sample(range(n), 17))
-    assert ring_sources == (list(sources)[1:] if ring else [])
+    # the first source scans H on the heap and decides for the others; G's
+    # queue is fixed before its first scan
+    sources = _sources(n, mode)
+    assert len(h_scans) == len(sources) - 1
+    assert [args[2] for args, _ in g_rings] == (sources if ring else [])
 
 
 @pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
-def test_stretch_with_one_heavy_edge_keeps_the_heap_and_matches_the_reference(monkeypatch, mode):
+def test_stretch_with_one_heavy_edge_keeps_g_off_the_ring_and_matches_the_reference(monkeypatch, mode):
     g = erdos_renyi_with_a_heavy_edge(120, 3, 1e6)
     sp = build_spanner(g, eps=0.05, k=2, seed=0)
 
     def refused(*args):
         raise AssertionError("a ring of about 2e6 slots ran")
 
-    monkeypatch.setattr(verify_module, "ring_distances", refused)
     monkeypatch.setattr(verify_module, "ring_distances_and_bottlenecks", refused)
+    # the heavy edge does not widen H's bucket table, whose slots end at a
+    # ceiling of twice the first source's eccentricity
+    h_scans = _calls(monkeypatch, verify_module, "bucket_lowered")
     got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
     assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
+    assert len(h_scans) == len(_sources(g.n, mode)) - 1
 
 
 @pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
@@ -204,6 +222,51 @@ def test_stretch_on_heap_inputs_repairs_the_spanner_scan(monkeypatch, family, n,
     monkeypatch.setattr(verify_module, "distances_and_bottlenecks", refused)
     got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
     assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
+
+
+@pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
+@pytest.mark.parametrize("family, n", [("geometric_unit_square", 150), ("path", 40)])
+def test_stretch_runs_no_heap_scan_after_the_first_source(monkeypatch, family, n, mode):
+    g = generate_graph(family, n, seed=3)
+    sp = build_spanner(g, eps=0.05, k=2, seed=0)
+
+    def first_only(kernel, name):
+        calls = []
+
+        def once(*args):
+            if calls:
+                raise AssertionError(f"{name} ran after the first source")
+            calls.append(args)
+            return kernel(*args)
+
+        return once
+
+    # distances' heap loop is graph._lowered, which a bucket scan hands a
+    # crowded slot to
+    monkeypatch.setattr(verify_module, "distances", first_only(verify_module.distances, "distances"))
+    monkeypatch.setattr(graph_module, "_lowered", first_only(graph_module._lowered, "_lowered"))
+
+    def refused(*args):
+        raise AssertionError("a full scan of G ran")
+
+    monkeypatch.setattr(verify_module, "distances_and_bottlenecks", refused)
+    got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
+    assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
+
+
+@pytest.mark.parametrize("mode", ["all_pairs", "sampled"])
+def test_stretch_where_a_slot_crowds_hands_scans_to_the_heap(monkeypatch, mode):
+    g = crowded_slot_graph()
+    h_scans = _calls(monkeypatch, verify_module, "bucket_lowered")
+    got = verify_stretch(g, _identity_spanner(g), mode=mode, sample_size=17, seed=4)
+    assert got.to_json_dict() == oracles.stretch_reference(
+        g, _identity_spanner(g), mode=mode, sample_size=17, seed=4
+    ).to_json_dict()
+    # some scans re-settle more than n vertices and finish on the heap; none
+    # re-settles more than n + 1 on the buckets
+    resettled = [again for _, again in h_scans]
+    assert max(resettled) == g.n + 1
+    assert len(resettled) == len(_sources(g.n, mode)) - 1
 
 
 def _absorbed_weight_case(seed, cut):

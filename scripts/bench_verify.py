@@ -90,7 +90,8 @@ ALL_PAIRS_MAX_N = 4096
 STRETCH_SAMPLE = 64
 # seconds the all-pairs stretch check may take at each n, on the same host
 STRETCH_BUDGET_S = {4096: 120.0}
-# the per-source kernels verify_stretch may call, counted where the checkout has them
+# the per-source kernels verify_stretch may call, counted where the checkout
+# has them: names this checkout no longer has stay for the others it times
 STRETCH_KERNELS = (
     "distances",
     "bucket_lowered",
@@ -98,6 +99,7 @@ STRETCH_KERNELS = (
     "ring_distances_and_bottlenecks",
     "repaired_distances",
     "distances_and_bottlenecks",
+    "scan",
 )
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 

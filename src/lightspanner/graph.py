@@ -26,34 +26,37 @@ Threads racing on a first read build equal values, and one of them is kept;
 graphs are safe to query concurrently and a caller may keep one scan's
 result while running the next. Two exceptions serve one caller: ``scan``
 handed an earlier scan's tables lowers them in place, and the tables of
-``BallScanner`` and ``DistanceBalls`` serve ball after ball.
+``DistanceBalls`` serve ball after ball.
 
-Determinism contract: shortest-path ties are resolved lexicographically.
-Each vertex is labelled with a key (distance, origin, bottleneck) where
-origin is the source it was reached from (relevant for multi-source
-scans) and bottleneck is the heaviest edge on the path. Among equal keys
-the smaller predecessor id wins. Repeated runs therefore return
-identical tables, paths, and parent forests.
+Determinism contract: one tie rule. Each vertex carries entries (origin,
+bottleneck, parent), where origin is the source it was reached from
+(relevant for multi-source scans) and bottleneck the heaviest edge on the
+path. They are set when the vertex's distance strictly falls. On an exact
+tie, d(u) + w == d(v), they are lowered in place only by a strictly closer
+neighbour u, d(u) < d(v), and the least (origin, bottleneck, id) over those
+neighbours wins. So a vertex's entries are read off its strictly closer
+tight predecessors, a set its distances fix, and every heap kernel keys on
+(distance, vertex) and needs no settled check for ties. (A vertex reached
+only across a weight that vanishes in its distance has no such
+predecessor and keeps the entries of the neighbour at its own distance
+that reached it first, in (distance, vertex) order.) Repeated runs
+therefore return identical tables, paths, and parent forests.
 
-``scan`` is the full Dijkstra kernel for callers that need a parent forest,
-an origin or the settlement order of every vertex reached; its list state
-has length n. ``BallScanner`` runs single-source scans truncated at a
-radius: its n-length tables are allocated once, and each scan writes and
-later resets only the entries of its ball, so the cost of a scan grows
-with the ball rather than with n. Both honour the contract above.
-``tag_forest_path`` is the one walker over a scan's parent forest: the net
-hierarchy's H_0 paths and phase 2's connection paths both go through it.
-
-Full scans that read only distances, or distances and bottlenecks from one
-source, go through ``distances`` and ``distances_and_bottlenecks``. They key
-the heap on (distance, vertex), keep no parent, origin or order, and return
-the very dist (and bottleneck) tables a full ``scan`` returns. Truncated
-scans that read only distances, the verifier's balls, go through
-``DistanceBalls``: the same loop, cut at a radius, on one reused n-length
-dist table, and able to stop once given targets have settled;
-``BallScanner`` serves phase 2, which reads parents. Spanners and
-the verifier's subgraphs get their rows from ``subgraph_adjacency``, whose
-rows share the host's entries.
+Three heap loops serve three kinds of caller. ``scan`` is the full
+Dijkstra kernel for callers that need a parent forest, an origin or the
+settlement order of every vertex reached; its list state has length n.
+``DistanceBalls`` runs single-source scans truncated at a radius: its
+n-length dist, parent and bottleneck tables are allocated once, and each
+ball writes and later resets only the entries it touched, so the cost of
+a ball grows with the ball rather than with n. Phase 2 reads its parents,
+the verifier's balls its distances; a ball can stop once given targets
+have settled. ``distances``, whose loop is ``_lowered``, serves full scans
+that read only distances: it keeps no parent, origin or order and returns
+the very dist table a full ``scan`` returns. ``tag_forest_path`` is the one
+walker over a scan's parent forest: the net hierarchy's H_0 paths and
+phase 2's connection paths both go through it. Spanners and the verifier's
+subgraphs get their rows from ``subgraph_adjacency``, whose rows share the
+host's entries.
 
 ``bucket_lowered`` lowers a table to the one ``distances`` settles, on a
 table of distance slots instead of a heap: a vertex is appended to slot
@@ -69,10 +72,10 @@ Dial's on G(n,p) inputs, and on geometric ones, whose lightest edge is
 far below the median, a walk of at most n / 8 slots. Every label is the
 left-to-right float sum along a walk, and the table ends where no edge
 lowers it, so it equals the heap's bit for bit.
-``ring_distances_and_bottlenecks`` returns ``distances_and_bottlenecks``'s
-tables on Dial's bucket queue: int(max_w / delta) + 2 slots of width
-delta, half the lightest edge, reused cyclically, where every vertex u
-with dist[u] + w <= dist[v] lies in an earlier slot than v. A slot walked
+``ring_distances_and_bottlenecks`` returns a single-source ``scan``'s dist
+and bottleneck tables on Dial's bucket queue: int(max_w / delta) + 2 slots
+of width delta, half the lightest edge, reused cyclically, where every
+vertex u with dist[u] + w <= dist[v] lies in an earlier slot than v. A slot walked
 or made costs about what one heap push and pop cost, so the ring pays
 when a scan's walk and its ring together come to at most one slot per
 vertex: ``ring_pays`` checks that from one scan's eccentricity and the
@@ -85,11 +88,11 @@ graphs (n=512 and 8192) have 0.1-0.4 and keep G off the ring.
 table of one of its subgraphs H: it relaxes the edges H lacks and settles,
 on a bucket table, only the vertices they bring closer, so where H keeps
 most edges it settles a fraction of the vertices a fresh scan settles.
-``TightBottlenecks`` reads ``distances_and_bottlenecks``'s bottleneck
-table one entry at a time from the distances alone, walking back over
-strictly closer tight predecessors; it holds where no weight vanishes in
-a distance's rounding. On geometric inputs the stretch check gets G's
-tables from these two, H's scan and a W read only above the alpha line.
+``TightBottlenecks`` reads a single-source ``scan``'s bottleneck table
+one entry at a time from the distances alone, walking back over strictly
+closer tight predecessors, the tie rule's own set. On geometric inputs
+the stretch check gets G's tables from these two, H's scan and a W read
+only above the alpha line.
 """
 from __future__ import annotations
 
@@ -379,23 +382,25 @@ def subgraph_adjacency(adj, pairs) -> list[list[tuple[int, float]]]:
 
 
 def scan(n, adj, sources, tables=None):
-    """Dijkstra from ``sources`` over ``adj`` with the module's deterministic ties.
+    """Dijkstra from ``sources`` over ``adj`` with the module's tie rule.
 
     Returns ``(dist, parent, bottleneck, origin, settled, order)``: tables of
     length n (``settled`` a bytearray of 0/1 flags) and the settled vertices
     in settlement sequence. Every vertex reachable from the sources is
     settled; ``dist`` is INF, ``parent`` and ``origin`` -1 and ``settled`` 0
     where one is not reached. Each source has parent -1 and origin itself.
-    Scans truncated at a radius from one source go through ``BallScanner``.
+    Scans truncated at a radius from one source go through ``DistanceBalls``.
 
     Given ``tables``, the (dist, parent, bottleneck, origin) lists of an
     earlier scan, the scan lowers them in place to the tables of a scan from
     both source sets, settling (and listing in ``order``) only the vertices
-    whose key falls. They match because new sources only lower keys; a
-    vertex whose key changes takes a new source as its origin, so every
-    predecessor that ties it for parent has that origin too and changed in
-    the same pass; and unchanged vertices keep their parent. The tables are
-    the lexicographic minimum over all sources, in any order of addition.
+    whose entries change. They match because new sources only lower
+    distances: a vertex whose distance is kept keeps its strictly closer
+    tight predecessors and gains only ones whose distance fell; each of
+    those, and each whose entries were lowered, is pushed, so it offers
+    its new entries before the vertex pops. The tables are the rule's over
+    all sources, in any order of addition, wherever no vertex is reached
+    only across a weight that vanishes in its distance.
     """
     if tables is None:
         tables = [INF] * n, [-1] * n, [0.0] * n, [-1] * n
@@ -406,147 +411,95 @@ def scan(n, adj, sources, tables=None):
     push, pop = heapq.heappush, heapq.heappop
     heap = []  # built from sorted sources, so already in heap order
     for s in sorted(set(sources)):
-        if dist[s]:  # a source of the given tables already has the least key
+        if dist[s]:  # a source of the given tables already has its entries
             dist[s] = 0.0
             parent[s] = -1
             bottleneck[s] = 0.0
             origin[s] = s
-            heap.append((0.0, s, 0.0, s))
+            heap.append((0.0, s))
     while heap:
-        d, o, b, u = pop(heap)
-        # pushes only ever lower a vertex's (dist, origin, bottleneck) key, so
-        # its first pop is its final one and later pops are stale
+        d, u = pop(heap)
+        # a vertex's first pop is at its final distance, with final entries;
+        # later pops are stale or repeat a push made when its entries fell
         if settled[u]:
             continue
         settled[u] = 1
         visit(u)
+        o = origin[u]
+        b = bottleneck[u]
         for v, w in adj[u]:
-            if settled[v]:
-                continue
             nd = d + w
             dv = dist[v]
             if nd > dv:
                 continue
-            nb = b if b >= w else w
-            if nd < dv or o < origin[v] or (o == origin[v] and nb < bottleneck[v]):
+            if nd < dv:
                 dist[v] = nd
                 origin[v] = o
-                bottleneck[v] = nb
+                bottleneck[v] = b if b >= w else w
                 parent[v] = u
-                push(heap, (nd, o, nb, v))
-            elif o == origin[v] and nb == bottleneck[v] and u < parent[v]:
-                parent[v] = u
+                push(heap, (nd, v))
+            # a tie from a strictly closer u: lowered in place, and pushed
+            # again so that given tables pass a new origin on
+            elif d < nd:
+                nb = b if b >= w else w
+                ov = origin[v]
+                if o < ov or (o == ov and nb < bottleneck[v]):
+                    origin[v] = o
+                    bottleneck[v] = nb
+                    parent[v] = u
+                    push(heap, (nd, v))
+                elif o == ov and nb == bottleneck[v] and u < parent[v]:
+                    parent[v] = u
     return dist, parent, bottleneck, origin, settled, order
 
 
-class BallScanner:
-    """Single-source scans truncated at a radius, over tables kept between scans.
-
-    ``dist``, ``parent``, ``bottleneck`` and ``settled`` have one entry per
-    vertex and are allocated once, by the constructor. ``ball(adj, source,
-    radius)`` settles exactly the vertices within ``radius`` of the source,
-    with the entries a full ``scan`` from it gives them, and returns them in
-    settlement order. Outside that ball every entry reads as unreached:
-    ``dist`` INF, ``parent`` -1, ``bottleneck`` 0.0, ``settled`` 0. The
-    tables and the returned list hold until the next ``ball`` call, which
-    first resets the entries of the previous ball, so a scan costs O(ball),
-    not O(n). ``adj`` may change between calls but has at most n rows.
-
-    A scanner is one caller's working memory: callers that keep two balls at
-    once, or run on two threads, each need their own.
-    """
-
-    __slots__ = ("dist", "parent", "bottleneck", "settled", "order")
-
-    def __init__(self, n: int):
-        self.dist = [INF] * n
-        self.parent = [-1] * n
-        self.bottleneck = [0.0] * n
-        self.settled = bytearray(n)
-        self.order: list[int] = []
-
-    def ball(self, adj, source: int, radius: float) -> list[int]:
-        dist, parent, bottleneck, settled = self.dist, self.parent, self.bottleneck, self.settled
-        # every vertex the last scan wrote was pushed within its radius and
-        # so settled: its order lists all of them
-        for v in self.order:
-            dist[v] = INF
-            parent[v] = -1
-            bottleneck[v] = 0.0
-            settled[v] = 0
-        order = self.order = []
-        visit = order.append
-        push, pop = heapq.heappush, heapq.heappop
-        dist[source] = 0.0
-        # with one source the origin is the same everywhere, so the key of
-        # ``scan`` drops it: (dist, bottleneck, vertex)
-        heap = [(0.0, 0.0, source)]
-        while heap:
-            d, b, u = pop(heap)
-            if settled[u]:
-                continue
-            settled[u] = 1
-            visit(u)
-            for v, w in adj[u]:
-                if settled[v]:
-                    continue
-                nd = d + w
-                # skipped before it touches any state, so only the ball is written
-                if nd > radius:
-                    continue
-                dv = dist[v]
-                if nd > dv:
-                    continue
-                nb = b if b >= w else w
-                if nd < dv or nb < bottleneck[v]:
-                    dist[v] = nd
-                    bottleneck[v] = nb
-                    parent[v] = u
-                    push(heap, (nd, nb, v))
-                elif nb == bottleneck[v] and u < parent[v]:
-                    parent[v] = u
-        return order
-
-
 class DistanceBalls:
-    """Single-source balls truncated at a radius that keep distances only.
+    """Single-source scans truncated at a radius, over tables kept between balls.
 
-    ``dist`` has one entry per vertex and is allocated once, by the
-    constructor. ``ball(adj, source, radius)`` settles exactly the vertices
-    within ``radius`` of the source, at the distances ``distances`` gives
-    them, and returns them in settlement order; every other entry of
-    ``dist`` reads INF. Like ``distances`` it keys the heap on (d, v),
-    pushes a vertex only when its distance strictly falls within the
-    radius, and skips a pop above the vertex's distance, so it keeps no
-    parent, bottleneck or settled flag. ``adj`` may change between calls
-    but has at most n rows.
+    ``dist``, ``parent`` and ``bottleneck`` have one entry per vertex and
+    are allocated once, by the constructor. ``ball(adj, source, radius)``
+    settles exactly the vertices within ``radius`` of the source, with the
+    entries a full ``scan`` from it gives them, and returns them in
+    settlement order; every other entry reads as unreached: ``dist`` INF,
+    ``parent`` -1, ``bottleneck`` 0.0. The heap is keyed on (d, v) and a
+    vertex is pushed only when its distance strictly falls within the
+    radius, so it has one entry at its final distance, a pop above it is
+    stale, and no settled flag is kept; the tie rule lowers parent and
+    bottleneck in place. ``adj`` may change between calls but has at most
+    n rows.
 
     Given ``targets``, the ball stops right after the last of them settles,
     before that vertex's edges are read. Its settled vertices hold their
-    final distances, and the vertices still on the heap tentative ones, no
-    smaller than any settled distance. A target outside the radius never
-    settles, so the ball runs to its end, as it does without targets. Each
-    call first resets the entries the previous one wrote: every such vertex
-    was settled or is still on the previous heap, so a ball costs O(ball),
-    not O(n).
+    final entries, and the vertices still on the heap tentative ones, at
+    distances no smaller than any settled distance. A target outside the
+    radius never settles, so the ball runs to its end, as it does without
+    targets. Each call first resets the entries the previous one wrote:
+    every such vertex was settled or is still on the previous heap, so a
+    ball costs O(ball), not O(n).
 
     An instance is one caller's working memory: callers that keep two balls
     at once, or run on two threads, each need their own.
     """
 
-    __slots__ = ("dist", "order", "heap")
+    __slots__ = ("dist", "parent", "bottleneck", "order", "heap")
 
     def __init__(self, n: int):
         self.dist = [INF] * n
+        self.parent = [-1] * n
+        self.bottleneck = [0.0] * n
         self.order: list[int] = []
         self.heap: list[tuple[float, int]] = []
 
     def ball(self, adj, source: int, radius: float, targets: Iterable[int] | None = None) -> list[int]:
-        dist = self.dist
+        dist, parent, bottleneck = self.dist, self.parent, self.bottleneck
         for v in self.order:
             dist[v] = INF
+            parent[v] = -1
+            bottleneck[v] = 0.0
         for _, v in self.heap:
             dist[v] = INF
+            parent[v] = -1
+            bottleneck[v] = 0.0
         order = self.order = []
         visit = order.append
         left = () if targets is None else set(targets)
@@ -562,12 +515,25 @@ class DistanceBalls:
                 left.remove(u)
                 if not left:
                     break
+            b = bottleneck[u]
             for v, w in adj[u]:
                 nd = d + w
-                # tested before it touches any state, so only the ball is written
-                if nd < dist[v] and nd <= radius:
-                    dist[v] = nd
-                    push(heap, (nd, v))
+                dv = dist[v]
+                if nd > dv:
+                    continue
+                if nd < dv:
+                    # tested before it touches any state, so only the ball is written
+                    if nd <= radius:
+                        dist[v] = nd
+                        bottleneck[v] = b if b >= w else w
+                        parent[v] = u
+                        push(heap, (nd, v))
+                # v, pushed at nd and not yet popped, is lowered in place
+                elif d < nd:
+                    nb = b if b >= w else w
+                    if nb < bottleneck[v] or (nb == bottleneck[v] and u < parent[v]):
+                        bottleneck[v] = nb
+                        parent[v] = u
         return order
 
 
@@ -603,46 +569,6 @@ def _lowered(adj, dist, heap):
                 dist[v] = nd
                 push(heap, (nd, v))
     return dist
-
-
-def distances_and_bottlenecks(n, adj, source):
-    """``scan``'s dist and bottleneck tables for a single source.
-
-    ``btl[v]`` is the smallest heaviest edge over v's shortest paths. It is
-    set on a strict improvement of v's distance and lowered on an exact tie
-    whose max(btl[u], w) is smaller. Every u with dist[u] + w == dist[v]
-    lies strictly closer to the source, since weights are positive, so it
-    settles before v and ``btl[v]`` is final when v pops: the bottleneck
-    needs no place in the heap key. (Only a weight below half an ulp of a
-    distance, which the float sum absorbs, could put u at v's distance.)
-    A settled vertex is never written again.
-    """
-    dist = [INF] * n
-    btl = [0.0] * n
-    done = bytearray(n)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if done[u]:
-            continue
-        done[u] = 1
-        b = btl[u]
-        for v, w in adj[u]:
-            nd = d + w
-            dv = dist[v]
-            if nd <= dv:
-                if nd < dv:
-                    dist[v] = nd
-                    btl[v] = b if b >= w else w
-                    push(heap, (nd, v))
-                # a settled v has dist[v] <= d <= nd, so only a tie can reach one
-                elif not done[v]:
-                    nb = b if b >= w else w
-                    if nb < btl[v]:
-                        btl[v] = nb
-    return dist, btl
 
 
 # bucket_table's width is at least BUCKET_SPREAD * ecc / n, so a walk up to
@@ -781,8 +707,8 @@ def repaired_distances(adj, extra, dist_h, width, slots):
 
 
 class TightBottlenecks:
-    """The bottleneck table of ``distances_and_bottlenecks(n, adj, source)``,
-    read one entry at a time from its distance table ``dist``.
+    """The bottleneck table of ``scan(n, adj, (source,))``, read one entry
+    at a time from its distance table ``dist``.
 
     ``self[y]`` is 0.0 at the source and elsewhere the least max(self[u],
     w) over y's tight predecessors, the entries (u, w) of row y with
@@ -790,16 +716,17 @@ class TightBottlenecks:
     on an explicit stack and keeps each value it works out, so an entry is
     worked out once per instance and only where it is read.
 
-    That is the heap kernel's table wherever no weight vanishes in the
-    rounding of a distance, that is dist[u] + w > dist[u] for every
-    distance and weight: then every u that ties y is strictly closer,
-    settles before y and offers max(btl[u], w), and nothing else sets
-    btl[y]. Where a weight can vanish, a vertex at y's own distance can
-    tie it and the table need not be this one; callers rule that out
-    (``verify.verify_stretch`` compares G's lightest edge with the
-    distances it meets). A vertex ``dist`` leaves at INF has no tight
-    predecessor and reads INF, where the heap kernel's table holds 0.0;
-    a ``WeightedGraph`` is connected, so its scans reach every vertex.
+    That is the module's tie rule with one origin, so it is ``scan``'s
+    table wherever every vertex reached, the source aside, has a strictly
+    closer tight predecessor, as where no weight vanishes in the rounding
+    of a distance (dist[u] + w > dist[u] for every distance and weight). A
+    vertex reached only across a vanishing weight has none and reads INF,
+    where ``scan`` keeps the entries of the neighbour at its own distance
+    that reached it first; callers rule that out (``verify.verify_stretch``
+    compares G's lightest edge with the distances it meets). A vertex
+    ``dist`` leaves at INF has no tight predecessor and reads INF, where
+    ``scan``'s table holds 0.0; a ``WeightedGraph`` is connected, so its
+    scans reach every vertex.
     """
 
     __slots__ = ("adj", "dist", "known")
@@ -863,8 +790,8 @@ def ring_pays(n: int, delta: float, max_weight: float, dist: Sequence[float]) ->
 
 
 def ring_distances_and_bottlenecks(n, adj, source, delta, max_weight):
-    """``distances_and_bottlenecks(n, adj, source)`` on Dial's ring of
-    distance slots instead of a heap, where ``ring_pays``.
+    """The dist and bottleneck tables of ``scan(n, adj, (source,))`` on
+    Dial's ring of distance slots instead of a heap, where ``ring_pays``.
 
     Slot k holds the vertices whose distance d has int(d * (1 / delta))
     == k, and a vertex is appended to its slot on each strict improvement,
@@ -885,8 +812,9 @@ def ring_distances_and_bottlenecks(n, adj, source, delta, max_weight):
     no vertex of v's slot can lower dist[v]. Each vertex thus settles once,
     at its final distance, as in the heap, and by induction in distance
     order the dist tables agree bit for bit. The bottleneck rule is the
-    heap kernel's: every u that ties v settles and offers max(btl[u], w)
-    before v settles, so ``btl[v]`` is final when v's slot comes up.
+    module's: every u that ties v is strictly closer, so it settles and
+    offers max(btl[u], w) before v settles, and ``btl[v]`` is final when
+    v's slot comes up.
     """
     dist = [INF] * n
     btl = [0.0] * n
@@ -918,7 +846,7 @@ def ring_distances_and_bottlenecks(n, adj, source, delta, max_weight):
                             dist[v] = nd
                             btl[v] = b if b >= w else w
                             ring[int(nd * inv) % slots].append(v)
-                        elif not done[v]:
+                        elif d < nd:
                             nb = b if b >= w else w
                             if nb < btl[v]:
                                 btl[v] = nb

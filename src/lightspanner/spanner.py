@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView
 
 from .errors import SamplingError, SpannerError
-from .graph import BallScanner, WeightedGraph, distances, edges_connect, scan, subgraph_adjacency
+from .graph import INF, DistanceBalls, WeightedGraph, distances, edges_connect, scan, subgraph_adjacency
 from .graph import tag_forest_path, walk_parents
 from .nets import NetHierarchy, build_net_hierarchy, check_eps, greedy_delta_net
 from .trees import mst, slt_forest
@@ -340,7 +340,7 @@ def phase2_paths(
     Each connection path is tagged into the build's table with
     tag_forest_path, so an edge already in ``tags`` (an H0 edge, or one an
     earlier path tagged) keeps its first tag. Each center u below the top
-    level runs one truncated scan on the phase's one ``BallScanner``. Its
+    level runs one truncated scan on the phase's one ``DistanceBalls``. Its
     bunch members lie closer than the radius r = (1-eps)/2 * pivot_dist.
     If r <= 4/eps, each member v has scale_index(d(u, v)) < 0 and is its
     own target, so the scan stops at r; otherwise it reaches (1 + eps/2) *
@@ -356,7 +356,7 @@ def phase2_paths(
     direct_radius = 4.0 / eps
     records: list[RepPathRecord] = []
 
-    def connect(u, i, members, dist, parent, settled):
+    def connect(u, i, members, dist, parent):
         """Connect center u of level i to each of its bunch members."""
         covered = {u}
         for v in members:
@@ -372,7 +372,7 @@ def phase2_paths(
                 )
             else:
                 target, tag = hierarchy.rep(v, j), PHASE_P2_REP
-            if not settled[target]:
+            if dist[target] == INF:
                 raise SpannerError(
                     f"representative {target} of ({u}, {v}) escaped the scan radius"
                 )
@@ -382,8 +382,8 @@ def phase2_paths(
             if keep_records:
                 records.append(RepPathRecord(u, i, v, j, target, dist[target], tuple(walk_parents(parent, target))))
 
-    scanner = BallScanner(n)
-    dist, parent, settled = scanner.dist, scanner.parent, scanner.settled
+    balls = DistanceBalls(n)
+    dist, parent = balls.dist, balls.parent
     for u in range(n):
         i = sampling.level_of[u]
         if i == k:
@@ -392,14 +392,14 @@ def phase2_paths(
         if radius <= 0:
             raise SpannerError(f"vertex {u} has zero pivot distance at level {i + 1}")
         reach = radius if radius <= direct_radius else (1.0 + 0.5 * eps) * radius
-        order = scanner.ball(g.adj, u, reach)
+        order = balls.ball(g.adj, u, reach)
         level = sampling.levels[i]
-        connect(u, i, sorted(v for v in order if dist[v] < radius and v in level), dist, parent, settled)
+        connect(u, i, sorted(v for v in order if dist[v] < radius and v in level), dist, parent)
 
     top = sorted(sampling.levels[k])
     for u in top:
-        dist_top, parent_top, _, _, settled_top, _ = scan(n, g.adj, (u,))
-        connect(u, k, top, dist_top, parent_top, settled_top)
+        dist_top, parent_top = scan(n, g.adj, (u,))[:2]
+        connect(u, k, top, dist_top, parent_top)
 
     return tuple(records)
 

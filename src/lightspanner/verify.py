@@ -50,11 +50,12 @@ deterministic given (graph, spanner, mode, seed).
 
 Every scan here reads only distances (and, for stretch, the graph's
 bottlenecks), except verify_net's multi-source ``scan``, which reads
-origins: the stretch check, verify_slt and the lemma suite's full rows run
-graph's distance-only full kernels, the stretch check on bucket tables of
-distance slots from its second source on, and on the ring for G where its
-input's weights let the ring pay, and every truncated ball, the packing
-check's included, runs on ``DistanceBalls``.
+origins. verify_slt and the lemma suite's full rows run graph's
+distance-only full kernel; the stretch check runs it for H's first source,
+bucket tables of distance slots for H from its second source on, and for
+G the ring or a repair of H's scan where its input's weights allow, else a
+single-source ``scan``. Every truncated ball, the packing check's
+included, runs on ``DistanceBalls``.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ from itertools import accumulate, islice, repeat
 from typing import ClassVar, NamedTuple, Sequence
 
 from .errors import SpannerError
-from .graph import INF, DistanceBalls, WeightedGraph, adjacency_from_edges, distances, distances_and_bottlenecks, scan
+from .graph import INF, DistanceBalls, WeightedGraph, adjacency_from_edges, distances, scan
 from .graph import TightBottlenecks, bucket_lowered, bucket_table, repaired_distances, ring_distances_and_bottlenecks
 from .graph import ring_pays, subgraph_adjacency
 from .nets import DeltaNet
@@ -181,9 +182,9 @@ def verify_stretch(
     The first source scans H with ``distances`` and, from that scan,
     fixes the queue of the other sources' H scans and which of three
     kernels gives every source's G distances (a call with one source
-    keeps the heap). None keeps a parent, origin or bottleneck heap key. A pair with d_H <= alpha*d_G
-    has slack <= 0 and is within the bound, so W, the slack and the bound
-    are read only for a pair above that line.
+    keeps the heap). No queue keys on an origin or bottleneck. A pair with
+    d_H <= alpha*d_G has slack <= 0 and is within the bound, so W, the
+    slack and the bound are read only for a pair above that line.
 
     * H: where the first H scan reached all n vertices, the other sources
       scan H on ``bucket_lowered``, on the table ``bucket_table`` sizes
@@ -207,19 +208,20 @@ def verify_stretch(
       2**-49: ``repaired_distances`` turns each source's H table into G's
       on the same bucket table, relaxing only G's edges that H lacks
       (listed once per call) and settling only the vertices they bring
-      closer, and ``TightBottlenecks`` works out W for a pair above the
-      line alone. Every weight is then above 2**-49 of any distance a scan
-      meets, at least eight of its ulps, so no weight vanishes in a
-      distance's rounding and the walk gives the heap kernel's table.
+      closer, and ``TightBottlenecks`` works out W, ``scan``'s bottleneck,
+      for a pair above the line alone. Every weight is then above 2**-49
+      of any distance a scan meets, at least eight of its ulps, so no
+      weight vanishes in a distance's rounding.
       Geometric inputs and long paths take it; on geometric n=512 and 8192
       spanners, which keep 81-88% of G's edges, the repair settles 50-62%
       of the vertices per source.
     * G on the heap otherwise, for an H that misses a vertex or a weight
       that can vanish in a distance (such as 0.5 next to 1e16): every
-      source runs ``distances_and_bottlenecks``.
+      source runs a single-source ``scan`` and reads its dist and
+      bottleneck tables.
 
-    Every kernel returns the heap kernels' tables bit for bit, so the
-    report does not depend on the kernel.
+    Every kernel returns ``scan``'s tables bit for bit, so the report does
+    not depend on the kernel.
     """
     _check_host(g, sp)
     n = g.n
@@ -278,7 +280,7 @@ def verify_stretch(
             dist_g = repaired_distances(g.adj, extra, dist_h, *bucket[:2])
             btl_g = TightBottlenecks(g.adj, dist_g, x)
         else:
-            dist_g, btl_g = distances_and_bottlenecks(n, g.adj, x)
+            dist_g, _, btl_g = scan(n, g.adj, (x,))[:3]
         if mode == "all_pairs":
             lo = x + 1
             pairs += n - lo

@@ -15,9 +15,11 @@ uncertified_pivot_ball_keys_reference the ones the suite scans: those its
 records' path sums, taken here by plain ``weight_of`` sums
 (path_sums_reference), leave uncertified.
 
-stretch_reference is verify_stretch as it was before its scans dropped
-parent, origin and bottleneck heap keys: two full ``scan`` calls per
-source and every pair's slack and bound computed.
+stretch_reference is verify_stretch with no library scan and every pair's
+slack and bound computed: d_G and d_H from Bellman-Ford, W from one pass
+in distance order over strictly closer tight predecessors
+(tight_bottlenecks_reference), since the verifier's own heap route is
+``scan``.
 
 net_hierarchy_reference and slt_forest_reference are the plain versions of
 two builder steps that the library does with less work: a greedy net per
@@ -148,20 +150,64 @@ def shortest_path(g: WeightedGraph, u: int, v: int) -> Path:
 
 
 def bellman_ford(g: WeightedGraph, source: int) -> list[float]:
-    dist = [INF] * g.n
+    return bellman_ford_rows(adjacency_reference(g.n, g.edges), source)
+
+
+def bellman_ford_rows(rows, source: int) -> list[float]:
+    """Distances from ``source`` over adjacency ``rows``, INF where a vertex
+    is not reached: passes over every row entry until none lowers a distance."""
+    dist = [INF] * len(rows)
     dist[source] = 0.0
-    for _ in range(g.n - 1):
+    for _ in range(len(rows)):
         changed = False
-        for u, v, w in g.edges:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                changed = True
-            if dist[v] + w < dist[u]:
-                dist[u] = dist[v] + w
-                changed = True
+        for u, row in enumerate(rows):
+            du = dist[u]
+            for v, w in row:
+                if du + w < dist[v]:
+                    dist[v] = du + w
+                    changed = True
         if not changed:
             break
     return dist
+
+
+def tight_bottlenecks_reference(rows, dist, source: int) -> list[float]:
+    """W for every vertex from its distances ``dist``: 0.0 at the source and
+    elsewhere the least max(W[u], w) over the entries (u, w) of its row with
+    dist[u] < dist[v] and dist[u] + w == dist[v], its strictly closer tight
+    predecessors, worked out in one pass in distance order. On dyadic
+    weights every sum is exact, so this is the least heaviest edge over v's
+    shortest paths.
+
+    A vertex reached only across a weight that vanishes in its distance has
+    no such predecessor; it takes the least over its tight predecessors at
+    its own distance instead, settled within that distance's vertices until
+    no value falls. (``scan`` takes the first of them it settles, which the
+    vanishing-weight stretch cases pin to the same reports.) An unreached
+    vertex reads INF.
+    """
+    btl = [INF] * len(rows)
+    btl[source] = 0.0
+    order = sorted(range(len(rows)), key=dist.__getitem__)
+    for dv, group in itertools.groupby(order, key=dist.__getitem__):
+        if dv == INF:
+            break
+        vanished = []
+        for v in group:
+            for u, w in rows[v]:
+                if dist[u] < dv and dist[u] + w == dv:
+                    btl[v] = min(btl[v], max(btl[u], w))
+            if btl[v] == INF:
+                vanished.append(v)
+        lowered = True
+        while lowered:
+            lowered = False
+            for v in vanished:
+                for u, w in rows[v]:
+                    if dist[u] == dv and dv + w == dv and max(btl[u], w) < btl[v]:
+                        btl[v] = max(btl[u], w)
+                        lowered = True
+    return btl
 
 
 def enumerate_simple_paths(g: WeightedGraph, s: int, t: int):
@@ -579,7 +625,8 @@ def uncertified_pivot_ball_keys_reference(internals) -> set[tuple[int, int]]:
 
 
 def stretch_reference(g, sp, *, mode="all_pairs", sample_size=64, seed=0) -> StretchReport:
-    """verify_stretch with two full scans per source and every pair's bound."""
+    """verify_stretch with every pair's bound, from Bellman-Ford's d_G and
+    d_H and tight_bottlenecks_reference's W; it runs no library scan."""
     n = g.n
     eps = sp.params.eps
     if sp.params.kind == "hierarchical":
@@ -594,6 +641,7 @@ def stretch_reference(g, sp, *, mode="all_pairs", sample_size=64, seed=0) -> Str
         sources = range(n)
     else:
         sources = sorted(random.Random(seed).sample(range(n), min(sample_size, n)))
+    g_adj = adjacency_reference(n, g.edges)
     h_adj = subgraph_rows_reference(g, sp.edges)
     pairs = 0
     worst_mult = 1.0
@@ -601,8 +649,9 @@ def stretch_reference(g, sp, *, mode="all_pairs", sample_size=64, seed=0) -> Str
     violations = []
     violation_count = 0
     for x in sources:
-        dist_g, _, btl_g, _, _, _ = scan(n, g.adj, (x,))
-        dist_h, _, _, _, _, _ = scan(n, h_adj, (x,))
+        dist_g = bellman_ford_rows(g_adj, x)
+        dist_h = bellman_ford_rows(h_adj, x)
+        btl_g = tight_bottlenecks_reference(g_adj, dist_g, x)
         targets = range(x + 1, n) if mode == "all_pairs" else range(n)
         for y in targets:
             if y == x:

@@ -56,7 +56,7 @@ def test_bench_verify_writes_each_checks_time_and_count(tmp_path):
             "bucket_lowered": sources - 1,
             "ring_distances_and_bottlenecks": 0,
             "repaired_distances": sources,
-            "distances_and_bottlenecks": 0,
+            "scan": 0,
         }
         assert row["bucket_scans"] == 2 * sources - 1
         # at most n / 8 + 1 slots per scan

@@ -14,7 +14,6 @@ from lightspanner.generate import FAMILIES, generate_graph
 from lightspanner.graphio import read_dimacs, read_edge_list, read_graph, write_dimacs, write_edge_list, write_graph
 from lightspanner.graph import (
     INF,
-    BallScanner,
     DistanceBalls,
     TightBottlenecks,
     WeightedGraph,
@@ -22,7 +21,6 @@ from lightspanner.graph import (
     bucket_lowered,
     bucket_table,
     distances,
-    distances_and_bottlenecks,
     repaired_distances,
     ring_distances_and_bottlenecks,
     ring_pays,
@@ -168,12 +166,28 @@ def test_shortest_path_same_vertex():
 
 def test_scan_radius_settles_exactly_the_ball():
     g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-    scanner = BallScanner(g.n)
+    balls = DistanceBalls(g.n)
     # vertex 2 sits exactly on the radius, and is inside
-    assert scanner.ball(g.adj, 0, 2.0) == [0, 1, 2]
-    assert list(scanner.settled) == [1, 1, 1, 0, 0]
-    assert scanner.dist == [0.0, 1.0, 2.0, INF, INF]
-    assert scanner.parent == [-1, 0, 1, -1, -1]
+    assert balls.ball(g.adj, 0, 2.0) == [0, 1, 2]
+    assert balls.dist == [0.0, 1.0, 2.0, INF, INF]
+    assert balls.parent == [-1, 0, 1, -1, -1]
+    assert balls.bottleneck == [0.0, 1.0, 1.0, 0.0, 0.0]
+
+
+# 3 ties 2 at distance 1.0 across a weight that vanishes in the sum, but
+# is not strictly closer, so 2 keeps its direct edge from 0
+VANISHING_TIE_EDGES = [(0, 2, 1.0), (0, 1, 0.5), (1, 3, 0.5), (2, 3, 1e-17)]
+
+
+def test_a_tie_across_a_vanishing_weight_lowers_no_entry():
+    adj = adjacency_from_edges(4, VANISHING_TIE_EDGES)
+    dist, parent, bottleneck, _, _, _ = scan(4, adj, (0,))
+    assert dist == [0.0, 0.5, 1.0, 1.0]
+    assert (parent[2], bottleneck[2]) == (0, 1.0)
+    balls = DistanceBalls(4)
+    balls.ball(adj, 0, INF)
+    assert (balls.dist, balls.parent, balls.bottleneck) == (dist, parent, bottleneck)
+    assert TightBottlenecks(adj, dist, 0)[2] == 1.0
 
 
 def _draw_sources(g, data, max_size):
@@ -181,24 +195,19 @@ def _draw_sources(g, data, max_size):
     return sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=size, max_size=size)))
 
 
-BALL_TABLES = ("dist", "parent", "bottleneck", "settled")
-
-
-def _assert_is_ball(scanner, order, full, radius):
-    """The scanner holds the ball of ``radius`` from the full scan ``full``
-    of the same source, with full's entries inside and unreached ones outside,
-    in each of the tables it keeps (a ``DistanceBalls`` keeps only dist)."""
+def _assert_is_ball(balls, order, full, radius):
+    """``balls`` holds the ball of ``radius`` from the full scan ``full`` of
+    the same source, with full's dist, parent and bottleneck entries inside
+    and unreached ones outside."""
     full_dist, full_parent, full_btl = full[:3]
     n = len(full_dist)
     ball = {v for v in range(n) if full_dist[v] <= radius and full_dist[v] < INF}
     assert sorted(order) == sorted(ball) and len(order) == len(ball)
-    assert order is scanner.order
-    assert all(scanner.dist[a] <= scanner.dist[b] for a, b in zip(order, order[1:]))
-    kept = [k for k in BALL_TABLES if hasattr(scanner, k)]
+    assert order is balls.order
+    assert all(balls.dist[a] <= balls.dist[b] for a, b in zip(order, order[1:]))
     for v in range(n):
-        inside = (full_dist[v], full_parent[v], full_btl[v], 1) if v in ball else (INF, -1, 0.0, 0)
-        got = tuple(getattr(scanner, k)[v] for k in kept)
-        assert got == tuple(x for k, x in zip(BALL_TABLES, inside) if k in kept)
+        inside = (full_dist[v], full_parent[v], full_btl[v]) if v in ball else (INF, -1, 0.0)
+        assert (balls.dist[v], balls.parent[v], balls.bottleneck[v]) == inside
 
 
 def _radii(full_dist):
@@ -213,21 +222,21 @@ def test_truncated_scan_is_the_ball_of_the_full_scan(g, data):
     s = data.draw(st.integers(0, g.n - 1))
     full = scan(g.n, g.adj, (s,))
     radius = data.draw(_radii(full[0]))
-    scanner = BallScanner(g.n)
-    _assert_is_ball(scanner, scanner.ball(g.adj, s, radius), full, radius)
+    balls = DistanceBalls(g.n)
+    _assert_is_ball(balls, balls.ball(g.adj, s, radius), full, radius)
 
 
 @given(tie_heavy_graphs, st.data())
-def test_consecutive_balls_on_one_scanner_leave_no_stale_entry(g, data):
+def test_consecutive_balls_on_one_instance_leave_no_stale_entry(g, data):
     # a second adjacency on the same vertices, which need not be connected
     adjs = [g.adj, adjacency_from_edges(g.n, g.edges[::2])]
-    scanner = BallScanner(g.n)
+    balls = DistanceBalls(g.n)
     for _ in range(4):
         adj = data.draw(st.sampled_from(adjs))
         s = data.draw(st.integers(0, g.n - 1))
         full = scan(g.n, adj, (s,))
         radius = data.draw(_radii(full[0]))
-        _assert_is_ball(scanner, scanner.ball(adj, s, radius), full, radius)
+        _assert_is_ball(balls, balls.ball(adj, s, radius), full, radius)
 
 
 def _logged(table, log):
@@ -240,27 +249,6 @@ def _logged(table, log):
             super().__setitem__(i, x)
 
     return Logged(table)
-
-
-def test_ball_scan_touches_and_resets_only_its_ball():
-    n = 100_000
-    adj = adjacency_from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)])
-    scanner = BallScanner(n)
-    written = set()
-    scanner.dist = _logged(scanner.dist, written)
-    scanner.parent = _logged(scanner.parent, written)
-    scanner.bottleneck = _logged(scanner.bottleneck, written)
-    scanner.settled = _logged(scanner.settled, written)
-    assert scanner.ball(adj, 50_000, 2.0) == [50_000, 49_999, 50_001, 49_998, 50_002]
-    assert written == set(range(49_998, 50_003))
-    written.clear()
-    assert scanner.ball(adj, 10, 1.0) == [10, 9, 11]
-    # the reset touches the last ball, the scan its own
-    assert written == set(range(49_998, 50_003)) | {9, 10, 11}
-    fresh = BallScanner(n)
-    fresh.ball(adj, 10, 1.0)
-    assert (scanner.dist, scanner.parent, scanner.bottleneck) == (fresh.dist, fresh.parent, fresh.bottleneck)
-    assert scanner.settled == fresh.settled
 
 
 @given(
@@ -331,41 +319,41 @@ def test_distance_kernels_match_scan_on_families(name):
     for s in range(g.n):
         dist, bottleneck = _scan_dist_btl(g.n, g.adj, (s,))
         assert distances(g.n, g.adj, (s,)) == dist
-        assert distances_and_bottlenecks(g.n, g.adj, s) == (dist, bottleneck)
     for step in (2, 7, 31):
         sources = range(step // 2, g.n, step)
         assert distances(g.n, g.adj, sources) == _scan_dist_btl(g.n, g.adj, sources)[0]
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
-def test_ball_scanner_matches_scan_on_families(name):
-    g = KERNEL_GRAPHS[name]()
-    scanner = BallScanner(g.n)
-    for s in range(0, g.n, 3):
-        full = scan(g.n, g.adj, (s,))
-        reached = sorted(full[0])
-        mid = len(reached) // 2
-        # 0, a radius on the distance of a vertex, and one between two distances
-        for radius in (0.0, reached[mid // 2], (reached[mid] + reached[mid + 1]) / 2):
-            _assert_is_ball(scanner, scanner.ball(g.adj, s, radius), full, radius)
-
-
 @given(tie_heavy_graphs, st.data())
-def test_distance_balls_match_the_ball_scanner_and_distances(g, data):
+def test_distance_balls_match_scan_and_distances(g, data):
     # a second adjacency on the same vertices, which need not be connected
     adjs = [g.adj, adjacency_from_edges(g.n, g.edges[::2])]
-    balls, scanner = DistanceBalls(g.n), BallScanner(g.n)
+    balls = DistanceBalls(g.n)
     for _ in range(4):
         adj = data.draw(st.sampled_from(adjs))
         s = data.draw(st.integers(0, g.n - 1))
         full = scan(g.n, adj, (s,))
         radius = data.draw(st.one_of(_radii(full[0]), st.just(INF)))
-        order = balls.ball(adj, s, radius)
-        _assert_is_ball(balls, order, full, radius)
-        assert sorted(order) == sorted(scanner.ball(adj, s, radius))
-        assert all(balls.dist[v] == scanner.dist[v] for v in range(g.n))
+        _assert_is_ball(balls, balls.ball(adj, s, radius), full, radius)
         if radius == INF:
             assert balls.dist == distances(g.n, adj, (s,))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_stopped_balls_match_scan_on_families(name):
+    g = KERNEL_GRAPHS[name]()
+    balls = DistanceBalls(g.n)
+    for s in range(0, g.n, 3):
+        full = scan(g.n, g.adj, (s,))
+        # a ball stopped at its targets settles a prefix of the full order,
+        # with the full scan's entries, and holds tentative ones on its heap
+        targets = [(s + 1) % g.n, (s * 7 + 5) % g.n]
+        order = balls.ball(g.adj, s, INF, targets)
+        assert set(targets) <= set(order) and order[-1] in targets
+        assert order == full[5][: len(order)]
+        for v in order:
+            assert (balls.dist[v], balls.parent[v], balls.bottleneck[v]) == (full[0][v], full[1][v], full[2][v])
+        assert all(d >= balls.dist[order[-1]] for d, _ in balls.heap)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
@@ -375,8 +363,15 @@ def test_distance_balls_match_scan_on_families(name):
     for s in range(0, g.n, 3):
         full = scan(g.n, g.adj, (s,))
         reached = sorted(full[0])
-        # 0, a radius on the distance of a vertex, one between two distances, and no bound
-        for radius in (0.0, reached[len(reached) // 4], (reached[1] + reached[2]) / 2, INF):
+        mid = len(reached) // 2
+        # 0, radii on the distance of a vertex, radii between two distances, and no bound
+        for radius in (
+            0.0,
+            reached[len(reached) // 4],
+            (reached[1] + reached[2]) / 2,
+            (reached[mid] + reached[mid + 1]) / 2,
+            INF,
+        ):
             _assert_is_ball(balls, balls.ball(g.adj, s, radius), full, radius)
         assert balls.dist == distances(g.n, g.adj, (s,))
 
@@ -387,20 +382,22 @@ def test_distance_balls_touch_and_reset_only_their_entries():
     balls = DistanceBalls(n)
     written = set()
     balls.dist = _logged(balls.dist, written)
+    balls.parent = _logged(balls.parent, written)
+    balls.bottleneck = _logged(balls.bottleneck, written)
     assert balls.ball(adj, 50_000, 2.0) == [50_000, 49_999, 50_001, 49_998, 50_002]
     assert written == set(range(49_998, 50_003))
     written.clear()
     # stopped at its target, the ball leaves 8 on the heap at a tentative distance
     assert balls.ball(adj, 10, 5.0, targets=[11]) == [10, 9, 11]
     assert written == set(range(49_998, 50_003)) | {8, 9, 10, 11}
-    assert balls.heap == [(2.0, 8)] and balls.dist[8] == 2.0
+    assert balls.heap == [(2.0, 8)] and (balls.dist[8], balls.parent[8], balls.bottleneck[8]) == (2.0, 9, 1.0)
     written.clear()
     assert balls.ball(adj, 70_000, 0.5) == [70_000]
     # the reset reaches the stopped ball's heap as well as its settled vertices
     assert written == {8, 9, 10, 11, 70_000}
     fresh = DistanceBalls(n)
     fresh.ball(adj, 70_000, 0.5)
-    assert balls.dist == fresh.dist
+    assert (balls.dist, balls.parent, balls.bottleneck) == (fresh.dist, fresh.parent, fresh.bottleneck)
 
 
 @given(tie_heavy_graphs, st.data())
@@ -420,21 +417,19 @@ def test_a_ball_stops_right_after_its_last_target_settles(g, data):
         stop = max(whole.index(t) for t in inside) + 1 if len(inside) == len(targets) else len(whole)
         assert order == whole[:stop]
         for t in inside:
-            assert balls.dist[t] == full[0][t]
+            assert (balls.dist[t], balls.parent[t], balls.bottleneck[t]) == (full[0][t], full[1][t], full[2][t])
         # the next ball on the same instance is a fresh instance's ball
         s = data.draw(st.integers(0, g.n - 1))
         radius = data.draw(st.one_of(_radii(full[0]), st.just(INF)))
         fresh = DistanceBalls(g.n)
         assert balls.ball(adj, s, radius) == fresh.ball(adj, s, radius)
-        assert balls.dist == fresh.dist
+        assert (balls.dist, balls.parent, balls.bottleneck) == (fresh.dist, fresh.parent, fresh.bottleneck)
 
 
 @given(tie_heavy_graphs, st.data())
 def test_distance_kernels_match_scan(g, data):
     s = data.draw(st.integers(0, g.n - 1))
-    dist, bottleneck = _scan_dist_btl(g.n, g.adj, (s,))
-    assert distances(g.n, g.adj, (s,)) == dist
-    assert distances_and_bottlenecks(g.n, g.adj, s) == (dist, bottleneck)
+    assert distances(g.n, g.adj, (s,)) == _scan_dist_btl(g.n, g.adj, (s,))[0]
     sources = _draw_sources(g, data, 4)
     assert distances(g.n, g.adj, sources) == _scan_dist_btl(g.n, g.adj, sources)[0]
 
@@ -443,11 +438,9 @@ def test_distance_kernels_leave_unreached_vertices_at_inf():
     # two components, {0, 1, 2} and {3, 4}, and vertex 5 on its own
     adj = adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
     for s in range(6):
-        dist, bottleneck = _scan_dist_btl(6, adj, (s,))
-        assert distances(6, adj, (s,)) == dist
-        assert distances_and_bottlenecks(6, adj, s) == (dist, bottleneck)
+        assert distances(6, adj, (s,)) == _scan_dist_btl(6, adj, (s,))[0]
     assert distances(6, adj, (0,)) == [0.0, 1.0, 3.0, INF, INF, INF]
-    assert distances_and_bottlenecks(6, adj, 4) == ([INF, INF, INF, 3.0, 0.0, INF], [0.0, 0.0, 0.0, 3.0, 0.0, 0.0])
+    assert _scan_dist_btl(6, adj, (4,)) == ([INF, INF, INF, 3.0, 0.0, INF], [0.0, 0.0, 0.0, 3.0, 0.0, 0.0])
     assert distances(6, adj, (2, 3)) == [3.0, 2.0, 0.0, 0.0, 3.0, INF]
 
 
@@ -485,11 +478,11 @@ def _ring_width(g):
 
 @settings(max_examples=60)
 @given(ring_graphs(), st.data())
-def test_ring_kernels_return_the_heap_kernels_tables(g, data):
+def test_ring_kernels_return_the_scans_tables(g, data):
     delta, heaviest = _ring_width(g)
     assert ring_pays(g.n, delta, heaviest, distances(g.n, g.adj, (0,)))
     s = data.draw(st.integers(0, g.n - 1))
-    assert ring_distances_and_bottlenecks(g.n, g.adj, s, delta, heaviest) == distances_and_bottlenecks(g.n, g.adj, s)
+    assert ring_distances_and_bottlenecks(g.n, g.adj, s, delta, heaviest) == _scan_dist_btl(g.n, g.adj, (s,))
 
 
 @pytest.mark.parametrize("name", ["unit-grid", "grid-1-2", "gnp"])
@@ -504,7 +497,7 @@ def test_ring_kernels_match_scan_on_families(name):
 def test_ring_kernels_leave_unreached_vertices_at_inf():
     adj = adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 3.0)])
     for s in range(6):
-        assert ring_distances_and_bottlenecks(6, adj, s, 0.5, 3.0) == distances_and_bottlenecks(6, adj, s)
+        assert ring_distances_and_bottlenecks(6, adj, s, 0.5, 3.0) == _scan_dist_btl(6, adj, (s,))
     assert not ring_pays(6, 0.5, 3.0, distances(6, adj, (0,)))
 
 
@@ -543,7 +536,7 @@ def test_ring_kernels_match_the_heap_across_a_heavy_edge():
     # ahead when the scan has settled every vertex
     adj = adjacency_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1000.0)])
     for s in range(3):
-        assert ring_distances_and_bottlenecks(3, adj, s, 0.5, 1000.0) == distances_and_bottlenecks(3, adj, s)
+        assert ring_distances_and_bottlenecks(3, adj, s, 0.5, 1000.0) == _scan_dist_btl(3, adj, (s,))
 
 
 def _random_subgraph(g, rng):
@@ -578,11 +571,11 @@ def test_repaired_distances_equal_a_fresh_scan(g, rng):
 
 
 @given(tie_heavy_graphs, st.randoms())
-def test_tight_bottlenecks_equal_the_heap_kernels_table(g, rng):
+def test_tight_bottlenecks_equal_the_scans_table(g, rng):
     h_adj, extra = _random_subgraph(g, rng)
     width, slots, ceiling = _ceiling_table(g)
     for s in range(g.n):
-        dist, btl = distances_and_bottlenecks(g.n, g.adj, s)
+        btl = _scan_dist_btl(g.n, g.adj, (s,))[1]
         dist_h = _below(distances(g.n, h_adj, (s,)), ceiling)
         walk = TightBottlenecks(g.adj, repaired_distances(g.adj, extra, dist_h, width, slots), s)
         # read in a random order: a value worked out on one walk serves the next

@@ -157,6 +157,18 @@ def test_stretch_report_matches_the_full_scan_reference(stretch_cases, case, mod
         assert len(got.violations) == WITNESS_CAP
 
 
+@pytest.mark.parametrize("case", ["near-line", "geometric", "gnp", "disconnected", "wmax", "wmax-cut"])
+def test_stretch_from_one_source_scans_g_once_and_matches_the_reference(monkeypatch, stretch_cases, case):
+    g, sp = stretch_cases[case]
+    scans = _calls(monkeypatch, verify_module, "scan")
+    got = verify_stretch(g, sp, mode="sampled", sample_size=1, seed=4)
+    assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode="sampled", sample_size=1, seed=4).to_json_dict()
+    # one source keeps G on the heap: one single-source scan, and no ring or repair
+    (source,) = random.Random(4).sample(range(g.n), 1)
+    assert [args[2] for args, _ in scans] == [(source,)]
+    assert got.pairs_checked == g.n - 1
+
+
 def _sources(n, mode):
     return list(range(n)) if mode == "all_pairs" else sorted(random.Random(4).sample(range(n), 17))
 
@@ -219,7 +231,7 @@ def test_stretch_on_heap_inputs_repairs_the_spanner_scan(monkeypatch, family, n,
     def refused(*args):
         raise AssertionError("a second full scan of G ran")
 
-    monkeypatch.setattr(verify_module, "distances_and_bottlenecks", refused)
+    monkeypatch.setattr(verify_module, "scan", refused)
     got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
     assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
 
@@ -249,7 +261,7 @@ def test_stretch_runs_no_heap_scan_after_the_first_source(monkeypatch, family, n
     def refused(*args):
         raise AssertionError("a full scan of G ran")
 
-    monkeypatch.setattr(verify_module, "distances_and_bottlenecks", refused)
+    monkeypatch.setattr(verify_module, "scan", refused)
     got = verify_stretch(g, sp, mode=mode, sample_size=17, seed=4)
     assert got.to_json_dict() == oracles.stretch_reference(g, sp, mode=mode, sample_size=17, seed=4).to_json_dict()
 
